@@ -189,7 +189,12 @@ def parse_foliation(g: Graph, data: str | bytes) -> Foliation:
         raise GraphError(f"invalid foliation JSON: {e}", code="BadFormat") from None
     if not isinstance(doc, dict) or "layers" not in doc:
         raise GraphError("expected an object with a 'layers' array", code="BadFormat")
-    return validate_foliation(g, doc["layers"])
+    layers = doc["layers"]
+    if not isinstance(layers, list) or not all(
+            isinstance(layer, list) and all(isinstance(v, str) for v in layer)
+            for layer in layers):
+        raise GraphError("'layers' must be an array of arrays of vertex ids", code="BadFormat")
+    return validate_foliation(g, layers)
 
 
 def load_foliation(g: Graph, path) -> Foliation:

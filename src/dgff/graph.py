@@ -22,6 +22,7 @@ of d*d: sum over unordered edges of c (f(x) - f(y))^2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,9 +103,13 @@ def from_edges(vertex_ids, exterior_ids, edges) -> Graph:
         i, j = index[u], index[v]
         if i == j:
             raise GraphError(f"self-loop at {u!r}", code="SelfLoop")
-        c = float(c)
-        if not c > 0.0:
-            raise GraphError(f"conductance {c} on ({u!r}, {v!r}) must be positive",
+        try:
+            c = float(c)
+        except (TypeError, ValueError):
+            raise GraphError(f"conductance {c!r} on ({u!r}, {v!r}) is not a number",
+                             code="BadFormat") from None
+        if not (c > 0.0 and math.isfinite(c)):
+            raise GraphError(f"conductance {c} on ({u!r}, {v!r}) must be positive and finite",
                              code="NonPositiveConductance")
         if (i, j) in cond:
             if cond[(i, j)] != c:
@@ -116,7 +121,10 @@ def from_edges(vertex_ids, exterior_ids, edges) -> Graph:
         edge_list.append((min(i, j), max(i, j)))
 
     n = len(vertices)
-    adj = tuple(tuple(sorted(j for (i2, j) in cond if i2 == i)) for i in range(n))
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in cond:
+        nbrs[i].append(j)
+    adj = tuple(tuple(sorted(row)) for row in nbrs)
 
     # connectivity over all vertices
     if n:
@@ -229,8 +237,10 @@ def _parse_json(text: str) -> Graph:
         edges = [(e["u"], e["v"], e["c"]) for e in doc["edges"]]
     except (TypeError, KeyError):
         raise GraphError("each edge needs 'u', 'v' and 'c'", code="BadFormat") from None
+    exterior = _id_array(doc.get("exterior", []), "exterior")
+    _id_array([w for u, v, _ in edges for w in (u, v)], "edge endpoints")
     if "vertices" in doc:
-        vertices = list(doc["vertices"])
+        vertices = _id_array(doc["vertices"], "vertices")
     else:
         vertices = []
         seen: set[str] = set()
@@ -239,11 +249,18 @@ def _parse_json(text: str) -> Graph:
                 if w not in seen:
                     seen.add(w)
                     vertices.append(w)
-        for w in doc.get("exterior", []):
+        for w in exterior:
             if w not in seen:
                 seen.add(w)
                 vertices.append(w)
-    return from_edges(vertices, doc.get("exterior", []), edges)
+    return from_edges(vertices, exterior, edges)
+
+
+def _id_array(value, what: str) -> list[str]:
+    """A JSON array of vertex ids; anything else is a BadFormat error."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise GraphError(f"{what} must be an array of string vertex ids", code="BadFormat")
+    return value
 
 
 def graph_to_json(g: Graph) -> dict:

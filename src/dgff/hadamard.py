@@ -69,20 +69,16 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     Computed through the edge route (scaled incidence rows over every edge
     touching the cluster), independent of the Laplacian assembly.
     """
-    member = clu.local
-    rows = []
-    for (i, j), c in zip(g.edge_list, g.conductances):
-        li, lj = member.get(i), member.get(j)
-        if li is None and lj is None:
-            continue
-        row = np.zeros(clu.size)
-        s = np.sqrt(c)
-        if li is not None:
-            row[li] = s
-        if lj is not None:
-            row[lj] -= s
-        rows.append(row)
-    d = np.array(rows) if rows else np.zeros((0, clu.size))
+    pos = np.full(g.n_vertices, -1)
+    pos[list(clu.vertices)] = np.arange(clu.size)
+    ends = np.array(g.edge_list, dtype=int).reshape(-1, 2)
+    li, lj = pos[ends[:, 0]], pos[ends[:, 1]]
+    touch = (li >= 0) | (lj >= 0)
+    li, lj, s = li[touch], lj[touch], np.sqrt(g.conductances[touch])
+    d = np.zeros((len(s), clu.size))
+    rows = np.arange(len(s))
+    d[rows[li >= 0], li[li >= 0]] = s[li >= 0]
+    d[rows[lj >= 0], lj[lj >= 0]] -= s[lj >= 0]
     dq = d @ q
     return dq.T @ dq
 

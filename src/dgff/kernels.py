@@ -1,245 +1,26 @@
-"""Hot numeric kernels: cyclic Jacobi sweeps, Cholesky, triangular solves and
-the counter-based normal generator.
+"""The counter-based standard normal generator.
 
-Each kernel exists twice: a numba ``@njit`` version and a pure-numpy version
-doing the same arithmetic. The public names (``jacobi_sweeps``, ``cholesky``,
-``cholesky_solve``, ``normal_block``) are bound once at import time: numba is
-used when it imports cleanly, unless the environment variable
-``DGFF_PURE_NUMPY=1`` forces the numpy path. ``python -m dgff.bench`` times
-the two paths side by side.
+One normal per (seed, stream id, draw index). Two 64-bit hashes feed a
+Box-Muller transform:
 
-All kernels are deterministic: fixed sweep order, no pivoting, and a normal
-generator that is a pure function of (seed, stream id, draw index).
+  h      = fmix64(seed ^ GOLDEN)
+  h_s    = fmix64(h ^ (stream * GOLDEN + 1))
+  h_c    = fmix64(h_s ^ ((2*draw + slot) * SPLIT + 1))   slot in {0, 1}
+  u1     = ((h_c0 >> 11) + 1) * 2^-53        in (0, 1]
+  u2     = (h_c1 >> 11) * 2^-53              in [0, 1)
+  normal = sqrt(-2 ln u1) * cos(2 pi u2)
+
+fmix64 is the standard 64-bit avalanche finalizer (xor-shift / multiply).
+The integer hashes are exact on every platform; the floating-point tail
+uses numpy's log, sqrt and cos, so the bitstream is fixed for a given
+numpy build. Linear algebra lives in ``dgff.linalg`` on LAPACK.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-PURE_NUMPY = os.environ.get("DGFF_PURE_NUMPY", "") == "1"
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only on stripped installs
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
-
-
-USE_NUMBA = HAVE_NUMBA and not PURE_NUMPY
-
-
-# ---------------------------------------------------------------------------
-# Jacobi eigensolver sweeps (cyclic by row, deterministic)
-# ---------------------------------------------------------------------------
-
-def jacobi_sweeps_numpy(a: np.ndarray, tol: float, max_sweeps: int):
-    """Diagonalize symmetric `a` in place by cyclic-by-row Jacobi rotations.
-
-    Returns (diagonalized a, accumulated rotations v, sweeps used); sweeps is
-    -1 when the off-diagonal mass did not drop below tol * ||a||_F in
-    max_sweeps sweeps.
-    """
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return a, v, 0
-    thresh = tol * max(np.linalg.norm(a), np.finfo(float).tiny)
-    for sweep in range(max_sweeps):
-        off = np.abs(a - np.diag(np.diag(a))).max()
-        if off <= thresh:
-            return a, v, sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                col_p[p] = app - t * apq
-                col_p[q] = 0.0
-                col_q[q] = aqq + t * apq
-                col_q[p] = 0.0
-                a[:, p] = col_p
-                a[p, :] = col_p
-                a[:, q] = col_q
-                a[q, :] = col_q
-                vp = c * v[:, p] - s * v[:, q]
-                vq = s * v[:, p] + c * v[:, q]
-                v[:, p] = vp
-                v[:, q] = vq
-    off = np.abs(a - np.diag(np.diag(a))).max()
-    if off <= thresh:
-        return a, v, max_sweeps
-    return a, v, -1
-
-
-@njit(cache=True)
-def _jacobi_sweeps_nb(a, tol, max_sweeps):  # pragma: no cover - jit code
-    n = a.shape[0]
-    v = np.eye(n)
-    if n < 2:
-        return a, v, 0
-    norm = 0.0
-    for i in range(n):
-        for j in range(n):
-            norm += a[i, j] * a[i, j]
-    norm = math.sqrt(norm)
-    tiny = 2.2250738585072014e-308
-    thresh = tol * (norm if norm > tiny else tiny)
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i != j and abs(a[i, j]) > off:
-                    off = abs(a[i, j])
-        if off <= thresh:
-            return a, v, sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for i in range(n):
-                    aip = a[i, p]
-                    aiq = a[i, q]
-                    a[i, p] = c * aip - s * aiq
-                    a[i, q] = s * aip + c * aiq
-                for i in range(n):
-                    a[p, i] = a[i, p]
-                    a[q, i] = a[i, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                for i in range(n):
-                    vip = v[i, p]
-                    viq = v[i, q]
-                    v[i, p] = c * vip - s * viq
-                    v[i, q] = s * vip + c * viq
-    off = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i != j and abs(a[i, j]) > off:
-                off = abs(a[i, j])
-    if off <= thresh:
-        return a, v, max_sweeps
-    return a, v, -1
-
-
-def jacobi_sweeps_numba(a, tol, max_sweeps):
-    a, v, sweeps = _jacobi_sweeps_nb(a, tol, max_sweeps)
-    return a, v, int(sweeps)
-
-
-# ---------------------------------------------------------------------------
-# Cholesky factorization and triangular solves
-# ---------------------------------------------------------------------------
-
-def cholesky_numpy(a: np.ndarray):
-    """Lower Cholesky factor of `a`; returns (L, failed pivot index or -1)."""
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        s = a[j, j] - low[j, :j] @ low[j, :j]
-        if s <= 0.0 or not math.isfinite(s):
-            return low, j
-        low[j, j] = math.sqrt(s)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low, -1
-
-
-@njit(cache=True)
-def cholesky_numba(a):  # pragma: no cover - jit code
-    n = a.shape[0]
-    low = np.zeros((n, n))
-    for j in range(n):
-        s = a[j, j]
-        for k in range(j):
-            s -= low[j, k] * low[j, k]
-        if s <= 0.0 or not math.isfinite(s):
-            return low, j
-        low[j, j] = math.sqrt(s)
-        for i in range(j + 1, n):
-            t = a[i, j]
-            for k in range(j):
-                t -= low[i, k] * low[j, k]
-            low[i, j] = t / low[j, j]
-    return low, -1
-
-
-def cholesky_solve_numpy(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b for 2-D b via forward and back substitution."""
-    n = low.shape[0]
-    y = b.astype(float).copy()
-    for i in range(n):
-        y[i] = (y[i] - low[i, :i] @ y[:i]) / low[i, i]
-    for i in range(n - 1, -1, -1):
-        y[i] = (y[i] - low[i + 1 :, i] @ y[i + 1 :]) / low[i, i]
-    return y
-
-
-@njit(cache=True)
-def cholesky_solve_numba(low, b):  # pragma: no cover - jit code
-    n = low.shape[0]
-    m = b.shape[1]
-    y = b.copy()
-    for c in range(m):
-        for i in range(n):
-            s = y[i, c]
-            for k in range(i):
-                s -= low[i, k] * y[k, c]
-            y[i, c] = s / low[i, i]
-        for i in range(n - 1, -1, -1):
-            s = y[i, c]
-            for k in range(i + 1, n):
-                s -= low[k, i] * y[k, c]
-            y[i, c] = s / low[i, i]
-    return y
-
-
-# ---------------------------------------------------------------------------
-# Counter-based standard normals
-# ---------------------------------------------------------------------------
-#
-# One normal per (seed, stream id, draw index). Two 64-bit hashes feed a
-# Box-Muller transform:
-#
-#   h      = fmix64(seed ^ GOLDEN)
-#   h_s    = fmix64(h ^ (stream * GOLDEN + 1))
-#   h_c    = fmix64(h_s ^ ((2*draw + slot) * SPLIT + 1))   slot in {0, 1}
-#   u1     = ((h_c0 >> 11) + 1) * 2^-53        in (0, 1]
-#   u2     = (h_c1 >> 11) * 2^-53              in [0, 1)
-#   normal = sqrt(-2 ln u1) * cos(2 pi u2)
-#
-# fmix64 is the standard 64-bit avalanche finalizer (xor-shift / multiply).
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLIT = 0xD6E8FEB86659FD93
@@ -247,87 +28,60 @@ _FM1 = 0xFF51AFD7ED558CCD
 _FM2 = 0xC4CEB9FE1A85EC53
 _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0 ** -53
+_CHUNK = 1 << 16  # entries per chunk: two 512 KiB uint64 scratch arrays
 
 
-def _fmix64_np(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(33))
-    z = z * np.uint64(_FM1)
-    z = z ^ (z >> np.uint64(33))
-    z = z * np.uint64(_FM2)
-    z = z ^ (z >> np.uint64(33))
-    return z
+def _fmix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """fmix64 of uint64 array z, in place; tmp is scratch of z's shape."""
+    for mult in (_FM1, _FM2):
+        np.right_shift(z, np.uint64(33), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(33), out=tmp)
+    z ^= tmp
 
 
-def normal_block_numpy(seed: int, streams: np.ndarray, draw0: int, ndraws: int) -> np.ndarray:
-    """Standard normals, shape (ndraws, len(streams)); row t uses draw draw0+t."""
-    with np.errstate(over="ignore"):
-        s = np.asarray(streams, dtype=np.uint64)
-        h = _fmix64_np(np.uint64(seed & _MASK) ^ np.full(1, _GOLDEN, dtype=np.uint64))
-        hs = _fmix64_np(h ^ (s * np.uint64(_GOLDEN) + np.uint64(1)))
-        draws = (np.uint64(2) * (np.arange(ndraws, dtype=np.uint64) + np.uint64(draw0)))[:, None]
-        h1 = _fmix64_np(hs[None, :] ^ (draws * np.uint64(_SPLIT) + np.uint64(1)))
-        h2 = _fmix64_np(hs[None, :] ^ ((draws + np.uint64(1)) * np.uint64(_SPLIT) + np.uint64(1)))
-    u1 = ((h1 >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_NEG53
-    u2 = (h2 >> np.uint64(11)).astype(np.float64) * _TWO_NEG53
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+def _hash(hs: np.ndarray, counters: np.ndarray, z: np.ndarray, tmp: np.ndarray) -> None:
+    """z[t, j] = fmix64(hs[j] ^ (counters[t] * SPLIT + 1)) >> 11, in place."""
+    np.bitwise_xor(hs[None, :], (counters * np.uint64(_SPLIT) + np.uint64(1))[:, None], out=z)
+    _fmix64(z, tmp)
+    z >>= np.uint64(11)
 
 
-@njit(cache=True)
-def _fmix64_nb(z):  # pragma: no cover - jit code
-    z ^= z >> np.uint64(33)
-    z *= np.uint64(0xFF51AFD7ED558CCD)
-    z ^= z >> np.uint64(33)
-    z *= np.uint64(0xC4CEB9FE1A85EC53)
-    z ^= z >> np.uint64(33)
-    return z
+def normal_block(seed: int, streams: np.ndarray, draw0: int, ndraws: int) -> np.ndarray:
+    """Standard normals, shape (ndraws, len(streams)); row t uses draw draw0+t.
 
-
-@njit(cache=True)
-def _normal_block_nb(seed, streams, draw0, ndraws):  # pragma: no cover - jit code
-    k = streams.shape[0]
-    out = np.empty((ndraws, k))
-    golden = np.uint64(0x9E3779B97F4A7C15)
-    split = np.uint64(0xD6E8FEB86659FD93)
-    one = np.uint64(1)
-    two = np.uint64(2)
-    h = _fmix64_nb(seed ^ golden)
-    for j in range(k):
-        hs = _fmix64_nb(h ^ (streams[j] * golden + one))
-        for t in range(ndraws):
-            c = two * (np.uint64(draw0) + np.uint64(t))
-            h1 = _fmix64_nb(hs ^ (c * split + one))
-            h2 = _fmix64_nb(hs ^ ((c + one) * split + one))
-            u1 = (float(h1 >> np.uint64(11)) + 1.0) * 2.0 ** -53
-            u2 = float(h2 >> np.uint64(11)) * 2.0 ** -53
-            out[t, j] = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-    return out
-
-
-def normal_block_numba(seed: int, streams: np.ndarray, draw0: int, ndraws: int) -> np.ndarray:
+    Rows are generated in chunks of about _CHUNK entries, in place: two
+    uint64 scratch arrays of one chunk each are all the memory needed
+    beyond the output. Every entry depends only on its own counter, so the
+    chunking does not change the values.
+    """
     s = np.asarray(streams, dtype=np.uint64)
-    return _normal_block_nb(np.uint64(seed & _MASK), s, draw0, ndraws)
-
-
-# ---------------------------------------------------------------------------
-# Dispatch
-# ---------------------------------------------------------------------------
-
-if USE_NUMBA:
-    jacobi_sweeps = jacobi_sweeps_numba
-    cholesky = cholesky_numba
-    cholesky_solve = cholesky_solve_numba
-    normal_block = normal_block_numba
-else:
-    jacobi_sweeps = jacobi_sweeps_numpy
-    cholesky = cholesky_numpy
-    cholesky_solve = cholesky_solve_numpy
-    normal_block = normal_block_numpy
-
-
-def warmup() -> None:
-    """Trigger jit compilation on tiny inputs so timed code paths are warm."""
-    a = np.array([[2.0, -1.0], [-1.0, 2.0]])
-    jacobi_sweeps(a.copy(), 1e-12, 100)
-    low, _ = cholesky(a.copy())
-    cholesky_solve(low, np.eye(2))
-    normal_block(1, np.arange(2), 0, 2)
+    out = np.empty((ndraws, s.shape[0]))
+    rows = max(1, min(ndraws, _CHUNK // max(s.shape[0], 1)))
+    z = np.empty((rows, s.shape[0]), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        h = np.full(1, (seed & _MASK) ^ _GOLDEN, dtype=np.uint64)
+        _fmix64(h, np.empty_like(h))
+        hs = s * np.uint64(_GOLDEN) + np.uint64(1)
+        hs ^= h
+        _fmix64(hs, np.empty_like(hs))
+        for r0 in range(0, ndraws, rows):
+            o = out[r0:r0 + rows]
+            zc, tc = z[:len(o)], tmp[:len(o)]
+            c = np.uint64(2) * (np.arange(r0, r0 + len(o), dtype=np.uint64) + np.uint64(draw0))
+            _hash(hs, c, zc, tc)
+            np.add(zc, 1.0, out=o)               # u1 in (0, 1], then sqrt(-2 ln u1)
+            o *= _TWO_NEG53
+            np.log(o, out=o)
+            o *= -2.0
+            np.sqrt(o, out=o)
+            _hash(hs, c + np.uint64(1), zc, tc)
+            u2 = tc.view(np.float64)             # tc is free again: reuse as u2
+            np.copyto(u2, zc, casting="unsafe")
+            u2 *= _TWO_NEG53
+            u2 *= 2.0 * math.pi
+            np.cos(u2, out=u2)
+            o *= u2
+    return out

@@ -4,14 +4,14 @@ boundary Green restriction.
 For a growth cluster U the Laplacian matrix has diag(x) = pi(x) and
 off-diagonal -c(x, y) on cluster-internal edges; it is positive definite
 whenever every component of U touches the complement. The normalized Green
-matrix is its inverse, solved column-wise through a shared Cholesky factor;
-the unnormalized kernel is G(x, y) = Gn(x, y) pi(y). The Poisson kernel of
-(U, W) extends data on W harmonically into U with zero values outside U; its
-columns solve the interior system with the conductance coupling to the
-pinned vertex as right-hand side.
+matrix is its inverse, certified positive definite by a Cholesky factor and
+exactly symmetric; the unnormalized kernel is G(x, y) = Gn(x, y) pi(y). The
+Poisson kernel of (U, W) extends data on W harmonically into U with zero
+values outside U; its columns solve the interior system with the conductance
+coupling to the pinned vertex as right-hand side.
 
 A tampered (direction-dependent) conductance table yields an asymmetric
-Laplacian; the Green solve then falls back to a general LU solve so the
+Laplacian; the Green inverse then falls back to a general LU inverse so the
 inverse identity still holds while the reversibility identity
 pi(x) G(x, y) = pi(y) G(y, x) fails, which is exactly what the verification
 ladder's negative controls rely on.
@@ -73,7 +73,7 @@ def green(g: Graph, clu: GrowthCluster) -> GreenKernel:
     """
     a = laplacian(g, clu)
     try:
-        gn = _solve(a, np.eye(clu.size))
+        gn = linalg.spd_inverse(a) if _is_exactly_symmetric(a) else np.linalg.inv(a)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
@@ -105,7 +105,12 @@ def poisson(g: Graph, clu: GrowthCluster, layer) -> np.ndarray:
 
 
 def boundary_green(kern: GreenKernel, layer) -> np.ndarray:
-    """Green matrix restricted to a layer; positive definite by theory."""
+    """Green matrix restricted to a layer; positive definite by theory.
+
+    For a reversible graph the Green matrix is exactly symmetric, so the
+    restriction is too, and its smallest eigenvalue is checked. A tampered
+    (asymmetric) Green matrix skips the check.
+    """
     pos = [kern.cluster.local[v] for v in tuple(layer)]
     bg = kern.normalized[np.ix_(pos, pos)]
     if _is_exactly_symmetric(np.asarray(bg)):

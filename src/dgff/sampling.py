@@ -3,8 +3,9 @@ their laws.
 
 Randomness is counter based: a draw is a pure function of (seed, stream id,
 draw index), with the global vertex index as the stream id. Identical seeds
-reproduce identical fields on any platform, and disjoint vertex sets get
-independent substreams by construction.
+reproduce identical noise for a given numpy build, and identical fields on a
+fixed machine and BLAS build; disjoint vertex sets get independent
+substreams by construction.
 
 The white noise field (WNF) puts an independent standard normal at every
 vertex of its domain. Applying the growth operator of cluster n turns the

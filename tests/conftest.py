@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-import dgff.kernels
 from dgff import OperatorStack
 from dgff.fixtures import standard_fixture
 from dgff.graph import from_edges
@@ -26,12 +25,6 @@ def small_graphs(draw):
     for i, j in sorted(extra):
         edges.append((ids[i], ids[j], draw(conds)))
     return from_edges(ids, [ids[-1]], edges)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jit kernels before anything times or samples
-    dgff.kernels.warmup()
 
 
 @pytest.fixture(scope="session")

@@ -154,3 +154,60 @@ def test_verify_failing_checks_exit_three(fixture_dir, capsys):
     assert code == 3
     doc = json.loads(capsys.readouterr().out)
     assert doc["pass"] is False
+
+
+P3_EDGES = [{"u": "a", "v": "b", "c": 1.0}, {"u": "b", "v": "x", "c": 1.0}]
+
+
+def _bad_graph(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize("name,text", [
+    ("inf.edgelist", "!exterior x\na b inf\nb x 1\n"),
+    ("nan.edgelist", "!exterior x\na b nan\nb x 1\n"),
+    ("overflow.json", '{"exterior": ["x"], "edges": [{"u": "a", "v": "b", "c": 1e400},'
+                      ' {"u": "b", "v": "x", "c": 1}]}'),
+    ("nan.json", '{"exterior": ["x"], "edges": [{"u": "a", "v": "b", "c": NaN},'
+                 ' {"u": "b", "v": "x", "c": 1}]}'),
+], ids=["inf_edgelist", "nan_edgelist", "overflow_json", "nan_json"])
+def test_non_finite_conductance_is_invalid_input(tmp_path, capsys, command, name, text):
+    path = _bad_graph(tmp_path, name, text)
+    extra = ["--trials", "0"] if command == "verify" else []
+    assert run_cli(command, "--graph", path, "--roots", "a", *extra) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["code"] == "NonPositiveConductance"
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": ["a", 7, "x"], "exterior": ["x"], "edges": P3_EDGES},
+    {"exterior": ["x"], "edges": [{"u": 7, "v": "b", "c": 1.0}, P3_EDGES[1]]},
+    {"exterior": ["x"], "edges": [{"u": ["a"], "v": "b", "c": 1.0}, P3_EDGES[1]]},
+    {"exterior": [None], "edges": P3_EDGES},
+    {"exterior": "x", "edges": P3_EDGES},
+    {"vertices": 3, "exterior": ["x"], "edges": P3_EDGES},
+], ids=["int_vertex", "int_endpoint", "list_endpoint", "null_exterior", "string_exterior",
+        "number_vertices"])
+def test_non_string_vertex_id_is_bad_format(tmp_path, capsys, doc):
+    path = _bad_graph(tmp_path, "g.json", json.dumps(doc))
+    assert run_cli("validate", "--graph", path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "BadFormat"
+
+
+@pytest.mark.parametrize("c", ["abc", None, [1.0], {"value": 1.0}])
+def test_non_numeric_conductance_is_bad_format(tmp_path, capsys, c):
+    doc = {"exterior": ["x"], "edges": [{"u": "a", "v": "b", "c": c}, P3_EDGES[1]]}
+    path = _bad_graph(tmp_path, "g.json", json.dumps(doc))
+    assert run_cli("validate", "--graph", path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "BadFormat"
+
+
+@pytest.mark.parametrize("layers", [5, [["v1"], "v2"], [[["v1"]], ["v2"]], [[1], [2]]],
+                         ids=["number", "string_layer", "nested_list", "integer_ids"])
+def test_malformed_foliation_layers_are_bad_format(fixture_dir, tmp_path, capsys, layers):
+    path = _bad_graph(tmp_path, "fol.json", json.dumps({"layers": layers}))
+    assert run_cli("validate", "--graph", fixture_dir / "p4.json", "--foliation", path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "BadFormat"

@@ -18,6 +18,7 @@ from dgff import (
 from dgff.errors import FoliationError
 from dgff.fixtures import standard_fixture
 from dgff.graph import dirichlet_inner
+from dgff.hadamard import dirichlet_gram
 
 SQ12 = math.sqrt(0.5)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -156,6 +157,29 @@ class TestIsometry:
             stack = OperatorStack(g, fol)
             for n in range(fol.depth + 1):
                 assert verify_isometry(g, stack.cluster(n), stack.growth(n)) <= 1e-10
+
+    def test_gram_matches_edge_by_edge_reference(self):
+        # reference: one incidence row per edge touching the cluster, in
+        # edge_list order; the vectorized build must give the same bits
+        rng = np.random.default_rng(3)
+        for name in ("p4", "tree3", "grid5"):
+            g, fol = standard_fixture(name)
+            for n in range(fol.depth + 1):
+                clu = cluster(fol, n)
+                rows = []
+                for (i, j), c in zip(g.edge_list, g.conductances):
+                    li, lj = clu.local.get(i), clu.local.get(j)
+                    if li is None and lj is None:
+                        continue
+                    row = np.zeros(clu.size)
+                    if li is not None:
+                        row[li] = np.sqrt(c)
+                    if lj is not None:
+                        row[lj] -= np.sqrt(c)
+                    rows.append(row)
+                q = rng.normal(size=(clu.size, clu.size))
+                dq = np.array(rows) @ q
+                np.testing.assert_array_equal(dirichlet_gram(g, clu, q), dq.T @ dq)
 
 
 class TestInjectivity:

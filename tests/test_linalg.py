@@ -12,7 +12,7 @@ from dgff.errors import (
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
-from dgff.linalg import as_symmetric, cholesky_solve
+from dgff.linalg import as_symmetric, cholesky_solve, spd_inverse
 
 
 def random_symmetric(n, seed):
@@ -67,9 +67,13 @@ class TestJacobi:
         np.testing.assert_array_equal(w1, w2)
         np.testing.assert_array_equal(v1, v2)
 
-    def test_no_convergence_error(self):
+    def test_solver_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
-            jacobi_eigen(random_symmetric(12, 5), max_sweeps=1)
+            jacobi_eigen(random_symmetric(4, 5))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
@@ -156,6 +160,45 @@ class TestSolve:
         low = cholesky(a)
         x = cholesky_solve(low, np.eye(9))
         assert np.abs(a @ x - np.eye(9)).max() < 1e-12
+
+
+class TestNotPositiveDefinite:
+    """Every SPD entry point reports a bad matrix as NotPositiveDefiniteError,
+    never as numpy's LinAlgError."""
+
+    BAD = {
+        "indefinite": np.array([[1.0, 2.0], [2.0, 1.0]]),
+        "singular": np.array([[0.0, 0.0], [0.0, 1.0]]),
+        "negative_definite": -np.eye(3),
+        "nan": np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        "inf_diagonal": np.array([[np.inf]]),
+        "inf_offdiagonal": np.array([[2.0, np.inf], [np.inf, 2.0]]),
+    }
+    ENTRY_POINTS = {
+        "cholesky": cholesky,
+        "solve_spd": lambda a: solve_spd(a, np.ones(a.shape[0])),
+        "spd_inverse": spd_inverse,
+    }
+
+    @pytest.mark.parametrize("matrix", sorted(BAD))
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_raises_not_pd(self, entry, matrix):
+        with pytest.raises(NotPositiveDefiniteError):
+            self.ENTRY_POINTS[entry](self.BAD[matrix])
+
+
+class TestSpdInverse:
+    @pytest.mark.parametrize("n,seed", [(1, 0), (12, 1), (60, 2)])
+    def test_exactly_symmetric_inverse(self, n, seed):
+        a = random_psd(n, seed) + n * np.eye(n)
+        x = spd_inverse(a)
+        np.testing.assert_array_equal(x, x.T)
+        assert np.abs(a @ x - np.eye(n)).max() <= 1e-12
+
+    def test_hand_inverse(self):
+        x = spd_inverse(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+        np.testing.assert_allclose(x, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]],
+                                   atol=1e-15)
 
 
 def test_as_symmetric_mirrors_exactly():

@@ -13,7 +13,7 @@ from dgff import (
 )
 from dgff.fixtures import path_graph, standard_fixture
 from dgff.graph import from_edges
-from dgff.operators import embed_matrix, embed_vector
+from dgff.operators import GreenKernel, embed_matrix, embed_vector
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +136,21 @@ class TestBoundaryGreen:
             bg = boundary_green(green(g, clu), clu.top_layer)
             w, _ = jacobi_eigen(np.asarray(bg))
             assert w[0] > 0
+
+    def test_exactly_symmetric_at_every_level(self):
+        # exact symmetry is what makes the positive-definite check run
+        g, fol = standard_fixture("grid13")
+        for n in range(fol.depth + 1):
+            clu = cluster(fol, n)
+            bg = boundary_green(green(g, clu), clu.top_layer)
+            assert np.array_equal(bg, bg.T), n
+
+    def test_indefinite_restriction_rejected(self, p4_parts):
+        _, _, _, c1 = p4_parts
+        kern = GreenKernel(cluster=c1, normalized=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                           pi=np.ones(2))
+        with pytest.raises(NotPositiveDefiniteError):
+            boundary_green(kern, c1.vertices)
 
 
 class TestVariation:
