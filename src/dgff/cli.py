@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DGFFError, GraphError
-from .foliation import bfs_foliate, cluster as make_cluster, load_foliation
+from .foliation import GrowthCluster, bfs_foliate, cluster as make_cluster, load_foliation
 from .graph import load_graph
 from .hadamard import OperatorStack, dirichlet_gram
 from .linalg import write_matrix_csv
+from .operators import green, poisson
 from .sampling import GaussianStream, dgff_block, wnf_block
 from .verify import TOL_EXACT, Z_MAX, run_ladder
 
@@ -88,35 +89,35 @@ def cmd_foliate(args) -> int:
     return 0
 
 
-def _pick_cluster(args, stack: OperatorStack) -> int:
-    n = args.cluster if args.cluster is not None else stack.depth
-    make_cluster(stack.foliation, n)  # range check
-    return n
+def _pick_cluster(args, fol) -> GrowthCluster:
+    return make_cluster(fol, args.cluster if args.cluster is not None else fol.depth)
 
+
+# `green` and `poisson` emit one level, so they take the direct route: for a
+# single cluster of size k it costs O(k^3) like the one-layer chain up to it,
+# but holds one k x k matrix instead of every lower level's.
 
 def cmd_green(args) -> int:
     g, fol = _resolve(args)
-    stack = OperatorStack(g, fol)
-    n = _pick_cluster(args, stack)
-    ids = g.ids(stack.cluster(n).vertices)
-    _emit(args, f"green_{n}.csv", _matrix_text(args, ids, ids, stack.green(n).normalized))
+    clu = _pick_cluster(args, fol)
+    ids = g.ids(clu.vertices)
+    _emit(args, f"green_{clu.n}.csv", _matrix_text(args, ids, ids, green(g, clu).normalized))
     return 0
 
 
 def cmd_poisson(args) -> int:
     g, fol = _resolve(args)
-    stack = OperatorStack(g, fol)
-    n = _pick_cluster(args, stack)
-    clu = stack.cluster(n)
-    _emit(args, f"poisson_{n}.csv",
-          _matrix_text(args, g.ids(clu.vertices), g.ids(clu.top_layer), stack.poisson(n)))
+    clu = _pick_cluster(args, fol)
+    _emit(args, f"poisson_{clu.n}.csv",
+          _matrix_text(args, g.ids(clu.vertices), g.ids(clu.top_layer),
+                       poisson(g, clu, clu.top_layer)))
     return 0
 
 
 def cmd_hadamard(args) -> int:
     g, fol = _resolve(args)
     stack = OperatorStack(g, fol)
-    n = _pick_cluster(args, stack)
+    n = _pick_cluster(args, fol).n
     clu = stack.cluster(n)
     ids = g.ids(clu.vertices)
     q = stack.growth(n)

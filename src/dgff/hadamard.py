@@ -15,6 +15,11 @@ Two matrix identities make Q_n useful and are verified numerically here:
 
 `OperatorStack` memoizes every per-level operator for a foliated graph and
 is the single entry point the sampling and verification layers build on.
+It builds the operators as the paper grows the cluster, one layer at a
+time: level n's Green kernel, Poisson kernel and boundary Green B_n come
+from G_{n-1} and the new layer's block of the Laplacian, factorizing only a
+layer-sized Schur complement (see `dgff.operators`). Each level's Laplacian
+is assembled once and shared by the build and the checks.
 """
 
 from __future__ import annotations
@@ -111,7 +116,8 @@ class OperatorStack:
 
     Levels are computed on first use, so partially valid inputs (the
     tampering controls) can exercise early identities before later
-    constructions fail.
+    constructions fail. Asking for level n builds the missing levels below
+    it first, since each Green kernel is grown from the previous one.
     """
 
     def __init__(self, graph: Graph, fol: Foliation):
@@ -129,6 +135,17 @@ class OperatorStack:
             self._cache[key] = build()
         return self._cache[key]
 
+    def _memo_upward(self, kind: str, n: int, build):
+        """Memoize `build(n)` for a kind whose level n is built from level
+        n-1: the missing lower levels are filled first, bottom up in a loop,
+        so a deep foliation never nests one call per level."""
+        low = n
+        while low > 0 and (kind, low - 1) not in self._cache:
+            low -= 1
+        for m in range(low, n):
+            self._memo(kind, m, lambda: build(m))
+        return self._memo(kind, n, lambda: build(n))
+
     def cluster(self, n: int) -> GrowthCluster:
         return self._memo("cluster", n, lambda: make_cluster(self.foliation, n))
 
@@ -136,12 +153,16 @@ class OperatorStack:
         return self._memo("laplacian", n, lambda: laplacian(self.graph, self.cluster(n)))
 
     def green(self, n: int) -> GreenKernel:
-        return self._memo("green", n, lambda: green(self.graph, self.cluster(n)))
+        """Green kernel of cluster n, grown by one layer from cluster n-1."""
+        return self._memo_upward("green", n, lambda m: green(
+            self.graph, self.cluster(m), self.green(m - 1) if m else None,
+            lap=self.laplacian(m)))
 
     def poisson(self, n: int) -> np.ndarray:
-        return self._memo(
-            "poisson", n,
-            lambda: poisson(self.graph, self.cluster(n), self.cluster(n).top_layer))
+        """Poisson kernel of cluster n and its top layer, from G_{n-1}."""
+        return self._memo("poisson", n, lambda: poisson(
+            self.graph, self.cluster(n), self.cluster(n).top_layer,
+            self.green(n - 1) if n else None, lap=self.laplacian(n)))
 
     def boundary_green(self, n: int) -> np.ndarray:
         return self._memo(

@@ -106,10 +106,14 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     The Cholesky factorization certifies positive definiteness. The inverse
     itself comes from one LU inverse: numpy exposes no triangular solver,
     and at n = 841 that is faster and more accurate than two general solves
-    against the factor.
+    against the factor. A matrix that passes the factorization but is
+    singular to working precision is not positive definite either.
     """
     cholesky(a)
-    x = np.linalg.inv(as_symmetric(a))
+    try:
+        x = np.linalg.inv(as_symmetric(a))
+    except np.linalg.LinAlgError:
+        raise NotPositiveDefiniteError("matrix is singular to working precision") from None
     return (x + x.T) / 2.0
 
 

@@ -4,17 +4,30 @@ boundary Green restriction.
 For a growth cluster U the Laplacian matrix has diag(x) = pi(x) and
 off-diagonal -c(x, y) on cluster-internal edges; it is positive definite
 whenever every component of U touches the complement. The normalized Green
-matrix is its inverse, certified positive definite by a Cholesky factor and
-exactly symmetric; the unnormalized kernel is G(x, y) = Gn(x, y) pi(y). The
-Poisson kernel of (U, W) extends data on W harmonically into U with zero
-values outside U; its columns solve the interior system with the conductance
-coupling to the pinned vertex as right-hand side.
+matrix is its inverse, exactly symmetric; the unnormalized kernel is
+G(x, y) = Gn(x, y) pi(y). The Poisson kernel of (U, W) extends data on W
+harmonically into U with zero values outside U.
+
+Cluster n is cluster n-1 plus one layer, and the operators are built that
+way. In layer-major order the Laplacian is A_n = [[A_{n-1}, U], [V, D]],
+where D is the new layer's block and U, V couple it to the old cluster
+(by locality, only through layer n-1). With X = G_{n-1} U and
+Y = V G_{n-1}, the block-inverse (Schur complement) identity gives
+
+    B_n = (D - V X)^-1                     boundary Green of the layer,
+    G_n = [[G_{n-1} + X B_n Y, -X B_n], [-B_n Y, B_n]],
+
+and the Poisson kernel's interior block is -X. Only a layer-sized matrix
+is factorized per level; positive definiteness of A_n follows from that of
+A_{n-1} and of the Schur complement, which a Cholesky factor certifies.
+Without the previous level the whole cluster is the new layer, and the
+same code is the dense inverse, which the tests use as the reference.
 
 A tampered (direction-dependent) conductance table yields an asymmetric
-Laplacian; the Green inverse then falls back to a general LU inverse so the
-inverse identity still holds while the reversibility identity
-pi(x) G(x, y) = pi(y) G(y, x) fails, which is exactly what the verification
-ladder's negative controls rely on.
+Laplacian; the Green inverse then falls back to a general LU inverse of the
+Schur complement, so the inverse identity still holds while the
+reversibility identity pi(x) G(x, y) = pi(y) G(y, x) fails, which is exactly
+what the verification ladder's negative controls rely on.
 """
 
 from __future__ import annotations
@@ -65,16 +78,48 @@ class GreenKernel:
         return self.normalized * self.pi[None, :]
 
 
-def green(g: Graph, clu: GrowthCluster) -> GreenKernel:
+def _couple(g_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """g_prev @ u, reading only the columns of g_prev where u has a nonzero
+    row (layer n-1 when u couples layer n to cluster n-1)."""
+    rows = np.flatnonzero(u.any(axis=1))
+    return g_prev[:, rows] @ u[rows]
+
+
+def _mirror(m: np.ndarray) -> np.ndarray:
+    """Upper triangle mirrored onto the lower: exactly symmetric, no arithmetic."""
+    return np.triu(m) + np.triu(m, 1).T
+
+
+def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None = None,
+          lap: np.ndarray | None = None) -> GreenKernel:
     """Normalized Green matrix of the cluster (Laplacian inverse).
+
+    With `prev`, the Green kernel of the cluster minus its top layer, the
+    matrix is grown by that one layer (see the module docstring); without
+    it the whole cluster is inverted at once. `lap` is the cluster
+    Laplacian, for a caller that already holds it.
 
     Raises NotPD when some cluster component is sealed off from the
     exterior, which makes the Laplacian singular.
     """
-    a = laplacian(g, clu)
+    a = laplacian(g, clu) if lap is None else lap
+    k = 0 if prev is None else prev.cluster.size
+    if prev is not None and prev.cluster.vertices != clu.vertices[:k]:
+        raise ValueError("prev must be the Green kernel of a prefix of the cluster")
+    g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
+    u, v, d = a[:k, k:], a[k:, :k], a[k:, k:]
+    x = _couple(g_prev, u)
     try:
-        gn = linalg.spd_inverse(a) if _is_exactly_symmetric(a) else np.linalg.inv(a)
-    except NotPositiveDefiniteError:
+        if _is_exactly_symmetric(a):
+            b = linalg.spd_inverse(_mirror(d - u.T @ x))
+            xb = x @ b
+            gn = np.block([[g_prev + _mirror(xb @ x.T), -xb], [-xb.T, b]])
+        else:
+            y = v @ g_prev
+            b = np.linalg.inv(d - v @ x)
+            xb = x @ b
+            gn = np.block([[g_prev + xb @ y, -xb], [-b @ y, b]])
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
             "has no path to the exterior") from None
@@ -82,25 +127,34 @@ def green(g: Graph, clu: GrowthCluster) -> GreenKernel:
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)
 
 
-def poisson(g: Graph, clu: GrowthCluster, layer) -> np.ndarray:
+def poisson(g: Graph, clu: GrowthCluster, layer, green_prev: GreenKernel | None = None,
+            lap: np.ndarray | None = None) -> np.ndarray:
     """Poisson kernel of (cluster, layer): rows over the cluster, columns
     over the layer; identity on the layer, harmonic elsewhere in the
     cluster, zero outside.
 
     With layer == cluster there is no interior and the kernel is the
-    identity.
+    identity. With `green_prev`, the Green kernel of the cluster minus the
+    layer, the interior block is one product of it with the coupling to the
+    layer; without it the interior system is solved directly. `lap` is the
+    cluster Laplacian, for a caller that already holds it.
     """
     layer = tuple(layer)
     lay_pos = [clu.local[v] for v in layer]
-    interior = [p for p in range(clu.size) if p not in set(lay_pos)]
+    pinned = set(lay_pos)
+    interior = [p for p in range(clu.size) if p not in pinned]
     p = np.zeros((clu.size, len(layer)))
     for col, pos in enumerate(lay_pos):
         p[pos, col] = 1.0
     if interior:
-        a = laplacian(g, clu)
-        a_int = a[np.ix_(interior, interior)]
+        a = laplacian(g, clu) if lap is None else lap
         rhs = -a[np.ix_(interior, lay_pos)]
-        p[interior, :] = _solve(a_int, rhs)
+        if green_prev is None:
+            p[interior, :] = _solve(a[np.ix_(interior, interior)], rhs)
+        elif green_prev.cluster.vertices != tuple(clu.vertices[i] for i in interior):
+            raise ValueError("green_prev must be the Green kernel of the cluster minus the layer")
+        else:
+            p[interior, :] = _couple(green_prev.normalized, rhs)
     return p
 
 
@@ -108,17 +162,18 @@ def boundary_green(kern: GreenKernel, layer) -> np.ndarray:
     """Green matrix restricted to a layer; positive definite by theory.
 
     For a reversible graph the Green matrix is exactly symmetric, so the
-    restriction is too, and its smallest eigenvalue is checked. A tampered
-    (asymmetric) Green matrix skips the check.
+    restriction is too, and a Cholesky factor certifies it positive
+    definite. A tampered (asymmetric) Green matrix skips the check.
     """
     pos = [kern.cluster.local[v] for v in tuple(layer)]
     bg = kern.normalized[np.ix_(pos, pos)]
     if _is_exactly_symmetric(np.asarray(bg)):
-        w, _ = linalg.jacobi_eigen(bg)
-        if w[0] <= 0.0:
+        try:
+            linalg.cholesky(bg)
+        except NotPositiveDefiniteError:
             raise NotPositiveDefiniteError(
-                f"boundary Green on layer of cluster {kern.cluster.n} has "
-                f"eigenvalue {w[0]:.3e}")
+                f"boundary Green on layer of cluster {kern.cluster.n} is not "
+                "positive definite") from None
     return bg
 
 

@@ -220,6 +220,8 @@ def two_sample_zmax(emp_a: np.ndarray, trials_a: int,
     se = np.sqrt(covariance_stderr(target, trials_a) ** 2
                  + covariance_stderr(target, trials_b) ** 2)
     mask = se > 0
+    if not mask.any():
+        return 0.0
     return float((np.abs(emp_a - emp_b)[mask] / se[mask]).max())
 
 

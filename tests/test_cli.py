@@ -156,6 +156,31 @@ def test_verify_failing_checks_exit_three(fixture_dir, capsys):
     assert doc["pass"] is False
 
 
+def _verify_report(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code = run_cli("verify", "--graph", path, "--roots", "a", "--trials", "1000")
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_verify_singular_laplacian_is_a_rung_error(tmp_path, capsys):
+    # pi(b) rounds to c(a, b), so the two-vertex cluster is singular
+    code, doc = _verify_report(tmp_path, capsys, "singular.edgelist",
+                               "!exterior e\na b 1e300\nb e 1e-300\n")
+    assert code == 3
+    assert len(doc["checks"]) == 17
+    assert doc["checks"][0]["name"] == "green_inverse"
+    assert doc["checks"][0]["error"] == "NotPD"
+
+
+def test_verify_underflowing_errors_finish_the_ladder(tmp_path, capsys):
+    # every standard error underflows to 0; each rung still reports
+    code, doc = _verify_report(tmp_path, capsys, "underflow.edgelist",
+                               "!exterior e\na e 1e300\na b 1e300\nb e 1e300\n")
+    assert code in (0, 3)
+    assert len(doc["checks"]) == 17
+
+
 P3_EDGES = [{"u": "a", "v": "b", "c": 1.0}, {"u": "b", "v": "x", "c": 1.0}]
 
 

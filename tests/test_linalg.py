@@ -195,6 +195,14 @@ class TestSpdInverse:
         np.testing.assert_array_equal(x, x.T)
         assert np.abs(a @ x - np.eye(n)).max() <= 1e-12
 
+    def test_singular_past_the_factor_is_not_pd(self):
+        # rounding lets the Cholesky factor through; the LU inverse then
+        # meets an exact zero pivot
+        a = np.array([[1e300, -1e300], [-1e300, 1e300]])
+        cholesky(a)
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_inverse(a)
+
     def test_hand_inverse(self):
         x = spd_inverse(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         np.testing.assert_allclose(x, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]],

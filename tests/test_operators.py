@@ -1,8 +1,14 @@
+import inspect
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from dgff import (
+    FoliationError,
     NotPositiveDefiniteError,
+    OperatorStack,
     bfs_foliate,
     boundary_green,
     cluster,
@@ -11,9 +17,13 @@ from dgff import (
     poisson,
     verify_green_variation,
 )
+from dgff import linalg
 from dgff.fixtures import path_graph, standard_fixture
 from dgff.graph import from_edges
 from dgff.operators import GreenKernel, embed_matrix, embed_vector
+from dgff.verify import run_ladder
+
+from conftest import FIXTURES, small_graphs, tamper_directed
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +161,104 @@ class TestBoundaryGreen:
                            pi=np.ones(2))
         with pytest.raises(NotPositiveDefiniteError):
             boundary_green(kern, c1.vertices)
+
+    def test_one_eigendecomposition_per_level(self, monkeypatch):
+        calls = []
+        eigen = linalg.jacobi_eigen
+        monkeypatch.setattr(linalg, "jacobi_eigen", lambda a: calls.append(1) or eigen(a))
+        g, fol = standard_fixture("grid5")
+        assert run_ladder(g, fol, trials=0)["pass"]
+        assert len(calls) == fol.depth + 1
+
+
+def assert_stack_matches_dense(g, fol):
+    """Every level of the one-layer build against the dense reference."""
+    stack = OperatorStack(g, fol)
+    for n in range(fol.depth + 1):
+        clu = cluster(fol, n)
+        ref = green(g, clu)
+        np.testing.assert_allclose(stack.green(n).normalized, ref.normalized, rtol=1e-12)
+        p_ref = poisson(g, clu, clu.top_layer)
+        np.testing.assert_allclose(stack.poisson(n), p_ref, rtol=1e-12)
+        b_ref = boundary_green(ref, clu.top_layer)
+        np.testing.assert_allclose(stack.boundary_green(n), b_ref, rtol=1e-12)
+
+
+class TestOneLayerBuild:
+    @pytest.mark.parametrize("name", FIXTURES + ("grid13",))
+    def test_stack_matches_dense_reference(self, name):
+        assert_stack_matches_dense(*standard_fixture(name))
+
+    @settings(deadline=None, max_examples=30)
+    @given(small_graphs())
+    def test_stack_matches_dense_on_random_graphs(self, g):
+        try:
+            fol = bfs_foliate(g, [g.vertices[0]])
+        except FoliationError:
+            assume(False)
+        assert_stack_matches_dense(g, fol)
+
+    def test_green_is_exactly_symmetric_at_every_level(self):
+        g, fol = standard_fixture("grid13")
+        stack = OperatorStack(g, fol)
+        for n in range(fol.depth + 1):
+            gn = stack.green(n).normalized
+            assert np.array_equal(gn, gn.T), n
+
+    def test_tampered_asymmetric_is_still_an_inverse(self):
+        g, fol = standard_fixture("p4")
+        stack = OperatorStack(tamper_directed(g, "v2", "v1", 2.0), fol)
+        for n in range(fol.depth + 1):
+            a = stack.laplacian(n)
+            gn = stack.green(n).normalized
+            assert np.abs(a @ gn - np.eye(a.shape[0])).max() <= 1e-12
+        assert not np.array_equal(gn, gn.T)
+
+    def test_tampered_singular_schur_complement_is_not_pd(self):
+        # A_1 = [[2, -1], [2, -1]]: the Schur complement -1 - 2 * (1/2) * (-1) is 0
+        g, fol = standard_fixture("p4")
+        stack = OperatorStack(tamper_directed(g, "v2", "v1", -2.0), fol)
+        with pytest.raises(NotPositiveDefiniteError):
+            stack.green(1)
+
+    def test_factorizes_nothing_wider_than_a_layer(self, monkeypatch):
+        shapes = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                shapes.append(np.shape(a))
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "cholesky", recording(linalg.cholesky))
+        monkeypatch.setattr(linalg, "spd_inverse", recording(linalg.spd_inverse))
+        g, fol = standard_fixture("grid13")
+        stack = OperatorStack(g, fol)
+        for n in range(fol.depth + 1):
+            stack.growth(n)
+        widest = max(len(layer) for layer in fol.layers)
+        assert shapes and max(max(s) for s in shapes) <= widest
+
+    def test_deep_foliation_builds_without_nesting_calls(self):
+        # a path rooted next to one end has one layer per vertex; the stack
+        # must reach its top level with a call depth independent of depth
+        g = path_graph(202)
+        fol = bfs_foliate(g, ["v1"])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            gn = OperatorStack(g, fol).green(fol.depth).normalized
+        finally:
+            sys.setrecursionlimit(limit)
+        assert fol.depth == 199
+        assert gn[0, 0] == pytest.approx(200 / 201, rel=1e-12)
+
+    def test_prev_must_be_a_prefix(self, p4_parts):
+        g, _, c0, c1 = p4_parts
+        with pytest.raises(ValueError):
+            green(g, c0, prev=green(g, c1))
+        with pytest.raises(ValueError):
+            poisson(g, c1, c1.vertices[:1], green_prev=green(g, c0))
 
 
 class TestVariation:
