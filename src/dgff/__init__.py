@@ -61,12 +61,14 @@ from .sampling import (
     CovarianceReport,
     FieldSample,
     GaussianStream,
+    NoiseGram,
     SweepReport,
     brownian_check,
     covariance_report,
     grow_dgff,
     increment,
     increment_via_layer_noise,
+    noise_gram,
     oracle_dgff,
     sample_wnf,
     sweep_average_check,

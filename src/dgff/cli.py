@@ -142,6 +142,8 @@ def cmd_hadamard(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.n_samples < 0:
+        raise DGFFError("--n-samples must be nonnegative", code="BadFormat")
     g, fol = _resolve(args)
     stack = OperatorStack(g, fol)
     depth = stack.depth

@@ -12,13 +12,12 @@ vertices at graph distance n from the chosen roots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FoliationError, GraphError
-from .graph import Graph
+from .graph import Graph, read_json
 
 
 @dataclass(frozen=True)
@@ -181,12 +180,7 @@ def bfs_foliate(g: Graph, roots) -> Foliation:
 
 
 def parse_foliation(g: Graph, data: str | bytes) -> Foliation:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise GraphError(f"invalid foliation JSON: {e}", code="BadFormat") from None
+    doc = read_json(data, "foliation")
     if not isinstance(doc, dict) or "layers" not in doc:
         raise GraphError("expected an object with a 'layers' array", code="BadFormat")
     layers = doc["layers"]

@@ -108,6 +108,9 @@ def from_edges(vertex_ids, exterior_ids, edges) -> Graph:
         except (TypeError, ValueError):
             raise GraphError(f"conductance {c!r} on ({u!r}, {v!r}) is not a number",
                              code="BadFormat") from None
+        except OverflowError:  # an integer beyond the float range
+            raise GraphError(f"conductance on ({u!r}, {v!r}) must be positive and finite",
+                             code="NonPositiveConductance") from None
         if not (c > 0.0 and math.isfinite(c)):
             raise GraphError(f"conductance {c} on ({u!r}, {v!r}) must be positive and finite",
                              code="NonPositiveConductance")
@@ -172,13 +175,31 @@ def recompute_pi(g: Graph) -> np.ndarray:
 # Parsing
 # ---------------------------------------------------------------------------
 
+def decode_text(data: str | bytes) -> str:
+    """File contents as text; bytes that are not UTF-8 are BadFormat."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise GraphError(f"input is not UTF-8: {e}", code="BadFormat") from None
+
+
+def read_json(data: str | bytes, what: str):
+    """The JSON document in `data`. Malformed JSON, numbers Python cannot
+    read (integers past its digit limit) and nesting past the recursion
+    limit are all BadFormat."""
+    try:
+        return json.loads(decode_text(data))
+    except (ValueError, RecursionError) as e:
+        raise GraphError(f"invalid {what} JSON: {e}", code="BadFormat") from None
+
+
 def parse_graph(data: str | bytes, fmt: str) -> Graph:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     if fmt == "json":
         return _parse_json(data)
     if fmt == "edgelist":
-        return _parse_edgelist(data)
+        return _parse_edgelist(decode_text(data))
     raise GraphError(f"unknown graph format {fmt!r}", code="BadFormat")
 
 
@@ -226,11 +247,8 @@ def _parse_edgelist(text: str) -> Graph:
     return from_edges(order, exterior, edges)
 
 
-def _parse_json(text: str) -> Graph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise GraphError(f"invalid JSON: {e}", code="BadFormat") from None
+def _parse_json(data: str | bytes) -> Graph:
+    doc = read_json(data, "graph")
     if not isinstance(doc, dict) or "edges" not in doc:
         raise GraphError("expected an object with an 'edges' array", code="BadFormat")
     try:

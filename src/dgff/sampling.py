@@ -15,11 +15,27 @@ increment equals the harmonic extension of the square-root-weighted layer
 noise, a per-sample identity checked exactly. An independent oracle samples
 the same law directly through the Cholesky factor of the Green matrix.
 
-Distributional claims are tested through first and second moments: the
-empirical covariance of a zero-mean Gaussian sample has per-entry standard
-error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z| below a
-fixed bound (5 by default, giving a per-entry false alarm rate below 1e-6
-at the default N = 1e5).
+Distributional claims are tested through second moments, and every field
+they look at is a linear image A z of the top cluster's white noise z: the
+DGFF Q_n z, its increments (Q_n - Q_{n-1} zero-extended) z, the pairings
+<f, Psi_n> = (Q_n^* f) . z. So every empirical second moment is A S B^T,
+with S = sum z z^T / N the noise's Gram matrix, and the Monte Carlo keeps
+S alone (the Gram route). `noise_gram` sums it one generator chunk of draws
+at a time, never holding a trials x k block, and two draw ranges merge by
+adding their sums, so the trials can be split across workers by draw
+range. The oracle draws one top-cluster noise block of its own, in a draw
+range disjoint from the DGFF's; cluster orders are prefixes of the top
+cluster's, so level n's oracle uses the leading k_n x k_n corner of that
+block's Gram matrix. The block functions (`dgff_block`, `pairing_block`,
+`covariance_report`, `cross_covariance_zmax`) compute the same statistics
+from explicit samples and are the tests' reference; `dgff sample` and the
+exact per-sample rungs draw blocks with `wnf_block` and `dgff_block`.
+
+The empirical covariance of a zero-mean Gaussian sample has per-entry
+standard error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z|
+below a fixed bound (5 by default, a per-entry false-alarm rate of 5.7e-7
+for a normal z-score); each report counts the entries its maximum is
+taken over.
 """
 
 from __future__ import annotations
@@ -51,6 +67,12 @@ class GaussianStream:
 
     def draw(self, streams) -> np.ndarray:
         return self.block(streams, 1)[0]
+
+    def gram(self, streams, ndraws: int) -> NoiseGram:
+        """`noise_gram` of the next `ndraws` draws; advances the draw counter."""
+        out = noise_gram(self.seed, streams, self.counter, ndraws)
+        self.counter += ndraws
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,13 +158,6 @@ def oracle_dgff(kern: GreenKernel, stream: GaussianStream,
                        seed=stream.seed, draw=draw_index)
 
 
-def oracle_block(kern: GreenKernel, stream: GaussianStream, trials: int) -> np.ndarray:
-    """(trials, cluster size) oracle samples in cluster order."""
-    low = linalg.cholesky(kern.normalized)
-    z = stream.block(np.array(kern.cluster.vertices), trials)
-    return z @ low.T
-
-
 def dgff_block(stack: OperatorStack, n: int, phi_block: np.ndarray) -> np.ndarray:
     """DGFF samples on cluster n from WNF rows over the top cluster.
 
@@ -151,6 +166,69 @@ def dgff_block(stack: OperatorStack, n: int, phi_block: np.ndarray) -> np.ndarra
     """
     k = stack.cluster(n).size
     return phi_block[:, :k] @ stack.growth(n).T
+
+
+# ---------------------------------------------------------------------------
+# Streamed second moments of the noise
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class NoiseGram:
+    """Sufficient statistic of zero-mean noise over a range of draws: the
+    sum of z z^T over the draws, and their number.
+
+    Two ranges merge by adding (Chan, Golub & LeVeque 1979; the mean is
+    known to be zero, so no correction term appears).
+    """
+
+    total: np.ndarray
+    trials: int
+
+    def __add__(self, other: NoiseGram) -> NoiseGram:
+        return NoiseGram(self.total + other.total, self.trials + other.trials)
+
+    def cross(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """Empirical cross moment a S b^T of the images a z and b z, with
+        S = sum z z^T / N. The columns of `a` and `b` cover the leading
+        noise coordinates: every cluster order is a prefix of the top's."""
+        b = a if b is None else b
+        return a @ self.total[: a.shape[1], : b.shape[1]] @ b.T / self.trials
+
+
+def noise_gram(seed: int, streams, draw0: int, ndraws: int) -> NoiseGram:
+    """Gram matrix of the normals of `streams` over draws [draw0, draw0 + ndraws).
+
+    The draws are made and summed one `kernels.normal_block` chunk of rows
+    at a time, so memory stays O(chunk + k^2) for any number of draws. Each
+    draw depends only on its own counter: the chunking, or a split of the
+    range, changes the sum only by rounding.
+    """
+    s = np.asarray(streams, dtype=np.uint64)
+    rows = max(1, kernels._CHUNK // max(s.shape[0], 1))
+    total = np.zeros((s.shape[0], s.shape[0]))
+    for r0 in range(0, ndraws, rows):
+        z = kernels.normal_block(seed, s, draw0 + r0, min(rows, ndraws - r0))
+        total += z.T @ z
+    return NoiseGram(total, ndraws)
+
+
+def oracle_moment(kern: GreenKernel, gram: NoiseGram) -> np.ndarray:
+    """Empirical covariance L S L^T of the Cholesky oracle L z on the
+    kernel's cluster, L L^T the normalized Green matrix."""
+    return gram.cross(linalg.cholesky(kern.normalized))
+
+
+def increment_operators(stack: OperatorStack) -> list[np.ndarray]:
+    """Coefficient matrices over the top cluster's noise of Psi_0 and of
+    every increment Psi_n - Psi_{n-1}: Q_0, then Q_n minus Q_{n-1}
+    zero-extended to cluster n."""
+    ops = [stack.growth(0)]
+    for n in range(1, stack.depth + 1):
+        d = stack.growth(n).copy()
+        prev = stack.growth(n - 1)
+        d[: prev.shape[0], : prev.shape[1]] -= prev
+        ops.append(d)
+    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -178,38 +256,51 @@ class CovarianceReport:
     max_abs_z: float
     trials: int
     seed: int
+    entries: int          # z-scores with a positive standard error
 
     def to_json(self) -> dict:
         return {
             "trials": self.trials,
             "seed": self.seed,
             "max_abs_z": self.max_abs_z,
+            "entries": self.entries,
             "empirical": self.empirical.tolist(),
             "target": self.target.tolist(),
         }
 
 
-def covariance_report(samples: np.ndarray, target: np.ndarray, seed: int) -> CovarianceReport:
-    trials = samples.shape[0]
-    emp = known_mean_covariance(samples)
+def moment_report(emp: np.ndarray, target: np.ndarray, trials: int,
+                  seed: int) -> CovarianceReport:
+    """z-scores of an empirical zero-mean covariance over `trials` draws."""
     se = covariance_stderr(target, trials)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.where(se > 0, (emp - target) / np.where(se > 0, se, 1.0), 0.0)
     return CovarianceReport(empirical=emp, target=target, stderr=se, zscores=z,
-                            max_abs_z=float(np.abs(z).max()), trials=trials, seed=seed)
+                            max_abs_z=float(np.abs(z).max()), trials=trials, seed=seed,
+                            entries=int(np.count_nonzero(se > 0)))
+
+
+def covariance_report(samples: np.ndarray, target: np.ndarray, seed: int) -> CovarianceReport:
+    """`moment_report` of a block of samples, one trial per row."""
+    return moment_report(known_mean_covariance(samples), target, samples.shape[0], seed)
+
+
+def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
+                      trials: int) -> tuple[float, int]:
+    """Largest |z| of an empirical cross-covariance whose true value is
+    zero, and the number of entries it is taken over; `var_a`/`var_b` are
+    the exact variances."""
+    se = np.sqrt(np.outer(var_a, var_b) / trials)
+    mask = se > 0
+    if not mask.any():
+        return 0.0, 0
+    return float((np.abs(emp)[mask] / se[mask]).max()), int(np.count_nonzero(mask))
 
 
 def cross_covariance_zmax(a: np.ndarray, b: np.ndarray,
                           var_a: np.ndarray, var_b: np.ndarray) -> float:
-    """Largest |z| of the empirical cross-covariance of two blocks whose true
-    cross-covariance is zero; `var_a`/`var_b` are the exact variances."""
-    trials = a.shape[0]
-    emp = a.T @ b / trials
-    se = np.sqrt(np.outer(var_a, var_b) / trials)
-    mask = se > 0
-    if not mask.any():
-        return 0.0
-    return float((np.abs(emp)[mask] / se[mask]).max())
+    """`cross_moment_zmax` of two blocks of samples, one trial per row."""
+    return cross_moment_zmax(a.T @ b / a.shape[0], var_a, var_b, a.shape[0])[0]
 
 
 def two_sample_zmax(emp_a: np.ndarray, trials_a: int,
@@ -223,6 +314,25 @@ def two_sample_zmax(emp_a: np.ndarray, trials_a: int,
     if not mask.any():
         return 0.0
     return float((np.abs(emp_a - emp_b)[mask] / se[mask]).max())
+
+
+def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram) -> tuple[float, int]:
+    """Largest |z| over the empirical cross-covariances D_i S D_j^T (i < j)
+    of Psi_0 and the increments, whose true values are zero; with the
+    number of entries. The variances are exact: G_0, then G_n - G_{n-1}."""
+    ops = increment_operators(stack)
+    variances = [np.diag(stack.green(0).normalized)]
+    for n in range(1, stack.depth + 1):
+        var = np.diag(stack.green(n).normalized).copy()
+        var[: ops[n - 1].shape[0]] -= np.diag(stack.green(n - 1).normalized)
+        variances.append(var)
+    worst, entries = 0.0, 0
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            z, m = cross_moment_zmax(gram.cross(ops[i], ops[j]), variances[i],
+                                     variances[j], gram.trials)
+            worst, entries = max(worst, z), entries + m
+    return worst, entries
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +352,7 @@ class BrownianReport:
     empirical: np.ndarray | None = None   # covariance of (F_0..F_N)
     zscores: np.ndarray | None = None
     max_abs_z: float = 0.0
+    entries: int = 0
     trials: int = 0
     seed: int = 0
 
@@ -251,6 +362,7 @@ class BrownianReport:
             "pythagoras_residual": self.pythagoras_residual,
             "targets_monotone": self.targets_monotone,
             "max_abs_z": self.max_abs_z,
+            "entries": self.entries,
             "trials": self.trials,
             "seed": self.seed,
         }
@@ -266,20 +378,29 @@ def pairing_block(stack: OperatorStack, f: np.ndarray, phi_block: np.ndarray) ->
     return np.column_stack(cols)
 
 
+def _top_gram(stack: OperatorStack, trials: int, seed: int) -> NoiseGram:
+    return GaussianStream(seed).gram(stack.cluster(stack.depth).vertices, trials)
+
+
 def brownian_check(stack: OperatorStack, f: np.ndarray, trials: int = 0,
-                   seed: int = 0, phi_block: np.ndarray | None = None) -> BrownianReport:
+                   seed: int = 0, gram: NoiseGram | None = None) -> BrownianReport:
     """Deterministic energy bookkeeping for f, plus an optional Monte Carlo
     check that cov(F_n, F_m) equals the smaller energy.
 
     The exact part: layer energies of Q_n^* f sum to the total energy
     (Pythagoras over the disjoint layers), and the energies grow with n.
+    F_n is the pairing of the noise with Q_n^* f, so the empirical
+    covariance of the pairings is C S C^T over those coefficient vectors;
+    `gram` (by default `trials` fresh draws of `seed`) supplies S.
     """
     levels = stack.depth + 1
     targets = np.zeros(levels)
+    coef = np.zeros((levels, stack.cluster(stack.depth).size))
     energies = []
     pyth = 0.0
     for n in range(levels):
         qf = stack.growth_adjoint_apply(n, f)
+        coef[n, : qf.shape[0]] = qf
         targets[n] = float(qf @ qf)
         e = stack.layer_energies(n, f)
         energies.append(e)
@@ -290,16 +411,15 @@ def brownian_check(stack: OperatorStack, f: np.ndarray, trials: int = 0,
                             layer_energies=energies, pythagoras_residual=pyth,
                             targets_monotone=monotone)
     if trials:
-        if phi_block is None:
-            stream = GaussianStream(seed)
-            phi_block = wnf_block(stack.cluster(stack.depth).vertices, stream, trials)
-        pair = pairing_block(stack, f, phi_block)
+        if gram is None:
+            gram = _top_gram(stack, trials, seed)
         target = np.minimum.outer(targets, targets)
-        cov = covariance_report(pair, target, seed)
+        cov = moment_report(gram.cross(coef), target, gram.trials, seed)
         report.empirical = cov.empirical
         report.zscores = cov.zscores
         report.max_abs_z = cov.max_abs_z
-        report.trials = phi_block.shape[0]
+        report.entries = cov.entries
+        report.trials = gram.trials
         report.seed = seed
     return report
 
@@ -311,12 +431,13 @@ class SweepReport:
     f: np.ndarray
     n1: int
     n2: int
-    identity_residual: float              # A_n vs F_n2 - F_{n-1}, per sample
+    identity_residual: float              # A_n vs F_n2 - F_{n-1}, on coefficients
     identity_scale: float
     variance_targets: np.ndarray          # T_n2 - T_{n-1}
     empirical: np.ndarray | None = None
     zscores: np.ndarray | None = None
     max_abs_z: float = 0.0
+    entries: int = 0
     trials: int = 0
     seed: int = 0
 
@@ -327,6 +448,7 @@ class SweepReport:
             "identity_residual": self.identity_residual,
             "variance_targets": self.variance_targets.tolist(),
             "max_abs_z": self.max_abs_z,
+            "entries": self.entries,
             "trials": self.trials,
             "seed": self.seed,
         }
@@ -334,13 +456,18 @@ class SweepReport:
 
 def sweep_average_check(stack: OperatorStack, f: np.ndarray, n1: int, n2: int,
                         trials: int = 0, seed: int = 0,
-                        phi_block: np.ndarray | None = None) -> SweepReport:
+                        gram: NoiseGram | None = None) -> SweepReport:
     """Sweep f onto each layer n in n1..n2 and pair with Psi_n2.
 
-    Per sample the pairing telescopes: A_n(f) = F_n2(f) - F_{n-1}(f),
-    because Psi_n2 - Psi_{n-1} is the harmonic extension of Psi_n2's layer-n
-    values. Variances follow: Var A_n = T_n2 - T_{n-1} and, for n <= m,
-    cov(A_n, A_m) = T_n2 - T_{m-1}.
+    The pairing telescopes: A_n(f) = F_n2(f) - F_{n-1}(f), because
+    Psi_n2 - Psi_{n-1} is the harmonic extension of Psi_n2's layer-n
+    values. All three are linear in the noise, so the identity is checked
+    on their coefficient vectors over the top cluster's noise, which makes
+    it hold for every noise vector: the residual is the largest entry of
+    a_n - (c_n2 - c_{n-1}), the scale max(1, max |c_n2|). Variances follow:
+    Var A_n = T_n2 - T_{n-1} and, for n <= m, cov(A_n, A_m) = T_n2 - T_{m-1};
+    `gram` (by default `trials` fresh draws of `seed`) supplies the
+    empirical ones.
     """
     if not 1 <= n1 <= n2 <= stack.depth:
         raise ValueError(f"need 1 <= n1 <= n2 <= {stack.depth}")
@@ -351,46 +478,37 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray, n1: int, n2: int,
         raise SupportViolationError(
             f"test vector must be supported on cluster {n1}")
 
-    if phi_block is None:
-        stream = GaussianStream(seed)
-        count = trials if trials else 1
-        phi_block = wnf_block(stack.cluster(stack.depth).vertices, stream, count)
-    big = dgff_block(stack, n2, phi_block)
+    coefs = [stack.growth_adjoint_apply(n, f) for n in range(stack.depth + 1)]
+    t = np.array([float(c @ c) for c in coefs])
     clu2 = stack.cluster(n2)
-
+    q2 = stack.growth(n2)
     levels = list(range(n1, n2 + 1))
-    a_cols = []
-    for n in levels:
-        f_loc = f[np.array(stack.cluster(n).vertices)]
-        sweep = stack.poisson(n).T @ f_loc
-        a_cols.append(big[:, clu2.layer_slice(n)] @ sweep)
-    a = np.column_stack(a_cols)
-
-    f2 = big @ f[np.array(clu2.vertices)]
+    a = np.empty((len(levels), clu2.size))
     resid = 0.0
-    scale = max(1.0, float(np.abs(f2).max()))
-    for k, n in enumerate(levels):
-        prev = dgff_block(stack, n - 1, phi_block)
-        f_prev = prev @ f[np.array(stack.cluster(n - 1).vertices)]
-        resid = max(resid, float(np.abs(a[:, k] - (f2 - f_prev)).max()))
+    for i, n in enumerate(levels):
+        sweep = stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)]
+        a[i] = sweep @ q2[clu2.layer_slice(n)]
+        telescoped = coefs[n2].copy()
+        telescoped[: coefs[n - 1].shape[0]] -= coefs[n - 1]
+        resid = max(resid, float(np.abs(a[i] - telescoped).max()))
+    scale = max(1.0, float(np.abs(coefs[n2]).max()))
 
-    t = np.zeros(stack.depth + 1)
-    for n in range(stack.depth + 1):
-        qf = stack.growth_adjoint_apply(n, f)
-        t[n] = float(qf @ qf)
     var_targets = np.array([t[n2] - t[n - 1] for n in levels])
     report = SweepReport(f=f, n1=n1, n2=n2, identity_residual=resid,
                          identity_scale=scale, variance_targets=var_targets)
     if trials:
+        if gram is None:
+            gram = _top_gram(stack, trials, seed)
         target = np.empty((len(levels), len(levels)))
         for i, n in enumerate(levels):
             for j, m in enumerate(levels):
                 target[i, j] = t[n2] - t[max(n, m) - 1]
-        cov = covariance_report(a, target, seed)
+        cov = moment_report(gram.cross(a), target, gram.trials, seed)
         report.empirical = cov.empirical
         report.zscores = cov.zscores
         report.max_abs_z = cov.max_abs_z
-        report.trials = phi_block.shape[0]
+        report.entries = cov.entries
+        report.trials = gram.trials
         report.seed = seed
     return report
 

@@ -4,7 +4,13 @@ distributional claim, in dependency order.
 Exact identities are checked at a relative max-norm tolerance (1e-10 by
 default, 1e-12 for per-sample algebraic identities). Distributional claims
 are Monte Carlo checks with a fixed seed; each empirical moment must sit
-within `z_max` standard errors of its exact target.
+within `z_max` standard errors of its exact target. They run on two
+streamed noise Gram matrices over the top cluster (see `dgff.sampling`):
+one for the grown field, its increments and the pairings, and one, from a
+disjoint draw range, for the Cholesky oracle. Each statistical row counts
+the M z-scores its maximum is taken over (`entries`) and bounds the chance
+that a correct program fails it, M erfc(z_max / sqrt 2), by the union bound
+over normal z-scores (`false_alarm_bound`).
 
 Rungs run in order and later rungs reuse earlier operators, but a failure
 does not stop the ladder: each rung records its own statistic, or the error
@@ -13,6 +19,8 @@ failure point.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,11 +31,11 @@ from .hadamard import OperatorStack, verify_hadamard_identity, verify_isometry
 from .sampling import (
     GaussianStream,
     brownian_check,
-    covariance_report,
-    cross_covariance_zmax,
+    covariance_stderr,
     dgff_block,
-    known_mean_covariance,
-    oracle_block,
+    increment_cross_zmax,
+    moment_report,
+    oracle_moment,
     sweep_average_check,
     two_sample_zmax,
     wnf_block,
@@ -44,16 +52,25 @@ class _Ladder:
         self.checks: list[dict] = []
 
     def run(self, name: str, kind: str, threshold: float, fn) -> None:
+        """Record one rung. A statistical rung's `fn` returns the largest
+        |z| and the number of entries it is taken over."""
         row = {"name": name, "kind": kind, "threshold": threshold}
+        entries = None
         try:
             stat = fn()
         except DGFFError as e:
             row.update(statistic=None, passed=False, error=e.code, message=str(e))
         else:
+            if isinstance(stat, tuple):
+                stat, entries = stat
             if stat is None:
                 row.update(statistic=None, passed=True, skipped=True)
             else:
                 row.update(statistic=float(stat), passed=bool(stat <= threshold))
+        if kind == "statistical":
+            row["entries"] = entries
+            row["false_alarm_bound"] = None if entries is None else min(
+                1.0, entries * math.erfc(threshold / math.sqrt(2)))
         self.checks.append(row)
 
 
@@ -70,8 +87,8 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     """
     if trials < 0:
         raise DGFFError("trials must be nonnegative", code="BadFormat")
-    if tol_exact <= 0 or tol_strict <= 0 or z_max <= 0:
-        raise DGFFError("tolerances must be positive", code="BadFormat")
+    if not all(math.isfinite(t) and t > 0 for t in (tol_exact, tol_strict, z_max)):
+        raise DGFFError("tolerances must be finite and positive", code="BadFormat")
     if stack is None:
         stack = OperatorStack(graph, fol)
     depth = stack.depth
@@ -197,9 +214,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
             worst = max(worst, float(np.abs(resid).max()) / scale)
         return worst
 
-    mc: dict[str, np.ndarray] = {}
+    # "phi": the DGFF noise Gram; "dgff{n}", "oracle{n}": empirical covariances
+    mc: dict[str, object] = {}
 
-    def _need(key: str) -> np.ndarray:
+    def _need(key: str):
         if key not in mc:
             raise DGFFError(f"prerequisite rung did not produce {key!r}",
                             code="PrerequisiteFailed")
@@ -208,72 +226,51 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     reports: dict[str, dict] = {}
 
     def dgff_covariance():
-        top = stack.cluster(depth)
-        mc["phi"] = wnf_block(top.vertices, stream, trials)
-        worst = 0.0
+        mc["phi"] = stream.gram(stack.cluster(depth).vertices, trials)
+        worst, entries = 0.0, 0
         for n in range(depth + 1):
-            samples = dgff_block(stack, n, mc["phi"])
-            mc[f"dgff{n}"] = known_mean_covariance(samples)
-            rep = covariance_report(samples, stack.green(n).normalized, seed)
-            worst = max(worst, rep.max_abs_z)
+            mc[f"dgff{n}"] = mc["phi"].cross(stack.growth(n))
+            rep = moment_report(mc[f"dgff{n}"], stack.green(n).normalized, trials, seed)
+            worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
             if collect_reports and n == depth:
                 reports["covariance"] = rep.to_json()
-        return worst
+        return worst, entries
 
     def oracle_covariance():
-        worst = 0.0
+        gram = stream.gram(stack.cluster(depth).vertices, trials)
+        worst, entries = 0.0, 0
         for n in range(depth + 1):
-            samples = oracle_block(stack.green(n), stream, trials)
-            mc[f"oracle{n}"] = known_mean_covariance(samples)
-            rep = covariance_report(samples, stack.green(n).normalized, seed)
-            worst = max(worst, rep.max_abs_z)
-        return worst
+            mc[f"oracle{n}"] = oracle_moment(stack.green(n), gram)
+            rep = moment_report(mc[f"oracle{n}"], stack.green(n).normalized, trials, seed)
+            worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
+        return worst, entries
 
     def oracle_agreement():
-        worst = 0.0
+        worst, entries = 0.0, 0
         for n in range(depth + 1):
             target = stack.green(n).normalized
             worst = max(worst, two_sample_zmax(_need(f"dgff{n}"), trials,
                                                _need(f"oracle{n}"), trials, target))
-        return worst
+            entries += int(np.count_nonzero(covariance_stderr(target, trials) > 0))
+        return worst, entries
 
     def increment_independence():
         if depth == 0:
             return None
-        phi = _need("phi")
-        blocks = []
-        variances = []
-        prev = dgff_block(stack, 0, phi)
-        blocks.append(prev)
-        variances.append(np.diag(stack.green(0).normalized))
-        for n in range(1, depth + 1):
-            hi = dgff_block(stack, n, phi)
-            diff = hi.copy()
-            diff[:, : prev.shape[1]] -= prev
-            blocks.append(diff)
-            var = np.diag(stack.green(n).normalized).copy()
-            var[: prev.shape[1]] -= np.diag(stack.green(n - 1).normalized)
-            variances.append(var)
-            prev = hi
-        worst = 0.0
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                worst = max(worst, cross_covariance_zmax(
-                    blocks[i], blocks[j], variances[i], variances[j]))
-        return worst
+        return increment_cross_zmax(stack, _need("phi"))
 
     def brownian():
         top = stack.cluster(depth)
         f = np.zeros(graph.n_vertices)
         f[np.array(top.vertices)] = stream.draw(top.vertices)
-        rep = brownian_check(stack, f, trials=trials, seed=seed, phi_block=mc.get("phi"))
+        rep = brownian_check(stack, f, trials=trials, seed=seed, gram=mc.get("phi"))
         if collect_reports:
             reports["brownian"] = rep.to_json()
         if rep.pythagoras_residual > tol_strict * max(rep.variance_targets.max(), 1.0):
-            return np.inf
+            return np.inf, rep.entries
         if not rep.targets_monotone:
-            return np.inf
-        return rep.max_abs_z
+            return np.inf, rep.entries
+        return rep.max_abs_z, rep.entries
 
     def sweep():
         if depth == 0:
@@ -282,12 +279,12 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         f = np.zeros(graph.n_vertices)
         f[np.array(base.vertices)] = stream.draw(base.vertices)
         rep = sweep_average_check(stack, f, 1, depth, trials=trials, seed=seed,
-                                  phi_block=mc.get("phi"))
+                                  gram=mc.get("phi"))
         if collect_reports:
             reports["sweep"] = rep.to_json()
         if rep.identity_residual > tol_exact * rep.identity_scale:
-            return np.inf
-        return rep.max_abs_z
+            return np.inf, rep.entries
+        return rep.max_abs_z, rep.entries
 
     ladder = _Ladder()
     ladder.run("green_inverse", "exact", tol_exact, green_inverse)

@@ -236,3 +236,32 @@ def test_malformed_foliation_layers_are_bad_format(fixture_dir, tmp_path, capsys
     path = _bad_graph(tmp_path, "fol.json", json.dumps({"layers": layers}))
     assert run_cli("validate", "--graph", fixture_dir / "p4.json", "--foliation", path) == 2
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "BadFormat"
+
+
+def test_negative_sample_count_is_bad_format(fixture_dir, tmp_path, capsys):
+    assert run_cli("sample", "--graph", fixture_dir / "p4.json", "--roots", "v1",
+                   "--n-samples", "-1", "--out", tmp_path) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "BadFormat"
+
+
+@pytest.mark.parametrize("flag,value", [("--tol-exact", "nan"), ("--tol-exact", "inf"),
+                                        ("--z-max", "nan"), ("--z-max", "inf"),
+                                        ("--z-max", "0")])
+def test_non_finite_tolerance_is_bad_format(fixture_dir, capsys, flag, value):
+    assert run_cli("verify", "--graph", fixture_dir / "p4.json", "--roots", "v1",
+                   "--trials", "100", flag, value) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "BadFormat"
+
+
+def test_verify_rows_count_their_entries(fixture_dir, capsys):
+    assert run_cli("verify", "--graph", fixture_dir / "p4.json", "--roots", "v1",
+                   "--trials", "1000") == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["schema"] == 1
+    stat = [r for r in doc["checks"] if r["kind"] == "statistical"]
+    assert len(stat) == 6
+    # p4: clusters of 1 and 2 vertices
+    assert next(r for r in stat if r["name"] == "dgff_covariance")["entries"] == 1 + 4
+    assert all(0 < r["false_alarm_bound"] <= 1 for r in stat)

@@ -1,0 +1,108 @@
+"""Fuzzing of the graph and foliation parsers through the CLI entry point.
+
+The property: any input file exits 0, or exits 2 with a JSON diagnostic
+that names an error code. It never ends in a Python traceback.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dgff.cli import main
+from dgff.fixtures import write_fixture_files
+
+IDS = st.sampled_from(["a", "b", "c", "x", "", "a b", "!exterior", "#", "é"])
+NUMBERS = st.one_of(st.floats(), st.integers(min_value=-10**30, max_value=10**30),
+                    st.sampled_from([0, 1, 2.5, 1e-320, 1e308]))
+SCALARS = st.one_of(st.none(), st.booleans(), NUMBERS, IDS, st.text(max_size=3))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                     st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=12)
+EDGES = st.lists(st.one_of(
+    st.fixed_dictionaries({"u": IDS, "v": IDS, "c": st.one_of(NUMBERS, JSON_VALUES)}),
+    JSON_VALUES), max_size=5)
+GRAPH_DOCS = st.one_of(
+    st.fixed_dictionaries({"edges": EDGES}, optional={
+        "vertices": st.one_of(st.lists(IDS, max_size=5), JSON_VALUES),
+        "exterior": st.one_of(st.lists(IDS, max_size=3), JSON_VALUES)}),
+    JSON_VALUES)
+TOKENS = st.sampled_from(["a", "b", "c", "x", "!exterior", "#", "1", "0", "-1", "2.5",
+                          "inf", "nan", "1e400", "1e-320", "abc", "\t", "a#b"])
+EDGE_LISTS = st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=6).map("\n".join)
+LAYERS = st.one_of(st.lists(st.lists(st.sampled_from(["v1", "v2", "v3", "v4", "v5", "zz"]),
+                                     max_size=3), max_size=5), JSON_VALUES)
+FOLIATION_DOCS = st.one_of(st.fixed_dictionaries({"layers": LAYERS}), JSON_VALUES)
+
+# Inputs that once ended in a traceback.
+INVALID_UTF8 = b"\xff\xfe a b 1\n"
+HUGE_INTEGER = ('{"exterior": ["x"], "edges": [{"u": "a", "v": "x", "c": 1'
+                + "0" * 5000 + "}]}").encode()
+BIG_INTEGER = ('{"exterior": ["x"], "edges": [{"u": "a", "v": "x", "c": 1'
+               + "0" * 400 + "}]}").encode()
+DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.fixture(scope="module")
+def fixture_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fixtures")
+    write_fixture_files(d)
+    return d
+
+
+def run(name: str, data: bytes, *argv) -> None:
+    """Run the CLI on `data` written to a file called `name`; check the exit."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / name
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a).replace("{path}", str(path)) for a in argv])
+    assert code in (0, 2), (code, err.getvalue())
+    if code == 2:
+        assert isinstance(json.loads(err.getvalue())["error"]["code"], str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(GRAPH_DOCS)
+def test_graph_json(doc):
+    run("g.json", json.dumps(doc).encode(), "validate", "--graph", "{path}", "--roots", "a")
+
+
+@settings(max_examples=150, deadline=None)
+@given(EDGE_LISTS)
+def test_graph_edge_list(text):
+    run("g.edgelist", text.encode(), "validate", "--graph", "{path}", "--roots", "a")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.binary(max_size=40))
+@example(INVALID_UTF8)
+@example(HUGE_INTEGER)
+@example(BIG_INTEGER)
+@example(DEEP_NESTING)
+def test_graph_bytes(data):
+    run("g.json", data, "validate", "--graph", "{path}")
+    run("g.edgelist", data, "validate", "--graph", "{path}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(FOLIATION_DOCS)
+def test_foliation_json(fixture_dir, doc):
+    run("f.json", json.dumps(doc).encode(), "validate", "--graph", fixture_dir / "p5.json",
+        "--foliation", "{path}")
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.binary(max_size=40))
+@example(INVALID_UTF8)
+@example(DEEP_NESTING)
+@example(b'{"layers": [["v1"], ["v2"], ["v3"], ["v4"], ["v5"]]}')
+def test_foliation_bytes(fixture_dir, data):
+    run("f.json", data, "validate", "--graph", fixture_dir / "p5.json", "--foliation", "{path}")

@@ -1,0 +1,210 @@
+"""The Gram route of the Monte Carlo rungs: streamed noise Gram matrices,
+their merging, and their agreement with the statistics of explicit blocks."""
+
+import math
+
+import numpy as np
+import pytest
+
+from dgff import OperatorStack, kernels
+from dgff.fixtures import standard_fixture
+from dgff.sampling import (
+    GaussianStream,
+    NoiseGram,
+    brownian_check,
+    covariance_report,
+    cross_covariance_zmax,
+    dgff_block,
+    increment_cross_zmax,
+    increment_operators,
+    moment_report,
+    noise_gram,
+    pairing_block,
+    sweep_average_check,
+    wnf_block,
+)
+from dgff.verify import run_ladder
+
+RTOL = 1e-9
+
+
+@pytest.fixture(scope="module", params=["grid5", "grid13"])
+def routes(request):
+    """One noise block at 2e4 trials, and its Gram matrix."""
+    g, fol = standard_fixture(request.param)
+    stack = OperatorStack(g, fol)
+    phi = wnf_block(stack.cluster(stack.depth).vertices, GaussianStream(11), 20_000)
+    return g, stack, phi, NoiseGram(phi.T @ phi, phi.shape[0])
+
+
+class TestNoiseGram:
+    STREAMS = np.arange(3, 12)
+    N = 3001
+
+    def test_matches_the_block(self):
+        z = kernels.normal_block(5, self.STREAMS, 17, self.N)
+        gram = noise_gram(5, self.STREAMS, 17, self.N)
+        assert gram.trials == self.N
+        np.testing.assert_allclose(gram.total, z.T @ z, rtol=1e-12)
+
+    @pytest.mark.parametrize("chunk", [9, 100, 1000, 1 << 20])
+    def test_independent_of_chunk_size(self, monkeypatch, chunk):
+        ref = noise_gram(5, self.STREAMS, 17, self.N)
+        monkeypatch.setattr(kernels, "_CHUNK", chunk)
+        np.testing.assert_allclose(noise_gram(5, self.STREAMS, 17, self.N).total, ref.total,
+                                   rtol=1e-12)
+
+    def test_two_workers_equal_one(self):
+        # a draw depends only on its counter, so trials split by draw range
+        one = GaussianStream(5).gram(self.STREAMS, self.N)
+        half = self.N // 2
+        two = (GaussianStream(5).gram(self.STREAMS, half)
+               + GaussianStream(5, counter=half).gram(self.STREAMS, self.N - half))
+        assert two.trials == one.trials == self.N
+        np.testing.assert_allclose(two.total, one.total, rtol=1e-12)
+
+    def test_stream_counter_advances(self):
+        stream = GaussianStream(5)
+        first = stream.gram(self.STREAMS, 10)
+        assert stream.counter == 10
+        np.testing.assert_array_equal(
+            stream.gram(self.STREAMS, 10).total, noise_gram(5, self.STREAMS, 10, 10).total)
+        assert not np.array_equal(first.total, noise_gram(5, self.STREAMS, 10, 10).total)
+
+    def test_cross_reads_a_prefix(self):
+        z = kernels.normal_block(2, self.STREAMS, 0, 500)
+        gram = NoiseGram(z.T @ z, 500)
+        a = np.arange(12.0).reshape(3, 4)
+        b = np.ones((2, 6))
+        np.testing.assert_allclose(gram.cross(a, b), (z[:, :4] @ a.T).T @ (z[:, :6] @ b.T) / 500,
+                                   rtol=1e-12)
+
+
+class TestEquivalence:
+    """Same noise: the Gram route equals the block route to rtol 1e-9."""
+
+    def test_dgff_covariance(self, routes):
+        g, stack, phi, gram = routes
+        for n in range(stack.depth + 1):
+            target = stack.green(n).normalized
+            block = covariance_report(dgff_block(stack, n, phi), target, 11)
+            streamed = moment_report(gram.cross(stack.growth(n)), target, gram.trials, 11)
+            np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
+            assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
+            assert streamed.entries == block.entries == target.size
+
+    def test_increment_independence(self, routes):
+        g, stack, phi, gram = routes
+        blocks, variances = [], []
+        prev = dgff_block(stack, 0, phi)
+        blocks.append(prev)
+        variances.append(np.diag(stack.green(0).normalized))
+        for n in range(1, stack.depth + 1):
+            hi = dgff_block(stack, n, phi)
+            diff = hi.copy()
+            diff[:, : prev.shape[1]] -= prev
+            var = np.diag(stack.green(n).normalized).copy()
+            var[: prev.shape[1]] -= np.diag(stack.green(n - 1).normalized)
+            blocks.append(diff)
+            variances.append(var)
+            prev = hi
+        ops = increment_operators(stack)
+        worst = 0.0
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                np.testing.assert_allclose(gram.cross(ops[i], ops[j]),
+                                           blocks[i].T @ blocks[j] / gram.trials, rtol=RTOL)
+                worst = max(worst, cross_covariance_zmax(blocks[i], blocks[j],
+                                                         variances[i], variances[j]))
+        assert increment_cross_zmax(stack, gram)[0] == pytest.approx(worst, rel=RTOL)
+
+    def test_brownian_moments(self, routes):
+        g, stack, phi, gram = routes
+        f = np.zeros(g.n_vertices)
+        top = stack.cluster(stack.depth)
+        f[np.array(top.vertices)] = GaussianStream(3).draw(top.vertices)
+        streamed = brownian_check(stack, f, trials=gram.trials, seed=11, gram=gram)
+        target = np.minimum.outer(streamed.variance_targets, streamed.variance_targets)
+        block = covariance_report(pairing_block(stack, f, phi), target, 11)
+        np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
+        assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
+        assert streamed.trials == phi.shape[0]
+
+    def test_sweep_covariance(self, routes):
+        g, stack, phi, gram = routes
+        n2 = stack.depth
+        f = np.zeros(g.n_vertices)
+        base = stack.cluster(1)
+        f[np.array(base.vertices)] = GaussianStream(4).draw(base.vertices)
+        streamed = sweep_average_check(stack, f, 1, n2, trials=gram.trials, seed=11, gram=gram)
+        big = dgff_block(stack, n2, phi)
+        clu2 = stack.cluster(n2)
+        a = np.column_stack([
+            big[:, clu2.layer_slice(n)]
+            @ (stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)])
+            for n in range(1, n2 + 1)])
+        idx = np.arange(n2)
+        target = streamed.variance_targets[np.maximum.outer(idx, idx)]
+        block = covariance_report(a, target, 11)
+        np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
+        assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
+
+
+class TestSweepIdentity:
+    def test_holds_on_coefficients_without_noise(self):
+        g, fol = standard_fixture("grid13")
+        stack = OperatorStack(g, fol)
+        f = np.zeros(g.n_vertices)
+        base = stack.cluster(1)
+        f[np.array(base.vertices)] = GaussianStream(8).draw(base.vertices)
+        rep = sweep_average_check(stack, f, 1, stack.depth)
+        assert rep.trials == 0 and rep.empirical is None
+        assert rep.identity_residual <= 1e-10 * rep.identity_scale
+        coef = stack.growth_adjoint_apply(stack.depth, f)
+        assert rep.identity_scale == max(1.0, float(np.abs(coef).max()))
+
+    def test_tampered_poisson_kernel_fails_the_sweep_rung(self):
+        # the kernels (and so the field) are built from the true P_1; the
+        # sweep then reads a corrupted one
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        for n in range(stack.depth + 1):
+            stack.growth(n)
+        bad = stack.poisson(1).copy()
+        bad[:, 0] *= 0.5
+        stack._cache[("poisson", 1)] = bad
+        rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
+        row = next(r for r in rep["checks"] if r["name"] == "sweep_moments")
+        assert not row["passed"] and math.isinf(row["statistic"])
+
+
+def test_grid5_entry_counts():
+    g, fol = standard_fixture("grid5")
+    stack = OperatorStack(g, fol)
+    rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
+    sizes = [stack.cluster(n).size for n in range(stack.depth + 1)]
+    assert sizes == [1, 5, 9]
+    squares = sum(k * k for k in sizes)
+    expected = {
+        "dgff_covariance": squares,
+        "oracle_covariance": squares,
+        "oracle_agreement": squares,
+        "increment_independence": sum(sizes[i] * sizes[j] for i in range(3)
+                                      for j in range(i + 1, 3)),
+        "brownian_moments": (stack.depth + 1) ** 2,
+        "sweep_moments": stack.depth ** 2,
+    }
+    rows = {r["name"]: r for r in rep["checks"] if r["kind"] == "statistical"}
+    assert {name: r["entries"] for name, r in rows.items()} == expected
+    for r in rows.values():
+        assert r["false_alarm_bound"] == pytest.approx(
+            min(1.0, r["entries"] * math.erfc(5.0 / math.sqrt(2))))
+    assert all("entries" not in r for r in rep["checks"] if r["kind"] == "exact")
+
+
+@pytest.mark.parametrize("name", ["grid5", "grid13"])
+@pytest.mark.parametrize("seed", [1, 42])
+def test_every_rung_passes_at_1e5_trials(name, seed):
+    rep = run_ladder(*standard_fixture(name), seed=seed, trials=100_000)
+    assert len(rep["checks"]) == 17
+    assert rep["pass"], [r["name"] for r in rep["checks"] if not r["passed"]]

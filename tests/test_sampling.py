@@ -21,7 +21,8 @@ from dgff.sampling import (
     cross_covariance_zmax,
     dgff_block,
     known_mean_covariance,
-    oracle_block,
+    moment_report,
+    oracle_moment,
     pairing_block,
     random_orthogonal,
     two_sample_zmax,
@@ -181,8 +182,9 @@ class TestOracle:
 
     def test_oracle_covariance(self, grid_stack):
         g, stack = grid_stack
-        samples = oracle_block(stack.green(2), GaussianStream(37), TRIALS)
-        rep = covariance_report(samples, stack.green(2).normalized, 37)
+        gram = GaussianStream(37).gram(stack.cluster(2).vertices, TRIALS)
+        rep = moment_report(oracle_moment(stack.green(2), gram), stack.green(2).normalized,
+                            TRIALS, 37)
         assert rep.max_abs_z <= ZMAX
 
     def test_oracle_agrees_with_grown_field(self, p4_stack):
@@ -190,9 +192,9 @@ class TestOracle:
         target = stack.green(1).normalized
         grown = dgff_block(stack, 1, wnf_block(stack.cluster(1).vertices,
                                                GaussianStream(41), TRIALS))
-        direct = oracle_block(stack.green(1), GaussianStream(42), TRIALS)
-        z = two_sample_zmax(known_mean_covariance(grown), TRIALS,
-                            known_mean_covariance(direct), TRIALS, target)
+        direct = oracle_moment(stack.green(1),
+                               GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS))
+        z = two_sample_zmax(known_mean_covariance(grown), TRIALS, direct, TRIALS, target)
         assert z <= ZMAX
 
     def test_oracle_single_sample_support(self, p4_stack):
