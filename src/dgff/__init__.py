@@ -42,6 +42,7 @@ from .hadamard import (
     OperatorStack,
     hadamard_Q,
     kernel_K,
+    layer_identity_residual,
     layer_sqrt,
     solve_growth,
     verify_hadamard_identity,
@@ -50,10 +51,12 @@ from .hadamard import (
 from .linalg import EigenDecomposition, cholesky, jacobi_eigen, psd_sqrt, solve_spd
 from .operators import (
     GreenKernel,
+    Stencil,
     boundary_green,
     green,
     laplacian,
     poisson,
+    stencil,
     verify_green_variation,
 )
 from .sampling import (

@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
                         tol_exact=args.tol_exact, z_max=args.z_max,
                         collect_reports=bool(args.out))
     detail = report.pop("reports", {})
-    text = json.dumps(report, indent=1)
+    text = json.dumps(report, indent=1, allow_nan=False)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

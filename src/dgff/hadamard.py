@@ -13,16 +13,26 @@ Two matrix identities make Q_n useful and are verified numerically here:
 * the columns of Q_n are orthonormal in the Dirichlet inner product,
   so Q_n maps white noise to a field with Green covariance.
 
+Both hold one layer at a time. The discrete Hadamard variational formula
+G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment
+(`layer_identity_residual`), and a column supported on cluster m has the
+same Dirichlet energy at every level n >= m, so the Dirichlet Gram of Q_n
+is the leading block of the top level's.
+
 `OperatorStack` memoizes every per-level operator for a foliated graph and
 is the single entry point the sampling and verification layers build on.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Green kernel, Poisson kernel and boundary Green B_n come
 from G_{n-1} and the new layer's block of the Laplacian, factorizing only a
-layer-sized Schur complement (see `dgff.operators`). Each level's Laplacian
-is assembled once and shared by the build and the checks.
+layer-sized Schur complement (see `dgff.operators`). The stack assembles
+one Laplacian, the top cluster's: level n's is its leading block, as a
+read-only view, and the checks multiply by it through a padded neighbour
+stencil built once from the graph's edges.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -30,7 +40,16 @@ from . import linalg
 from .errors import FoliationError
 from .foliation import Foliation, GrowthCluster, cluster as make_cluster
 from .graph import Graph
-from .operators import GreenKernel, boundary_green, green, laplacian, poisson, verify_green_variation
+from .operators import (
+    GreenKernel,
+    Stencil,
+    boundary_green,
+    green,
+    laplacian,
+    poisson,
+    stencil,
+    verify_green_variation,
+)
 
 
 def layer_sqrt(bg: np.ndarray) -> np.ndarray:
@@ -68,23 +87,38 @@ def verify_hadamard_identity(q: np.ndarray, green_norm: np.ndarray) -> float:
     return float(np.abs(q @ q.T - green_norm).max())
 
 
+def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
+                            kernel_n: np.ndarray) -> float:
+    """Max-abs residual of the discrete Hadamard variational formula at one
+    layer, G_n - (G_{n-1} + 0) = K_n K_n^T, for normalized Green matrices.
+
+    It costs k_n^2 |L_n|. When Q_n is Q_{n-1} + 0 with K_n in the layer-n
+    columns, Q_n Q_n^T = (Q_{n-1} Q_{n-1}^T + 0) + K_n K_n^T, so
+    |Q_n Q_n^T - G_n| is at most |Q_{n-1} Q_{n-1}^T - G_{n-1}| plus this.
+    """
+    d = kernel_n @ kernel_n.T  # the residual's negative, built in place
+    d -= green_n
+    k = green_prev.shape[0]
+    d[:k, :k] += green_prev
+    return max(float(d.max()), -float(d.min()))
+
+
 def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     """Gram matrix of Q's columns in the Dirichlet inner product.
 
-    Computed through the edge route (scaled incidence rows over every edge
-    touching the cluster), independent of the Laplacian assembly.
+    Computed through the edge route, independent of the Laplacian assembly:
+    one row sqrt(c) (Q[x] - Q[y]) per edge touching the cluster, in
+    `edge_list` order, where a zero row stands for every vertex outside it.
     """
-    pos = np.full(g.n_vertices, -1)
+    pos = np.full(g.n_vertices, clu.size)
     pos[list(clu.vertices)] = np.arange(clu.size)
     ends = np.array(g.edge_list, dtype=int).reshape(-1, 2)
     li, lj = pos[ends[:, 0]], pos[ends[:, 1]]
-    touch = (li >= 0) | (lj >= 0)
-    li, lj, s = li[touch], lj[touch], np.sqrt(g.conductances[touch])
-    d = np.zeros((len(s), clu.size))
-    rows = np.arange(len(s))
-    d[rows[li >= 0], li[li >= 0]] = s[li >= 0]
-    d[rows[lj >= 0], lj[lj >= 0]] -= s[lj >= 0]
-    dq = d @ q
+    touch = (li < clu.size) | (lj < clu.size)
+    padded = np.vstack([q, np.zeros((1, q.shape[1]))])
+    dq = padded[li[touch]]
+    dq -= padded[lj[touch]]
+    dq *= np.sqrt(g.conductances[touch])[:, None]
     return dq.T @ dq
 
 
@@ -118,12 +152,15 @@ class OperatorStack:
     tampering controls) can exercise early identities before later
     constructions fail. Asking for level n builds the missing levels below
     it first, since each Green kernel is grown from the previous one.
+    `build_seconds` adds up the wall time spent building operators.
     """
 
     def __init__(self, graph: Graph, fol: Foliation):
         self.graph = graph
         self.foliation = fol
         self._cache: dict[tuple[str, int], object] = {}
+        self.build_seconds = 0.0
+        self._nested = 0
 
     @property
     def depth(self) -> int:
@@ -132,7 +169,14 @@ class OperatorStack:
     def _memo(self, kind: str, n: int, build):
         key = (kind, n)
         if key not in self._cache:
-            self._cache[key] = build()
+            start = time.perf_counter()
+            self._nested += 1
+            try:
+                self._cache[key] = build()
+            finally:
+                self._nested -= 1
+                if not self._nested:  # a build inside a build is counted once
+                    self.build_seconds += time.perf_counter() - start
         return self._cache[key]
 
     def _memo_upward(self, kind: str, n: int, build):
@@ -150,7 +194,23 @@ class OperatorStack:
         return self._memo("cluster", n, lambda: make_cluster(self.foliation, n))
 
     def laplacian(self, n: int) -> np.ndarray:
-        return self._memo("laplacian", n, lambda: laplacian(self.graph, self.cluster(n)))
+        """Laplacian of cluster n: a read-only view of the leading k_n x k_n
+        block of the top cluster's, which it equals bit for bit (cluster
+        orders are prefixes, and an entry depends on its two vertices only)."""
+        k = self.cluster(n).size
+        return self._memo("laplacian", self.depth, self._top_laplacian)[:k, :k]
+
+    def _top_laplacian(self) -> np.ndarray:
+        a = laplacian(self.graph, self.cluster(self.depth))
+        a.flags.writeable = False
+        return a
+
+    def stencil(self, n: int) -> Stencil:
+        """Laplacian of cluster n as padded neighbour rows: the top cluster's
+        stencil, built once, with the neighbours outside cluster n masked."""
+        top = self._memo("stencil", self.depth,
+                         lambda: stencil(self.graph, self.cluster(self.depth)))
+        return top if n == self.depth else top.leading(self.cluster(n).size)
 
     def green(self, n: int) -> GreenKernel:
         """Green kernel of cluster n, grown by one layer from cluster n-1."""

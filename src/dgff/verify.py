@@ -12,22 +12,44 @@ the M z-scores its maximum is taken over (`entries`) and bounds the chance
 that a correct program fails it, M erfc(z_max / sqrt 2), by the union bound
 over normal z-scores (`false_alarm_bound`).
 
+No exact rung multiplies two k_n x k_n matrices. Products with the
+Laplacian go through the stack's padded neighbour stencil. Two rungs read
+the paper's per-level facts instead of a cubic check at every level:
+
+* `hadamard_identity` sums the one-layer residuals
+  r_m = |G_m - G_{m-1} + 0 - K_m K_m^T|. Where Q_n is bit for bit
+  Q_{n-1} + 0 with K_n in the layer-n columns, Q_n Q_n^T grows by exactly
+  K_n K_n^T, so the sum bounds the full residual |Q_n Q_n^T - G_n| up to
+  rounding. The sum starts from the full residual at level 0 and restarts
+  from it at any level that fails this prefix check.
+* `isometry` forms one Dirichlet Gram, of Q_top. A level whose Q_n is bit
+  for bit the leading block of Q_top, with zeros below, has the top Gram's
+  leading k_n block as its Gram, and so a residual no larger than the
+  top's. Any other level is read alone.
+
 Rungs run in order and later rungs reuse earlier operators, but a failure
 does not stop the ladder: each rung records its own statistic, or the error
-code that prevented it. This is what gives tampering fixtures a precise
-failure point.
+code that prevented it, a numeric error included. This is what gives
+tampering fixtures a precise failure point. Each row also records its wall
+time and the part of it spent building operators on first use.
 """
 
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
-from .hadamard import OperatorStack, verify_hadamard_identity, verify_isometry
+from .hadamard import (
+    OperatorStack,
+    layer_identity_residual,
+    verify_hadamard_identity,
+    verify_isometry,
+)
 from .sampling import (
     GaussianStream,
     brownian_check,
@@ -47,30 +69,66 @@ Z_MAX = 5.0
 INCREMENT_SAMPLES = 100
 
 
+def _grows_by_kernel(q_n: np.ndarray, q_prev: np.ndarray, kernel_n: np.ndarray) -> bool:
+    """Q_n is bit for bit Q_{n-1} + 0 with K_n in the layer-n columns."""
+    k = q_prev.shape[0]
+    return (np.array_equal(q_n[:k, :k], q_prev) and not q_n[k:, :k].any()
+            and np.array_equal(q_n[:, k:], kernel_n))
+
+
+def _leads(q_n: np.ndarray, q_top: np.ndarray) -> bool:
+    """Q_n is bit for bit the leading block of Q_top, with zeros below it."""
+    k = q_n.shape[0]
+    return np.array_equal(q_top[:k, :k], q_n) and not q_top[k:, :k].any()
+
+
+class _Refuted(Exception):
+    """A statistical rung's exact part failed, so it has no z statistic."""
+
+    def __init__(self, reason: str, entries: int):
+        super().__init__(reason)
+        self.entries = entries
+
+
 class _Ladder:
-    def __init__(self):
+    def __init__(self, stack: OperatorStack):
+        self.stack = stack
         self.checks: list[dict] = []
 
     def run(self, name: str, kind: str, threshold: float, fn) -> None:
-        """Record one rung. A statistical rung's `fn` returns the largest
-        |z| and the number of entries it is taken over."""
+        """Record one rung, the seconds it took and the part of them spent
+        building operators on first use. A statistical rung's `fn` returns
+        the largest |z| and the number of entries it is taken over. A
+        statistic is never a non-finite number: such a rung records null
+        with a `reason`, and a rung that raises records null with an
+        `error` code."""
         row = {"name": name, "kind": kind, "threshold": threshold}
         entries = None
+        start, built = time.perf_counter(), self.stack.build_seconds
         try:
             stat = fn()
         except DGFFError as e:
             row.update(statistic=None, passed=False, error=e.code, message=str(e))
+        except (np.linalg.LinAlgError, FloatingPointError) as e:
+            row.update(statistic=None, passed=False, error="NumericError", message=str(e))
+        except _Refuted as e:
+            row.update(statistic=None, passed=False, reason=str(e))
+            entries = e.entries
         else:
             if isinstance(stat, tuple):
                 stat, entries = stat
             if stat is None:
                 row.update(statistic=None, passed=True, skipped=True)
+            elif not math.isfinite(stat):
+                row.update(statistic=None, passed=False, reason=f"statistic is {stat}")
             else:
                 row.update(statistic=float(stat), passed=bool(stat <= threshold))
         if kind == "statistical":
             row["entries"] = entries
             row["false_alarm_bound"] = None if entries is None else min(
                 1.0, entries * math.erfc(threshold / math.sqrt(2)))
+        row["seconds"] = time.perf_counter() - start
+        row["build_seconds"] = self.stack.build_seconds - built
         self.checks.append(row)
 
 
@@ -97,11 +155,14 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def green_inverse():
         worst = 0.0
         for n in range(depth + 1):
-            a = stack.laplacian(n)
+            st = stack.stencil(n)
             gn = stack.green(n).normalized
-            eye = np.eye(a.shape[0])
-            worst = max(worst, float(np.abs(a @ gn - eye).max()),
-                        float(np.abs(gn @ a - eye).max()))
+            products = [st.apply(gn)]
+            if not (st.symmetric and np.array_equal(gn, gn.T)):
+                products.append(st.apply(gn.T, transpose=True).T)  # G A = (A^T G^T)^T
+            for prod in products:
+                prod.flat[::st.size + 1] -= 1.0
+                worst = max(worst, float(np.abs(prod).max()))
         return worst
 
     def green_symmetry():
@@ -135,12 +196,9 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def poisson_harmonic():
         worst = 0.0
         for n in range(1, depth + 1):
-            a = stack.laplacian(n)
-            p = stack.poisson(n)
-            interior = a.shape[0] - (stack.cluster(n).layer_start[n + 1]
-                                     - stack.cluster(n).layer_start[n])
-            resid = (a @ p)[:interior, :]
-            worst = max(worst, float(np.abs(resid).max()) / max(float(np.abs(a).max()), 1.0))
+            st = stack.stencil(n)
+            resid = st.apply(stack.poisson(n), rows=stack.cluster(n - 1).size)
+            worst = max(worst, float(np.abs(resid).max()) / max(float(np.abs(st.val).max()), 1.0))
         return worst
 
     def green_variation():
@@ -166,17 +224,29 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         return worst
 
     def hadamard_identity():
-        worst = 0.0
+        # `bound` >= |Q_n Q_n^T - G_n|: the full residual at level 0 and
+        # wherever Q_n is not Q_{n-1} + 0 with K_n in the layer-n columns,
+        # else level n-1's bound plus the one-layer residual
+        worst, bound = 0.0, 0.0
         for n in range(depth + 1):
-            gn = stack.green(n).normalized
-            scale = max(float(np.abs(gn).max()), 1.0)
-            worst = max(worst, verify_hadamard_identity(stack.growth(n), gn) / scale)
+            gn, qn = stack.green(n).normalized, stack.growth(n)
+            if n and _grows_by_kernel(qn, stack.growth(n - 1), stack.kernel(n)):
+                bound += layer_identity_residual(gn, stack.green(n - 1).normalized,
+                                                 stack.kernel(n))
+            else:
+                bound = verify_hadamard_identity(qn, gn)
+            worst = max(worst, bound / max(float(np.abs(gn).max()), 1.0))
         return worst
 
     def isometry():
-        worst = 0.0
-        for n in range(depth + 1):
-            worst = max(worst, verify_isometry(graph, stack.cluster(n), stack.growth(n)))
+        # a level whose Q_n leads Q_top has the top Gram's leading block as
+        # its Gram, so its residual is at most the top's; others are read alone
+        q_top = stack.growth(depth)
+        worst = verify_isometry(graph, stack.cluster(depth), q_top)
+        for n in range(depth):
+            qn = stack.growth(n)
+            if not _leads(qn, q_top):
+                worst = max(worst, verify_isometry(graph, stack.cluster(n), qn))
         return worst
 
     def increment_identity():
@@ -185,11 +255,12 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         top = stack.cluster(depth)
         block = wnf_block(top.vertices, stream, increment_samples)
         worst = 0.0
+        lo = dgff_block(stack, 0, block)
         for n in range(1, depth + 1):
             hi = dgff_block(stack, n, block)
-            lo = dgff_block(stack, n - 1, block)
             diff = hi.copy()
             diff[:, : lo.shape[1]] -= lo
+            lo = hi
             layer = top.layer_slice(n)
             other = block[:, layer] @ stack.layer_sqrt(n).T @ stack.poisson(n).T
             scale = max(float(np.abs(diff).max()), 1.0)
@@ -202,15 +273,15 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         top = stack.cluster(depth)
         block = wnf_block(top.vertices, stream, increment_samples)
         worst = 0.0
+        lo = dgff_block(stack, 0, block)
         for n in range(1, depth + 1):
             hi = dgff_block(stack, n, block)
-            lo = dgff_block(stack, n - 1, block)
             diff = hi.copy()
             diff[:, : lo.shape[1]] -= lo
-            a = stack.laplacian(n)
-            interior = stack.cluster(n - 1).size
-            resid = (a @ diff.T)[:interior, :]
-            scale = max(float(np.abs(diff).max()), 1.0) * max(float(np.abs(a).max()), 1.0)
+            lo = hi
+            st = stack.stencil(n)
+            resid = st.apply(diff.T, rows=stack.cluster(n - 1).size)
+            scale = max(float(np.abs(diff).max()), 1.0) * max(float(np.abs(st.val).max()), 1.0)
             worst = max(worst, float(np.abs(resid).max()) / scale)
         return worst
 
@@ -267,9 +338,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         if collect_reports:
             reports["brownian"] = rep.to_json()
         if rep.pythagoras_residual > tol_strict * max(rep.variance_targets.max(), 1.0):
-            return np.inf, rep.entries
+            raise _Refuted(f"layer-energy Pythagoras residual {rep.pythagoras_residual:.3g} "
+                           "exceeds the strict tolerance", rep.entries)
         if not rep.targets_monotone:
-            return np.inf, rep.entries
+            raise _Refuted("variance targets are not monotone in n", rep.entries)
         return rep.max_abs_z, rep.entries
 
     def sweep():
@@ -283,10 +355,11 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         if collect_reports:
             reports["sweep"] = rep.to_json()
         if rep.identity_residual > tol_exact * rep.identity_scale:
-            return np.inf, rep.entries
+            raise _Refuted(f"boundary-average identity residual {rep.identity_residual:.3g} "
+                           "exceeds the exact tolerance", rep.entries)
         return rep.max_abs_z, rep.entries
 
-    ladder = _Ladder()
+    ladder = _Ladder(stack)
     ladder.run("green_inverse", "exact", tol_exact, green_inverse)
     ladder.run("green_symmetry", "exact", tol_exact, green_symmetry)
     ladder.run("green_positive", "exact", tol_exact, green_positive)

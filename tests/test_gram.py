@@ -175,7 +175,8 @@ class TestSweepIdentity:
         stack._cache[("poisson", 1)] = bad
         rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
         row = next(r for r in rep["checks"] if r["name"] == "sweep_moments")
-        assert not row["passed"] and math.isinf(row["statistic"])
+        assert not row["passed"] and row["statistic"] is None
+        assert "boundary-average identity" in row["reason"]
 
 
 def test_grid5_entry_counts():

@@ -159,26 +159,25 @@ class TestIsometry:
                 assert verify_isometry(g, stack.cluster(n), stack.growth(n)) <= 1e-10
 
     def test_gram_matches_edge_by_edge_reference(self):
-        # reference: one incidence row per edge touching the cluster, in
-        # edge_list order; the vectorized build must give the same bits
+        # reference: one row sqrt(c) (Q[x] - Q[y]) per edge touching the
+        # cluster, in edge_list order, with Q zero outside the cluster; the
+        # vectorized build must give the same bits
         rng = np.random.default_rng(3)
         for name in ("p4", "tree3", "grid5"):
             g, fol = standard_fixture(name)
             for n in range(fol.depth + 1):
                 clu = cluster(fol, n)
+                q = rng.normal(size=(clu.size, clu.size))
+                zero = np.zeros(clu.size)
                 rows = []
                 for (i, j), c in zip(g.edge_list, g.conductances):
                     li, lj = clu.local.get(i), clu.local.get(j)
                     if li is None and lj is None:
                         continue
-                    row = np.zeros(clu.size)
-                    if li is not None:
-                        row[li] = np.sqrt(c)
-                    if lj is not None:
-                        row[lj] -= np.sqrt(c)
-                    rows.append(row)
-                q = rng.normal(size=(clu.size, clu.size))
-                dq = np.array(rows) @ q
+                    qi = zero if li is None else q[li]
+                    qj = zero if lj is None else q[lj]
+                    rows.append(np.sqrt(c) * (qi - qj))
+                dq = np.array(rows)
                 np.testing.assert_array_equal(dirichlet_gram(g, clu, q), dq.T @ dq)
 
 

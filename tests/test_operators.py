@@ -54,6 +54,47 @@ class TestLaplacian:
             green(g, clu)
 
 
+def _stencil_cases():
+    cases = [(name, *standard_fixture(name)) for name in FIXTURES + ("grid13",)]
+    g, fol = standard_fixture("p4")
+    cases.append(("p4_tampered", tamper_directed(g, "v2", "v1", 2.0), fol))
+    return cases
+
+
+@pytest.fixture(scope="module", params=_stencil_cases(), ids=lambda case: case[0])
+def stencil_case(request):
+    _, g, fol = request.param
+    return g, fol, OperatorStack(g, fol)
+
+
+class TestStencil:
+    def test_stack_laplacian_is_a_read_only_leading_block(self, stencil_case):
+        g, fol, stack = stencil_case
+        for n in range(fol.depth + 1):
+            a = stack.laplacian(n)
+            np.testing.assert_array_equal(a, laplacian(g, cluster(fol, n)))
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_products_match_the_dense_laplacian(self, stencil_case):
+        g, fol, stack = stencil_case
+        rng = np.random.default_rng(5)
+        for n in range(fol.depth + 1):
+            a = laplacian(g, cluster(fol, n))
+            st = stack.stencil(n)
+            assert st.size == a.shape[0]
+            x = rng.normal(size=(a.shape[0], a.shape[0] + 3))
+            scale = float((np.abs(a) @ np.abs(x)).max())
+            assert np.abs(st.apply(x) - a @ x).max() <= 1e-15 * scale
+            rows = (a.shape[0] + 1) // 2
+            assert np.abs(st.apply(x, rows=rows) - (a @ x)[:rows]).max() <= 1e-15 * scale
+            y = x.T
+            scale = float((np.abs(y) @ np.abs(a)).max())
+            assert np.abs(st.apply(y.T, transpose=True).T - y @ a).max() <= 1e-15 * scale
+            assert st.symmetric == np.array_equal(a, a.T)
+
+
 class TestGreen:
     def test_singleton_unnormalized_is_one(self, p4_parts):
         g, _, c0, _ = p4_parts

@@ -1,0 +1,215 @@
+"""The ladder's exact rungs read per-level facts instead of Σ k_n³ checks;
+these tests pin the readings to the full checks they replace, keep the
+negative controls live, and guard the cost and the report's contract."""
+
+import dataclasses
+import json
+import math
+
+import numpy as np
+import pytest
+
+from dgff import OperatorStack, verify_hadamard_identity, verify_isometry
+from dgff import hadamard, operators, verify
+from dgff.cli import main
+from dgff.fixtures import standard_fixture, write_fixture_files
+from dgff.hadamard import dirichlet_gram
+from dgff.operators import GreenKernel
+from dgff.verify import run_ladder
+
+from conftest import FIXTURES
+
+
+def _row(rep, name):
+    return next(r for r in rep["checks"] if r["name"] == name)
+
+
+def _old_hadamard_statistic(stack):
+    """The full residual max_n |Q_n Q_n^T - G_n| / max(|G_n|, 1)."""
+    worst = 0.0
+    for n in range(stack.depth + 1):
+        gn = stack.green(n).normalized
+        worst = max(worst, verify_hadamard_identity(stack.growth(n), gn)
+                    / max(float(np.abs(gn).max()), 1.0))
+    return worst
+
+
+class TestHadamardIdentity:
+    @pytest.mark.parametrize("name", FIXTURES + ("grid13",))
+    def test_bounds_the_full_residual(self, name):
+        g, fol = standard_fixture(name)
+        stack = OperatorStack(g, fol)
+        row = _row(run_ladder(g, fol, trials=0, stack=stack), "hadamard_identity")
+        assert row["passed"]
+        assert row["statistic"] >= _old_hadamard_statistic(stack) - 1e-15
+
+    def test_reads_the_full_residual_at_level_zero_only(self, monkeypatch):
+        calls = []
+        full = verify.verify_hadamard_identity
+        monkeypatch.setattr(verify, "verify_hadamard_identity",
+                            lambda q, gn: calls.append(q.shape[0]) or full(q, gn))
+        g, fol = standard_fixture("grid13")
+        assert _row(run_ladder(g, fol, trials=0), "hadamard_identity")["passed"]
+        assert calls == [1]
+
+    def test_corrupted_top_kernel_fails(self):
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        top = stack.depth
+        bad = stack.kernel(top).copy()
+        bad[:, 0] *= 0.5
+        stack._cache[("kernel", top)] = bad
+        rep = run_ladder(g, fol, trials=0, stack=stack)
+        assert not _row(rep, "hadamard_identity")["passed"]
+        assert _row(rep, "green_inverse")["passed"]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_corrupted_lower_growth_entry_fails(self, n):
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        for m in range(stack.depth + 1):
+            stack.growth(m)
+        bad = stack.growth(n).copy()
+        bad[0, -1] += 0.25
+        stack._cache[("growth", n)] = bad
+        rep = run_ladder(g, fol, trials=0, stack=stack)
+        assert n < stack.depth
+        assert not (_row(rep, "hadamard_identity")["passed"]
+                    and _row(rep, "isometry")["passed"])
+
+
+class TestIsometry:
+    def test_top_gram_blocks_equal_the_per_level_grams(self):
+        g, fol = standard_fixture("grid13")
+        stack = OperatorStack(g, fol)
+        top = dirichlet_gram(g, stack.cluster(stack.depth), stack.growth(stack.depth))
+        for n in range(stack.depth + 1):
+            k = stack.cluster(n).size
+            own = dirichlet_gram(g, stack.cluster(n), stack.growth(n))
+            assert np.abs(top[:k, :k] - own).max() <= 1e-14
+            reading = float(np.abs(top[:k, :k] - np.eye(k)).max())
+            assert reading == pytest.approx(
+                verify_isometry(g, stack.cluster(n), stack.growth(n)), abs=1e-14)
+
+    def test_lower_level_is_read_alone_when_not_a_leading_block(self, monkeypatch):
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        for m in range(stack.depth + 1):
+            stack.growth(m)
+        bad = stack.growth(1).copy()
+        bad[-1, 0] += 0.25
+        stack._cache[("growth", 1)] = bad
+        sizes = []
+        full = verify.verify_isometry
+        monkeypatch.setattr(verify, "verify_isometry",
+                            lambda g_, clu, q: sizes.append(clu.size) or full(g_, clu, q))
+        assert not _row(run_ladder(g, fol, trials=0, stack=stack), "isometry")["passed"]
+        assert sizes == [stack.cluster(2).size, stack.cluster(1).size]
+
+
+class _SquareMatmuls(np.ndarray):
+    """An array that records every matmul of two k x k operands, k > 50."""
+
+    seen: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _SquareMatmuls) else x for x in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, _SquareMatmuls) else o
+                                  for o in kwargs["out"])
+        shapes = [np.shape(x) for x in plain]
+        if (ufunc is np.matmul and len(shapes) == 2 and shapes[0] == shapes[1]
+                and len(shapes[0]) == 2 and shapes[0][0] == shapes[0][1] > 50):
+            _SquareMatmuls.seen.append(shapes[0])
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(_SquareMatmuls) if isinstance(out, np.ndarray) else out
+
+
+def test_exact_ladder_cost_guard(monkeypatch):
+    """On grid13 the exact ladder builds one Laplacian, forms one Dirichlet
+    Gram and multiplies no two k_n x k_n matrices for k_n > 50."""
+    counts = {"laplacian": 0, "dirichlet_gram": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    lap = counted("laplacian", operators.laplacian)
+    monkeypatch.setattr(operators, "laplacian", lap)
+    monkeypatch.setattr(hadamard, "laplacian", lap)
+    monkeypatch.setattr(hadamard, "dirichlet_gram",
+                        counted("dirichlet_gram", hadamard.dirichlet_gram))
+
+    memo = OperatorStack._memo
+
+    def spied(stack, kind, n, build):
+        def wrapped():
+            out = build()
+            if isinstance(out, np.ndarray):
+                return out.view(_SquareMatmuls)
+            if isinstance(out, GreenKernel):
+                return dataclasses.replace(out, normalized=out.normalized.view(_SquareMatmuls))
+            return out
+        return memo(stack, kind, n, wrapped)
+
+    monkeypatch.setattr(OperatorStack, "_memo", spied)
+    monkeypatch.setattr(_SquareMatmuls, "seen", [])
+    g, fol = standard_fixture("grid13")
+    rep = run_ladder(g, fol, trials=0)
+    assert rep["pass"] and len(rep["checks"]) == 11
+    assert counts == {"laplacian": 1, "dirichlet_gram": 1}
+    assert _SquareMatmuls.seen == []
+
+
+def test_guard_sees_a_square_product(monkeypatch):
+    monkeypatch.setattr(_SquareMatmuls, "seen", [])
+    a = np.eye(60).view(_SquareMatmuls)
+    a @ np.eye(60)
+    a @ np.ones((60, 3))
+    assert _SquareMatmuls.seen == [(60, 60)]
+
+
+class TestReport:
+    @pytest.mark.parametrize("exc", [np.linalg.LinAlgError, FloatingPointError])
+    def test_numeric_error_stays_in_its_rung(self, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(verify, "verify_isometry", fail)
+        rep = run_ladder(*standard_fixture("p4"), seed=1, trials=2000)
+        assert len(rep["checks"]) == 17
+        row = _row(rep, "isometry")
+        assert row["error"] == "NumericError" and row["statistic"] is None
+        assert not row["passed"] and not rep["pass"]
+        assert all(r["passed"] for r in rep["checks"] if r["name"] != "isometry")
+
+    def test_every_row_carries_its_seconds(self):
+        rep = run_ladder(*standard_fixture("grid5"), seed=1, trials=2000)
+        assert len(rep["checks"]) == 17 and rep["schema"] == 1
+        for row in rep["checks"]:
+            assert math.isfinite(row["seconds"]) and row["seconds"] >= 0
+            assert 0 <= row["build_seconds"] <= row["seconds"]
+        # the first rung builds every level's Green kernel
+        assert rep["checks"][0]["build_seconds"] > 0
+
+    def test_failed_exact_part_is_null_with_a_reason_in_strict_json(
+            self, monkeypatch, tmp_path, capsys):
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        real_brownian, real_sweep = verify.brownian_check, verify.sweep_average_check
+        monkeypatch.setattr(verify, "brownian_check", lambda *a, **kw: dataclasses.replace(
+            real_brownian(*a, **kw), targets_monotone=False))
+        monkeypatch.setattr(verify, "sweep_average_check", lambda *a, **kw: dataclasses.replace(
+            real_sweep(*a, **kw), identity_residual=math.inf))
+        write_fixture_files(tmp_path)
+        code = main(["verify", "--graph", str(tmp_path / "grid5.json"), "--roots", "r2c2",
+                     "--trials", "2000", "--seed", "1"])
+        doc = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert code == 3 and doc["pass"] is False
+        for name in ("brownian_moments", "sweep_moments"):
+            row = _row(doc, name)
+            assert row["statistic"] is None and not row["passed"] and row["reason"]
+            assert row["entries"] > 0
