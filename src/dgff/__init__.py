@@ -2,9 +2,11 @@
 
 The package builds the per-cluster operator family of a foliated graph
 (Laplacian, Green and Poisson kernels, boundary square roots, the growth
-operator), verifies their exact identities, and samples white noise / DGFF
-fields with a seeded counter-based generator plus a Cholesky oracle for
-cross-checking distributions.
+operator) and verifies their exact identities. It samples one way, as the
+paper does: blocks of white noise on the top cluster, drawn by a seeded
+counter-based generator and pushed through the growth operators. The
+distributional checks read streamed Gram matrices of that noise, against
+a Cholesky oracle of the same law.
 """
 
 from .errors import (
@@ -44,11 +46,10 @@ from .hadamard import (
     kernel_K,
     layer_identity_residual,
     layer_sqrt,
-    solve_growth,
     verify_hadamard_identity,
     verify_isometry,
 )
-from .linalg import EigenDecomposition, cholesky, jacobi_eigen, psd_sqrt, solve_spd
+from .linalg import EigenDecomposition, cholesky, jacobi_eigen, psd_sqrt
 from .operators import (
     GreenKernel,
     Stencil,
@@ -62,18 +63,11 @@ from .operators import (
 from .sampling import (
     BrownianReport,
     CovarianceReport,
-    FieldSample,
     GaussianStream,
     NoiseGram,
     SweepReport,
     brownian_check,
-    covariance_report,
-    grow_dgff,
-    increment,
-    increment_via_layer_noise,
     noise_gram,
-    oracle_dgff,
-    sample_wnf,
     sweep_average_check,
 )
 from .verify import run_ladder

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DGFFError, GraphError
 from .foliation import GrowthCluster, bfs_foliate, cluster as make_cluster, load_foliation
 from .graph import load_graph
-from .hadamard import OperatorStack, dirichlet_gram
+from .hadamard import OperatorStack, dirichlet_gram, verify_hadamard_identity, verify_isometry
 from .linalg import write_matrix_csv
 from .operators import green, poisson
 from .sampling import GaussianStream, dgff_block, wnf_block
@@ -121,18 +121,18 @@ def cmd_hadamard(args) -> int:
     clu = stack.cluster(n)
     ids = g.ids(clu.vertices)
     q = stack.growth(n)
+    square, gram = q @ q.T, dirichlet_gram(g, clu, q)
     if args.out:
         _emit(args, f"growth_{n}.csv", _matrix_text(args, ids, ids, q))
-        _emit(args, f"growth_{n}_square.csv", _matrix_text(args, ids, ids, q @ q.T))
-        _emit(args, f"growth_{n}_gram.csv",
-              _matrix_text(args, ids, ids, dirichlet_gram(g, clu, q)))
+        _emit(args, f"growth_{n}_square.csv", _matrix_text(args, ids, ids, square))
+        _emit(args, f"growth_{n}_gram.csv", _matrix_text(args, ids, ids, gram))
     gn = stack.green(n).normalized
     scale = max(float(np.abs(gn).max()), 1.0)
     summary = {
         "schema": 1,
         "cluster": n,
-        "identity_residual": float(np.abs(q @ q.T - gn).max()) / scale,
-        "isometry_residual": float(np.abs(dirichlet_gram(g, clu, q) - np.eye(clu.size)).max()),
+        "identity_residual": verify_hadamard_identity(square, gn) / scale,
+        "isometry_residual": verify_isometry(gram),
         "variation_residual": max(
             (stack.variation_residual(m) / max(float(np.abs(stack.green(m).unnormalized).max()), 1.0)
              for m in range(1, n + 1)), default=0.0),

@@ -82,9 +82,10 @@ def hadamard_Q(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
     return q
 
 
-def verify_hadamard_identity(q: np.ndarray, green_norm: np.ndarray) -> float:
-    """Max-abs residual of Q Q^T against the normalized Green matrix."""
-    return float(np.abs(q @ q.T - green_norm).max())
+def verify_hadamard_identity(square: np.ndarray, green_norm: np.ndarray) -> float:
+    """Max-abs residual of `square`, the product Q Q^T, against the
+    normalized Green matrix."""
+    return float(np.abs(square - green_norm).max())
 
 
 def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
@@ -122,27 +123,9 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     return dq.T @ dq
 
 
-def verify_isometry(g: Graph, clu: GrowthCluster, q: np.ndarray) -> float:
-    """Max-abs residual of the Dirichlet Gram matrix against the identity."""
-    return float(np.abs(dirichlet_gram(g, clu, q) - np.eye(clu.size)).max())
-
-
-def solve_growth(stack: "OperatorStack", n: int, b: np.ndarray) -> np.ndarray:
-    """Solve Q_n f = b by block back-substitution over layers.
-
-    Walks the layers top down: the diagonal block of layer m is R_m, so the
-    layer-m slice of f solves R_m f_m = (b - known columns)_m. A finite
-    residual certifies that Q_n is injective.
-    """
-    clu = stack.cluster(n)
-    q = stack.growth(n)
-    f = np.zeros(clu.size)
-    resid = np.asarray(b, dtype=float).copy()
-    for m in range(n, -1, -1):
-        sl = clu.layer_slice(m)
-        f[sl] = linalg.solve_spd(stack.layer_sqrt(m), resid[sl])
-        resid -= q[:, sl] @ f[sl]
-    return f
+def verify_isometry(gram: np.ndarray) -> float:
+    """Max-abs residual of a `dirichlet_gram` matrix against the identity."""
+    return float(np.abs(gram - np.eye(gram.shape[0])).max())
 
 
 class OperatorStack:
@@ -242,10 +225,7 @@ class OperatorStack:
             lambda: hadamard_Q(self.cluster(n), [self.kernel(m) for m in range(n + 1)]))
 
     def variation_residual(self, n: int) -> float:
-        return verify_green_variation(
-            self.graph, self.foliation, n,
-            green_n=self.green(n), green_prev=self.green(n - 1),
-            poisson_n=self.poisson(n))
+        return verify_green_variation(self.green(n), self.green(n - 1), self.poisson(n))
 
     def growth_adjoint_apply(self, n: int, f: np.ndarray) -> np.ndarray:
         """Q_n^* f on the cluster, for ambient f (restriction built in)."""

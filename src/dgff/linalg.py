@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: eigendecomposition, PSD square root,
-Cholesky factorization and SPD solves, all on LAPACK through ``numpy.linalg``.
+Cholesky factorization and SPD inverse, all on LAPACK through ``numpy.linalg``.
 
 Matrices are plain float ndarrays. Symmetry is a contract, not a wrapper
 class: ``as_symmetric`` mirrors the upper triangle exactly and rejects
@@ -88,16 +88,6 @@ def cholesky(a: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
-
-
-def cholesky_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower Cholesky factor L; b is 1-D or 2-D."""
-    return np.linalg.solve(low.T, np.linalg.solve(low, b))
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive definite a via Cholesky."""
-    return cholesky_solve(cholesky(a), b)
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

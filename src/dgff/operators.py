@@ -40,7 +40,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NotPositiveDefiniteError
-from .foliation import Foliation, GrowthCluster, cluster as make_cluster
+from .foliation import GrowthCluster
 from .graph import Graph
 
 
@@ -129,9 +129,11 @@ def _is_exactly_symmetric(a: np.ndarray) -> bool:
 
 
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """SPD solve via Cholesky; general LU fallback for asymmetric input."""
+    """SPD solve by the Cholesky factor L, as L^T x = L^-1 b (the factor
+    certifies positive definiteness); general LU for asymmetric input."""
     if _is_exactly_symmetric(a):
-        return linalg.solve_spd(a, b)
+        low = linalg.cholesky(a)
+        return np.linalg.solve(low.T, np.linalg.solve(low, b))
     return np.linalg.solve(a, b)
 
 
@@ -246,43 +248,20 @@ def boundary_green(kern: GreenKernel, layer) -> np.ndarray:
     return bg
 
 
-def embed_matrix(clu: GrowthCluster, m: np.ndarray, ambient: int) -> np.ndarray:
-    """Zero-extend a cluster matrix to ambient (full vertex set) indexing."""
-    out = np.zeros((ambient, ambient))
-    idx = np.array(clu.vertices)
-    out[np.ix_(idx, idx)] = m
-    return out
-
-
-def embed_vector(clu: GrowthCluster, v: np.ndarray, ambient: int) -> np.ndarray:
-    out = np.zeros(ambient)
-    out[np.array(clu.vertices)] = v
-    return out
-
-
-def verify_green_variation(g: Graph, fol: Foliation, n: int,
-                           green_n: GreenKernel | None = None,
-                           green_prev: GreenKernel | None = None,
-                           poisson_n: np.ndarray | None = None) -> float:
+def verify_green_variation(green_n: GreenKernel, green_prev: GreenKernel,
+                           poisson_n: np.ndarray) -> float:
     """Max-abs residual of the one-layer Green update on cluster n:
 
         G_n(x, y) - G_{n-1}(x, y) = sum over top-layer xi of
                                     P_n(x, xi) G_n(xi, y)
 
-    with G_{n-1} zero-extended. Pass precomputed operators to reuse them.
+    with G_{n-1} zero-extended; `poisson_n` is the Poisson kernel of
+    cluster n and its top layer.
     """
-    if n < 1:
-        raise ValueError("variation needs n >= 1")
-    clu = green_n.cluster if green_n is not None else make_cluster(fol, n)
-    if green_n is None:
-        green_n = green(g, clu)
-    if green_prev is None:
-        green_prev = green(g, make_cluster(fol, n - 1))
-    if poisson_n is None:
-        poisson_n = poisson(g, clu, clu.top_layer)
+    clu = green_n.cluster
     k_prev = green_prev.cluster.size
     g_n = green_n.unnormalized
     g_prev = np.zeros_like(g_n)
     g_prev[:k_prev, :k_prev] = green_prev.unnormalized  # prefix vertex order
-    rhs = poisson_n @ g_n[clu.layer_slice(n), :]
+    rhs = poisson_n @ g_n[clu.layer_slice(clu.n), :]
     return float(np.abs(g_n - g_prev - rhs).max())

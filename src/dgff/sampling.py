@@ -26,10 +26,9 @@ adding their sums, so the trials can be split across workers by draw
 range. The oracle draws one top-cluster noise block of its own, in a draw
 range disjoint from the DGFF's; cluster orders are prefixes of the top
 cluster's, so level n's oracle uses the leading k_n x k_n corner of that
-block's Gram matrix. The block functions (`dgff_block`, `pairing_block`,
-`covariance_report`, `cross_covariance_zmax`) compute the same statistics
-from explicit samples and are the tests' reference; `dgff sample` and the
-exact per-sample rungs draw blocks with `wnf_block` and `dgff_block`.
+block's Gram matrix. Explicit samples exist only as blocks of trials, one
+trial per row: `wnf_block` draws the noise and `dgff_block` grows it, for
+`dgff sample` and the exact per-sample rungs.
 
 The empirical covariance of a zero-mean Gaussian sample has per-entry
 standard error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z|
@@ -46,7 +45,6 @@ import numpy as np
 
 from . import kernels, linalg
 from .errors import SupportViolationError
-from .graph import Graph
 from .hadamard import OperatorStack
 from .operators import GreenKernel
 
@@ -75,87 +73,9 @@ class GaussianStream:
         return out
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One realization of a field, with full-graph indexing and provenance."""
-
-    kind: str            # "wnf" | "dgff" | "increment"
-    level: int | None    # cluster index, None for a plain-domain WNF
-    values: np.ndarray   # ambient vertex order, zero off the support
-    seed: int
-    draw: int
-
-
-def sample_wnf(g: Graph, domain, stream: GaussianStream,
-               basis: np.ndarray | None = None) -> FieldSample:
-    """WNF on `domain` (global vertex indices): i.i.d. N(0,1) per vertex.
-
-    An orthogonal `basis` resamples the same law as a random combination of
-    its columns; the distribution does not depend on this choice.
-    """
-    dom = np.asarray(list(domain), dtype=int)
-    draw_index = stream.counter
-    z = stream.draw(dom)
-    if basis is not None:
-        z = basis @ z
-    values = np.zeros(g.n_vertices)
-    values[dom] = z
-    return FieldSample(kind="wnf", level=None, values=values,
-                       seed=stream.seed, draw=draw_index)
-
-
-def wnf_block(domain, stream: GaussianStream, trials: int,
-              basis: np.ndarray | None = None) -> np.ndarray:
+def wnf_block(domain, stream: GaussianStream, trials: int) -> np.ndarray:
     """(trials, |domain|) WNF samples in the order of `domain`."""
-    z = stream.block(np.asarray(list(domain), dtype=int), trials)
-    return z @ basis.T if basis is not None else z
-
-
-def grow_dgff(stack: OperatorStack, phi: FieldSample, n: int) -> FieldSample:
-    """DGFF on cluster n from a WNF: apply the growth operator to the
-    restriction of phi to the cluster."""
-    clu = stack.cluster(n)
-    local = stack.growth(n) @ phi.values[np.array(clu.vertices)]
-    values = np.zeros_like(phi.values)
-    values[np.array(clu.vertices)] = local
-    return FieldSample(kind="dgff", level=n, values=values,
-                       seed=phi.seed, draw=phi.draw)
-
-
-def increment(stack: OperatorStack, phi: FieldSample, n: int) -> FieldSample:
-    """The level-n step of the growth process, Psi_n - Psi_{n-1}."""
-    if n < 1:
-        raise ValueError("increment needs n >= 1")
-    hi = grow_dgff(stack, phi, n)
-    lo = grow_dgff(stack, phi, n - 1)
-    return FieldSample(kind="increment", level=n, values=hi.values - lo.values,
-                       seed=phi.seed, draw=phi.draw)
-
-
-def increment_via_layer_noise(stack: OperatorStack, phi: FieldSample, n: int) -> np.ndarray:
-    """Independent route to the same increment: harmonically extend the
-    square-root-weighted white noise of layer n. Ambient values."""
-    clu = stack.cluster(n)
-    layer = np.array(clu.top_layer)
-    local = stack.poisson(n) @ (stack.layer_sqrt(n) @ phi.values[layer])
-    out = np.zeros_like(phi.values)
-    out[np.array(clu.vertices)] = local
-    return out
-
-
-def oracle_dgff(kern: GreenKernel, stream: GaussianStream,
-                ambient: int | None = None) -> FieldSample:
-    """Direct sampler of the Green-covariance law via the Cholesky factor."""
-    low = linalg.cholesky(kern.normalized)
-    clu = kern.cluster
-    draw_index = stream.counter
-    z = stream.draw(np.array(clu.vertices))
-    if ambient is None:
-        ambient = int(max(clu.vertices)) + 1
-    out = np.zeros(ambient)
-    out[np.array(clu.vertices)] = low @ z
-    return FieldSample(kind="dgff", level=clu.n, values=out,
-                       seed=stream.seed, draw=draw_index)
+    return stream.block(np.asarray(list(domain), dtype=int), trials)
 
 
 def dgff_block(stack: OperatorStack, n: int, phi_block: np.ndarray) -> np.ndarray:
@@ -235,11 +155,6 @@ def increment_operators(stack: OperatorStack) -> list[np.ndarray]:
 # Covariance statistics
 # ---------------------------------------------------------------------------
 
-def known_mean_covariance(x: np.ndarray) -> np.ndarray:
-    """Zero-mean empirical covariance, sum x x^T / N."""
-    return x.T @ x / x.shape[0]
-
-
 def covariance_stderr(target: np.ndarray, trials: int) -> np.ndarray:
     """Per-entry standard error of the zero-mean Gaussian covariance
     estimator: sqrt((s_xx s_yy + s_xy^2) / N)."""
@@ -280,11 +195,6 @@ def moment_report(emp: np.ndarray, target: np.ndarray, trials: int,
                             entries=int(np.count_nonzero(se > 0)))
 
 
-def covariance_report(samples: np.ndarray, target: np.ndarray, seed: int) -> CovarianceReport:
-    """`moment_report` of a block of samples, one trial per row."""
-    return moment_report(known_mean_covariance(samples), target, samples.shape[0], seed)
-
-
 def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
                       trials: int) -> tuple[float, int]:
     """Largest |z| of an empirical cross-covariance whose true value is
@@ -295,12 +205,6 @@ def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
     if not mask.any():
         return 0.0, 0
     return float((np.abs(emp)[mask] / se[mask]).max()), int(np.count_nonzero(mask))
-
-
-def cross_covariance_zmax(a: np.ndarray, b: np.ndarray,
-                          var_a: np.ndarray, var_b: np.ndarray) -> float:
-    """`cross_moment_zmax` of two blocks of samples, one trial per row."""
-    return cross_moment_zmax(a.T @ b / a.shape[0], var_a, var_b, a.shape[0])[0]
 
 
 def two_sample_zmax(emp_a: np.ndarray, trials_a: int,
@@ -366,16 +270,6 @@ class BrownianReport:
             "trials": self.trials,
             "seed": self.seed,
         }
-
-
-def pairing_block(stack: OperatorStack, f: np.ndarray, phi_block: np.ndarray) -> np.ndarray:
-    """(trials, depth+1) matrix of pairings F_n = <f, Psi_n>."""
-    cols = []
-    for n in range(stack.depth + 1):
-        s = dgff_block(stack, n, phi_block)
-        f_loc = np.asarray(f, dtype=float)[np.array(stack.cluster(n).vertices)]
-        cols.append(s @ f_loc)
-    return np.column_stack(cols)
 
 
 def _top_gram(stack: OperatorStack, trials: int, seed: int) -> NoiseGram:
@@ -512,9 +406,3 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray, n1: int, n2: int,
         report.seed = seed
     return report
 
-
-def random_orthogonal(k: int, seed: int) -> np.ndarray:
-    """Deterministic random orthogonal matrix (QR with positive diagonal)."""
-    z = kernels.normal_block(seed, np.arange(k), 0, k)
-    q, r = np.linalg.qr(z)
-    return q * np.sign(np.diag(r))[None, :]

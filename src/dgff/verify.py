@@ -46,6 +46,7 @@ from .foliation import Foliation
 from .graph import Graph
 from .hadamard import (
     OperatorStack,
+    dirichlet_gram,
     layer_identity_residual,
     verify_hadamard_identity,
     verify_isometry,
@@ -133,8 +134,7 @@ class _Ladder:
 
 
 def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_000,
-               tol_exact: float = TOL_EXACT, tol_strict: float = TOL_STRICT,
-               z_max: float = Z_MAX, increment_samples: int = INCREMENT_SAMPLES,
+               tol_exact: float = TOL_EXACT, z_max: float = Z_MAX,
                stack: OperatorStack | None = None, collect_reports: bool = False) -> dict:
     """Run every check on a validated graph + foliation; returns the report.
 
@@ -145,7 +145,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     """
     if trials < 0:
         raise DGFFError("trials must be nonnegative", code="BadFormat")
-    if not all(math.isfinite(t) and t > 0 for t in (tol_exact, tol_strict, z_max)):
+    if not all(math.isfinite(t) and t > 0 for t in (tol_exact, z_max)):
         raise DGFFError("tolerances must be finite and positive", code="BadFormat")
     if stack is None:
         stack = OperatorStack(graph, fol)
@@ -234,7 +234,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
                 bound += layer_identity_residual(gn, stack.green(n - 1).normalized,
                                                  stack.kernel(n))
             else:
-                bound = verify_hadamard_identity(qn, gn)
+                bound = verify_hadamard_identity(qn @ qn.T, gn)
             worst = max(worst, bound / max(float(np.abs(gn).max()), 1.0))
         return worst
 
@@ -242,18 +242,18 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         # a level whose Q_n leads Q_top has the top Gram's leading block as
         # its Gram, so its residual is at most the top's; others are read alone
         q_top = stack.growth(depth)
-        worst = verify_isometry(graph, stack.cluster(depth), q_top)
+        worst = verify_isometry(dirichlet_gram(graph, stack.cluster(depth), q_top))
         for n in range(depth):
             qn = stack.growth(n)
             if not _leads(qn, q_top):
-                worst = max(worst, verify_isometry(graph, stack.cluster(n), qn))
+                worst = max(worst, verify_isometry(dirichlet_gram(graph, stack.cluster(n), qn)))
         return worst
 
     def increment_identity():
         if depth == 0:
             return None
         top = stack.cluster(depth)
-        block = wnf_block(top.vertices, stream, increment_samples)
+        block = wnf_block(top.vertices, stream, INCREMENT_SAMPLES)
         worst = 0.0
         lo = dgff_block(stack, 0, block)
         for n in range(1, depth + 1):
@@ -271,7 +271,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         if depth == 0:
             return None
         top = stack.cluster(depth)
-        block = wnf_block(top.vertices, stream, increment_samples)
+        block = wnf_block(top.vertices, stream, INCREMENT_SAMPLES)
         worst = 0.0
         lo = dgff_block(stack, 0, block)
         for n in range(1, depth + 1):
@@ -337,7 +337,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         rep = brownian_check(stack, f, trials=trials, seed=seed, gram=mc.get("phi"))
         if collect_reports:
             reports["brownian"] = rep.to_json()
-        if rep.pythagoras_residual > tol_strict * max(rep.variance_targets.max(), 1.0):
+        if rep.pythagoras_residual > TOL_STRICT * max(rep.variance_targets.max(), 1.0):
             raise _Refuted(f"layer-energy Pythagoras residual {rep.pythagoras_residual:.3g} "
                            "exceeds the strict tolerance", rep.entries)
         if not rep.targets_monotone:
@@ -366,10 +366,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     ladder.run("poisson_bounds", "exact", tol_exact, poisson_bounds)
     ladder.run("poisson_harmonic", "exact", tol_exact, poisson_harmonic)
     ladder.run("green_variation", "exact", tol_exact, green_variation)
-    ladder.run("green_monotone", "exact", tol_strict, green_monotone)
+    ladder.run("green_monotone", "exact", TOL_STRICT, green_monotone)
     ladder.run("hadamard_identity", "exact", tol_exact, hadamard_identity)
     ladder.run("isometry", "exact", tol_exact, isometry)
-    ladder.run("increment_identity", "exact", tol_strict, increment_identity)
+    ladder.run("increment_identity", "exact", TOL_STRICT, increment_identity)
     ladder.run("increment_harmonic", "exact", tol_exact, increment_harmonic)
     if trials:
         ladder.run("dgff_covariance", "statistical", z_max, dgff_covariance)
@@ -384,7 +384,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         "seed": seed,
         "trials": trials,
         "depth": depth,
-        "tolerances": {"exact": tol_exact, "strict": tol_strict, "z_max": z_max},
+        "tolerances": {"exact": tol_exact, "strict": TOL_STRICT, "z_max": z_max},
         "checks": ladder.checks,
         "pass": all(row["passed"] for row in ladder.checks),
     }

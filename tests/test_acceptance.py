@@ -9,21 +9,20 @@ import pytest
 import dgff
 from dgff import OperatorStack, validate_foliation, verify_hadamard_identity, verify_isometry
 from dgff.fixtures import standard_fixture, weighted
+from dgff.hadamard import dirichlet_gram
 from dgff.sampling import (
     GaussianStream,
     NoiseGram,
-    covariance_report,
-    cross_covariance_zmax,
     dgff_block,
     moment_report,
     oracle_moment,
-    pairing_block,
     sweep_average_check,
     two_sample_zmax,
     wnf_block,
 )
 from dgff.verify import run_ladder
 
+from block_reference import covariance_report, cross_covariance_zmax, pairing_block
 from conftest import tamper_directed
 
 TOL_EXACT = 1e-10
@@ -118,7 +117,8 @@ def test_criterion_4_hadamard_identity(stack_set):
         stack = stack_set[name]
         for n in range(stack.depth + 1):
             gn = stack.green(n).normalized
-            resid = verify_hadamard_identity(stack.growth(n), gn)
+            q = stack.growth(n)
+            resid = verify_hadamard_identity(q @ q.T, gn)
             worst = max(worst, resid / max(np.abs(gn).max(), 1.0))
     # hand-checked values on the four-vertex path against a 2x2 inversion oracle
     stack = stack_set["p4"]
@@ -144,8 +144,8 @@ def test_criterion_5_isometry(stack_set):
     stacks.append(OperatorStack(*standard_fixture("grid13")))  # 121-vertex interior
     for stack in stacks:
         for n in range(stack.depth + 1):
-            worst = max(worst, verify_isometry(stack.graph, stack.cluster(n),
-                                               stack.growth(n)))
+            gram = dirichlet_gram(stack.graph, stack.cluster(n), stack.growth(n))
+            worst = max(worst, verify_isometry(gram))
     elapsed = time.perf_counter() - t0
     _line(5, worst <= TOL_EXACT and elapsed < 10.0,
           f"Dirichlet Gram residual {worst:.2e} <= {TOL_EXACT:g} up to 121 interior "

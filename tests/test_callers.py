@@ -1,0 +1,73 @@
+"""Every public module-level function of the package has a caller in the
+package itself. A function that only tests call belongs in the tests.
+
+References are resolved through imports, so `from .operators import green`
+followed by `green(...)`, or `from . import linalg` followed by
+`linalg.cholesky(...)`, counts as a caller of that function. `__init__.py`
+re-exports names and does not count.
+"""
+
+import ast
+from pathlib import Path
+
+import dgff
+
+SRC = Path(dgff.__file__).resolve().parent
+
+# Functions kept without a caller in the package, with the reason.
+EXCEPTIONS = {
+    # the graph calculus: the tests' independent reference for the
+    # Laplacian, the Dirichlet form and the stationary weights
+    "graph.coboundary", "graph.divergence", "graph.dirichlet_inner", "graph.delta",
+    "graph.recompute_pi",
+    # an example-graph builder, called by the benchmark's weighted workloads
+    "fixtures.weighted",
+}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+
+
+def _public_functions(trees) -> set[str]:
+    return {f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _referenced(mod: str, tree: ast.Module) -> set[str]:
+    """Qualified names of package functions that `tree` refers to, outside
+    their own definitions."""
+    local = {}    # name bound by `from .x import y as name` -> "x.y"
+    modules = {}  # name bound by `from . import x` -> "x"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if node.module:
+                    local[bound] = f"{node.module}.{alias.name}"
+                else:
+                    modules[bound] = alias.name
+    own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    found = set()
+    for stmt in tree.body:
+        inside = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in local:
+                    found.add(local[node.id])
+                elif node.id in own and node.id != inside:
+                    found.add(f"{mod}.{node.id}")
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                found.add(f"{modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    trees = _modules()
+    called = set().union(*(_referenced(mod, tree) for mod, tree in trees.items()))
+    uncalled = _public_functions(trees) - called
+    assert sorted(uncalled - EXCEPTIONS) == []
+    assert sorted(EXCEPTIONS - uncalled) == []  # no stale exception

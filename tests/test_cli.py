@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dgff import cli, hadamard
 from dgff.cli import main
 from dgff.fixtures import write_fixture_files
 
@@ -97,6 +98,25 @@ def test_hadamard_summary(fixture_dir, tmp_path, capsys):
     assert doc["identity_residual"] <= 1e-10
     assert (tmp_path / "growth_1.csv").exists()
     assert (tmp_path / "growth_1_gram.csv").exists()
+
+
+def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch):
+    calls = []
+    gram = hadamard.dirichlet_gram
+
+    def counted(*args):
+        calls.append(args[1].n)
+        return gram(*args)
+
+    monkeypatch.setattr(cli, "dirichlet_gram", counted)
+    monkeypatch.setattr(hadamard, "dirichlet_gram", counted)
+    assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2",
+                   "--out", tmp_path) == 0
+    assert calls == [2]
+    # the summary reads the Gram matrix that was written
+    doc = json.loads(capsys.readouterr().out)
+    _, _, written = read_matrix_csv(tmp_path / "growth_2_gram.csv")
+    assert doc["isometry_residual"] == np.abs(written - np.eye(len(written))).max()
 
 
 def test_sample_files_telescope(fixture_dir, tmp_path, capsys):

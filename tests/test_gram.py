@@ -12,18 +12,17 @@ from dgff.sampling import (
     GaussianStream,
     NoiseGram,
     brownian_check,
-    covariance_report,
-    cross_covariance_zmax,
     dgff_block,
     increment_cross_zmax,
     increment_operators,
     moment_report,
     noise_gram,
-    pairing_block,
     sweep_average_check,
     wnf_block,
 )
 from dgff.verify import run_ladder
+
+from block_reference import covariance_report, cross_covariance_zmax, pairing_block
 
 RTOL = 1e-9
 

@@ -6,27 +6,24 @@ from dgff import (
     OperatorStack,
     SupportViolationError,
     brownian_check,
-    covariance_report,
-    grow_dgff,
-    increment,
-    increment_via_layer_noise,
-    oracle_dgff,
-    sample_wnf,
+    kernels,
     sweep_average_check,
 )
 from dgff.fixtures import standard_fixture
 from dgff.linalg import cholesky
 from dgff.sampling import (
-    FieldSample,
-    cross_covariance_zmax,
     dgff_block,
-    known_mean_covariance,
     moment_report,
     oracle_moment,
-    pairing_block,
-    random_orthogonal,
     two_sample_zmax,
     wnf_block,
+)
+
+from block_reference import (
+    covariance_report,
+    cross_covariance_zmax,
+    known_mean_covariance,
+    pairing_block,
 )
 
 TRIALS = 20_000
@@ -49,10 +46,11 @@ class TestStream:
     def test_same_seed_same_sample(self, p4_stack):
         g, stack = p4_stack
         dom = stack.cluster(1).vertices
-        a = sample_wnf(g, dom, GaussianStream(5))
-        b = sample_wnf(g, dom, GaussianStream(5))
-        np.testing.assert_array_equal(a.values, b.values)
-        assert a.kind == "wnf" and a.seed == 5 and a.draw == 0
+        s = GaussianStream(5)
+        a = wnf_block(dom, s, 1)
+        b = wnf_block(dom, GaussianStream(5), 1)
+        np.testing.assert_array_equal(a, b)
+        assert s.seed == 5 and s.counter == 1
 
     def test_counter_advances(self):
         s = GaussianStream(1)
@@ -76,9 +74,11 @@ class TestStream:
         assert cross_covariance_zmax(a, b, np.ones(5), np.ones(5)) <= ZMAX
 
     def test_basis_choice_does_not_change_law(self):
-        basis = random_orthogonal(5, seed=31)
+        # a deterministic random orthogonal basis: QR with positive diagonal
+        q, r = np.linalg.qr(kernels.normal_block(31, np.arange(5), 0, 5))
+        basis = q * np.sign(np.diag(r))[None, :]
         kron = wnf_block(range(5), GaussianStream(8), TRIALS)
-        rotated = wnf_block(range(5), GaussianStream(9), TRIALS, basis=basis)
+        rotated = wnf_block(range(5), GaussianStream(9), TRIALS) @ basis.T
         rep = covariance_report(rotated, np.eye(5), 9)
         assert rep.max_abs_z <= ZMAX
         emp_a = known_mean_covariance(kron)
@@ -89,17 +89,20 @@ class TestStream:
 class TestGrow:
     def test_zero_noise_gives_zero_field(self, p4_stack):
         g, stack = p4_stack
-        phi = FieldSample(kind="wnf", level=None, values=np.zeros(g.n_vertices),
-                          seed=0, draw=0)
-        psi = grow_dgff(stack, phi, 1)
-        np.testing.assert_array_equal(psi.values, 0.0)
+        psi = dgff_block(stack, 1, np.zeros((1, stack.cluster(1).size)))
+        np.testing.assert_array_equal(psi, 0.0)
 
     def test_field_vanishes_off_cluster(self, grid_stack):
+        # Psi_1 has one column per vertex of cluster 1 and reads no noise
+        # outside it
         g, stack = grid_stack
-        phi = sample_wnf(g, stack.cluster(2).vertices, GaussianStream(3))
-        psi = grow_dgff(stack, phi, 1)
-        outside = sorted(set(range(g.n_vertices)) - set(stack.cluster(1).vertices))
-        np.testing.assert_array_equal(psi.values[outside], 0.0)
+        k1 = stack.cluster(1).size
+        phi = wnf_block(stack.cluster(2).vertices, GaussianStream(3), 1)
+        psi = dgff_block(stack, 1, phi)
+        assert psi.shape == (1, k1)
+        other = phi.copy()
+        other[:, k1:] = 7.0
+        np.testing.assert_array_equal(dgff_block(stack, 1, other), psi)
 
     def test_p4_variance_matches_green(self, p4_stack):
         g, stack = p4_stack
@@ -114,31 +117,38 @@ class TestGrow:
         g, stack = p4_stack
         stream = GaussianStream(4)
         block = wnf_block(stack.cluster(1).vertices, stream, 3)
-        single = sample_wnf(g, stack.cluster(1).vertices, GaussianStream(4))
-        np.testing.assert_array_equal(
-            block[0], single.values[np.array(stack.cluster(1).vertices)])
-        psi = grow_dgff(stack, single, 1)
+        single = GaussianStream(4).draw(stack.cluster(1).vertices)
+        np.testing.assert_array_equal(block[0], single)
         np.testing.assert_allclose(dgff_block(stack, 1, block)[0],
-                                   psi.values[np.array(stack.cluster(1).vertices)],
-                                   atol=1e-14)
+                                   stack.growth(1) @ single, atol=1e-14)
+
+
+def _increment(stack, phi, n):
+    """Psi_n - Psi_{n-1} on cluster n, one row per row of `phi`."""
+    inc = dgff_block(stack, n, phi)
+    inc[:, : stack.cluster(n - 1).size] -= dgff_block(stack, n - 1, phi)
+    return inc
 
 
 class TestIncrement:
     def test_two_routes_agree_per_sample(self, grid_stack):
+        # the increment equals the harmonic extension of the
+        # square-root-weighted layer noise
         g, stack = grid_stack
+        top = stack.cluster(2)
         for seed in range(5):
-            phi = sample_wnf(g, stack.cluster(2).vertices, GaussianStream(seed))
+            phi = wnf_block(top.vertices, GaussianStream(seed), 1)
             for n in (1, 2):
-                inc = increment(stack, phi, n)
-                other = increment_via_layer_noise(stack, phi, n)
-                scale = max(1.0, np.abs(inc.values).max())
-                assert np.abs(inc.values - other).max() <= 1e-12 * scale
+                inc = _increment(stack, phi, n)
+                noise = phi[0, top.layer_slice(n)]
+                other = stack.poisson(n) @ (stack.layer_sqrt(n) @ noise)
+                scale = max(1.0, np.abs(inc).max())
+                assert np.abs(inc[0] - other).max() <= 1e-12 * scale
 
     def test_increment_harmonic_below_layer(self, grid_stack):
         g, stack = grid_stack
-        phi = sample_wnf(g, stack.cluster(2).vertices, GaussianStream(11))
-        inc = increment(stack, phi, 2)
-        local = inc.values[np.array(stack.cluster(2).vertices)]
+        phi = wnf_block(stack.cluster(2).vertices, GaussianStream(11), 1)
+        local = _increment(stack, phi, 2)[0]
         resid = (stack.laplacian(2) @ local)[: stack.cluster(1).size]
         assert np.abs(resid).max() <= 1e-10 * max(1.0, np.abs(local).max()) * 4
 
@@ -198,10 +208,14 @@ class TestOracle:
         assert z <= ZMAX
 
     def test_oracle_single_sample_support(self, p4_stack):
+        # the oracle on cluster 0 lives on its one vertex: it reads only the
+        # leading noise coordinate of a top-cluster Gram
         g, stack = p4_stack
-        s = oracle_dgff(stack.green(0), GaussianStream(1), ambient=g.n_vertices)
-        assert s.values.shape == (g.n_vertices,)
-        assert np.count_nonzero(s.values) <= 1
+        gram = GaussianStream(1).gram(stack.cluster(1).vertices, 10)
+        low = cholesky(stack.green(0).normalized)
+        moment = oracle_moment(stack.green(0), gram)
+        assert moment.shape == (1, 1) == low.shape
+        np.testing.assert_allclose(moment, low @ gram.total[:1, :1] @ low.T / 10, rtol=1e-15)
 
 
 class TestBrownian:

@@ -29,7 +29,8 @@ def _old_hadamard_statistic(stack):
     worst = 0.0
     for n in range(stack.depth + 1):
         gn = stack.green(n).normalized
-        worst = max(worst, verify_hadamard_identity(stack.growth(n), gn)
+        q = stack.growth(n)
+        worst = max(worst, verify_hadamard_identity(q @ q.T, gn)
                     / max(float(np.abs(gn).max()), 1.0))
     return worst
 
@@ -47,7 +48,7 @@ class TestHadamardIdentity:
         calls = []
         full = verify.verify_hadamard_identity
         monkeypatch.setattr(verify, "verify_hadamard_identity",
-                            lambda q, gn: calls.append(q.shape[0]) or full(q, gn))
+                            lambda sq, gn: calls.append(sq.shape[0]) or full(sq, gn))
         g, fol = standard_fixture("grid13")
         assert _row(run_ladder(g, fol, trials=0), "hadamard_identity")["passed"]
         assert calls == [1]
@@ -88,8 +89,7 @@ class TestIsometry:
             own = dirichlet_gram(g, stack.cluster(n), stack.growth(n))
             assert np.abs(top[:k, :k] - own).max() <= 1e-14
             reading = float(np.abs(top[:k, :k] - np.eye(k)).max())
-            assert reading == pytest.approx(
-                verify_isometry(g, stack.cluster(n), stack.growth(n)), abs=1e-14)
+            assert reading == pytest.approx(verify_isometry(own), abs=1e-14)
 
     def test_lower_level_is_read_alone_when_not_a_leading_block(self, monkeypatch):
         g, fol = standard_fixture("grid5")
@@ -102,7 +102,7 @@ class TestIsometry:
         sizes = []
         full = verify.verify_isometry
         monkeypatch.setattr(verify, "verify_isometry",
-                            lambda g_, clu, q: sizes.append(clu.size) or full(g_, clu, q))
+                            lambda gram: sizes.append(gram.shape[0]) or full(gram))
         assert not _row(run_ladder(g, fol, trials=0, stack=stack), "isometry")["passed"]
         assert sizes == [stack.cluster(2).size, stack.cluster(1).size]
 
@@ -139,8 +139,9 @@ def test_exact_ladder_cost_guard(monkeypatch):
     lap = counted("laplacian", operators.laplacian)
     monkeypatch.setattr(operators, "laplacian", lap)
     monkeypatch.setattr(hadamard, "laplacian", lap)
-    monkeypatch.setattr(hadamard, "dirichlet_gram",
-                        counted("dirichlet_gram", hadamard.dirichlet_gram))
+    gram = counted("dirichlet_gram", hadamard.dirichlet_gram)
+    monkeypatch.setattr(hadamard, "dirichlet_gram", gram)
+    monkeypatch.setattr(verify, "dirichlet_gram", gram)
 
     memo = OperatorStack._memo
 
