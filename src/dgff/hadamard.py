@@ -19,8 +19,12 @@ G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment
 same Dirichlet energy at every level n >= m, so the Dirichlet Gram of Q_n
 is the leading block of the top level's.
 
-`OperatorStack` memoizes every per-level operator for a foliated graph and
+`OperatorStack` memoizes the per-level operators for a foliated graph and
 is the single entry point the sampling and verification layers build on.
+It stores Q only as its kernel list K_0..K_n, sum_m k_m |L_m| numbers:
+`growth(n)` assembles a dense Q_n afresh on each call, for the callers whose
+output or input is that matrix, and `growth_adjoint_apply` reads the
+kernels directly.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Green kernel, Poisson kernel and boundary Green B_n come
 from G_{n-1} and the new layer's block of the Laplacian, factorizing only a
@@ -93,9 +97,9 @@ def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
     """Max-abs residual of the discrete Hadamard variational formula at one
     layer, G_n - (G_{n-1} + 0) = K_n K_n^T, for normalized Green matrices.
 
-    It costs k_n^2 |L_n|. When Q_n is Q_{n-1} + 0 with K_n in the layer-n
-    columns, Q_n Q_n^T = (Q_{n-1} Q_{n-1}^T + 0) + K_n K_n^T, so
-    |Q_n Q_n^T - G_n| is at most |Q_{n-1} Q_{n-1}^T - G_{n-1}| plus this.
+    It costs k_n^2 |L_n|. Q_n is Q_{n-1} + 0 with K_n in the layer-n
+    columns (`hadamard_Q`), so Q_n Q_n^T = (Q_{n-1} Q_{n-1}^T + 0) + K_n K_n^T
+    and |Q_n Q_n^T - G_n| is at most |Q_{n-1} Q_{n-1}^T - G_{n-1}| plus this.
     """
     d = kernel_n @ kernel_n.T  # the residual's negative, built in place
     d -= green_n
@@ -219,22 +223,23 @@ class OperatorStack:
         return self._memo("kernel", n, lambda: kernel_K(self.poisson(n), self.layer_sqrt(n)))
 
     def growth(self, n: int) -> np.ndarray:
-        """The growth operator Q_n."""
-        return self._memo(
-            "growth", n,
-            lambda: hadamard_Q(self.cluster(n), [self.kernel(m) for m in range(n + 1)]))
+        """The growth operator Q_n, assembled from the cached kernels; the
+        dense matrix itself is not kept."""
+        return hadamard_Q(self.cluster(n), [self.kernel(m) for m in range(n + 1)])
 
     def variation_residual(self, n: int) -> float:
         return verify_green_variation(self.green(n), self.green(n - 1), self.poisson(n))
 
+    def _adjoint_pieces(self, n: int, f: np.ndarray) -> list[np.ndarray]:
+        """The layer-m pieces of Q_n^* f, m = 0..n: Q_n's layer-m columns
+        are K_m zero-extended, so the piece is K_m^T f[:k_m]."""
+        loc = np.asarray(f, dtype=float)[np.array(self.cluster(n).vertices)]
+        return [self.kernel(m).T @ loc[: self.cluster(m).size] for m in range(n + 1)]
+
     def growth_adjoint_apply(self, n: int, f: np.ndarray) -> np.ndarray:
         """Q_n^* f on the cluster, for ambient f (restriction built in)."""
-        loc = np.asarray(f, dtype=float)[np.array(self.cluster(n).vertices)]
-        return self.growth(n).T @ loc
+        return np.concatenate(self._adjoint_pieces(n, f))
 
     def layer_energies(self, n: int, f: np.ndarray) -> np.ndarray:
         """Squared norms of Q_n^* f on each layer 0..n (Pythagoras pieces)."""
-        qf = self.growth_adjoint_apply(n, f)
-        clu = self.cluster(n)
-        return np.array([float(qf[clu.layer_slice(m)] @ qf[clu.layer_slice(m)])
-                         for m in range(n + 1)])
+        return np.array([float(piece @ piece) for piece in self._adjoint_pieces(n, f)])

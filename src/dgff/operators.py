@@ -156,9 +156,10 @@ def _couple(g_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
     return g_prev[:, rows] @ u[rows]
 
 
-def _mirror(m: np.ndarray) -> np.ndarray:
-    """Upper triangle mirrored onto the lower: exactly symmetric, no arithmetic."""
-    return np.triu(m) + np.triu(m, 1).T
+def _symmetric_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^T) / 2: exactly symmetric, because float addition commutes,
+    and m itself when m is exactly symmetric."""
+    return (m + m.T) / 2.0
 
 
 def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None = None,
@@ -182,9 +183,9 @@ def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None = None,
     x = _couple(g_prev, u)
     try:
         if _is_exactly_symmetric(a):
-            b = linalg.spd_inverse(_mirror(d - u.T @ x))
+            b = linalg.spd_inverse(_symmetric_part(d - u.T @ x))
             xb = x @ b
-            gn = np.block([[g_prev + _mirror(xb @ x.T), -xb], [-xb.T, b]])
+            gn = np.block([[g_prev + _symmetric_part(xb @ x.T), -xb], [-xb.T, b]])
         else:
             y = v @ g_prev
             b = np.linalg.inv(d - v @ x)
@@ -261,7 +262,7 @@ def verify_green_variation(green_n: GreenKernel, green_prev: GreenKernel,
     clu = green_n.cluster
     k_prev = green_prev.cluster.size
     g_n = green_n.unnormalized
-    g_prev = np.zeros_like(g_n)
-    g_prev[:k_prev, :k_prev] = green_prev.unnormalized  # prefix vertex order
-    rhs = poisson_n @ g_n[clu.layer_slice(clu.n), :]
-    return float(np.abs(g_n - g_prev - rhs).max())
+    d = poisson_n @ g_n[clu.layer_slice(clu.n), :]  # the residual's negative, in place
+    d -= g_n
+    d[:k_prev, :k_prev] += green_prev.unnormalized  # prefix vertex order
+    return max(float(d.max()), -float(d.min()))

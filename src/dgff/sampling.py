@@ -17,10 +17,10 @@ the same law directly through the Cholesky factor of the Green matrix.
 
 Distributional claims are tested through second moments, and every field
 they look at is a linear image A z of the top cluster's white noise z: the
-DGFF Q_n z, its increments (Q_n - Q_{n-1} zero-extended) z, the pairings
-<f, Psi_n> = (Q_n^* f) . z. So every empirical second moment is A S B^T,
-with S = sum z z^T / N the noise's Gram matrix, and the Monte Carlo keeps
-S alone (the Gram route). `noise_gram` sums it one generator chunk of draws
+DGFF Q_n z, its increments K_n z_{L_n} = (Q_n - Q_{n-1} zero-extended) z,
+the pairings <f, Psi_n> = (Q_n^* f) . z. So every empirical second moment
+is A S B^T, with S = sum z z^T / N the noise's Gram matrix, and the Monte
+Carlo keeps S alone (the Gram route). `noise_gram` sums it one generator chunk of draws
 at a time, never holding a trials x k block, and two draw ranges merge by
 adding their sums, so the trials can be split across workers by draw
 range. The oracle draws one top-cluster noise block of its own, in a draw
@@ -138,19 +138,6 @@ def oracle_moment(kern: GreenKernel, gram: NoiseGram) -> np.ndarray:
     return gram.cross(linalg.cholesky(kern.normalized))
 
 
-def increment_operators(stack: OperatorStack) -> list[np.ndarray]:
-    """Coefficient matrices over the top cluster's noise of Psi_0 and of
-    every increment Psi_n - Psi_{n-1}: Q_0, then Q_n minus Q_{n-1}
-    zero-extended to cluster n."""
-    ops = [stack.growth(0)]
-    for n in range(1, stack.depth + 1):
-        d = stack.growth(n).copy()
-        prev = stack.growth(n - 1)
-        d[: prev.shape[0], : prev.shape[1]] -= prev
-        ops.append(d)
-    return ops
-
-
 # ---------------------------------------------------------------------------
 # Covariance statistics
 # ---------------------------------------------------------------------------
@@ -221,20 +208,25 @@ def two_sample_zmax(emp_a: np.ndarray, trials_a: int,
 
 
 def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram) -> tuple[float, int]:
-    """Largest |z| over the empirical cross-covariances D_i S D_j^T (i < j)
-    of Psi_0 and the increments, whose true values are zero; with the
-    number of entries. The variances are exact: G_0, then G_n - G_{n-1}."""
-    ops = increment_operators(stack)
+    """Largest |z| over the empirical cross-covariances (i < j) of Psi_0 and
+    the increments, whose true values are zero; with the number of entries.
+
+    The increment Psi_n - Psi_{n-1} is K_n z_{L_n} (Psi_0 is K_0 z_{L_0}),
+    so the cross-covariance of levels i and j is K_i S[L_i, L_j] K_j^T. The
+    variances are exact: G_0, then G_n - G_{n-1}.
+    """
+    top = stack.cluster(stack.depth)
     variances = [np.diag(stack.green(0).normalized)]
     for n in range(1, stack.depth + 1):
         var = np.diag(stack.green(n).normalized).copy()
-        var[: ops[n - 1].shape[0]] -= np.diag(stack.green(n - 1).normalized)
+        var[: stack.cluster(n - 1).size] -= np.diag(stack.green(n - 1).normalized)
         variances.append(var)
     worst, entries = 0.0, 0
-    for i in range(len(ops)):
-        for j in range(i + 1, len(ops)):
-            z, m = cross_moment_zmax(gram.cross(ops[i], ops[j]), variances[i],
-                                     variances[j], gram.trials)
+    for i in range(stack.depth + 1):
+        for j in range(i + 1, stack.depth + 1):
+            s_ij = gram.total[top.layer_slice(i), top.layer_slice(j)]
+            emp = stack.kernel(i) @ s_ij @ stack.kernel(j).T / gram.trials
+            z, m = cross_moment_zmax(emp, variances[i], variances[j], gram.trials)
             worst, entries = max(worst, z), entries + m
     return worst, entries
 

@@ -14,7 +14,6 @@ from dgff.sampling import (
     brownian_check,
     dgff_block,
     increment_cross_zmax,
-    increment_operators,
     moment_report,
     noise_gram,
     sweep_average_check,
@@ -107,12 +106,9 @@ class TestEquivalence:
             blocks.append(diff)
             variances.append(var)
             prev = hi
-        ops = increment_operators(stack)
         worst = 0.0
         for i in range(len(blocks)):
             for j in range(i + 1, len(blocks)):
-                np.testing.assert_allclose(gram.cross(ops[i], ops[j]),
-                                           blocks[i].T @ blocks[j] / gram.trials, rtol=RTOL)
                 worst = max(worst, cross_covariance_zmax(blocks[i], blocks[j],
                                                          variances[i], variances[j]))
         assert increment_cross_zmax(stack, gram)[0] == pytest.approx(worst, rel=RTOL)

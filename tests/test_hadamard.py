@@ -216,3 +216,21 @@ def test_kernel_K_is_poisson_times_sqrt(p4_stack):
     _, stack = p4_stack
     np.testing.assert_array_equal(kernel_K(stack.poisson(1), stack.layer_sqrt(1)),
                                   stack.poisson(1) @ stack.layer_sqrt(1))
+
+
+@pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
+def test_adjoint_from_kernels_matches_dense_growth(name):
+    # the stack applies Q_n^* through its kernels; reference: the assembled Q_n
+    g, fol = standard_fixture(name)
+    stack = OperatorStack(g, fol)
+    f = np.random.default_rng(5).normal(size=g.n_vertices)
+    for n in range(fol.depth + 1):
+        clu = stack.cluster(n)
+        q = hadamard_Q(clu, [stack.kernel(m) for m in range(n + 1)])
+        ref = q.T @ f[np.array(clu.vertices)]
+        tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
+        np.testing.assert_allclose(stack.growth_adjoint_apply(n, f), ref, rtol=0, atol=tol)
+        energies = [float(ref[clu.layer_slice(m)] @ ref[clu.layer_slice(m)])
+                    for m in range(n + 1)]
+        np.testing.assert_allclose(stack.layer_energies(n, f), energies, rtol=1e-12,
+                                   atol=tol * tol)

@@ -65,18 +65,17 @@ class TestHadamardIdentity:
         assert _row(rep, "green_inverse")["passed"]
 
     @pytest.mark.parametrize("n", [0, 1])
-    def test_corrupted_lower_growth_entry_fails(self, n):
+    def test_corrupted_lower_kernel_fails(self, n):
+        # Q is stored as its kernels: a corrupted K_n reaches every Q_m, m >= n
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
-        for m in range(stack.depth + 1):
-            stack.growth(m)
-        bad = stack.growth(n).copy()
+        bad = stack.kernel(n).copy()
         bad[0, -1] += 0.25
-        stack._cache[("growth", n)] = bad
+        stack._cache[("kernel", n)] = bad
         rep = run_ladder(g, fol, trials=0, stack=stack)
         assert n < stack.depth
-        assert not (_row(rep, "hadamard_identity")["passed"]
-                    and _row(rep, "isometry")["passed"])
+        assert not _row(rep, "hadamard_identity")["passed"]
+        assert not _row(rep, "isometry")["passed"]
 
 
 class TestIsometry:
@@ -90,21 +89,6 @@ class TestIsometry:
             assert np.abs(top[:k, :k] - own).max() <= 1e-14
             reading = float(np.abs(top[:k, :k] - np.eye(k)).max())
             assert reading == pytest.approx(verify_isometry(own), abs=1e-14)
-
-    def test_lower_level_is_read_alone_when_not_a_leading_block(self, monkeypatch):
-        g, fol = standard_fixture("grid5")
-        stack = OperatorStack(g, fol)
-        for m in range(stack.depth + 1):
-            stack.growth(m)
-        bad = stack.growth(1).copy()
-        bad[-1, 0] += 0.25
-        stack._cache[("growth", 1)] = bad
-        sizes = []
-        full = verify.verify_isometry
-        monkeypatch.setattr(verify, "verify_isometry",
-                            lambda gram: sizes.append(gram.shape[0]) or full(gram))
-        assert not _row(run_ladder(g, fol, trials=0, stack=stack), "isometry")["passed"]
-        assert sizes == [stack.cluster(2).size, stack.cluster(1).size]
 
 
 class _SquareMatmuls(np.ndarray):
@@ -127,7 +111,8 @@ class _SquareMatmuls(np.ndarray):
 
 def test_exact_ladder_cost_guard(monkeypatch):
     """On grid13 the exact ladder builds one Laplacian, forms one Dirichlet
-    Gram and multiplies no two k_n x k_n matrices for k_n > 50."""
+    Gram and multiplies no two k_n x k_n matrices for k_n > 50: neither the
+    cached operators nor a dense Q_n, which `hadamard_Q` assembles anew."""
     counts = {"laplacian": 0, "dirichlet_gram": 0}
 
     def counted(name, fn):
@@ -156,12 +141,23 @@ def test_exact_ladder_cost_guard(monkeypatch):
         return memo(stack, kind, n, wrapped)
 
     monkeypatch.setattr(OperatorStack, "_memo", spied)
+    assemble = hadamard.hadamard_Q
+    monkeypatch.setattr(hadamard, "hadamard_Q",
+                        lambda clu, kernels: assemble(clu, kernels).view(_SquareMatmuls))
     monkeypatch.setattr(_SquareMatmuls, "seen", [])
     g, fol = standard_fixture("grid13")
     rep = run_ladder(g, fol, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
     assert counts == {"laplacian": 1, "dirichlet_gram": 1}
     assert _SquareMatmuls.seen == []
+
+
+def test_stack_keeps_no_dense_growth_operator():
+    g, fol = standard_fixture("grid5")
+    stack = OperatorStack(g, fol)
+    assert run_ladder(g, fol, seed=1, trials=2000, stack=stack)["pass"]
+    assert ("kernel", stack.depth) in stack._cache
+    assert not [key for key in stack._cache if key[0] == "growth"]
 
 
 def test_guard_sees_a_square_product(monkeypatch):
