@@ -40,7 +40,7 @@ class Foliation:
 
 @dataclass(frozen=True)
 class GrowthCluster:
-    """Union of layers 0..n with the induced edges.
+    """Union of layers 0..n.
 
     `vertices` is layer-major (layer 0 first), so the vertex order of cluster
     n-1 is a prefix of the order of cluster n; `layer_start[m]` is the offset
@@ -51,7 +51,6 @@ class GrowthCluster:
     vertices: tuple[int, ...]
     layer_start: tuple[int, ...]         # offsets, len n+2 (last = size)
     local: dict[int, int]
-    edges: tuple[tuple[int, int], ...]   # induced, global indices
 
     @property
     def size(self) -> int:
@@ -206,12 +205,9 @@ def cluster(fol: Foliation, n: int) -> GrowthCluster:
     for m in range(n + 1):
         verts.extend(fol.layers[m])
         starts.append(len(verts))
-    member = set(verts)
-    edges = tuple((i, j) for (i, j) in fol.graph.edge_list if i in member and j in member)
     return GrowthCluster(
         n=n,
         vertices=tuple(verts),
         layer_start=tuple(starts),
         local={v: k for k, v in enumerate(verts)},
-        edges=edges,
     )

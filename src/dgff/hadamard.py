@@ -15,16 +15,18 @@ Two matrix identities make Q_n useful and are verified numerically here:
 
 Both hold one layer at a time. The discrete Hadamard variational formula
 G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment
-(`layer_identity_residual`), and a column supported on cluster m has the
-same Dirichlet energy at every level n >= m, so the Dirichlet Gram of Q_n
-is the leading block of the top level's.
+(`layer_identity_residual`); read on a test function f it says that
+f_n^T G_n f_n = ||Q_n^* f||^2 at every level. A column supported on
+cluster m has the same Dirichlet energy at every level n >= m, so the
+Dirichlet Gram of Q_n is the leading block of the top level's.
 
 `OperatorStack` memoizes the per-level operators for a foliated graph and
 is the single entry point the sampling and verification layers build on.
 It stores Q only as its kernel list K_0..K_n, sum_m k_m |L_m| numbers:
 `growth(n)` assembles a dense Q_n afresh on each call, for the callers whose
 output or input is that matrix, and `growth_adjoint_apply` reads the
-kernels directly.
+kernels directly. The bases expand with n, so the coefficients Q_n^* f of
+every level are prefixes of one vector, Q_top^* f.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Green kernel, Poisson kernel and boundary Green B_n come
 from G_{n-1} and the new layer's block of the Laplacian, factorizing only a
@@ -230,16 +232,13 @@ class OperatorStack:
     def variation_residual(self, n: int) -> float:
         return verify_green_variation(self.green(n), self.green(n - 1), self.poisson(n))
 
-    def _adjoint_pieces(self, n: int, f: np.ndarray) -> list[np.ndarray]:
-        """The layer-m pieces of Q_n^* f, m = 0..n: Q_n's layer-m columns
-        are K_m zero-extended, so the piece is K_m^T f[:k_m]."""
-        loc = np.asarray(f, dtype=float)[np.array(self.cluster(n).vertices)]
-        return [self.kernel(m).T @ loc[: self.cluster(m).size] for m in range(n + 1)]
-
     def growth_adjoint_apply(self, n: int, f: np.ndarray) -> np.ndarray:
-        """Q_n^* f on the cluster, for ambient f (restriction built in)."""
-        return np.concatenate(self._adjoint_pieces(n, f))
+        """Q_n^* f on the cluster, for ambient f (restriction built in).
 
-    def layer_energies(self, n: int, f: np.ndarray) -> np.ndarray:
-        """Squared norms of Q_n^* f on each layer 0..n (Pythagoras pieces)."""
-        return np.array([float(piece @ piece) for piece in self._adjoint_pieces(n, f)])
+        Q_n's layer-m columns are K_m zero-extended, so the layer-m piece is
+        K_m^T f[:k_m]. The pieces of level n are the first n+1 of the top
+        level's: Q_n^* f is the leading k_n entries of Q_top^* f.
+        """
+        loc = np.asarray(f, dtype=float)[np.array(self.cluster(n).vertices)]
+        return np.concatenate([self.kernel(m).T @ loc[: self.cluster(m).size]
+                               for m in range(n + 1)])

@@ -20,13 +20,17 @@ they look at is a linear image A z of the top cluster's white noise z: the
 DGFF Q_n z, its increments K_n z_{L_n} = (Q_n - Q_{n-1} zero-extended) z,
 the pairings <f, Psi_n> = (Q_n^* f) . z. So every empirical second moment
 is A S B^T, with S = sum z z^T / N the noise's Gram matrix, and the Monte
-Carlo keeps S alone (the Gram route). `noise_gram` sums it one generator chunk of draws
-at a time, never holding a trials x k block, and two draw ranges merge by
-adding their sums, so the trials can be split across workers by draw
-range. The oracle draws one top-cluster noise block of its own, in a draw
-range disjoint from the DGFF's; cluster orders are prefixes of the top
-cluster's, so level n's oracle uses the leading k_n x k_n corner of that
-block's Gram matrix. Explicit samples exist only as blocks of trials, one
+Carlo keeps S alone (the Gram route). `noise_gram` sums it one generator
+chunk of draws at a time, never holding a trials x k block, and two draw
+ranges merge by adding their sums, so the trials can be split across
+workers by draw range. `brownian_check` and `sweep_average_check` draw
+nothing: they return the coefficient rows of the pairings and of the
+boundary averages, all read off one adjoint Q_top^* (Q_n^* f is the
+leading k_n entries of Q_top^* f), with their exact covariance, and the
+caller scores them on its S. The oracle draws one top-cluster noise block
+of its own, in a draw range disjoint from the DGFF's; cluster orders are
+prefixes of the top cluster's, so level n's oracle uses the leading
+k_n x k_n corner of that block's Gram matrix. Explicit samples exist only as blocks of trials, one
 trial per row: `wnf_block` draws the noise and `dgff_block` grows it, for
 `dgff sample` and the exact per-sample rungs.
 
@@ -153,12 +157,15 @@ def covariance_stderr(target: np.ndarray, trials: int) -> np.ndarray:
 class CovarianceReport:
     empirical: np.ndarray
     target: np.ndarray
-    stderr: np.ndarray
-    zscores: np.ndarray
     max_abs_z: float
     trials: int
     seed: int
     entries: int          # z-scores with a positive standard error
+
+    def summary(self) -> dict:
+        """The statistic and what it was taken over, without the matrices."""
+        return {"max_abs_z": self.max_abs_z, "entries": self.entries,
+                "trials": self.trials, "seed": self.seed}
 
     def to_json(self) -> dict:
         return {
@@ -177,9 +184,8 @@ def moment_report(emp: np.ndarray, target: np.ndarray, trials: int,
     se = covariance_stderr(target, trials)
     with np.errstate(invalid="ignore", divide="ignore"):
         z = np.where(se > 0, (emp - target) / np.where(se > 0, se, 1.0), 0.0)
-    return CovarianceReport(empirical=emp, target=target, stderr=se, zscores=z,
-                            max_abs_z=float(np.abs(z).max()), trials=trials, seed=seed,
-                            entries=int(np.count_nonzero(se > 0)))
+    return CovarianceReport(empirical=emp, target=target, max_abs_z=float(np.abs(z).max()),
+                            trials=trials, seed=seed, entries=int(np.count_nonzero(se > 0)))
 
 
 def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
@@ -194,13 +200,11 @@ def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
     return float((np.abs(emp)[mask] / se[mask]).max()), int(np.count_nonzero(mask))
 
 
-def two_sample_zmax(emp_a: np.ndarray, trials_a: int,
-                    emp_b: np.ndarray, trials_b: int,
+def two_sample_zmax(emp_a: np.ndarray, emp_b: np.ndarray, trials: int,
                     target: np.ndarray) -> float:
     """Largest |z| for the difference of two empirical covariances of the
-    same law, using the joint standard error."""
-    se = np.sqrt(covariance_stderr(target, trials_a) ** 2
-                 + covariance_stderr(target, trials_b) ** 2)
+    same law, each over `trials` draws, using the joint standard error."""
+    se = np.sqrt(2.0 * covariance_stderr(target, trials) ** 2)
     mask = se > 0
     if not mask.any():
         return 0.0
@@ -232,169 +236,120 @@ def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram) -> tuple[float, 
 
 
 # ---------------------------------------------------------------------------
-# Brownian-motion and boundary-average statistics
+# Brownian-motion and boundary-average coefficients
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BrownianReport:
     """Pairings F_n = <f, Psi_n> seen as a Brownian motion in the energy
-    time ||Q_n^* f||^2."""
+    time T_n = ||Q_n^* f||^2: their coefficients over the top cluster's
+    noise, their exact covariance and its exact diagnostics."""
 
-    f: np.ndarray
-    variance_targets: np.ndarray          # per level n
-    layer_energies: list[np.ndarray]      # per level, one entry per layer
-    pythagoras_residual: float
-    targets_monotone: bool
-    empirical: np.ndarray | None = None   # covariance of (F_0..F_N)
-    zscores: np.ndarray | None = None
-    max_abs_z: float = 0.0
-    entries: int = 0
-    trials: int = 0
-    seed: int = 0
+    coef: np.ndarray                      # row n: Q_n^* f, zero-padded to k_top
+    target: np.ndarray                    # cov(F_n, F_m) = min(T_n, T_m)
+    variance_targets: np.ndarray          # T_n per level n
+    pythagoras_residual: float            # max_n |f_n^T G_n f_n - T_n|
+    targets_monotone: bool                # f_n^T G_n f_n grows with n
 
-    def to_json(self) -> dict:
+    def to_json(self, cov: CovarianceReport) -> dict:
+        """The exact diagnostics, with the summary of `cov`, the pairings'
+        empirical covariance scored against `target`."""
         return {
             "variance_targets": self.variance_targets.tolist(),
             "pythagoras_residual": self.pythagoras_residual,
             "targets_monotone": self.targets_monotone,
-            "max_abs_z": self.max_abs_z,
-            "entries": self.entries,
-            "trials": self.trials,
-            "seed": self.seed,
+            **cov.summary(),
         }
 
 
-def _top_gram(stack: OperatorStack, trials: int, seed: int) -> NoiseGram:
-    return GaussianStream(seed).gram(stack.cluster(stack.depth).vertices, trials)
+def brownian_check(stack: OperatorStack, f: np.ndarray) -> BrownianReport:
+    """Coefficients of the pairings of f with Psi_0..Psi_N, their exact
+    covariance, and two exact checks on the Green route.
 
-
-def brownian_check(stack: OperatorStack, f: np.ndarray, trials: int = 0,
-                   seed: int = 0, gram: NoiseGram | None = None) -> BrownianReport:
-    """Deterministic energy bookkeeping for f, plus an optional Monte Carlo
-    check that cov(F_n, F_m) equals the smaller energy.
-
-    The exact part: layer energies of Q_n^* f sum to the total energy
-    (Pythagoras over the disjoint layers), and the energies grow with n.
-    F_n is the pairing of the noise with Q_n^* f, so the empirical
-    covariance of the pairings is C S C^T over those coefficient vectors;
-    `gram` (by default `trials` fresh draws of `seed`) supplies S.
+    F_n is the pairing of the noise with Q_n^* f, the leading k_n entries
+    of c = Q_top^* f, so T_n = |c[:k_n]|^2 and cov(F_n, F_m) = min(T_n, T_m).
+    The checks read the Green matrices, not the kernels: the Hadamard
+    formula summed over the layers is Q_n Q_n^T = G_n, so the Pythagoras
+    residual compares E_n = f_n^T G_n f_n with T_n, f_n the restriction of
+    f to cluster n; and E_n grows with n, as G_n - (G_{n-1} + 0) is PSD.
     """
+    f = np.asarray(f, dtype=float)
+    c = stack.growth_adjoint_apply(stack.depth, f)
     levels = stack.depth + 1
-    targets = np.zeros(levels)
-    coef = np.zeros((levels, stack.cluster(stack.depth).size))
-    energies = []
-    pyth = 0.0
+    coef = np.zeros((levels, c.shape[0]))
+    targets, energies = np.empty(levels), np.empty(levels)
     for n in range(levels):
-        qf = stack.growth_adjoint_apply(n, f)
-        coef[n, : qf.shape[0]] = qf
-        targets[n] = float(qf @ qf)
-        e = stack.layer_energies(n, f)
-        energies.append(e)
-        pyth = max(pyth, abs(float(e.sum()) - targets[n]))
-    monotone = bool(np.all(np.diff(targets) >= -1e-12 * max(targets.max(), 1.0)))
-
-    report = BrownianReport(f=np.asarray(f, dtype=float), variance_targets=targets,
-                            layer_energies=energies, pythagoras_residual=pyth,
-                            targets_monotone=monotone)
-    if trials:
-        if gram is None:
-            gram = _top_gram(stack, trials, seed)
-        target = np.minimum.outer(targets, targets)
-        cov = moment_report(gram.cross(coef), target, gram.trials, seed)
-        report.empirical = cov.empirical
-        report.zscores = cov.zscores
-        report.max_abs_z = cov.max_abs_z
-        report.entries = cov.entries
-        report.trials = gram.trials
-        report.seed = seed
-    return report
+        clu = stack.cluster(n)
+        coef[n, : clu.size] = c[: clu.size]
+        targets[n] = float(c[: clu.size] @ c[: clu.size])
+        f_n = f[np.array(clu.vertices)]
+        energies[n] = float(f_n @ stack.green(n).normalized @ f_n)
+    return BrownianReport(
+        coef=coef, target=np.minimum.outer(targets, targets), variance_targets=targets,
+        pythagoras_residual=float(np.abs(energies - targets).max()),
+        targets_monotone=bool(np.all(np.diff(energies)
+                                     >= -1e-12 * max(energies.max(), 1.0))))
 
 
 @dataclass
 class SweepReport:
-    """Boundary averages A_n = <P_n^* f, Psi_n2> for n = n1..n2."""
+    """Boundary averages A_n = <P_n^* f, Psi_N> for the layers n = 1..N:
+    their coefficients over the top cluster's noise, their exact covariance
+    and the telescoping identity's residual."""
 
-    f: np.ndarray
-    n1: int
-    n2: int
-    identity_residual: float              # A_n vs F_n2 - F_{n-1}, on coefficients
+    coef: np.ndarray                      # row n-1: a_n
+    target: np.ndarray                    # cov(A_n, A_m) = T_N - T_{max(n, m)-1}
+    variance_targets: np.ndarray          # T_N - T_{n-1}
+    identity_residual: float              # a_n vs F_N - F_{n-1}, on coefficients
     identity_scale: float
-    variance_targets: np.ndarray          # T_n2 - T_{n-1}
-    empirical: np.ndarray | None = None
-    zscores: np.ndarray | None = None
-    max_abs_z: float = 0.0
-    entries: int = 0
-    trials: int = 0
-    seed: int = 0
 
-    def to_json(self) -> dict:
+    def to_json(self, cov: CovarianceReport) -> dict:
+        """The exact diagnostics, with the summary of `cov`, the averages'
+        empirical covariance scored against `target`."""
         return {
-            "n1": self.n1,
-            "n2": self.n2,
+            "n1": 1,
+            "n2": len(self.variance_targets),
             "identity_residual": self.identity_residual,
             "variance_targets": self.variance_targets.tolist(),
-            "max_abs_z": self.max_abs_z,
-            "entries": self.entries,
-            "trials": self.trials,
-            "seed": self.seed,
+            **cov.summary(),
         }
 
 
-def sweep_average_check(stack: OperatorStack, f: np.ndarray, n1: int, n2: int,
-                        trials: int = 0, seed: int = 0,
-                        gram: NoiseGram | None = None) -> SweepReport:
-    """Sweep f onto each layer n in n1..n2 and pair with Psi_n2.
+def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
+    """Sweep f, supported on cluster 1, onto each layer n = 1..N and pair
+    with Psi_N; the foliation needs N >= 1.
 
-    The pairing telescopes: A_n(f) = F_n2(f) - F_{n-1}(f), because
-    Psi_n2 - Psi_{n-1} is the harmonic extension of Psi_n2's layer-n
-    values. All three are linear in the noise, so the identity is checked
-    on their coefficient vectors over the top cluster's noise, which makes
-    it hold for every noise vector: the residual is the largest entry of
-    a_n - (c_n2 - c_{n-1}), the scale max(1, max |c_n2|). Variances follow:
-    Var A_n = T_n2 - T_{n-1} and, for n <= m, cov(A_n, A_m) = T_n2 - T_{m-1};
-    `gram` (by default `trials` fresh draws of `seed`) supplies the
-    empirical ones.
+    The pairing telescopes: A_n(f) = F_N(f) - F_{n-1}(f), because
+    Psi_N - Psi_{n-1} is the harmonic extension of Psi_N's layer-n values.
+    All three are linear in the noise, so the identity is checked on their
+    coefficient vectors over the top cluster's noise, which makes it hold
+    for every noise vector. With c = Q_top^* f, F_{n-1} has coefficients
+    c[:k_{n-1}], and A_n has a_n = Q_top^* s_n, s_n the sweep P_n^* f
+    placed on layer n. The residual is the largest entry of
+    a_n - (c - c[:k_{n-1}] + 0), the scale max(1, max |c|). Variances
+    follow: for n <= m, cov(A_n, A_m) = T_N - T_{m-1}.
     """
-    if not 1 <= n1 <= n2 <= stack.depth:
-        raise ValueError(f"need 1 <= n1 <= n2 <= {stack.depth}")
     f = np.asarray(f, dtype=float)
-    support = np.flatnonzero(f)
-    allowed = set(stack.cluster(n1).vertices)
-    if any(int(v) not in allowed for v in support):
-        raise SupportViolationError(
-            f"test vector must be supported on cluster {n1}")
+    allowed = set(stack.cluster(1).vertices)
+    if any(int(v) not in allowed for v in np.flatnonzero(f)):
+        raise SupportViolationError("test vector must be supported on cluster 1")
 
-    coefs = [stack.growth_adjoint_apply(n, f) for n in range(stack.depth + 1)]
-    t = np.array([float(c @ c) for c in coefs])
-    clu2 = stack.cluster(n2)
-    q2 = stack.growth(n2)
-    levels = list(range(n1, n2 + 1))
-    a = np.empty((len(levels), clu2.size))
+    depth = stack.depth
+    c = stack.growth_adjoint_apply(depth, f)
+    sizes = [stack.cluster(n).size for n in range(depth + 1)]
+    t = np.array([float(c[:k] @ c[:k]) for k in sizes])
+    a = np.empty((depth, c.shape[0]))
     resid = 0.0
-    for i, n in enumerate(levels):
-        sweep = stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)]
-        a[i] = sweep @ q2[clu2.layer_slice(n)]
-        telescoped = coefs[n2].copy()
-        telescoped[: coefs[n - 1].shape[0]] -= coefs[n - 1]
-        resid = max(resid, float(np.abs(a[i] - telescoped).max()))
-    scale = max(1.0, float(np.abs(coefs[n2]).max()))
+    for n in range(1, depth + 1):
+        clu = stack.cluster(n)
+        placed = np.zeros(stack.graph.n_vertices)
+        placed[np.array(clu.top_layer)] = stack.poisson(n).T @ f[np.array(clu.vertices)]
+        a[n - 1] = stack.growth_adjoint_apply(depth, placed)
+        telescoped = c.copy()
+        telescoped[: sizes[n - 1]] = 0.0  # c[:k_{n-1}] is F_{n-1}'s coefficients
+        resid = max(resid, float(np.abs(a[n - 1] - telescoped).max()))
 
-    var_targets = np.array([t[n2] - t[n - 1] for n in levels])
-    report = SweepReport(f=f, n1=n1, n2=n2, identity_residual=resid,
-                         identity_scale=scale, variance_targets=var_targets)
-    if trials:
-        if gram is None:
-            gram = _top_gram(stack, trials, seed)
-        target = np.empty((len(levels), len(levels)))
-        for i, n in enumerate(levels):
-            for j, m in enumerate(levels):
-                target[i, j] = t[n2] - t[max(n, m) - 1]
-        cov = moment_report(gram.cross(a), target, gram.trials, seed)
-        report.empirical = cov.empirical
-        report.zscores = cov.zscores
-        report.max_abs_z = cov.max_abs_z
-        report.entries = cov.entries
-        report.trials = gram.trials
-        report.seed = seed
-    return report
-
+    later = np.maximum.outer(np.arange(depth), np.arange(depth))  # max(n, m) - 1
+    return SweepReport(coef=a, target=t[depth] - t[later],
+                       variance_targets=t[depth] - t[:depth], identity_residual=resid,
+                       identity_scale=max(1.0, float(np.abs(c).max())))

@@ -6,11 +6,15 @@ default, 1e-12 for per-sample algebraic identities). Distributional claims
 are Monte Carlo checks with a fixed seed; each empirical moment must sit
 within `z_max` standard errors of its exact target. They run on two
 streamed noise Gram matrices over the top cluster (see `dgff.sampling`):
-one for the grown field, its increments and the pairings, and one, from a
-disjoint draw range, for the Cholesky oracle. Each statistical row counts
-the M z-scores its maximum is taken over (`entries`) and bounds the chance
-that a correct program fails it, M erfc(z_max / sqrt 2), by the union bound
-over normal z-scores (`false_alarm_bound`).
+one for the grown field, its increments, the pairings and the boundary
+averages, and one, from a disjoint draw range, for the Cholesky oracle.
+The pairings and the averages are scored like the field: `brownian_check`
+and `sweep_average_check` build their coefficient rows and exact
+covariance, and the rung reads their empirical covariance off the field's
+noise Gram. Each statistical row counts the M z-scores its maximum is
+taken over (`entries`) and bounds the chance that a correct program fails
+it, M erfc(z_max / sqrt 2), by the union bound over normal z-scores
+(`false_alarm_bound`).
 
 No exact rung multiplies two k_n x k_n matrices. Products with the
 Laplacian go through the stack's padded neighbour stencil. Two rungs read
@@ -296,8 +300,8 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         worst, entries = 0.0, 0
         for n in range(depth + 1):
             target = stack.green(n).normalized
-            worst = max(worst, two_sample_zmax(_need(f"dgff{n}"), trials,
-                                               _need(f"oracle{n}"), trials, target))
+            worst = max(worst, two_sample_zmax(_need(f"dgff{n}"), _need(f"oracle{n}"),
+                                               trials, target))
             entries += int(np.count_nonzero(covariance_stderr(target, trials) > 0))
         return worst, entries
 
@@ -310,15 +314,17 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         top = stack.cluster(depth)
         f = np.zeros(graph.n_vertices)
         f[np.array(top.vertices)] = stream.draw(top.vertices)
-        rep = brownian_check(stack, f, trials=trials, seed=seed, gram=mc.get("phi"))
+        rep = brownian_check(stack, f)
+        cov = moment_report(_need("phi").cross(rep.coef), rep.target, trials, seed)
         if collect_reports:
-            reports["brownian"] = rep.to_json()
+            reports["brownian"] = rep.to_json(cov)
         if rep.pythagoras_residual > TOL_STRICT * max(rep.variance_targets.max(), 1.0):
-            raise _Refuted(f"layer-energy Pythagoras residual {rep.pythagoras_residual:.3g} "
-                           "exceeds the strict tolerance", rep.entries)
+            raise _Refuted("Pythagoras residual |f_n^T G_n f_n - T_n| "
+                           f"{rep.pythagoras_residual:.3g} exceeds the strict tolerance",
+                           cov.entries)
         if not rep.targets_monotone:
-            raise _Refuted("variance targets are not monotone in n", rep.entries)
-        return rep.max_abs_z, rep.entries
+            raise _Refuted("Green energies f_n^T G_n f_n are not monotone in n", cov.entries)
+        return cov.max_abs_z, cov.entries
 
     def sweep():
         if depth == 0:
@@ -326,14 +332,14 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         base = stack.cluster(1)
         f = np.zeros(graph.n_vertices)
         f[np.array(base.vertices)] = stream.draw(base.vertices)
-        rep = sweep_average_check(stack, f, 1, depth, trials=trials, seed=seed,
-                                  gram=mc.get("phi"))
+        rep = sweep_average_check(stack, f)
+        cov = moment_report(_need("phi").cross(rep.coef), rep.target, trials, seed)
         if collect_reports:
-            reports["sweep"] = rep.to_json()
+            reports["sweep"] = rep.to_json(cov)
         if rep.identity_residual > tol_exact * rep.identity_scale:
             raise _Refuted(f"boundary-average identity residual {rep.identity_residual:.3g} "
-                           "exceeds the exact tolerance", rep.entries)
-        return rep.max_abs_z, rep.entries
+                           "exceeds the exact tolerance", cov.entries)
+        return cov.max_abs_z, cov.entries
 
     ladder = _Ladder(stack)
     ladder.run("green_inverse", "exact", tol_exact, green_inverse)

@@ -187,7 +187,7 @@ def test_criterion_7_covariance(mc):
             grown = dgff_block(stack, n, phi)
             rep = covariance_report(grown, target, SEED)
             rep_o = moment_report(oracle_moment(stack.green(n), oracle), target, TRIALS, SEED)
-            z_joint = two_sample_zmax(rep.empirical, TRIALS, rep_o.empirical, TRIALS, target)
+            z_joint = two_sample_zmax(rep.empirical, rep_o.empirical, TRIALS, target)
             worst = max(worst, rep.max_abs_z, rep_o.max_abs_z, z_joint)
         elapsed = time.perf_counter() - t0
         ok = ok and worst <= Z_MAX and elapsed < 60.0
@@ -234,19 +234,23 @@ def test_criterion_9_brownian(mc, stack_set):
             f = np.zeros(stack.graph.n_vertices)
             f[np.array(top.vertices)] = fstream.draw(top.vertices)
             targets = np.zeros(stack.depth + 1)
+            energies = np.zeros(stack.depth + 1)
             for n in range(stack.depth + 1):
                 qf = stack.growth_adjoint_apply(n, f)
                 targets[n] = qf @ qf
-                energies = stack.layer_energies(n, f)
+                f_n = f[np.array(stack.cluster(n).vertices)]
+                energies[n] = f_n @ stack.green(n).normalized @ f_n
                 scale = max(targets[n], 1.0)
-                worst_pyth = max(worst_pyth, abs(energies.sum() - targets[n]) / scale)
-            monotone = monotone and np.all(np.diff(targets) >= -TOL_STRICT * max(targets.max(), 1.0))
+                worst_pyth = max(worst_pyth, abs(energies[n] - targets[n]) / scale)
+            monotone = monotone and np.all(
+                np.diff(energies) >= -TOL_STRICT * max(energies.max(), 1.0))
             if name in MC_FIXTURES and trial < 5:
                 pair = pairing_block(stack, f, mc[name]["phi"])
                 rep = covariance_report(pair, np.minimum.outer(targets, targets), SEED)
                 worst_z = max(worst_z, rep.max_abs_z)
     _line(9, worst_pyth <= TOL_STRICT and monotone and worst_z <= Z_MAX,
-          f"layer-energy Pythagoras {worst_pyth:.2e} <= {TOL_STRICT:g} (20 f per fixture), "
+          f"Pythagoras f_n^T G_n f_n = |Q_n^* f|^2 to {worst_pyth:.2e} <= {TOL_STRICT:g} "
+          "(20 f per fixture), "
           f"pairing covariance max|z| {worst_z:.2f} <= {Z_MAX}")
 
 
@@ -260,10 +264,11 @@ def test_criterion_10_sweep(mc, stack_set):
         f = np.zeros(stack.graph.n_vertices)
         f[np.array(base.vertices)] = fstream.draw(base.vertices)
         phi = mc[name]["phi"]
-        rep = sweep_average_check(stack, f, 1, stack.depth, trials=TRIALS, seed=SEED,
-                                  gram=NoiseGram(phi.T @ phi, TRIALS))
+        rep = sweep_average_check(stack, f)
+        cov = moment_report(NoiseGram(phi.T @ phi, TRIALS).cross(rep.coef), rep.target,
+                            TRIALS, SEED)
         worst_ident = max(worst_ident, rep.identity_residual / rep.identity_scale)
-        worst_z = max(worst_z, rep.max_abs_z)
+        worst_z = max(worst_z, cov.max_abs_z)
     _line(10, worst_ident <= TOL_EXACT and worst_z <= Z_MAX,
           f"boundary-average identity on coefficients {worst_ident:.2e} <= {TOL_EXACT:g}, "
           f"variance match max|z| {worst_z:.2f} <= {Z_MAX}")

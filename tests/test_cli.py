@@ -153,12 +153,17 @@ def test_verify_small(fixture_dir, tmp_path, capsys):
     assert names[0] == "green_inverse"
     assert "hadamard_identity" in names and "sweep_moments" in names
     # detailed statistical reports land next to the summary
+    summary = {"schema", "max_abs_z", "entries", "trials", "seed"}
     cov = json.loads((tmp_path / "report_covariance.json").read_text())
+    assert set(cov) == summary | {"empirical", "target"}
     assert cov["trials"] == 4000 and len(cov["empirical"]) == 2
     bro = json.loads((tmp_path / "report_brownian.json").read_text())
+    assert set(bro) == summary | {"variance_targets", "pythagoras_residual",
+                                  "targets_monotone"}
     assert len(bro["variance_targets"]) == 2
     swp = json.loads((tmp_path / "report_sweep.json").read_text())
-    assert swp["n2"] == 1
+    assert set(swp) == summary | {"n1", "n2", "identity_residual", "variance_targets"}
+    assert swp["n1"] == 1 and swp["n2"] == 1
 
 
 def test_verify_needs_foliation_or_roots(fixture_dir, capsys):

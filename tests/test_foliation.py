@@ -1,8 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgff import FoliationError, bfs_foliate, cluster, validate_foliation
+from dgff import FoliationError, bfs_foliate, cluster, laplacian, validate_foliation
 from dgff.fixtures import grid_graph, path_graph, standard_fixture
 
 from conftest import small_graphs
@@ -127,14 +128,15 @@ def test_cluster_zero_is_first_layer():
     g, fol = standard_fixture("p4")
     clu = cluster(fol, 0)
     assert clu.vertices == fol.layers[0]
-    assert clu.edges == ()
 
 
 def test_cluster_edges_induced():
     g, fol = standard_fixture("p4")
     clu = cluster(fol, 1)
     assert clu.size == 2
-    assert len(clu.edges) == 1
+    # the one edge inside the cluster is the Laplacian's one off-diagonal pair
+    a = laplacian(g, clu)
+    assert np.count_nonzero(a - np.diag(np.diag(a))) == 2
 
 
 def test_cluster_index_out_of_range():

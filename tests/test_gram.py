@@ -118,8 +118,10 @@ class TestEquivalence:
         f = np.zeros(g.n_vertices)
         top = stack.cluster(stack.depth)
         f[np.array(top.vertices)] = GaussianStream(3).draw(top.vertices)
-        streamed = brownian_check(stack, f, trials=gram.trials, seed=11, gram=gram)
-        target = np.minimum.outer(streamed.variance_targets, streamed.variance_targets)
+        rep = brownian_check(stack, f)
+        target = np.minimum.outer(rep.variance_targets, rep.variance_targets)
+        np.testing.assert_array_equal(rep.target, target)
+        streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)
         block = covariance_report(pairing_block(stack, f, phi), target, 11)
         np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
         assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
@@ -131,7 +133,8 @@ class TestEquivalence:
         f = np.zeros(g.n_vertices)
         base = stack.cluster(1)
         f[np.array(base.vertices)] = GaussianStream(4).draw(base.vertices)
-        streamed = sweep_average_check(stack, f, 1, n2, trials=gram.trials, seed=11, gram=gram)
+        rep = sweep_average_check(stack, f)
+        streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)
         big = dgff_block(stack, n2, phi)
         clu2 = stack.cluster(n2)
         a = np.column_stack([
@@ -139,7 +142,8 @@ class TestEquivalence:
             @ (stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)])
             for n in range(1, n2 + 1)])
         idx = np.arange(n2)
-        target = streamed.variance_targets[np.maximum.outer(idx, idx)]
+        target = rep.variance_targets[np.maximum.outer(idx, idx)]
+        np.testing.assert_array_equal(rep.target, target)
         block = covariance_report(a, target, 11)
         np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
         assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
@@ -152,8 +156,8 @@ class TestSweepIdentity:
         f = np.zeros(g.n_vertices)
         base = stack.cluster(1)
         f[np.array(base.vertices)] = GaussianStream(8).draw(base.vertices)
-        rep = sweep_average_check(stack, f, 1, stack.depth)
-        assert rep.trials == 0 and rep.empirical is None
+        rep = sweep_average_check(stack, f)
+        assert rep.coef.shape == (stack.depth, stack.cluster(stack.depth).size)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
         coef = stack.growth_adjoint_apply(stack.depth, f)
         assert rep.identity_scale == max(1.0, float(np.abs(coef).max()))

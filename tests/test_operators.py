@@ -48,7 +48,7 @@ class TestLaplacian:
         edges = [(ids[i], ids[(i + 1) % 5], 1.0) for i in range(5)]
         g = from_edges(ids, [], edges)
         clu = GrowthCluster(n=0, vertices=tuple(range(5)), layer_start=(0, 5),
-                            local={i: i for i in range(5)}, edges=g.edge_list)
+                            local={i: i for i in range(5)})
         with pytest.raises(NotPositiveDefiniteError):
             green(g, clu)
 
@@ -179,7 +179,7 @@ class TestPoisson:
                   pi=recompute_pi_from(adj, cond), index={v: i for i, v in enumerate(ids)},
                   adj=adj)
         clu = GrowthCluster(n=1, vertices=tuple(range(6)), layer_start=(0, 5, 6),
-                            local={i: i for i in range(6)}, edges=edge_list)
+                            local={i: i for i in range(6)})
         with pytest.raises(NotPositiveDefiniteError):
             poisson(g, clu, clu.top_layer)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestStream:
         assert rep.max_abs_z <= ZMAX
         emp_a = known_mean_covariance(kron)
         emp_b = known_mean_covariance(rotated)
-        assert two_sample_zmax(emp_a, TRIALS, emp_b, TRIALS, np.eye(5)) <= ZMAX
+        assert two_sample_zmax(emp_a, emp_b, TRIALS, np.eye(5)) <= ZMAX
 
 
 class TestGrow:
@@ -204,7 +206,7 @@ class TestOracle:
                                                GaussianStream(41), TRIALS))
         direct = oracle_moment(stack.green(1),
                                GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS))
-        z = two_sample_zmax(known_mean_covariance(grown), TRIALS, direct, TRIALS, target)
+        z = two_sample_zmax(known_mean_covariance(grown), direct, TRIALS, target)
         assert z <= ZMAX
 
     def test_oracle_single_sample_support(self, p4_stack):
@@ -225,9 +227,27 @@ class TestBrownian:
         f[g.index["v1"]] = 1.0
         rep = brownian_check(stack, f)
         np.testing.assert_allclose(rep.variance_targets, [0.5, 2.0 / 3.0], atol=1e-12)
-        np.testing.assert_allclose(rep.layer_energies[1], [0.5, 1.0 / 6.0], atol=1e-12)
+        # level 1's layer pieces: K_0^T f on layer 0, K_1^T f on layer 1
+        np.testing.assert_allclose(rep.coef[1] ** 2, [0.5, 1.0 / 6.0], atol=1e-12)
+        np.testing.assert_array_equal(rep.coef[0, 1:], 0.0)
+        np.testing.assert_allclose(rep.target, [[0.5, 0.5], [0.5, 2.0 / 3.0]], atol=1e-12)
         assert rep.pythagoras_residual <= 1e-14
         assert rep.targets_monotone
+
+    def test_monotone_reads_the_green_energies(self):
+        # T_n grows by construction (a prefix sum of squares); the check
+        # reads f_n^T G_n f_n, which a halved G_1 makes fall from 1/2 to 1/3
+        g, fol = standard_fixture("p4")
+        stack = OperatorStack(g, fol)
+        stack.kernel(1)
+        kern = stack.green(1)
+        stack._cache[("green", 1)] = dataclasses.replace(kern, normalized=kern.normalized / 2)
+        f = np.zeros(g.n_vertices)
+        f[g.index["v1"]] = 1.0
+        rep = brownian_check(stack, f)
+        np.testing.assert_allclose(rep.variance_targets, [0.5, 2.0 / 3.0], atol=1e-12)
+        assert not rep.targets_monotone
+        assert rep.pythagoras_residual == pytest.approx(1.0 / 3.0)
 
     def test_zero_vector(self, p4_stack):
         g, stack = p4_stack
@@ -239,10 +259,10 @@ class TestBrownian:
         rng = np.random.default_rng(0)
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(2).vertices)] = rng.normal(size=9)
-        rep = brownian_check(stack, f, trials=TRIALS, seed=53)
-        assert rep.max_abs_z <= ZMAX
+        rep = brownian_check(stack, f)
+        gram = GaussianStream(53).gram(stack.cluster(2).vertices, TRIALS)
         # stationarity in the later index: cov(F_n, F_m) targets min(T_n, T_m)
-        assert rep.empirical is not None
+        assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 53).max_abs_z <= ZMAX
 
     def test_pairing_block_shape(self, grid_stack):
         g, stack = grid_stack
@@ -257,19 +277,21 @@ class TestSweep:
         g, stack = p4_stack
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = sweep_average_check(stack, f, 1, 1, trials=TRIALS, seed=61)
+        rep = sweep_average_check(stack, f)
         np.testing.assert_allclose(rep.variance_targets, [2.0 / 3.0 - 0.5], atol=1e-12)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
-        assert rep.max_abs_z <= ZMAX
+        gram = GaussianStream(61).gram(stack.cluster(1).vertices, TRIALS)
+        assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 61).max_abs_z <= ZMAX
 
     def test_grid_telescoping_and_moments(self, grid_stack):
         g, stack = grid_stack
         rng = np.random.default_rng(1)
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(1).vertices)] = rng.normal(size=5)
-        rep = sweep_average_check(stack, f, 1, 2, trials=TRIALS, seed=67)
+        rep = sweep_average_check(stack, f)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
-        assert rep.max_abs_z <= ZMAX
+        gram = GaussianStream(67).gram(stack.cluster(2).vertices, TRIALS)
+        assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 67).max_abs_z <= ZMAX
         # endpoint n = n2 is the plain last increment
         t = [float(stack.growth_adjoint_apply(n, f) @ stack.growth_adjoint_apply(n, f))
              for n in range(3)]
@@ -281,7 +303,7 @@ class TestSweep:
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(2).vertices)] = 1.0  # wider than cluster 1
         with pytest.raises(SupportViolationError):
-            sweep_average_check(stack, f, 1, 2)
+            sweep_average_check(stack, f)
 
 
 def test_covariance_stderr_formula():

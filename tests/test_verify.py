@@ -78,6 +78,22 @@ class TestHadamardIdentity:
         assert not _row(rep, "isometry")["passed"]
 
 
+class TestBrownianPythagoras:
+    def test_corrupted_kernel_fails_the_pythagoras_check(self):
+        # the pairing rows come from the kernels and the energies
+        # f_n^T G_n f_n from the Green matrices: a corrupted K_1 parts them
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        bad = stack.kernel(1).copy()
+        bad[0, -1] += 0.25
+        stack._cache[("kernel", 1)] = bad
+        rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
+        row = _row(rep, "brownian_moments")
+        assert not row["passed"] and row["statistic"] is None
+        assert "Pythagoras" in row["reason"]
+        assert row["entries"] == (stack.depth + 1) ** 2
+
+
 class TestIsometry:
     def test_top_gram_blocks_equal_the_per_level_grams(self):
         g, fol = standard_fixture("grid13")
