@@ -110,7 +110,7 @@ def cmd_poisson(args) -> int:
     clu = _pick_cluster(args, fol)
     _emit(args, f"poisson_{clu.n}.csv",
           _matrix_text(args, g.ids(clu.vertices), g.ids(clu.top_layer),
-                       poisson(g, clu, clu.top_layer)))
+                       poisson(g, clu)))
     return 0
 
 
@@ -154,17 +154,14 @@ def cmd_sample(args) -> int:
     ids = g.ids(top.vertices)
     files = []
     phi = wnf_block(top.vertices, stream, args.n_samples)
-    fields = [dgff_block(stack, n, phi) for n in range(depth + 1)]
+    fields = dgff_block(stack, phi)
+    cols = [f"psi_{n}" for n in range(depth + 1)] + [f"inc_{n}" for n in range(1, depth + 1)]
     for s in range(args.n_samples):
-        cols = [f"psi_{n}" for n in range(depth + 1)]
-        cols += [f"inc_{n}" for n in range(1, depth + 1)]
         rows = np.zeros((top.size, len(cols)))
         for n in range(depth + 1):
             rows[: fields[n].shape[1], n] = fields[n][s]
-        for n in range(1, depth + 1):
-            col = depth + n
-            rows[: fields[n].shape[1], col] = fields[n][s]
-            rows[: fields[n - 1].shape[1], col] -= fields[n - 1][s]
+        # the psi columns are zero-padded, so inc_n is a column difference
+        rows[:, depth + 1:] = rows[:, 1:depth + 1] - rows[:, :depth]
         name = f"sample_{s:03d}.csv"
         buf = io.StringIO()
         write_matrix_csv(buf, ids, cols, rows)

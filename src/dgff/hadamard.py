@@ -23,10 +23,11 @@ Dirichlet Gram of Q_n is the leading block of the top level's.
 `OperatorStack` memoizes the per-level operators for a foliated graph and
 is the single entry point the sampling and verification layers build on.
 It stores Q only as its kernel list K_0..K_n, sum_m k_m |L_m| numbers:
-`growth(n)` assembles a dense Q_n afresh on each call, for the callers whose
-output or input is that matrix, and `growth_adjoint_apply` reads the
-kernels directly. The bases expand with n, so the coefficients Q_n^* f of
-every level are prefixes of one vector, Q_top^* f.
+samples grow from the kernels a layer at a time (`dgff.sampling`), and
+`growth_adjoint_apply` returns Q_top^* f, whose leading k_n entries are
+Q_n^* f. `growth(n)` assembles a dense Q_n afresh on each call, for
+`dgff hadamard` and the two rungs that read Q_top, `isometry` and
+`dgff_covariance`.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Green kernel, Poisson kernel and boundary Green B_n come
 from G_{n-1} and the new layer's block of the Laplacian, factorizing only a
@@ -210,13 +211,11 @@ class OperatorStack:
     def poisson(self, n: int) -> np.ndarray:
         """Poisson kernel of cluster n and its top layer, from G_{n-1}."""
         return self._memo("poisson", n, lambda: poisson(
-            self.graph, self.cluster(n), self.cluster(n).top_layer,
-            self.green(n - 1) if n else None, lap=self.laplacian(n)))
+            self.graph, self.cluster(n), self.green(n - 1) if n else None,
+            lap=self.laplacian(n)))
 
     def boundary_green(self, n: int) -> np.ndarray:
-        return self._memo(
-            "bgreen", n,
-            lambda: boundary_green(self.green(n), self.cluster(n).top_layer))
+        return self._memo("bgreen", n, lambda: boundary_green(self.green(n)))
 
     def layer_sqrt(self, n: int) -> np.ndarray:
         return self._memo("sqrt", n, lambda: layer_sqrt(self.boundary_green(n)))
@@ -232,13 +231,13 @@ class OperatorStack:
     def variation_residual(self, n: int) -> float:
         return verify_green_variation(self.green(n), self.green(n - 1), self.poisson(n))
 
-    def growth_adjoint_apply(self, n: int, f: np.ndarray) -> np.ndarray:
-        """Q_n^* f on the cluster, for ambient f (restriction built in).
+    def growth_adjoint_apply(self, f: np.ndarray) -> np.ndarray:
+        """Q_top^* f on the top cluster, for ambient f (restriction built in).
 
-        Q_n's layer-m columns are K_m zero-extended, so the layer-m piece is
+        Q's layer-m columns are K_m zero-extended, so the layer-m piece is
         K_m^T f[:k_m]. The pieces of level n are the first n+1 of the top
-        level's: Q_n^* f is the leading k_n entries of Q_top^* f.
+        level's: Q_n^* f is the leading k_n entries of the result.
         """
-        loc = np.asarray(f, dtype=float)[np.array(self.cluster(n).vertices)]
+        loc = np.asarray(f, dtype=float)[np.array(self.cluster(self.depth).vertices)]
         return np.concatenate([self.kernel(m).T @ loc[: self.cluster(m).size]
-                               for m in range(n + 1)])
+                               for m in range(self.depth + 1)])

@@ -199,46 +199,45 @@ def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None = None,
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)
 
 
-def poisson(g: Graph, clu: GrowthCluster, layer, green_prev: GreenKernel | None = None,
+def poisson(g: Graph, clu: GrowthCluster, green_prev: GreenKernel | None = None,
             lap: np.ndarray | None = None) -> np.ndarray:
-    """Poisson kernel of (cluster, layer): rows over the cluster, columns
-    over the layer; identity on the layer, harmonic elsewhere in the
-    cluster, zero outside.
+    """Poisson kernel of the cluster and its top layer: rows over the
+    cluster, columns over the layer; identity on the layer, harmonic
+    elsewhere in the cluster, zero outside.
 
-    With layer == cluster there is no interior and the kernel is the
-    identity. With `green_prev`, the Green kernel of the cluster minus the
-    layer, the interior block is one product of it with the coupling to the
-    layer; without it the interior system is solved directly. `lap` is the
-    cluster Laplacian, for a caller that already holds it.
+    At cluster 0 the layer is the whole cluster, there is no interior and
+    the kernel is the identity. With `green_prev`, the Green kernel of the
+    cluster minus the layer, the interior block is one product of it with
+    the coupling to the layer; without it the interior system is solved
+    directly. `lap` is the cluster Laplacian, for a caller that already
+    holds it.
     """
-    layer = tuple(layer)
-    lay_pos = [clu.local[v] for v in layer]
-    pinned = set(lay_pos)
-    interior = [p for p in range(clu.size) if p not in pinned]
-    p = np.zeros((clu.size, len(layer)))
-    for col, pos in enumerate(lay_pos):
-        p[pos, col] = 1.0
-    if interior:
+    top = clu.layer_slice(clu.n)
+    k = top.start  # the interior is the prefix below the top layer
+    p = np.zeros((clu.size, top.stop - k))
+    p[top] = np.eye(top.stop - k)
+    if k:
         a = laplacian(g, clu) if lap is None else lap
-        rhs = -a[np.ix_(interior, lay_pos)]
+        rhs = -a[:k, top]
         if green_prev is None:
-            p[interior, :] = _solve(a[np.ix_(interior, interior)], rhs)
-        elif green_prev.cluster.vertices != tuple(clu.vertices[i] for i in interior):
+            p[:k] = _solve(a[:k, :k], rhs)
+        elif green_prev.cluster.vertices != clu.vertices[:k]:
             raise ValueError("green_prev must be the Green kernel of the cluster minus the layer")
         else:
-            p[interior, :] = _couple(green_prev.normalized, rhs)
+            p[:k] = _couple(green_prev.normalized, rhs)
     return p
 
 
-def boundary_green(kern: GreenKernel, layer) -> np.ndarray:
-    """Green matrix restricted to a layer; positive definite by theory.
+def boundary_green(kern: GreenKernel) -> np.ndarray:
+    """Green matrix restricted to the cluster's top layer; positive
+    definite by theory.
 
     For a reversible graph the Green matrix is exactly symmetric, so the
     restriction is too, and a Cholesky factor certifies it positive
     definite. A tampered (asymmetric) Green matrix skips the check.
     """
-    pos = [kern.cluster.local[v] for v in tuple(layer)]
-    bg = kern.normalized[np.ix_(pos, pos)]
+    top = kern.cluster.layer_slice(kern.cluster.n)
+    bg = kern.normalized[top, top]
     if _is_exactly_symmetric(np.asarray(bg)):
         try:
             linalg.cholesky(bg)

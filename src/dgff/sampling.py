@@ -30,8 +30,9 @@ leading k_n entries of Q_top^* f), with their exact covariance, and the
 caller scores them on its S. The oracle draws one top-cluster noise block
 of its own, in a draw range disjoint from the DGFF's; cluster orders are
 prefixes of the top cluster's, so level n's oracle uses the leading
-k_n x k_n corner of that block's Gram matrix. Explicit samples exist only as blocks of trials, one
-trial per row: `wnf_block` draws the noise and `dgff_block` grows it, for
+k_n x k_n corner of that block's Gram matrix. Explicit samples exist only
+as blocks of trials, one trial per row: `wnf_block` draws the noise and
+`dgff_block` grows every level from it one layer at a time, for
 `dgff sample` and the exact per-sample rungs.
 
 The empirical covariance of a zero-mean Gaussian sample has per-entry
@@ -82,14 +83,20 @@ def wnf_block(domain, stream: GaussianStream, trials: int) -> np.ndarray:
     return stream.block(np.asarray(list(domain), dtype=int), trials)
 
 
-def dgff_block(stack: OperatorStack, n: int, phi_block: np.ndarray) -> np.ndarray:
-    """DGFF samples on cluster n from WNF rows over the top cluster.
-
-    `phi_block` columns follow the top cluster's vertex order, whose prefix
-    is the order of every smaller cluster.
+def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> list[np.ndarray]:
+    """DGFF samples Psi_0..Psi_N, one (trials, k_n) block per level, grown
+    from the kernels as Psi_n = (Psi_{n-1} + 0) + K_n z_{L_n}, with no dense
+    Q_n. `phi_block` holds WNF rows over the top cluster, in its vertex
+    order, whose prefix is the order of every smaller cluster.
     """
-    k = stack.cluster(n).size
-    return phi_block[:, :k] @ stack.growth(n).T
+    top = stack.cluster(stack.depth)
+    fields = []
+    for n in range(stack.depth + 1):
+        psi = phi_block[:, top.layer_slice(n)] @ stack.kernel(n).T
+        if n:
+            psi[:, : fields[-1].shape[1]] += fields[-1]
+        fields.append(psi)
+    return fields
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,7 @@ def brownian_check(stack: OperatorStack, f: np.ndarray) -> BrownianReport:
     f to cluster n; and E_n grows with n, as G_n - (G_{n-1} + 0) is PSD.
     """
     f = np.asarray(f, dtype=float)
-    c = stack.growth_adjoint_apply(stack.depth, f)
+    c = stack.growth_adjoint_apply(f)
     levels = stack.depth + 1
     coef = np.zeros((levels, c.shape[0]))
     targets, energies = np.empty(levels), np.empty(levels)
@@ -335,7 +342,7 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
         raise SupportViolationError("test vector must be supported on cluster 1")
 
     depth = stack.depth
-    c = stack.growth_adjoint_apply(depth, f)
+    c = stack.growth_adjoint_apply(f)
     sizes = [stack.cluster(n).size for n in range(depth + 1)]
     t = np.array([float(c[:k] @ c[:k]) for k in sizes])
     a = np.empty((depth, c.shape[0]))
@@ -344,7 +351,7 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
         clu = stack.cluster(n)
         placed = np.zeros(stack.graph.n_vertices)
         placed[np.array(clu.top_layer)] = stack.poisson(n).T @ f[np.array(clu.vertices)]
-        a[n - 1] = stack.growth_adjoint_apply(depth, placed)
+        a[n - 1] = stack.growth_adjoint_apply(placed)
         telescoped = c.copy()
         telescoped[: sizes[n - 1]] = 0.0  # c[:k_{n-1}] is F_{n-1}'s coefficients
         resid = max(resid, float(np.abs(a[n - 1] - telescoped).max()))

@@ -29,6 +29,9 @@ the paper's per-level facts instead of a cubic check at every level:
   of Q_top with zeros below, so its Gram is the top Gram's leading k_n
   block, whose residual is part of the top's.
 
+The increment rungs grow their fields with one `dgff_block` call; only
+`isometry` and `dgff_covariance` assemble a dense Q, Q_top once each.
+
 Rungs run in order and later rungs reuse earlier operators, but a failure
 does not stop the ladder: each rung records its own statistic, or the error
 code that prevented it, a numeric error included. This is what gives
@@ -234,13 +237,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
             return None
         top = stack.cluster(depth)
         block = wnf_block(top.vertices, stream, INCREMENT_SAMPLES)
-        worst = 0.0
-        lo = dgff_block(stack, 0, block)
+        fields, worst = dgff_block(stack, block), 0.0
         for n in range(1, depth + 1):
-            hi = dgff_block(stack, n, block)
-            diff = hi.copy()
-            diff[:, : lo.shape[1]] -= lo
-            lo = hi
+            diff = fields[n].copy()
+            diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
             layer = top.layer_slice(n)
             other = block[:, layer] @ stack.layer_sqrt(n).T @ stack.poisson(n).T
             scale = max(float(np.abs(diff).max()), 1.0)
@@ -250,15 +250,11 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def increment_harmonic():
         if depth == 0:
             return None
-        top = stack.cluster(depth)
-        block = wnf_block(top.vertices, stream, INCREMENT_SAMPLES)
-        worst = 0.0
-        lo = dgff_block(stack, 0, block)
+        block = wnf_block(stack.cluster(depth).vertices, stream, INCREMENT_SAMPLES)
+        fields, worst = dgff_block(stack, block), 0.0
         for n in range(1, depth + 1):
-            hi = dgff_block(stack, n, block)
-            diff = hi.copy()
-            diff[:, : lo.shape[1]] -= lo
-            lo = hi
+            diff = fields[n].copy()
+            diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
             st = stack.stencil(n)
             resid = st.apply(diff.T, rows=stack.cluster(n - 1).size)
             scale = max(float(np.abs(diff).max()), 1.0) * max(float(np.abs(st.val).max()), 1.0)
@@ -278,9 +274,11 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     def dgff_covariance():
         mc["phi"] = stream.gram(stack.cluster(depth).vertices, trials)
+        q = stack.growth(depth)  # Q_n is its leading k_n x k_n block
         worst, entries = 0.0, 0
         for n in range(depth + 1):
-            mc[f"dgff{n}"] = mc["phi"].cross(stack.growth(n))
+            k = stack.cluster(n).size
+            mc[f"dgff{n}"] = mc["phi"].cross(q[:k, :k])
             rep = moment_report(mc[f"dgff{n}"], stack.green(n).normalized, trials, seed)
             worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
             if collect_reports and n == depth:

@@ -26,9 +26,5 @@ def cross_covariance_zmax(a: np.ndarray, b: np.ndarray,
 
 def pairing_block(stack, f: np.ndarray, phi_block: np.ndarray) -> np.ndarray:
     """(trials, depth+1) matrix of pairings F_n = <f, Psi_n>."""
-    cols = []
-    for n in range(stack.depth + 1):
-        s = dgff_block(stack, n, phi_block)
-        f_loc = np.asarray(f, dtype=float)[np.array(stack.cluster(n).vertices)]
-        cols.append(s @ f_loc)
-    return np.column_stack(cols)
+    f_top = np.asarray(f, dtype=float)[np.array(stack.cluster(stack.depth).vertices)]
+    return np.column_stack([s @ f_top[: s.shape[1]] for s in dgff_block(stack, phi_block)])

@@ -160,9 +160,9 @@ def test_criterion_6_increment_identity(stack_set):
             continue
         top = stack.cluster(stack.depth)
         block = wnf_block(top.vertices, GaussianStream(SEED + 6), 100)
+        fields = dgff_block(stack, block)
         for n in range(1, stack.depth + 1):
-            hi = dgff_block(stack, n, block)
-            lo = dgff_block(stack, n - 1, block)
+            hi, lo = fields[n], fields[n - 1]
             diff = hi.copy()
             diff[:, : lo.shape[1]] -= lo
             other = block[:, top.layer_slice(n)] @ stack.layer_sqrt(n).T @ stack.poisson(n).T
@@ -182,9 +182,8 @@ def test_criterion_7_covariance(mc):
         # one oracle noise block over the top cluster, after the field's draws
         oracle = mc[name]["stream"].gram(stack.cluster(stack.depth).vertices, TRIALS)
         worst = 0.0
-        for n in range(stack.depth + 1):
+        for n, grown in enumerate(dgff_block(stack, phi)):
             target = stack.green(n).normalized
-            grown = dgff_block(stack, n, phi)
             rep = covariance_report(grown, target, SEED)
             rep_o = moment_report(oracle_moment(stack.green(n), oracle), target, TRIALS, SEED)
             z_joint = two_sample_zmax(rep.empirical, rep_o.empirical, TRIALS, target)
@@ -202,11 +201,12 @@ def test_criterion_8_increment_independence(mc):
         stack = mc[name]["stack"]
         phi = mc[name]["phi"]
         blocks, variances = [], []
-        prev = dgff_block(stack, 0, phi)
+        fields = dgff_block(stack, phi)
+        prev = fields[0]
         blocks.append(prev)
         variances.append(np.diag(stack.green(0).normalized))
         for n in range(1, stack.depth + 1):
-            hi = dgff_block(stack, n, phi)
+            hi = fields[n]
             diff = hi.copy()
             diff[:, : prev.shape[1]] -= prev
             var = np.diag(stack.green(n).normalized).copy()
@@ -235,8 +235,9 @@ def test_criterion_9_brownian(mc, stack_set):
             f[np.array(top.vertices)] = fstream.draw(top.vertices)
             targets = np.zeros(stack.depth + 1)
             energies = np.zeros(stack.depth + 1)
+            coef = stack.growth_adjoint_apply(f)  # Q_n^* f is its leading k_n entries
             for n in range(stack.depth + 1):
-                qf = stack.growth_adjoint_apply(n, f)
+                qf = coef[: stack.cluster(n).size]
                 targets[n] = qf @ qf
                 f_n = f[np.array(stack.cluster(n).vertices)]
                 energies[n] = f_n @ stack.green(n).normalized @ f_n

@@ -83,9 +83,9 @@ class TestEquivalence:
 
     def test_dgff_covariance(self, routes):
         g, stack, phi, gram = routes
-        for n in range(stack.depth + 1):
+        for n, grown in enumerate(dgff_block(stack, phi)):
             target = stack.green(n).normalized
-            block = covariance_report(dgff_block(stack, n, phi), target, 11)
+            block = covariance_report(grown, target, 11)
             streamed = moment_report(gram.cross(stack.growth(n)), target, gram.trials, 11)
             np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
             assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
@@ -94,11 +94,12 @@ class TestEquivalence:
     def test_increment_independence(self, routes):
         g, stack, phi, gram = routes
         blocks, variances = [], []
-        prev = dgff_block(stack, 0, phi)
+        fields = dgff_block(stack, phi)
+        prev = fields[0]
         blocks.append(prev)
         variances.append(np.diag(stack.green(0).normalized))
         for n in range(1, stack.depth + 1):
-            hi = dgff_block(stack, n, phi)
+            hi = fields[n]
             diff = hi.copy()
             diff[:, : prev.shape[1]] -= prev
             var = np.diag(stack.green(n).normalized).copy()
@@ -135,7 +136,7 @@ class TestEquivalence:
         f[np.array(base.vertices)] = GaussianStream(4).draw(base.vertices)
         rep = sweep_average_check(stack, f)
         streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)
-        big = dgff_block(stack, n2, phi)
+        big = dgff_block(stack, phi)[n2]
         clu2 = stack.cluster(n2)
         a = np.column_stack([
             big[:, clu2.layer_slice(n)]
@@ -159,7 +160,7 @@ class TestSweepIdentity:
         rep = sweep_average_check(stack, f)
         assert rep.coef.shape == (stack.depth, stack.cluster(stack.depth).size)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
-        coef = stack.growth_adjoint_apply(stack.depth, f)
+        coef = stack.growth_adjoint_apply(f)
         assert rep.identity_scale == max(1.0, float(np.abs(coef).max()))
 
     def test_tampered_poisson_kernel_fails_the_sweep_rung(self):

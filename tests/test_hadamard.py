@@ -44,7 +44,7 @@ class TestLayerSqrt:
         g, fol = standard_fixture("grid5")
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
-            bg = np.asarray(boundary_green(green(g, clu), clu.top_layer))
+            bg = np.asarray(boundary_green(green(g, clu)))
             r = layer_sqrt(bg)
             assert np.abs(r @ r - bg).max() <= 1e-10 * np.abs(bg).max()
             np.testing.assert_array_equal(r, r.T)
@@ -221,9 +221,9 @@ def test_kernel_K_is_poisson_times_sqrt(p4_stack):
 
 @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
 def test_adjoint_from_kernels_matches_dense_growth(name):
-    # the stack applies Q_n^* through its kernels; reference: the assembled
-    # Q_n. The bases expand with n, so every level's coefficients, and the
-    # Brownian check's pairing rows, are prefixes of the top level's.
+    # the stack applies Q_top^* through its kernels; reference: the
+    # assembled Q_n. The bases expand with n, so every level's coefficients,
+    # and the Brownian check's pairing rows, are prefixes of the top level's.
     g, fol = standard_fixture(name)
     stack = OperatorStack(g, fol)
     f = np.random.default_rng(5).normal(size=g.n_vertices)
@@ -231,12 +231,14 @@ def test_adjoint_from_kernels_matches_dense_growth(name):
     top_ref = hadamard_Q(top, [stack.kernel(m) for m in range(fol.depth + 1)]).T \
         @ f[np.array(top.vertices)]
     rows = brownian_check(stack, f).coef
+    coef = stack.growth_adjoint_apply(f)
+    assert coef.shape == (top.size,)
     for n in range(fol.depth + 1):
         clu = stack.cluster(n)
         q = hadamard_Q(clu, [stack.kernel(m) for m in range(n + 1)])
         ref = q.T @ f[np.array(clu.vertices)]
         tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
-        np.testing.assert_allclose(stack.growth_adjoint_apply(n, f), ref, rtol=0, atol=tol)
+        np.testing.assert_allclose(coef[: clu.size], ref, rtol=0, atol=tol)
         np.testing.assert_allclose(ref, top_ref[: clu.size], rtol=0, atol=tol)
         np.testing.assert_allclose(rows[n, : clu.size], top_ref[: clu.size], rtol=0, atol=tol)
         np.testing.assert_array_equal(rows[n, clu.size:], 0.0)

@@ -134,18 +134,19 @@ class TestGreen:
 class TestPoisson:
     def test_p4_half(self, p4_parts):
         g, _, _, c1 = p4_parts
-        p = poisson(g, c1, c1.top_layer)
+        p = poisson(g, c1)
         np.testing.assert_allclose(p.ravel(), [0.5, 1.0], atol=1e-14)
 
     def test_layer_equals_cluster_gives_identity(self, p4_parts):
-        g, _, _, c1 = p4_parts
-        p = poisson(g, c1, c1.vertices)
+        # only at cluster 0 is the top layer the whole cluster
+        g = p4_parts[0]
+        p = poisson(g, cluster(bfs_foliate(g, ["v1", "v2"]), 0))
         np.testing.assert_array_equal(p, np.eye(2))
 
     def test_grid_row_sums_at_most_one(self):
         g, fol = standard_fixture("grid5")
         for n in range(fol.depth + 1):
-            p = poisson(g, cluster(fol, n), cluster(fol, n).top_layer)
+            p = poisson(g, cluster(fol, n))
             assert p.min() >= -1e-14
             assert p.max() <= 1.0 + 1e-14
             assert p.sum(axis=1).max() <= 1.0 + 1e-12
@@ -155,14 +156,14 @@ class TestPoisson:
         n = fol.depth
         clu = cluster(fol, n)
         a = laplacian(g, clu)
-        p = poisson(g, clu, clu.top_layer)
+        p = poisson(g, clu)
         interior = cluster(fol, n - 1).size
         assert np.abs((a @ p)[:interior]).max() <= 1e-12 * np.abs(a).max()
 
     def test_pinned_rows_are_kronecker(self):
         g, fol = standard_fixture("grid5")
         clu = cluster(fol, 2)
-        p = poisson(g, clu, clu.top_layer)
+        p = poisson(g, clu)
         np.testing.assert_array_equal(p[clu.layer_slice(2), :], np.eye(4))
 
     def test_interior_sealed_off_from_the_layer_is_not_pd(self):
@@ -181,19 +182,19 @@ class TestPoisson:
         clu = GrowthCluster(n=1, vertices=tuple(range(6)), layer_start=(0, 5, 6),
                             local={i: i for i in range(6)})
         with pytest.raises(NotPositiveDefiniteError):
-            poisson(g, clu, clu.top_layer)
+            poisson(g, clu)
 
 
 class TestBoundaryGreen:
     def test_p4_level_one(self, p4_parts):
         g, _, _, c1 = p4_parts
-        bg = boundary_green(green(g, c1), c1.top_layer)
+        bg = boundary_green(green(g, c1))
         np.testing.assert_allclose(bg, [[2.0 / 3.0]], atol=1e-12)
 
     def test_level_zero_is_whole_green(self, p4_parts):
         g, _, c0, _ = p4_parts
         k = green(g, c0)
-        np.testing.assert_array_equal(boundary_green(k, c0.top_layer), k.normalized)
+        np.testing.assert_array_equal(boundary_green(k), k.normalized)
 
     def test_grid_eigenvalues_positive(self):
         from dgff import jacobi_eigen
@@ -201,7 +202,7 @@ class TestBoundaryGreen:
         g, fol = standard_fixture("grid5")
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
-            bg = boundary_green(green(g, clu), clu.top_layer)
+            bg = boundary_green(green(g, clu))
             w, _ = jacobi_eigen(np.asarray(bg))
             assert w[0] > 0
 
@@ -210,15 +211,20 @@ class TestBoundaryGreen:
         g, fol = standard_fixture("grid13")
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
-            bg = boundary_green(green(g, clu), clu.top_layer)
+            bg = boundary_green(green(g, clu))
             assert np.array_equal(bg, bg.T), n
 
-    def test_indefinite_restriction_rejected(self, p4_parts):
-        _, _, _, c1 = p4_parts
-        kern = GreenKernel(cluster=c1, normalized=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                           pi=np.ones(2))
+    def test_indefinite_restriction_rejected(self):
+        # symmetric with a unit diagonal, but the top-layer block holds the
+        # indefinite corner [[1, 2], [2, 1]]
+        g, fol = standard_fixture("grid5")
+        c1 = cluster(fol, 1)
+        i = c1.layer_slice(1).start
+        bad = np.eye(c1.size)
+        bad[i, i + 1] = bad[i + 1, i] = 2.0
+        kern = GreenKernel(cluster=c1, normalized=bad, pi=np.ones(c1.size))
         with pytest.raises(NotPositiveDefiniteError):
-            boundary_green(kern, c1.vertices)
+            boundary_green(kern)
 
     def test_one_eigendecomposition_per_level(self, monkeypatch):
         calls = []
@@ -236,9 +242,9 @@ def assert_stack_matches_dense(g, fol):
         clu = cluster(fol, n)
         ref = green(g, clu)
         np.testing.assert_allclose(stack.green(n).normalized, ref.normalized, rtol=1e-12)
-        p_ref = poisson(g, clu, clu.top_layer)
+        p_ref = poisson(g, clu)
         np.testing.assert_allclose(stack.poisson(n), p_ref, rtol=1e-12)
-        b_ref = boundary_green(ref, clu.top_layer)
+        b_ref = boundary_green(ref)
         np.testing.assert_allclose(stack.boundary_green(n), b_ref, rtol=1e-12)
 
 
@@ -316,7 +322,7 @@ class TestOneLayerBuild:
         with pytest.raises(ValueError):
             green(g, c0, prev=green(g, c1))
         with pytest.raises(ValueError):
-            poisson(g, c1, c1.vertices[:1], green_prev=green(g, c0))
+            poisson(g, c1, green_prev=green(g, c1))  # not the cluster minus the layer
 
 
 class TestVariation:
@@ -326,7 +332,7 @@ class TestVariation:
         g0 = green(g, c0).unnormalized
         # new minus old at (v1, v1) equals 1/3, and so does the harmonic route
         assert g1[0, 0] - g0[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        p = poisson(g, c1, c1.top_layer)
+        p = poisson(g, c1)
         assert p[0, 0] * g1[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert verify_green_variation(green(g, c1), green(g, c0), p) <= 1e-12
 
@@ -338,7 +344,7 @@ class TestVariation:
                 green_n = green(g, clu)
                 scale = np.abs(green_n.unnormalized).max()
                 resid = verify_green_variation(green_n, green(g, cluster(fol, n - 1)),
-                                               poisson(g, clu, clu.top_layer))
+                                               poisson(g, clu))
                 assert resid <= 1e-10 * scale
 
     def test_monotone_growth(self):

@@ -91,8 +91,8 @@ class TestStream:
 class TestGrow:
     def test_zero_noise_gives_zero_field(self, p4_stack):
         g, stack = p4_stack
-        psi = dgff_block(stack, 1, np.zeros((1, stack.cluster(1).size)))
-        np.testing.assert_array_equal(psi, 0.0)
+        for psi in dgff_block(stack, np.zeros((1, stack.cluster(1).size))):
+            np.testing.assert_array_equal(psi, 0.0)
 
     def test_field_vanishes_off_cluster(self, grid_stack):
         # Psi_1 has one column per vertex of cluster 1 and reads no noise
@@ -100,16 +100,16 @@ class TestGrow:
         g, stack = grid_stack
         k1 = stack.cluster(1).size
         phi = wnf_block(stack.cluster(2).vertices, GaussianStream(3), 1)
-        psi = dgff_block(stack, 1, phi)
+        psi = dgff_block(stack, phi)[1]
         assert psi.shape == (1, k1)
         other = phi.copy()
         other[:, k1:] = 7.0
-        np.testing.assert_array_equal(dgff_block(stack, 1, other), psi)
+        np.testing.assert_array_equal(dgff_block(stack, other)[1], psi)
 
     def test_p4_variance_matches_green(self, p4_stack):
         g, stack = p4_stack
         phi = wnf_block(stack.cluster(1).vertices, GaussianStream(21), TRIALS)
-        psi = dgff_block(stack, 1, phi)
+        psi = dgff_block(stack, phi)[1]
         rep = covariance_report(psi, stack.green(1).normalized, 21)
         assert rep.max_abs_z <= ZMAX
         v11 = psi[:, 0] @ psi[:, 0] / TRIALS
@@ -121,14 +121,29 @@ class TestGrow:
         block = wnf_block(stack.cluster(1).vertices, stream, 3)
         single = GaussianStream(4).draw(stack.cluster(1).vertices)
         np.testing.assert_array_equal(block[0], single)
-        np.testing.assert_allclose(dgff_block(stack, 1, block)[0],
+        np.testing.assert_allclose(dgff_block(stack, block)[1][0],
                                    stack.growth(1) @ single, atol=1e-14)
+
+    @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
+    def test_recursion_matches_the_dense_growth_operator(self, name):
+        # Psi_n = (Psi_{n-1} + 0) + K_n z_{L_n} against Psi_n = Q_n z
+        stack = OperatorStack(*standard_fixture(name))
+        top = stack.cluster(stack.depth)
+        phi = wnf_block(top.vertices, GaussianStream(17), 50)
+        fields = dgff_block(stack, phi)
+        assert len(fields) == stack.depth + 1
+        for n, psi in enumerate(fields):
+            k = stack.cluster(n).size
+            ref = phi[:, :k] @ stack.growth(n).T
+            assert psi.shape == ref.shape
+            assert np.abs(psi - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
 
 def _increment(stack, phi, n):
     """Psi_n - Psi_{n-1} on cluster n, one row per row of `phi`."""
-    inc = dgff_block(stack, n, phi)
-    inc[:, : stack.cluster(n - 1).size] -= dgff_block(stack, n - 1, phi)
+    fields = dgff_block(stack, phi)
+    inc = fields[n].copy()
+    inc[:, : fields[n - 1].shape[1]] -= fields[n - 1]
     return inc
 
 
@@ -157,9 +172,7 @@ class TestIncrement:
     def test_increments_independent(self, grid_stack):
         g, stack = grid_stack
         phi = wnf_block(stack.cluster(2).vertices, GaussianStream(13), TRIALS)
-        psi0 = dgff_block(stack, 0, phi)
-        psi1 = dgff_block(stack, 1, phi)
-        psi2 = dgff_block(stack, 2, phi)
+        psi0, psi1, psi2 = dgff_block(stack, phi)
         d1 = psi1.copy()
         d1[:, :1] -= psi0
         d2 = psi2.copy()
@@ -177,8 +190,7 @@ class TestIncrement:
         # the n->n+1 step never reads noise below the new layer
         g, stack = grid_stack
         phi = wnf_block(stack.cluster(2).vertices, GaussianStream(29), TRIALS)
-        d2 = dgff_block(stack, 2, phi)
-        d2[:, :5] -= dgff_block(stack, 1, phi)
+        d2 = _increment(stack, phi, 2)
         lower_noise = phi[:, :5]
         var2 = np.diag(stack.green(2).normalized).copy()
         var2[:5] -= np.diag(stack.green(1).normalized)
@@ -202,8 +214,8 @@ class TestOracle:
     def test_oracle_agrees_with_grown_field(self, p4_stack):
         g, stack = p4_stack
         target = stack.green(1).normalized
-        grown = dgff_block(stack, 1, wnf_block(stack.cluster(1).vertices,
-                                               GaussianStream(41), TRIALS))
+        grown = dgff_block(stack, wnf_block(stack.cluster(1).vertices,
+                                            GaussianStream(41), TRIALS))[1]
         direct = oracle_moment(stack.green(1),
                                GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS))
         z = two_sample_zmax(known_mean_covariance(grown), direct, TRIALS, target)
@@ -293,8 +305,8 @@ class TestSweep:
         gram = GaussianStream(67).gram(stack.cluster(2).vertices, TRIALS)
         assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 67).max_abs_z <= ZMAX
         # endpoint n = n2 is the plain last increment
-        t = [float(stack.growth_adjoint_apply(n, f) @ stack.growth_adjoint_apply(n, f))
-             for n in range(3)]
+        c = stack.growth_adjoint_apply(f)
+        t = [float(c[:k] @ c[:k]) for k in (stack.cluster(n).size for n in range(3))]
         np.testing.assert_allclose(rep.variance_targets, [t[2] - t[0], t[2] - t[1]],
                                    atol=1e-12)
 

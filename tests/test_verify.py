@@ -76,6 +76,9 @@ class TestHadamardIdentity:
         assert n < stack.depth
         assert not _row(rep, "hadamard_identity")["passed"]
         assert not _row(rep, "isometry")["passed"]
+        if n:  # the sampled increments K_n z_{L_n}, n >= 1, read only K_n
+            assert not _row(rep, "increment_identity")["passed"]
+            assert not _row(rep, "increment_harmonic")["passed"]
 
 
 class TestBrownianPythagoras:
@@ -127,9 +130,10 @@ class _SquareMatmuls(np.ndarray):
 
 def test_exact_ladder_cost_guard(monkeypatch):
     """On grid13 the exact ladder builds one Laplacian, forms one Dirichlet
-    Gram and multiplies no two k_n x k_n matrices for k_n > 50: neither the
-    cached operators nor a dense Q_n, which `hadamard_Q` assembles anew."""
-    counts = {"laplacian": 0, "dirichlet_gram": 0}
+    Gram, assembles one dense Q (the top's, for that Gram) and multiplies no
+    two k_n x k_n matrices for k_n > 50: neither the cached operators nor a
+    dense Q_n, which `hadamard_Q` assembles anew."""
+    counts = {"laplacian": 0, "dirichlet_gram": 0, "hadamard_Q": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -157,21 +161,29 @@ def test_exact_ladder_cost_guard(monkeypatch):
         return memo(stack, kind, n, wrapped)
 
     monkeypatch.setattr(OperatorStack, "_memo", spied)
-    assemble = hadamard.hadamard_Q
+    assemble = counted("hadamard_Q", hadamard.hadamard_Q)
     monkeypatch.setattr(hadamard, "hadamard_Q",
                         lambda clu, kernels: assemble(clu, kernels).view(_SquareMatmuls))
     monkeypatch.setattr(_SquareMatmuls, "seen", [])
     g, fol = standard_fixture("grid13")
     rep = run_ladder(g, fol, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"laplacian": 1, "dirichlet_gram": 1}
+    assert counts == {"laplacian": 1, "dirichlet_gram": 1, "hadamard_Q": 1}
     assert _SquareMatmuls.seen == []
 
 
-def test_stack_keeps_no_dense_growth_operator():
+def test_stack_keeps_no_dense_growth_operator(monkeypatch):
+    # the samples grow from the kernels; a dense Q is assembled twice, both
+    # times Q_top: for the isometry's Dirichlet Gram and for the field's
+    # covariances, whose Q_n are its leading blocks
+    sizes = []
+    assemble = hadamard.hadamard_Q
+    monkeypatch.setattr(hadamard, "hadamard_Q",
+                        lambda clu, kernels: sizes.append(clu.size) or assemble(clu, kernels))
     g, fol = standard_fixture("grid5")
     stack = OperatorStack(g, fol)
     assert run_ladder(g, fol, seed=1, trials=2000, stack=stack)["pass"]
+    assert sizes == [stack.cluster(stack.depth).size] * 2
     assert ("kernel", stack.depth) in stack._cache
     assert not [key for key in stack._cache if key[0] == "growth"]
 
