@@ -55,7 +55,6 @@ from .operators import (
     Stencil,
     boundary_green,
     green,
-    laplacian,
     poisson,
     stencil,
     verify_green_variation,

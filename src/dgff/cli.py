@@ -23,7 +23,7 @@ from .foliation import GrowthCluster, bfs_foliate, cluster as make_cluster, load
 from .graph import load_graph
 from .hadamard import OperatorStack, dirichlet_gram, verify_hadamard_identity, verify_isometry
 from .linalg import write_matrix_csv
-from .operators import green, poisson
+from .operators import green, poisson, stencil
 from .sampling import GaussianStream, dgff_block, wnf_block
 from .verify import TOL_EXACT, Z_MAX, run_ladder
 
@@ -93,24 +93,31 @@ def _pick_cluster(args, fol) -> GrowthCluster:
     return make_cluster(fol, args.cluster if args.cluster is not None else fol.depth)
 
 
-# `green` and `poisson` emit one level, so they take the direct route: for a
-# single cluster of size k it costs O(k^3) like the one-layer chain up to it,
-# but holds one k x k matrix instead of every lower level's.
+# `green` and `poisson` emit one level, so they take the recursion's base
+# step on one cluster (its whole Laplacian inverted at once) instead of the
+# one-layer chain: the same O(k^3) for a cluster of size k, holding one
+# k x k matrix instead of every lower level's. The Poisson kernel's interior
+# block is -G U, with G the base step on the cluster minus the top layer.
 
 def cmd_green(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
     ids = g.ids(clu.vertices)
-    _emit(args, f"green_{clu.n}.csv", _matrix_text(args, ids, ids, green(g, clu).normalized))
+    _emit(args, f"green_{clu.n}.csv",
+          _matrix_text(args, ids, ids, green(g, clu, stencil(g, clu)).normalized))
     return 0
 
 
 def cmd_poisson(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
+    st, green_prev = stencil(g, clu), None
+    if clu.n:
+        inner = make_cluster(fol, clu.n - 1)
+        green_prev = green(g, inner, st.leading(inner.size))
     _emit(args, f"poisson_{clu.n}.csv",
           _matrix_text(args, g.ids(clu.vertices), g.ids(clu.top_layer),
-                       poisson(g, clu)))
+                       poisson(clu, st, green_prev)))
     return 0
 
 

@@ -30,11 +30,13 @@ Q_n^* f. `growth(n)` assembles a dense Q_n afresh on each call, for
 `dgff_covariance`.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Green kernel, Poisson kernel and boundary Green B_n come
-from G_{n-1} and the new layer's block of the Laplacian, factorizing only a
-layer-sized Schur complement (see `dgff.operators`). The stack assembles
-one Laplacian, the top cluster's: level n's is its leading block, as a
-read-only view, and the checks multiply by it through a padded neighbour
-stencil built once from the graph's edges.
+from G_{n-1} and the new layer's rows of the Laplacian, factorizing only a
+layer-sized Schur complement (see `dgff.operators`). The Laplacian is held
+once, as the top cluster's padded neighbour stencil read from the graph's
+edges; level n's is its leading block. The build gathers its layer rows
+from it and the checks multiply by it, while `dirichlet_gram` reads the
+edge list directly, so the `isometry` check stays independent of the
+stencil.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .operators import (
     Stencil,
     boundary_green,
     green,
-    laplacian,
     poisson,
     stencil,
     verify_green_variation,
@@ -183,18 +184,6 @@ class OperatorStack:
     def cluster(self, n: int) -> GrowthCluster:
         return self._memo("cluster", n, lambda: make_cluster(self.foliation, n))
 
-    def laplacian(self, n: int) -> np.ndarray:
-        """Laplacian of cluster n: a read-only view of the leading k_n x k_n
-        block of the top cluster's, which it equals bit for bit (cluster
-        orders are prefixes, and an entry depends on its two vertices only)."""
-        k = self.cluster(n).size
-        return self._memo("laplacian", self.depth, self._top_laplacian)[:k, :k]
-
-    def _top_laplacian(self) -> np.ndarray:
-        a = laplacian(self.graph, self.cluster(self.depth))
-        a.flags.writeable = False
-        return a
-
     def stencil(self, n: int) -> Stencil:
         """Laplacian of cluster n as padded neighbour rows: the top cluster's
         stencil, built once, with the neighbours outside cluster n masked."""
@@ -205,14 +194,12 @@ class OperatorStack:
     def green(self, n: int) -> GreenKernel:
         """Green kernel of cluster n, grown by one layer from cluster n-1."""
         return self._memo_upward("green", n, lambda m: green(
-            self.graph, self.cluster(m), self.green(m - 1) if m else None,
-            lap=self.laplacian(m)))
+            self.graph, self.cluster(m), self.stencil(m), self.green(m - 1) if m else None))
 
     def poisson(self, n: int) -> np.ndarray:
         """Poisson kernel of cluster n and its top layer, from G_{n-1}."""
         return self._memo("poisson", n, lambda: poisson(
-            self.graph, self.cluster(n), self.green(n - 1) if n else None,
-            lap=self.laplacian(n)))
+            self.cluster(n), self.stencil(n), self.green(n - 1) if n else None))
 
     def boundary_green(self, n: int) -> np.ndarray:
         return self._memo("bgreen", n, lambda: boundary_green(self.green(n)))

@@ -1,14 +1,15 @@
-"""Per-cluster operators: Laplacian, Green kernels, Poisson kernels and the
-boundary Green restriction.
+"""Per-cluster operators: Laplacian stencil, Green kernels, Poisson kernels
+and the boundary Green restriction.
 
 For a growth cluster U the Laplacian matrix has diag(x) = pi(x) and
 off-diagonal -c(x, y) on cluster-internal edges; it is positive definite
 whenever every component of U touches the complement. The normalized Green
 matrix is its inverse, exactly symmetric; the unnormalized kernel is
 G(x, y) = Gn(x, y) pi(y). The Poisson kernel of (U, W) extends data on W
-harmonically into U with zero values outside U. A `Stencil` holds the same
-Laplacian as padded neighbour rows, for products that cost (deg + 1) k per
-column instead of k^2.
+harmonically into U with zero values outside U. The package holds the
+Laplacian one way only, as a `Stencil` of padded neighbour rows read from
+the graph's edges: products with it cost (deg + 1) k per column instead of
+k^2, and the build gathers from it just the rows of the new layer.
 
 Cluster n is cluster n-1 plus one layer, and the operators are built that
 way. In layer-major order the Laplacian is A_n = [[A_{n-1}, U], [V, D]],
@@ -22,14 +23,18 @@ Y = V G_{n-1}, the block-inverse (Schur complement) identity gives
 and the Poisson kernel's interior block is -X. Only a layer-sized matrix
 is factorized per level; positive definiteness of A_n follows from that of
 A_{n-1} and of the Schur complement, which a Cholesky factor certifies.
-Without the previous level the whole cluster is the new layer, and the
-same code is the dense inverse, which the tests use as the reference.
+Without the previous level the whole cluster is the new layer: the same
+code is then the recursion's base step, the inverse of the whole cluster
+Laplacian, which `dgff green` and `dgff poisson` use for a single level.
 
 A tampered (direction-dependent) conductance table yields an asymmetric
 Laplacian; the Green inverse then falls back to a general LU inverse of the
 Schur complement, so the inverse identity still holds while the
 reversibility identity pi(x) G(x, y) = pi(y) G(y, x) fails, which is exactly
-what the verification ladder's negative controls rely on.
+what the verification ladder's negative controls rely on. Because the build
+and the checks that multiply by A read the same stencil, a wrong stencil
+entry is seen by the checks that read the graph's edge list instead
+(`isometry`), not by `green_inverse`.
 """
 
 from __future__ import annotations
@@ -42,19 +47,6 @@ from . import linalg
 from .errors import NotPositiveDefiniteError
 from .foliation import GrowthCluster
 from .graph import Graph
-
-
-def laplacian(g: Graph, clu: GrowthCluster) -> np.ndarray:
-    """Cluster Laplacian in the cluster's vertex order."""
-    k = clu.size
-    a = np.zeros((k, k))
-    for li, vi in enumerate(clu.vertices):
-        a[li, li] = g.pi[vi]
-        for vj in g.adj[vi]:
-            lj = clu.local.get(vj)
-            if lj is not None:
-                a[li, lj] = -g.cond[(vi, vj)]
-    return a
 
 
 _GATHER_BYTES = 1 << 18
@@ -107,10 +99,22 @@ class Stencil:
             out[r:r + step] = (val[r:r + step] @ x[idx[r:r + step]])[:, 0]
         return out
 
+    def dense(self, lo: int, hi: int, transpose: bool = False) -> np.ndarray:
+        """Rows lo:hi of A (of A^T with `transpose`) as a dense block over
+        columns :hi; entries in columns >= hi are left out."""
+        idx = self.idx[lo:hi]
+        val = (self.val_t if transpose else self.val)[lo:hi]
+        i, j = np.nonzero(idx < hi)
+        out = np.zeros((hi - lo, hi))
+        # accumulated, not assigned: a padding slot repeats the diagonal's
+        # column with value 0, and must not overwrite the diagonal
+        np.add.at(out, (i, idx[i, j]), val[i, j])
+        return out
+
 
 def stencil(g: Graph, clu: GrowthCluster) -> Stencil:
-    """The cluster Laplacian of `laplacian` as a `Stencil`, read from the
-    graph's adjacency and conductances."""
+    """The cluster Laplacian as a `Stencil`, read from the graph's
+    adjacency and conductances."""
     rows = [[(li, g.pi[vi], g.pi[vi])]
             + [(clu.local[vj], -g.cond[(vi, vj)], -g.cond[(vj, vi)])
                for vj in g.adj[vi] if vj in clu.local]
@@ -122,19 +126,6 @@ def stencil(g: Graph, clu: GrowthCluster) -> Stencil:
     for i, row in enumerate(rows):
         idx[i, :len(row)], val[i, :len(row)], val_t[i, :len(row)] = zip(*row)
     return Stencil(idx=idx, val=val, val_t=val_t)
-
-
-def _is_exactly_symmetric(a: np.ndarray) -> bool:
-    return bool(np.array_equal(a, a.T))
-
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """SPD solve by the Cholesky factor L, as L^T x = L^-1 b (the factor
-    certifies positive definiteness); general LU for asymmetric input."""
-    if _is_exactly_symmetric(a):
-        low = linalg.cholesky(a)
-        return np.linalg.solve(low.T, np.linalg.solve(low, b))
-    return np.linalg.solve(a, b)
 
 
 @dataclass(frozen=True)
@@ -162,27 +153,31 @@ def _symmetric_part(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None = None,
-          lap: np.ndarray | None = None) -> GreenKernel:
+def green(g: Graph, clu: GrowthCluster, st: Stencil,
+          prev: GreenKernel | None = None) -> GreenKernel:
     """Normalized Green matrix of the cluster (Laplacian inverse).
 
-    With `prev`, the Green kernel of the cluster minus its top layer, the
-    matrix is grown by that one layer (see the module docstring); without
-    it the whole cluster is inverted at once. `lap` is the cluster
-    Laplacian, for a caller that already holds it.
+    `st` is the cluster's Laplacian stencil, of which only the rows of the
+    new layer are read. With `prev`, the Green kernel of the cluster minus
+    its top layer, the matrix is grown by that one layer (see the module
+    docstring); without it the whole cluster is the new layer and is
+    inverted at once.
 
     Raises NotPD when some cluster component is sealed off from the
     exterior, which makes the Laplacian singular.
     """
-    a = laplacian(g, clu) if lap is None else lap
     k = 0 if prev is None else prev.cluster.size
+    if st.size != clu.size:
+        raise ValueError("st must be the stencil of the cluster")
     if prev is not None and prev.cluster.vertices != clu.vertices[:k]:
         raise ValueError("prev must be the Green kernel of a prefix of the cluster")
     g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
-    u, v, d = a[:k, k:], a[k:, :k], a[k:, k:]
+    layer = st.dense(k, clu.size)
+    v, d = layer[:, :k], layer[:, k:]
+    u = st.dense(k, clu.size, transpose=True)[:, :k].T
     x = _couple(g_prev, u)
     try:
-        if _is_exactly_symmetric(a):
+        if st.symmetric:
             b = linalg.spd_inverse(_symmetric_part(d - u.T @ x))
             xb = x @ b
             gn = np.block([[g_prev + _symmetric_part(xb @ x.T), -xb], [-xb.T, b]])
@@ -199,32 +194,27 @@ def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None = None,
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)
 
 
-def poisson(g: Graph, clu: GrowthCluster, green_prev: GreenKernel | None = None,
-            lap: np.ndarray | None = None) -> np.ndarray:
+def poisson(clu: GrowthCluster, st: Stencil,
+            green_prev: GreenKernel | None = None) -> np.ndarray:
     """Poisson kernel of the cluster and its top layer: rows over the
     cluster, columns over the layer; identity on the layer, harmonic
     elsewhere in the cluster, zero outside.
 
     At cluster 0 the layer is the whole cluster, there is no interior and
-    the kernel is the identity. With `green_prev`, the Green kernel of the
-    cluster minus the layer, the interior block is one product of it with
-    the coupling to the layer; without it the interior system is solved
-    directly. `lap` is the cluster Laplacian, for a caller that already
-    holds it.
+    the kernel is the identity. Any other cluster needs `green_prev`, the
+    Green kernel of the cluster minus the layer: the interior block is
+    -G_{n-1} U, with U the coupling read from the layer's rows of `st`,
+    the cluster's Laplacian stencil.
     """
     top = clu.layer_slice(clu.n)
     k = top.start  # the interior is the prefix below the top layer
     p = np.zeros((clu.size, top.stop - k))
     p[top] = np.eye(top.stop - k)
     if k:
-        a = laplacian(g, clu) if lap is None else lap
-        rhs = -a[:k, top]
-        if green_prev is None:
-            p[:k] = _solve(a[:k, :k], rhs)
-        elif green_prev.cluster.vertices != clu.vertices[:k]:
+        if green_prev is None or green_prev.cluster.vertices != clu.vertices[:k]:
             raise ValueError("green_prev must be the Green kernel of the cluster minus the layer")
-        else:
-            p[:k] = _couple(green_prev.normalized, rhs)
+        u = st.dense(k, clu.size, transpose=True)[:, :k].T
+        p[:k] = _couple(green_prev.normalized, -u)
     return p
 
 
@@ -238,7 +228,7 @@ def boundary_green(kern: GreenKernel) -> np.ndarray:
     """
     top = kern.cluster.layer_slice(kern.cluster.n)
     bg = kern.normalized[top, top]
-    if _is_exactly_symmetric(np.asarray(bg)):
+    if np.array_equal(bg, bg.T):
         try:
             linalg.cholesky(bg)
         except NotPositiveDefiniteError:

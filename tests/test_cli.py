@@ -6,7 +6,10 @@ import pytest
 
 from dgff import cli, hadamard
 from dgff.cli import main
-from dgff.fixtures import write_fixture_files
+from dgff.fixtures import standard_fixture, write_fixture_files
+from dgff.foliation import cluster
+
+import dense_reference
 
 pytestmark = pytest.mark.usefixtures("fixture_dir")
 
@@ -88,6 +91,32 @@ def test_poisson_csv(fixture_dir, tmp_path):
     rows, cols, m = read_matrix_csv(tmp_path / "poisson_1.csv")
     assert rows == ["v1", "v2"] and cols == ["v2"]
     np.testing.assert_allclose(m.ravel(), [0.5, 1.0], atol=1e-15)
+
+
+def test_green_and_poisson_match_the_dense_reference_on_grid13(fixture_dir, tmp_path):
+    g, fol = standard_fixture("grid13")
+    for n in range(fol.depth + 1):
+        clu = cluster(fol, n)
+        for command, ref in (("green", dense_reference.green(g, clu).normalized),
+                             ("poisson", dense_reference.poisson(g, clu))):
+            assert run_cli(command, "--graph", fixture_dir / "grid13.json", "--roots", "r6c6",
+                           "--cluster", n, "--out", tmp_path) == 0
+            rows, cols, m = read_matrix_csv(tmp_path / f"{command}_{n}.csv")
+            assert rows == list(g.ids(clu.vertices))
+            assert cols == list(g.ids(clu.vertices if command == "green" else clu.top_layer))
+            assert np.abs(m - ref).max() <= 1e-12, (command, n)
+
+
+@pytest.mark.parametrize("command,n", [("green", 1), ("poisson", 2)])
+def test_singular_cluster_is_not_pd_without_a_traceback(tmp_path, capsys, command, n):
+    # pi(b) rounds to c(a, b), so cluster 1 = {a, b} is singular, and the
+    # Poisson kernel of cluster 2 is built from its Green kernel
+    path = tmp_path / "singular.edgelist"
+    path.write_text("!exterior e\na b 1e300\nb c 1e-300\nc e 1\n")
+    assert run_cli(command, "--graph", path, "--roots", "a", "--cluster", n) == 2
+    err = capsys.readouterr().err
+    assert json.loads(err)["error"]["code"] == "NotPD"
+    assert "Traceback" not in err
 
 
 def test_hadamard_summary(fixture_dir, tmp_path, capsys):

@@ -13,7 +13,6 @@ from dgff.errors import (
     NotSymmetricError,
 )
 from dgff.linalg import as_symmetric, spd_inverse
-from dgff.operators import _solve
 
 
 def random_symmetric(n, seed):
@@ -130,39 +129,6 @@ class TestCholesky:
         low = cholesky(a)
         assert np.abs(low @ low.T - a).max() <= 1e-12 * np.abs(a).max()
         assert np.diag(low).min() > 0
-
-
-class TestSolve:
-    """The SPD solve by two solves against the Cholesky factor, which the
-    dense Poisson kernel runs on its interior block."""
-
-    def test_identity_solve(self):
-        b = np.array([3.0, -1.0, 0.5])
-        np.testing.assert_array_equal(_solve(np.eye(3), b), b)
-
-    def test_hand_solution(self):
-        x = _solve(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(x, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
-
-    def test_zero_rhs(self):
-        x = _solve(np.array([[2.0, -1.0], [-1.0, 2.0]]), np.zeros(2))
-        np.testing.assert_array_equal(x, 0.0)
-
-    def test_matrix_rhs_residual(self):
-        a = random_psd(20, 7) + 20 * np.eye(20)
-        b = np.random.default_rng(8).normal(size=(20, 6))
-        x = _solve(as_symmetric(a), b)
-        resid = np.linalg.norm(a @ x - b)
-        assert resid <= 1e-10 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
-
-    def test_not_pd_propagates(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            _solve(np.array([[0.0, 0.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_cholesky_solve_roundtrip(self):
-        a = random_psd(9, 2) + 9 * np.eye(9)
-        x = _solve(as_symmetric(a), np.eye(9))
-        assert np.abs(a @ x - np.eye(9)).max() < 1e-12
 
 
 class TestNotPositiveDefinite:

@@ -13,8 +13,8 @@ from dgff import (
     boundary_green,
     cluster,
     green,
-    laplacian,
     poisson,
+    stencil,
     verify_green_variation,
 )
 from dgff import linalg
@@ -24,7 +24,13 @@ from dgff.graph import Graph, from_edges, recompute_pi_from
 from dgff.operators import GreenKernel
 from dgff.verify import run_ladder
 
+import dense_reference
 from conftest import FIXTURES, small_graphs, tamper_directed
+
+
+def base_green(g, clu):
+    """The recursion's base step: the whole cluster inverted at once."""
+    return green(g, clu, stencil(g, clu))
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +42,11 @@ def p4_parts():
 class TestLaplacian:
     def test_p4_two_vertex_cluster(self, p4_parts):
         g, _, _, c1 = p4_parts
-        np.testing.assert_array_equal(laplacian(g, c1), [[2.0, -1.0], [-1.0, 2.0]])
+        np.testing.assert_array_equal(stencil(g, c1).dense(0, 2), [[2.0, -1.0], [-1.0, 2.0]])
 
     def test_singleton_is_pi(self, p4_parts):
         g, _, c0, _ = p4_parts
-        np.testing.assert_array_equal(laplacian(g, c0), [[2.0]])
+        np.testing.assert_array_equal(stencil(g, c0).dense(0, 1), [[2.0]])
 
     def test_cycle_without_exterior_not_pd(self):
         # constants are harmonic on the whole cycle, so the inverse must fail
@@ -50,7 +56,7 @@ class TestLaplacian:
         clu = GrowthCluster(n=0, vertices=tuple(range(5)), layer_start=(0, 5),
                             local={i: i for i in range(5)})
         with pytest.raises(NotPositiveDefiniteError):
-            green(g, clu)
+            base_green(g, clu)
 
 
 def _stencil_cases():
@@ -67,20 +73,25 @@ def stencil_case(request):
 
 
 class TestStencil:
-    def test_stack_laplacian_is_a_read_only_leading_block(self, stencil_case):
+    def test_dense_rows_match_the_dense_laplacian(self, stencil_case):
+        # every level's rows, the full cluster and each top layer's, bit for
+        # bit; padding slots repeat the diagonal's column with value 0
         g, fol, stack = stencil_case
         for n in range(fol.depth + 1):
-            a = stack.laplacian(n)
-            np.testing.assert_array_equal(a, laplacian(g, cluster(fol, n)))
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 0.0
+            clu = cluster(fol, n)
+            a = dense_reference.laplacian(g, clu)
+            st = stack.stencil(n)
+            lo = clu.layer_slice(n).start
+            np.testing.assert_array_equal(st.dense(0, clu.size), a)
+            np.testing.assert_array_equal(st.dense(lo, clu.size), a[lo:])
+            np.testing.assert_array_equal(st.dense(lo, clu.size, transpose=True), a.T[lo:])
+            np.testing.assert_array_equal(stencil(g, clu).dense(0, clu.size), a)
 
     def test_products_match_the_dense_laplacian(self, stencil_case):
         g, fol, stack = stencil_case
         rng = np.random.default_rng(5)
         for n in range(fol.depth + 1):
-            a = laplacian(g, cluster(fol, n))
+            a = dense_reference.laplacian(g, cluster(fol, n))
             st = stack.stencil(n)
             assert st.size == a.shape[0]
             x = rng.normal(size=(a.shape[0], a.shape[0] + 3))
@@ -97,12 +108,12 @@ class TestStencil:
 class TestGreen:
     def test_singleton_unnormalized_is_one(self, p4_parts):
         g, _, c0, _ = p4_parts
-        k = green(g, c0)
+        k = base_green(g, c0)
         assert k.unnormalized[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_p4_normalized_matrix(self, p4_parts):
         g, _, _, c1 = p4_parts
-        k = green(g, c1)
+        k = base_green(g, c1)
         np.testing.assert_allclose(k.normalized, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3,
                                    atol=1e-12)
         assert k.unnormalized[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -111,42 +122,43 @@ class TestGreen:
         g, fol, _, _ = p4_parts
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
-            a = laplacian(g, clu)
-            gn = green(g, clu).normalized
+            a = dense_reference.laplacian(g, clu)
+            gn = base_green(g, clu).normalized
             assert np.abs(a @ gn - np.eye(clu.size)).max() <= 1e-10
             assert np.abs(gn @ a - np.eye(clu.size)).max() <= 1e-10
 
     def test_weighted_symmetry(self):
         g = path_graph(4, conductances=[3.0, 1.0, 1.0])
         fol = bfs_foliate(g, ["v1"])
-        k = green(g, cluster(fol, 1))
+        k = base_green(g, cluster(fol, 1))
         weighted = k.pi[:, None] * k.unnormalized
         assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max()
 
     def test_entries_nonnegative_diagonal_positive(self):
         g, fol = standard_fixture("grid5")
         for n in range(fol.depth + 1):
-            k = green(g, cluster(fol, n))
+            k = base_green(g, cluster(fol, n))
             assert k.normalized.min() >= -1e-14
             assert np.diag(k.normalized).min() > 0
 
 
 class TestPoisson:
     def test_p4_half(self, p4_parts):
-        g, _, _, c1 = p4_parts
-        p = poisson(g, c1)
+        g, fol, _, _ = p4_parts
+        p = OperatorStack(g, fol).poisson(1)
         np.testing.assert_allclose(p.ravel(), [0.5, 1.0], atol=1e-14)
 
     def test_layer_equals_cluster_gives_identity(self, p4_parts):
         # only at cluster 0 is the top layer the whole cluster
         g = p4_parts[0]
-        p = poisson(g, cluster(bfs_foliate(g, ["v1", "v2"]), 0))
-        np.testing.assert_array_equal(p, np.eye(2))
+        c0 = cluster(bfs_foliate(g, ["v1", "v2"]), 0)
+        np.testing.assert_array_equal(poisson(c0, stencil(g, c0)), np.eye(2))
 
     def test_grid_row_sums_at_most_one(self):
         g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
         for n in range(fol.depth + 1):
-            p = poisson(g, cluster(fol, n))
+            p = stack.poisson(n)
             assert p.min() >= -1e-14
             assert p.max() <= 1.0 + 1e-14
             assert p.sum(axis=1).max() <= 1.0 + 1e-12
@@ -154,23 +166,23 @@ class TestPoisson:
     def test_columns_harmonic_on_interior(self):
         g, fol = standard_fixture("tree3")
         n = fol.depth
-        clu = cluster(fol, n)
-        a = laplacian(g, clu)
-        p = poisson(g, clu)
+        a = dense_reference.laplacian(g, cluster(fol, n))
+        p = OperatorStack(g, fol).poisson(n)
         interior = cluster(fol, n - 1).size
         assert np.abs((a @ p)[:interior]).max() <= 1e-12 * np.abs(a).max()
 
     def test_pinned_rows_are_kronecker(self):
         g, fol = standard_fixture("grid5")
         clu = cluster(fol, 2)
-        p = poisson(g, clu)
+        p = OperatorStack(g, fol).poisson(2)
         np.testing.assert_array_equal(p[clu.layer_slice(2), :], np.eye(4))
 
     def test_interior_sealed_off_from_the_layer_is_not_pd(self):
         # a 5-cycle without exterior, and a layer vertex w that no edge
-        # reaches: constants are harmonic on the interior, so the dense
-        # interior solve must fail (the graph is disconnected, so it is
-        # built raw, past the factories' checks)
+        # reaches: constants are harmonic on the interior, so the interior's
+        # Green kernel, which the Poisson kernel is built from, must fail
+        # (the graph is disconnected, so it is built raw, past the
+        # factories' checks)
         ids = tuple(f"c{i}" for i in range(5)) + ("w",)
         edge_list = tuple(sorted((min(i, (i + 1) % 5), max(i, (i + 1) % 5)) for i in range(5)))
         cond = {e: 1.0 for i, j in edge_list for e in ((i, j), (j, i))}
@@ -179,21 +191,21 @@ class TestPoisson:
                   conductances=np.ones(len(edge_list)), cond=cond,
                   pi=recompute_pi_from(adj, cond), index={v: i for i, v in enumerate(ids)},
                   adj=adj)
-        clu = GrowthCluster(n=1, vertices=tuple(range(6)), layer_start=(0, 5, 6),
-                            local={i: i for i in range(6)})
+        interior = GrowthCluster(n=0, vertices=tuple(range(5)), layer_start=(0, 5),
+                                 local={i: i for i in range(5)})
         with pytest.raises(NotPositiveDefiniteError):
-            poisson(g, clu)
+            base_green(g, interior)
 
 
 class TestBoundaryGreen:
     def test_p4_level_one(self, p4_parts):
         g, _, _, c1 = p4_parts
-        bg = boundary_green(green(g, c1))
+        bg = boundary_green(base_green(g, c1))
         np.testing.assert_allclose(bg, [[2.0 / 3.0]], atol=1e-12)
 
     def test_level_zero_is_whole_green(self, p4_parts):
         g, _, c0, _ = p4_parts
-        k = green(g, c0)
+        k = base_green(g, c0)
         np.testing.assert_array_equal(boundary_green(k), k.normalized)
 
     def test_grid_eigenvalues_positive(self):
@@ -202,7 +214,7 @@ class TestBoundaryGreen:
         g, fol = standard_fixture("grid5")
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
-            bg = boundary_green(green(g, clu))
+            bg = boundary_green(base_green(g, clu))
             w, _ = jacobi_eigen(np.asarray(bg))
             assert w[0] > 0
 
@@ -211,7 +223,7 @@ class TestBoundaryGreen:
         g, fol = standard_fixture("grid13")
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
-            bg = boundary_green(green(g, clu))
+            bg = boundary_green(base_green(g, clu))
             assert np.array_equal(bg, bg.T), n
 
     def test_indefinite_restriction_rejected(self):
@@ -240,12 +252,12 @@ def assert_stack_matches_dense(g, fol):
     stack = OperatorStack(g, fol)
     for n in range(fol.depth + 1):
         clu = cluster(fol, n)
-        ref = green(g, clu)
-        np.testing.assert_allclose(stack.green(n).normalized, ref.normalized, rtol=1e-12)
-        p_ref = poisson(g, clu)
+        ref = dense_reference.green(g, clu).normalized
+        np.testing.assert_allclose(stack.green(n).normalized, ref, rtol=1e-12)
+        p_ref = dense_reference.poisson(g, clu)
         np.testing.assert_allclose(stack.poisson(n), p_ref, rtol=1e-12)
-        b_ref = boundary_green(ref)
-        np.testing.assert_allclose(stack.boundary_green(n), b_ref, rtol=1e-12)
+        top = clu.layer_slice(n)
+        np.testing.assert_allclose(stack.boundary_green(n), ref[top, top], rtol=1e-12)
 
 
 class TestOneLayerBuild:
@@ -271,9 +283,10 @@ class TestOneLayerBuild:
 
     def test_tampered_asymmetric_is_still_an_inverse(self):
         g, fol = standard_fixture("p4")
-        stack = OperatorStack(tamper_directed(g, "v2", "v1", 2.0), fol)
+        tampered = tamper_directed(g, "v2", "v1", 2.0)
+        stack = OperatorStack(tampered, fol)
         for n in range(fol.depth + 1):
-            a = stack.laplacian(n)
+            a = dense_reference.laplacian(tampered, cluster(fol, n))
             gn = stack.green(n).normalized
             assert np.abs(a @ gn - np.eye(a.shape[0])).max() <= 1e-12
         assert not np.array_equal(gn, gn.T)
@@ -320,38 +333,43 @@ class TestOneLayerBuild:
     def test_prev_must_be_a_prefix(self, p4_parts):
         g, _, c0, c1 = p4_parts
         with pytest.raises(ValueError):
-            green(g, c0, prev=green(g, c1))
+            green(g, c0, stencil(g, c0), prev=base_green(g, c1))
         with pytest.raises(ValueError):
-            poisson(g, c1, green_prev=green(g, c1))  # not the cluster minus the layer
+            green(g, c1, stencil(g, c0))  # not the cluster's stencil
+        with pytest.raises(ValueError):
+            poisson(c1, stencil(g, c1), green_prev=base_green(g, c1))  # not the cluster minus the layer
+        with pytest.raises(ValueError):
+            poisson(c1, stencil(g, c1))  # an interior needs green_prev
 
 
 class TestVariation:
     def test_p4_hand_identity(self, p4_parts):
         g, fol, c0, c1 = p4_parts
-        g1 = green(g, c1).unnormalized
-        g0 = green(g, c0).unnormalized
+        g1 = base_green(g, c1).unnormalized
+        g0 = base_green(g, c0).unnormalized
         # new minus old at (v1, v1) equals 1/3, and so does the harmonic route
         assert g1[0, 0] - g0[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        p = poisson(g, c1)
+        p = poisson(c1, stencil(g, c1), base_green(g, c0))
         assert p[0, 0] * g1[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert verify_green_variation(green(g, c1), green(g, c0), p) <= 1e-12
+        assert verify_green_variation(base_green(g, c1), base_green(g, c0), p) <= 1e-12
 
     def test_residual_small_on_fixtures(self):
         for name in ("p5", "grid5", "tree3"):
             g, fol = standard_fixture(name)
             for n in range(1, fol.depth + 1):
                 clu = cluster(fol, n)
-                green_n = green(g, clu)
+                green_n = dense_reference.green(g, clu)
                 scale = np.abs(green_n.unnormalized).max()
-                resid = verify_green_variation(green_n, green(g, cluster(fol, n - 1)),
-                                               poisson(g, clu))
+                resid = verify_green_variation(green_n,
+                                               dense_reference.green(g, cluster(fol, n - 1)),
+                                               dense_reference.poisson(g, clu))
                 assert resid <= 1e-10 * scale
 
     def test_monotone_growth(self):
         g, fol = standard_fixture("grid5")
         for n in range(1, fol.depth + 1):
-            gn = green(g, cluster(fol, n)).unnormalized
-            prev = green(g, cluster(fol, n - 1)).unnormalized
+            gn = base_green(g, cluster(fol, n)).unnormalized
+            prev = base_green(g, cluster(fol, n - 1)).unnormalized
             diff = gn.copy()
             diff[: prev.shape[0], : prev.shape[1]] -= prev
             assert diff.min() >= -1e-12 * np.abs(gn).max()

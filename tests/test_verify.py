@@ -110,6 +110,24 @@ class TestIsometry:
             assert reading == pytest.approx(verify_isometry(own), abs=1e-14)
 
 
+    @pytest.mark.parametrize("name", ("grid5", "grid13"))
+    def test_wrong_stencil_entry_fails_here_not_in_green_inverse(self, name):
+        # the build and green_inverse read the same cached stencil, so a
+        # wrong conductance in it is invisible to green_inverse; isometry
+        # reads the graph's edge list and must see it
+        g, fol = standard_fixture(name)
+        stack = OperatorStack(g, fol)
+        st = stack.stencil(stack.depth)  # the top stencil, before any build
+        i, j = 0, int(st.idx[0, 1])  # the root and its first neighbour
+        for a, b in ((i, j), (j, i)):
+            slot = int(np.flatnonzero(st.idx[a] == b)[0])
+            st.val[a, slot] *= 1.5
+            st.val_t[a, slot] *= 1.5
+        rep = run_ladder(g, fol, trials=0, stack=stack)
+        assert not _row(rep, "isometry")["passed"]
+        assert _row(rep, "green_inverse")["passed"]
+
+
 class _SquareMatmuls(np.ndarray):
     """An array that records every matmul of two k x k operands, k > 50."""
 
@@ -129,11 +147,13 @@ class _SquareMatmuls(np.ndarray):
 
 
 def test_exact_ladder_cost_guard(monkeypatch):
-    """On grid13 the exact ladder builds one Laplacian, forms one Dirichlet
-    Gram, assembles one dense Q (the top's, for that Gram) and multiplies no
-    two k_n x k_n matrices for k_n > 50: neither the cached operators nor a
-    dense Q_n, which `hadamard_Q` assembles anew."""
-    counts = {"laplacian": 0, "dirichlet_gram": 0, "hadamard_Q": 0}
+    """On grid13 the exact ladder builds one Laplacian stencil and no dense
+    Laplacian (it gathers no block wider than a layer from the stencil),
+    forms one Dirichlet Gram, assembles one dense Q (the top's, for that
+    Gram) and multiplies no two k_n x k_n matrices for k_n > 50: neither the
+    cached operators nor a dense Q_n, which `hadamard_Q` assembles anew."""
+    assert not hasattr(operators, "laplacian")
+    counts = {"stencil": 0, "dirichlet_gram": 0, "hadamard_Q": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -141,9 +161,13 @@ def test_exact_ladder_cost_guard(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    lap = counted("laplacian", operators.laplacian)
-    monkeypatch.setattr(operators, "laplacian", lap)
-    monkeypatch.setattr(hadamard, "laplacian", lap)
+    build = counted("stencil", operators.stencil)
+    monkeypatch.setattr(operators, "stencil", build)
+    monkeypatch.setattr(hadamard, "stencil", build)
+    gathered = []
+    dense = operators.Stencil.dense
+    monkeypatch.setattr(operators.Stencil, "dense", lambda st, lo, hi, transpose=False: (
+        gathered.append(hi - lo) or dense(st, lo, hi, transpose)))
     gram = counted("dirichlet_gram", hadamard.dirichlet_gram)
     monkeypatch.setattr(hadamard, "dirichlet_gram", gram)
     monkeypatch.setattr(verify, "dirichlet_gram", gram)
@@ -168,7 +192,8 @@ def test_exact_ladder_cost_guard(monkeypatch):
     g, fol = standard_fixture("grid13")
     rep = run_ladder(g, fol, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"laplacian": 1, "dirichlet_gram": 1, "hadamard_Q": 1}
+    assert counts == {"stencil": 1, "dirichlet_gram": 1, "hadamard_Q": 1}
+    assert gathered and max(gathered) <= max(len(layer) for layer in fol.layers)
     assert _SquareMatmuls.seen == []
 
 
