@@ -6,7 +6,8 @@ operator) and verifies their exact identities. It samples one way, as the
 paper does: blocks of white noise on the top cluster, drawn by a seeded
 counter-based generator and pushed through the growth operators. The
 distributional checks read streamed Gram matrices of that noise, against
-a Cholesky oracle of the same law.
+an oracle of the same law from the Cholesky factor of the top Laplacian,
+grown one layer at a time like the field.
 """
 
 from .errors import (

@@ -26,8 +26,7 @@ It stores Q only as its kernel list K_0..K_n, sum_m k_m |L_m| numbers:
 samples grow from the kernels a layer at a time (`dgff.sampling`), and
 `growth_adjoint_apply` returns Q_top^* f, whose leading k_n entries are
 Q_n^* f. `growth(n)` assembles a dense Q_n afresh on each call, for
-`dgff hadamard` and the two rungs that read Q_top, `isometry` and
-`dgff_covariance`.
+`dgff hadamard` and the `isometry` rung, which reads Q_top.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Green kernel, Poisson kernel and boundary Green B_n come
 from G_{n-1} and the new layer's rows of the Laplacian, factorizing only a
@@ -35,8 +34,8 @@ layer-sized Schur complement (see `dgff.operators`). The Laplacian is held
 once, as the top cluster's padded neighbour stencil read from the graph's
 edges; level n's is its leading block. The build gathers its layer rows
 from it and the checks multiply by it, while `dirichlet_gram` reads the
-edge list directly, so the `isometry` check stays independent of the
-stencil.
+edge list directly, so the `isometry` check and the Cholesky oracle
+(`oracle_kernels`) stay independent of the stencil.
 """
 
 from __future__ import annotations
@@ -129,6 +128,16 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     dq -= padded[lj[touch]]
     dq *= np.sqrt(g.conductances[touch])[:, None]
     return dq.T @ dq
+
+
+def oracle_kernels(graph: Graph, top: GrowthCluster) -> list[np.ndarray]:
+    """Layer columns W[:k_n, L_n] of the oracle W = L^{-T}, A_top = L L^T the
+    top Laplacian read from the edge list (the coordinate basis's Dirichlet
+    Gram), not from anything the stack built. W is upper triangular and
+    W_n = W[:k_n, :k_n] has W_n W_n^T = G_n (Rue & Held 2005, sec. 2.4)."""
+    low = linalg.cholesky(dirichlet_gram(graph, top, np.eye(top.size)))
+    w = np.linalg.inv(low.T)  # no row swaps: W stays exactly triangular
+    return [w[: top.layer_slice(n).stop, top.layer_slice(n)] for n in range(top.n + 1)]
 
 
 def verify_isometry(gram: np.ndarray) -> float:

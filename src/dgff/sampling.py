@@ -13,7 +13,7 @@ WNF on the top cluster into the discrete Gaussian free field (DGFF) on
 cluster n, whose covariance is the normalized Green matrix. The per-level
 increment equals the harmonic extension of the square-root-weighted layer
 noise, a per-sample identity checked exactly. An independent oracle samples
-the same law directly through the Cholesky factor of the Green matrix.
+the same law through the top Laplacian's Cholesky factor, grown like Q_n.
 
 Distributional claims are tested through second moments, and every field
 they look at is a linear image A z of the top cluster's white noise z: the
@@ -27,13 +27,12 @@ workers by draw range. `brownian_check` and `sweep_average_check` draw
 nothing: they return the coefficient rows of the pairings and of the
 boundary averages, all read off one adjoint Q_top^* (Q_n^* f is the
 leading k_n entries of Q_top^* f), with their exact covariance, and the
-caller scores them on its S. The oracle draws one top-cluster noise block
-of its own, in a draw range disjoint from the DGFF's; cluster orders are
-prefixes of the top cluster's, so level n's oracle uses the leading
-k_n x k_n corner of that block's Gram matrix. Explicit samples exist only
-as blocks of trials, one trial per row: `wnf_block` draws the noise and
-`dgff_block` grows every level from it one layer at a time, for
-`dgff sample` and the exact per-sample rungs.
+caller scores them on its S. `grown_covariances` grows every level's
+T_n S T_n^T from the layer columns of T: the kernels K_n for the DGFF, and
+for the oracle, whose noise Gram has its own disjoint draw range, those of
+W. Explicit samples exist only as blocks of trials, one trial per row:
+`wnf_block` draws the noise and `dgff_block` grows every level from it one
+layer at a time, for `dgff sample` and the exact per-sample rungs.
 
 The empirical covariance of a zero-mean Gaussian sample has per-entry
 standard error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z|
@@ -48,10 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, linalg
+from . import kernels
 from .errors import SupportViolationError
 from .hadamard import OperatorStack
-from .operators import GreenKernel
 
 
 @dataclass
@@ -118,12 +116,11 @@ class NoiseGram:
     def __add__(self, other: NoiseGram) -> NoiseGram:
         return NoiseGram(self.total + other.total, self.trials + other.trials)
 
-    def cross(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        """Empirical cross moment a S b^T of the images a z and b z, with
-        S = sum z z^T / N. The columns of `a` and `b` cover the leading
-        noise coordinates: every cluster order is a prefix of the top's."""
-        b = a if b is None else b
-        return a @ self.total[: a.shape[1], : b.shape[1]] @ b.T / self.trials
+    def cross(self, a: np.ndarray) -> np.ndarray:
+        """Empirical covariance a S a^T of the image a z, with
+        S = sum z z^T / N. The columns of `a` cover the leading noise
+        coordinates: every cluster order is a prefix of the top's."""
+        return a @ self.total[: a.shape[1], : a.shape[1]] @ a.T / self.trials
 
 
 def noise_gram(seed: int, streams, draw0: int, ndraws: int) -> NoiseGram:
@@ -143,10 +140,27 @@ def noise_gram(seed: int, streams, draw0: int, ndraws: int) -> NoiseGram:
     return NoiseGram(total, ndraws)
 
 
-def oracle_moment(kern: GreenKernel, gram: NoiseGram) -> np.ndarray:
-    """Empirical covariance L S L^T of the Cholesky oracle L z on the
-    kernel's cluster, L L^T the normalized Green matrix."""
-    return gram.cross(linalg.cholesky(kern.normalized))
+def grown_covariances(kernels: list[np.ndarray], gram: NoiseGram) -> list[np.ndarray]:
+    """Empirical covariances C_n = T_n S T_n^T, n = 0..N, S = sum z z^T / N,
+    of T_n = (T_{n-1} + 0 | K_n) given by its layer columns K_n.
+
+    Level n grows from n-1 with U_n = T_n S[:k_n, :]: C_n = (C_{n-1} + 0) +
+    X + X^T + K_n S[L_n, L_n] K_n^T, X = U_{n-1}[:, L_n] K_n^T in the leading
+    k_{n-1} rows, and U_n = (U_{n-1} + 0) + K_n S[L_n, :]; sum_n k_n k_top |L_n|
+    flops in all, against sum_n k_n^3 for the products with a dense T_n."""
+    s = gram.total / gram.trials
+    u, covs = np.zeros_like(s), []  # U_n is u[:k_n]
+    for kern in kernels:
+        k, lo = kern.shape[0], kern.shape[0] - kern.shape[1]  # L_n = lo:k
+        x = u[:lo, lo:k] @ kern.T
+        c = kern @ s[lo:k, lo:k] @ kern.T
+        c[:lo] += x
+        c[:, :lo] += x.T
+        if covs:
+            c[:lo, :lo] += covs[-1]
+        covs.append(c)
+        u[:k] += kern @ s[lo:k]
+    return covs
 
 
 # ---------------------------------------------------------------------------
@@ -175,24 +189,25 @@ class CovarianceReport:
                 "trials": self.trials, "seed": self.seed}
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "max_abs_z": self.max_abs_z,
-            "entries": self.entries,
-            "empirical": self.empirical.tolist(),
-            "target": self.target.tolist(),
-        }
+        return {**self.summary(), "empirical": self.empirical.tolist(),
+                "target": self.target.tolist()}
+
+
+def _zmax(dev: np.ndarray, se: np.ndarray) -> tuple[float, int]:
+    """Largest |dev| / se over the entries with se > 0, and their number."""
+    mask = se > 0
+    if not mask.any():
+        return 0.0, 0
+    return float((np.abs(dev)[mask] / se[mask]).max()), int(np.count_nonzero(mask))
 
 
 def moment_report(emp: np.ndarray, target: np.ndarray, trials: int,
                   seed: int) -> CovarianceReport:
     """z-scores of an empirical zero-mean covariance over `trials` draws."""
-    se = covariance_stderr(target, trials)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        z = np.where(se > 0, (emp - target) / np.where(se > 0, se, 1.0), 0.0)
-    return CovarianceReport(empirical=emp, target=target, max_abs_z=float(np.abs(z).max()),
-                            trials=trials, seed=seed, entries=int(np.count_nonzero(se > 0)))
+    with np.errstate(invalid="ignore"):
+        z, entries = _zmax(emp - target, covariance_stderr(target, trials))
+    return CovarianceReport(empirical=emp, target=target, max_abs_z=z,
+                            trials=trials, seed=seed, entries=entries)
 
 
 def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
@@ -200,22 +215,15 @@ def cross_moment_zmax(emp: np.ndarray, var_a: np.ndarray, var_b: np.ndarray,
     """Largest |z| of an empirical cross-covariance whose true value is
     zero, and the number of entries it is taken over; `var_a`/`var_b` are
     the exact variances."""
-    se = np.sqrt(np.outer(var_a, var_b) / trials)
-    mask = se > 0
-    if not mask.any():
-        return 0.0, 0
-    return float((np.abs(emp)[mask] / se[mask]).max()), int(np.count_nonzero(mask))
+    return _zmax(emp, np.sqrt(np.outer(var_a, var_b) / trials))
 
 
 def two_sample_zmax(emp_a: np.ndarray, emp_b: np.ndarray, trials: int,
-                    target: np.ndarray) -> float:
+                    target: np.ndarray) -> tuple[float, int]:
     """Largest |z| for the difference of two empirical covariances of the
-    same law, each over `trials` draws, using the joint standard error."""
-    se = np.sqrt(2.0 * covariance_stderr(target, trials) ** 2)
-    mask = se > 0
-    if not mask.any():
-        return 0.0
-    return float((np.abs(emp_a - emp_b)[mask] / se[mask]).max())
+    same law, each over `trials` draws, using the joint standard error, and
+    the number of entries it is taken over."""
+    return _zmax(emp_a - emp_b, np.sqrt(2.0 * covariance_stderr(target, trials) ** 2))
 
 
 def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram) -> tuple[float, int]:

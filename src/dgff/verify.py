@@ -7,7 +7,8 @@ are Monte Carlo checks with a fixed seed; each empirical moment must sit
 within `z_max` standard errors of its exact target. They run on two
 streamed noise Gram matrices over the top cluster (see `dgff.sampling`):
 one for the grown field, its increments, the pairings and the boundary
-averages, and one, from a disjoint draw range, for the Cholesky oracle.
+averages, and one, from a disjoint draw range, for the oracle, which reads
+the graph's edge list and nothing the stack built (`oracle_kernels`).
 The pairings and the averages are scored like the field: `brownian_check`
 and `sweep_average_check` build their coefficient rows and exact
 covariance, and the rung reads their empirical covariance off the field's
@@ -30,7 +31,7 @@ the paper's per-level facts instead of a cubic check at every level:
   block, whose residual is part of the top's.
 
 The increment rungs grow their fields with one `dgff_block` call; only
-`isometry` and `dgff_covariance` assemble a dense Q, Q_top once each.
+`isometry` assembles a dense Q, Q_top once.
 
 Rungs run in order and later rungs reuse earlier operators, but a failure
 does not stop the ladder: each rung records its own statistic, or the error
@@ -53,17 +54,17 @@ from .hadamard import (
     OperatorStack,
     dirichlet_gram,
     layer_identity_residual,
+    oracle_kernels,
     verify_hadamard_identity,
     verify_isometry,
 )
 from .sampling import (
     GaussianStream,
     brownian_check,
-    covariance_stderr,
     dgff_block,
+    grown_covariances,
     increment_cross_zmax,
     moment_report,
-    oracle_moment,
     sweep_average_check,
     two_sample_zmax,
     wnf_block,
@@ -171,8 +172,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         for n in range(depth + 1):
             k = stack.green(n)
             scale = max(float(np.abs(k.normalized).max()), 1.0)
-            worst = max(worst, max(0.0, -float(k.normalized.min())) / scale,
-                        max(0.0, -float(np.diag(k.normalized).min())) / scale)
+            worst = max(worst, max(0.0, -float(k.normalized.min())) / scale)
         return worst
 
     def poisson_bounds():
@@ -261,7 +261,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
             worst = max(worst, float(np.abs(resid).max()) / scale)
         return worst
 
-    # "phi": the DGFF noise Gram; "dgff{n}", "oracle{n}": empirical covariances
+    # "phi": the DGFF noise Gram; "dgff", "oracle": per-level empirical covariances
     mc: dict[str, object] = {}
 
     def _need(key: str):
@@ -272,35 +272,31 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     reports: dict[str, dict] = {}
 
+    def scored(covs):  # largest |z| against G_n, its entries, the top level's report
+        worst, entries = 0.0, 0
+        for n, emp in enumerate(covs):
+            rep = moment_report(emp, stack.green(n).normalized, trials, seed)
+            worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
+        return worst, entries, rep
+
     def dgff_covariance():
         mc["phi"] = stream.gram(stack.cluster(depth).vertices, trials)
-        q = stack.growth(depth)  # Q_n is its leading k_n x k_n block
-        worst, entries = 0.0, 0
-        for n in range(depth + 1):
-            k = stack.cluster(n).size
-            mc[f"dgff{n}"] = mc["phi"].cross(q[:k, :k])
-            rep = moment_report(mc[f"dgff{n}"], stack.green(n).normalized, trials, seed)
-            worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
-            if collect_reports and n == depth:
-                reports["covariance"] = rep.to_json()
+        mc["dgff"] = grown_covariances([stack.kernel(n) for n in range(depth + 1)], mc["phi"])
+        worst, entries, top = scored(mc["dgff"])
+        if collect_reports:
+            reports["covariance"] = top.to_json()
         return worst, entries
 
     def oracle_covariance():
         gram = stream.gram(stack.cluster(depth).vertices, trials)
-        worst, entries = 0.0, 0
-        for n in range(depth + 1):
-            mc[f"oracle{n}"] = oracle_moment(stack.green(n), gram)
-            rep = moment_report(mc[f"oracle{n}"], stack.green(n).normalized, trials, seed)
-            worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
-        return worst, entries
+        mc["oracle"] = grown_covariances(oracle_kernels(graph, stack.cluster(depth)), gram)
+        return scored(mc["oracle"])[:2]
 
     def oracle_agreement():
         worst, entries = 0.0, 0
-        for n in range(depth + 1):
-            target = stack.green(n).normalized
-            worst = max(worst, two_sample_zmax(_need(f"dgff{n}"), _need(f"oracle{n}"),
-                                               trials, target))
-            entries += int(np.count_nonzero(covariance_stderr(target, trials) > 0))
+        for n, (a, b) in enumerate(zip(_need("dgff"), _need("oracle"))):
+            z, m = two_sample_zmax(a, b, trials, stack.green(n).normalized)
+            worst, entries = max(worst, z), entries + m
         return worst, entries
 
     def increment_independence():

@@ -12,11 +12,12 @@ from dgff import (
     sweep_average_check,
 )
 from dgff.fixtures import standard_fixture
-from dgff.linalg import cholesky
+from dgff.hadamard import hadamard_Q, oracle_kernels
 from dgff.sampling import (
+    NoiseGram,
     dgff_block,
+    grown_covariances,
     moment_report,
-    oracle_moment,
     two_sample_zmax,
     wnf_block,
 )
@@ -86,7 +87,8 @@ class TestStream:
         assert rep.max_abs_z <= ZMAX
         emp_a = known_mean_covariance(kron)
         emp_b = known_mean_covariance(rotated)
-        assert two_sample_zmax(emp_a, emp_b, TRIALS, np.eye(5)) <= ZMAX
+        z, entries = two_sample_zmax(emp_a, emp_b, TRIALS, np.eye(5))
+        assert z <= ZMAX and entries == 25
 
 
 class TestGrow:
@@ -201,37 +203,72 @@ class TestIncrement:
 
 class TestOracle:
     def test_factor_property(self, grid_stack):
+        # W_n, assembled from the oracle's layer columns like Q_n, is a
+        # triangular factor of G_n at every level
         g, stack = grid_stack
-        gn = stack.green(2).normalized
-        low = cholesky(gn)
-        assert np.abs(low @ low.T - gn).max() <= 1e-12 * np.abs(gn).max()
+        kerns = oracle_kernels(g, stack.cluster(stack.depth))
+        for n in range(stack.depth + 1):
+            w, gn = hadamard_Q(stack.cluster(n), kerns[: n + 1]), stack.green(n).normalized
+            np.testing.assert_array_equal(w, np.triu(w))
+            assert np.abs(w @ w.T - gn).max() <= 1e-12 * np.abs(gn).max()
 
     def test_oracle_covariance(self, grid_stack):
         g, stack = grid_stack
-        gram = GaussianStream(37).gram(stack.cluster(2).vertices, TRIALS)
-        rep = moment_report(oracle_moment(stack.green(2), gram), stack.green(2).normalized,
-                            TRIALS, 37)
-        assert rep.max_abs_z <= ZMAX
+        top = stack.cluster(2)
+        gram = GaussianStream(37).gram(top.vertices, TRIALS)
+        for n, emp in enumerate(grown_covariances(oracle_kernels(g, top), gram)):
+            rep = moment_report(emp, stack.green(n).normalized, TRIALS, 37)
+            assert rep.max_abs_z <= ZMAX
 
     def test_oracle_agrees_with_grown_field(self, p4_stack):
         g, stack = p4_stack
         target = stack.green(1).normalized
         grown = dgff_block(stack, wnf_block(stack.cluster(1).vertices,
                                             GaussianStream(41), TRIALS))[1]
-        direct = oracle_moment(stack.green(1),
-                               GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS))
-        z = two_sample_zmax(known_mean_covariance(grown), direct, TRIALS, target)
-        assert z <= ZMAX
+        gram = GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS)
+        direct = grown_covariances(oracle_kernels(g, stack.cluster(1)), gram)[1]
+        z, entries = two_sample_zmax(known_mean_covariance(grown), direct, TRIALS, target)
+        assert z <= ZMAX and entries == target.size
 
     def test_oracle_single_sample_support(self, p4_stack):
         # the oracle on cluster 0 lives on its one vertex: it reads only the
         # leading noise coordinate of a top-cluster Gram
         g, stack = p4_stack
         gram = GaussianStream(1).gram(stack.cluster(1).vertices, 10)
-        low = cholesky(stack.green(0).normalized)
-        moment = oracle_moment(stack.green(0), gram)
-        assert moment.shape == (1, 1) == low.shape
-        np.testing.assert_allclose(moment, low @ gram.total[:1, :1] @ low.T / 10, rtol=1e-15)
+        w0 = oracle_kernels(g, stack.cluster(1))[0]
+        moment = grown_covariances([w0], gram)[0]
+        assert moment.shape == (1, 1) == w0.shape
+        np.testing.assert_allclose(moment, w0 @ gram.total[:1, :1] @ w0.T / 10, rtol=1e-15)
+        other = gram.total.copy()
+        other[1:] = other[:, 1:] = 7.0
+        np.testing.assert_array_equal(grown_covariances([w0], NoiseGram(other, 10))[0],
+                                      moment)
+
+
+@pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
+class TestGrownCovariances:
+    def test_random_gram_matches_the_dense_growth_operator(self, name):
+        stack = OperatorStack(*standard_fixture(name))
+        z = kernels.normal_block(19, np.arange(stack.cluster(stack.depth).size), 0, 300)
+        gram = NoiseGram(z.T @ z, 300)
+        covs = grown_covariances([stack.kernel(n) for n in range(stack.depth + 1)], gram)
+        assert len(covs) == stack.depth + 1
+        for n, cov in enumerate(covs):
+            ref = gram.cross(stack.growth(n))
+            assert cov.shape == ref.shape
+            assert np.abs(cov - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+    def test_white_gram_gives_the_green_matrix_for_both_kernel_lists(self, name):
+        # S = I: T_n T_n^T = G_n, the Hadamard formula summed over the layers
+        g, fol = standard_fixture(name)
+        stack = OperatorStack(g, fol)
+        top = stack.cluster(stack.depth)
+        gram = NoiseGram(300.0 * np.eye(top.size), 300)
+        for kerns in ([stack.kernel(n) for n in range(stack.depth + 1)],
+                      oracle_kernels(g, top)):
+            for n, cov in enumerate(grown_covariances(kerns, gram)):
+                gn = stack.green(n).normalized
+                assert np.abs(cov - gn).max() <= 1e-12 * max(1.0, float(np.abs(gn).max()))
 
 
 class TestBrownian:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dgff import OperatorStack, verify_hadamard_identity, verify_isometry
-from dgff import hadamard, operators, verify
+from dgff import hadamard, linalg, operators, sampling, verify
 from dgff.cli import main
 from dgff.fixtures import standard_fixture, write_fixture_files
 from dgff.hadamard import dirichlet_gram
@@ -114,7 +114,7 @@ class TestIsometry:
     def test_wrong_stencil_entry_fails_here_not_in_green_inverse(self, name):
         # the build and green_inverse read the same cached stencil, so a
         # wrong conductance in it is invisible to green_inverse; isometry
-        # reads the graph's edge list and must see it
+        # and the oracle read the graph's edge list and must see it
         g, fol = standard_fixture(name)
         stack = OperatorStack(g, fol)
         st = stack.stencil(stack.depth)  # the top stencil, before any build
@@ -123,9 +123,11 @@ class TestIsometry:
             slot = int(np.flatnonzero(st.idx[a] == b)[0])
             st.val[a, slot] *= 1.5
             st.val_t[a, slot] *= 1.5
-        rep = run_ladder(g, fol, trials=0, stack=stack)
+        rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
         assert not _row(rep, "isometry")["passed"]
         assert _row(rep, "green_inverse")["passed"]
+        assert not _row(rep, "oracle_covariance")["passed"]
+        assert not _row(rep, "oracle_agreement")["passed"]
 
 
 class _SquareMatmuls(np.ndarray):
@@ -146,13 +148,11 @@ class _SquareMatmuls(np.ndarray):
         return out.view(_SquareMatmuls) if isinstance(out, np.ndarray) else out
 
 
-def test_exact_ladder_cost_guard(monkeypatch):
-    """On grid13 the exact ladder builds one Laplacian stencil and no dense
-    Laplacian (it gathers no block wider than a layer from the stencil),
-    forms one Dirichlet Gram, assembles one dense Q (the top's, for that
-    Gram) and multiplies no two k_n x k_n matrices for k_n > 50: neither the
-    cached operators nor a dense Q_n, which `hadamard_Q` assembles anew."""
-    assert not hasattr(operators, "laplacian")
+def _guard_ladder(monkeypatch, **ladder_args):
+    """Run the grid13 ladder with the cached operators, every dense Q and
+    every noise Gram viewed as `_SquareMatmuls`; return the report, the call
+    counts, the widths gathered from the stencil and the sizes of the
+    matrices given to `linalg.cholesky`."""
     counts = {"stencil": 0, "dirichlet_gram": 0, "hadamard_Q": 0}
 
     def counted(name, fn):
@@ -169,8 +169,18 @@ def test_exact_ladder_cost_guard(monkeypatch):
     monkeypatch.setattr(operators.Stencil, "dense", lambda st, lo, hi, transpose=False: (
         gathered.append(hi - lo) or dense(st, lo, hi, transpose)))
     gram = counted("dirichlet_gram", hadamard.dirichlet_gram)
-    monkeypatch.setattr(hadamard, "dirichlet_gram", gram)
-    monkeypatch.setattr(verify, "dirichlet_gram", gram)
+    for mod in (hadamard, verify):
+        monkeypatch.setattr(mod, "dirichlet_gram", gram)
+    factored = []
+    cholesky = linalg.cholesky
+    monkeypatch.setattr(linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
+    noise_gram = sampling.noise_gram
+
+    def viewed_gram(*args):
+        out = noise_gram(*args)
+        return dataclasses.replace(out, total=out.total.view(_SquareMatmuls))
+
+    monkeypatch.setattr(sampling, "noise_gram", viewed_gram)
 
     memo = OperatorStack._memo
 
@@ -190,17 +200,42 @@ def test_exact_ladder_cost_guard(monkeypatch):
                         lambda clu, kernels: assemble(clu, kernels).view(_SquareMatmuls))
     monkeypatch.setattr(_SquareMatmuls, "seen", [])
     g, fol = standard_fixture("grid13")
-    rep = run_ladder(g, fol, trials=0)
+    rep = run_ladder(g, fol, **ladder_args)
+    widest = max(len(layer) for layer in fol.layers)
+    return rep, counts, gathered, factored, widest
+
+
+def test_exact_ladder_cost_guard(monkeypatch):
+    """On grid13 the exact ladder builds one Laplacian stencil and no dense
+    Laplacian (it gathers no block wider than a layer from the stencil),
+    forms one Dirichlet Gram, assembles one dense Q (the top's, for that
+    Gram) and multiplies no two k_n x k_n matrices for k_n > 50: neither the
+    cached operators nor a dense Q_n, which `hadamard_Q` assembles anew."""
+    assert not hasattr(operators, "laplacian")
+    rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
     assert counts == {"stencil": 1, "dirichlet_gram": 1, "hadamard_Q": 1}
-    assert gathered and max(gathered) <= max(len(layer) for layer in fol.layers)
+    assert gathered and max(gathered) <= widest
+    assert max(factored) <= widest
+    assert _SquareMatmuls.seen == []
+
+
+def test_monte_carlo_ladder_cost_guard(monkeypatch):
+    """Both covariance rungs grow their covariances a layer at a time: with
+    2000 trials on grid13 the ladder still assembles one dense Q and
+    multiplies no two k_n x k_n matrices, not even against a noise Gram,
+    and the one Cholesky factor wider than a layer is the oracle's, of the
+    top Laplacian read from the edge list (its second Dirichlet Gram)."""
+    rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
+    assert rep["pass"] and len(rep["checks"]) == 17
+    assert counts == {"stencil": 1, "dirichlet_gram": 2, "hadamard_Q": 1}
+    assert [k for k in factored if k > widest] == [121]
     assert _SquareMatmuls.seen == []
 
 
 def test_stack_keeps_no_dense_growth_operator(monkeypatch):
-    # the samples grow from the kernels; a dense Q is assembled twice, both
-    # times Q_top: for the isometry's Dirichlet Gram and for the field's
-    # covariances, whose Q_n are its leading blocks
+    # the samples and both covariance rungs grow from the kernels; a dense Q
+    # is assembled once, Q_top, for the isometry's Dirichlet Gram
     sizes = []
     assemble = hadamard.hadamard_Q
     monkeypatch.setattr(hadamard, "hadamard_Q",
@@ -208,7 +243,7 @@ def test_stack_keeps_no_dense_growth_operator(monkeypatch):
     g, fol = standard_fixture("grid5")
     stack = OperatorStack(g, fol)
     assert run_ladder(g, fol, seed=1, trials=2000, stack=stack)["pass"]
-    assert sizes == [stack.cluster(stack.depth).size] * 2
+    assert sizes == [stack.cluster(stack.depth).size]
     assert ("kernel", stack.depth) in stack._cache
     assert not [key for key in stack._cache if key[0] == "growth"]
 
