@@ -22,6 +22,7 @@ from .errors import DGFFError, GraphError
 from .foliation import GrowthCluster, bfs_foliate, cluster as make_cluster, load_foliation
 from .graph import load_graph
 from .hadamard import OperatorStack, dirichlet_gram, verify_hadamard_identity, verify_isometry
+from .kernels import STREAM_VERSION
 from .linalg import write_matrix_csv
 from .operators import green, poisson, stencil
 from .sampling import GaussianStream, dgff_block, wnf_block
@@ -174,8 +175,8 @@ def cmd_sample(args) -> int:
         write_matrix_csv(buf, ids, cols, rows)
         (outdir / name).write_text(buf.getvalue())
         files.append(name)
-    manifest = {"schema": 1, "seed": args.seed, "n_samples": args.n_samples,
-                "levels": depth + 1, "files": files}
+    manifest = {"schema": 1, "stream_version": STREAM_VERSION, "seed": args.seed,
+                "n_samples": args.n_samples, "levels": depth + 1, "files": files}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     print(json.dumps({"schema": 1, "written": len(files), "out": str(outdir)}))
     return 0

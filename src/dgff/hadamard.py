@@ -33,9 +33,9 @@ from G_{n-1} and the new layer's rows of the Laplacian, factorizing only a
 layer-sized Schur complement (see `dgff.operators`). The Laplacian is held
 once, as the top cluster's padded neighbour stencil read from the graph's
 edges; level n's is its leading block. The build gathers its layer rows
-from it and the checks multiply by it, while `dirichlet_gram` reads the
-edge list directly, so the `isometry` check and the Cholesky oracle
-(`oracle_kernels`) stay independent of the stencil.
+from it and the checks multiply by it, while `dirichlet_gram` and
+`dirichlet_matrix` read the edge list directly, so the `isometry` check and
+the Cholesky oracle (`oracle_kernels`) stay independent of the stencil.
 """
 
 from __future__ import annotations
@@ -111,6 +111,15 @@ def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
     return max(float(d.max()), -float(d.min()))
 
 
+def _edge_ends(g: Graph, clu: GrowthCluster) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the cluster's order of both ends of every edge, in
+    `edge_list` order; clu.size stands for a vertex outside the cluster."""
+    pos = np.full(g.n_vertices, clu.size)
+    pos[list(clu.vertices)] = np.arange(clu.size)
+    ends = pos[np.array(g.edge_list, dtype=int).reshape(-1, 2)]
+    return ends[:, 0], ends[:, 1]
+
+
 def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     """Gram matrix of Q's columns in the Dirichlet inner product.
 
@@ -118,10 +127,7 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     one row sqrt(c) (Q[x] - Q[y]) per edge touching the cluster, in
     `edge_list` order, where a zero row stands for every vertex outside it.
     """
-    pos = np.full(g.n_vertices, clu.size)
-    pos[list(clu.vertices)] = np.arange(clu.size)
-    ends = np.array(g.edge_list, dtype=int).reshape(-1, 2)
-    li, lj = pos[ends[:, 0]], pos[ends[:, 1]]
+    li, lj = _edge_ends(g, clu)
     touch = (li < clu.size) | (lj < clu.size)
     padded = np.vstack([q, np.zeros((1, q.shape[1]))])
     dq = padded[li[touch]]
@@ -130,12 +136,28 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     return dq.T @ dq
 
 
+def dirichlet_matrix(g: Graph, clu: GrowthCluster) -> np.ndarray:
+    """The cluster's Laplacian A read from the edge list: the Dirichlet Gram
+    of its coordinate basis, `dirichlet_gram(g, clu, I)` up to rounding,
+    scattered in O(E + k^2) instead of multiplied through in E k^2.
+
+    An edge xy of conductance c adds c to A[x, x] and A[y, y] and -c to
+    A[x, y] and A[y, x]; the entries of a vertex outside the cluster land in
+    a padding row and column that is dropped.
+    """
+    k = clu.size
+    (x, y), w, c = _edge_ends(g, clu), k + 1, g.conductances
+    flat = np.concatenate([x * w + x, y * w + y, x * w + y, y * w + x])
+    a = np.bincount(flat, np.concatenate([c, c, -c, -c]), minlength=w * w)
+    return a.reshape(w, w)[:k, :k].copy()
+
+
 def oracle_kernels(graph: Graph, top: GrowthCluster) -> list[np.ndarray]:
     """Layer columns W[:k_n, L_n] of the oracle W = L^{-T}, A_top = L L^T the
-    top Laplacian read from the edge list (the coordinate basis's Dirichlet
-    Gram), not from anything the stack built. W is upper triangular and
-    W_n = W[:k_n, :k_n] has W_n W_n^T = G_n (Rue & Held 2005, sec. 2.4)."""
-    low = linalg.cholesky(dirichlet_gram(graph, top, np.eye(top.size)))
+    top Laplacian read from the edge list (`dirichlet_matrix`), not from
+    anything the stack built. W is upper triangular and W_n = W[:k_n, :k_n]
+    has W_n W_n^T = G_n (Rue & Held 2005, sec. 2.4)."""
+    low = linalg.cholesky(dirichlet_matrix(graph, top))
     w = np.linalg.inv(low.T)  # no row swaps: W stays exactly triangular
     return [w[: top.layer_slice(n).stop, top.layer_slice(n)] for n in range(top.n + 1)]
 

@@ -1,19 +1,29 @@
-"""The counter-based standard normal generator.
+"""The counter-based standard normal generator (stream version 2).
 
-One normal per (seed, stream id, draw index). Two 64-bit hashes feed a
-Box-Muller transform:
+One normal per (seed, stream id, draw index). Draws 2p and 2p+1 of a
+stream are the two outputs of one Box-Muller pair, fed by two 64-bit
+hashes:
 
   h      = fmix64(seed ^ GOLDEN)
   h_s    = fmix64(h ^ (stream * GOLDEN + 1))
-  h_c    = fmix64(h_s ^ ((2*draw + slot) * SPLIT + 1))   slot in {0, 1}
+  h_c    = fmix64(h_s ^ ((2*p + slot) * SPLIT + 1))   slot in {0, 1}
   u1     = ((h_c0 >> 11) + 1) * 2^-53        in (0, 1]
   u2     = (h_c1 >> 11) * 2^-53              in [0, 1)
-  normal = sqrt(-2 ln u1) * cos(2 pi u2)
+  r      = sqrt(-2 ln u1)
+  t      = tan(pi (u2 - 1/2))                 a Cauchy variate, t = tan(theta/2)
+  q      = 2 / (1 + t^2)
+  draw 2p   = r (q - 1)  = r (1 - t^2) / (1 + t^2) = r cos theta
+  draw 2p+1 = r t q      = r 2t / (1 + t^2)        = r sin theta
+
+with theta = 2 pi u2 - pi uniform on [-pi, pi) (Box & Muller 1958). Each
+normal costs half a hash pair, half a log and sqrt, and half a tan.
 
 fmix64 is the standard 64-bit avalanche finalizer (xor-shift / multiply).
 The integer hashes are exact on every platform; the floating-point tail
-uses numpy's log, sqrt and cos, so the bitstream is fixed for a given
-numpy build. Linear algebra lives in ``dgff.linalg`` on LAPACK.
+uses numpy's log, sqrt and tan, so the bitstream is fixed for a given
+numpy build. Stream version 1 drew one normal, sqrt(-2 ln u1) cos(2 pi u2),
+per hash pair and discarded the sine. Linear algebra lives in
+``dgff.linalg`` on LAPACK.
 """
 
 from __future__ import annotations
@@ -22,13 +32,14 @@ import math
 
 import numpy as np
 
+STREAM_VERSION = 2
 _GOLDEN = 0x9E3779B97F4A7C15
 _SPLIT = 0xD6E8FEB86659FD93
 _FM1 = 0xFF51AFD7ED558CCD
 _FM2 = 0xC4CEB9FE1A85EC53
 _MASK = (1 << 64) - 1
 _TWO_NEG53 = 2.0 ** -53
-_CHUNK = 1 << 16  # entries per chunk: two 512 KiB uint64 scratch arrays
+_CHUNK = 1 << 16  # pairs x streams per chunk: three 512 KiB uint64 scratch arrays
 
 
 def _fmix64(z: np.ndarray, tmp: np.ndarray) -> None:
@@ -48,40 +59,62 @@ def _hash(hs: np.ndarray, counters: np.ndarray, z: np.ndarray, tmp: np.ndarray) 
     z >>= np.uint64(11)
 
 
+def _box_muller(h1: np.ndarray, h2: np.ndarray, cos_out: np.ndarray,
+                sin_out: np.ndarray) -> None:
+    """The two normals r cos theta and r sin theta of each pair of 53-bit
+    hashes (h1, h2), written to `cos_out` and `sin_out`; both uint64
+    arrays are used as scratch and clobbered.
+
+    h2 = 0 gives t = tan(-pi/2 rounded), about -1.6e16, and h2 = 2^53 - 1
+    gives t about 2.0e15: t^2 stays finite, q - 1 = -1 and t q is about 0.
+    """
+    np.add(h1, 1.0, out=cos_out)                # u1 in (0, 1], then r = sqrt(-2 ln u1)
+    cos_out *= _TWO_NEG53
+    np.log(cos_out, out=cos_out)
+    cos_out *= -2.0
+    np.sqrt(cos_out, out=cos_out)
+    t = h1.view(np.float64)                      # h1 is free again: reuse as t
+    np.copyto(t, h2, casting="unsafe")
+    t -= 2.0 ** 52                               # exact: pi (u2 - 1/2) scaled by 2^53
+    t *= math.pi * _TWO_NEG53
+    np.tan(t, out=t)
+    q = h2.view(np.float64)                      # h2 is free too: q = 2 / (1 + t^2)
+    np.multiply(t, t, out=q)
+    q += 1.0
+    np.divide(2.0, q, out=q)
+    t *= q                                       # sin theta
+    q -= 1.0                                     # cos theta
+    np.multiply(cos_out, t, out=sin_out)
+    cos_out *= q
+
+
 def normal_block(seed: int, streams: np.ndarray, draw0: int, ndraws: int) -> np.ndarray:
     """Standard normals, shape (ndraws, len(streams)); row t uses draw draw0+t.
 
-    Rows are generated in chunks of about _CHUNK entries, in place: two
-    uint64 scratch arrays of one chunk each are all the memory needed
-    beyond the output. Every entry depends only on its own counter, so the
-    chunking does not change the values.
+    The pairs covering the draws are generated in chunks of about _CHUNK
+    hash pairs, in place: three uint64 scratch arrays of one chunk each are
+    all the memory needed beyond the output. Every entry depends only on
+    its own pair's counters, so the chunking does not change the values; an
+    odd `draw0` or end computes its boundary pair whole and drops the other
+    half.
     """
     s = np.asarray(streams, dtype=np.uint64)
-    out = np.empty((ndraws, s.shape[0]))
-    rows = max(1, min(ndraws, _CHUNK // max(s.shape[0], 1)))
-    z = np.empty((rows, s.shape[0]), dtype=np.uint64)
-    tmp = np.empty_like(z)
+    p0 = draw0 // 2
+    npairs = (draw0 + ndraws + 1) // 2 - p0
+    pairs = np.empty((npairs, 2, s.shape[0]))    # pairs[i] holds draws 2(p0+i), 2(p0+i)+1
+    rows = max(1, min(npairs, _CHUNK // max(s.shape[0], 1)))
+    h1, h2, tmp = (np.empty((rows, s.shape[0]), dtype=np.uint64) for _ in range(3))
     with np.errstate(over="ignore"):
         h = np.full(1, (seed & _MASK) ^ _GOLDEN, dtype=np.uint64)
         _fmix64(h, np.empty_like(h))
         hs = s * np.uint64(_GOLDEN) + np.uint64(1)
         hs ^= h
         _fmix64(hs, np.empty_like(hs))
-        for r0 in range(0, ndraws, rows):
-            o = out[r0:r0 + rows]
-            zc, tc = z[:len(o)], tmp[:len(o)]
-            c = np.uint64(2) * (np.arange(r0, r0 + len(o), dtype=np.uint64) + np.uint64(draw0))
-            _hash(hs, c, zc, tc)
-            np.add(zc, 1.0, out=o)               # u1 in (0, 1], then sqrt(-2 ln u1)
-            o *= _TWO_NEG53
-            np.log(o, out=o)
-            o *= -2.0
-            np.sqrt(o, out=o)
-            _hash(hs, c + np.uint64(1), zc, tc)
-            u2 = tc.view(np.float64)             # tc is free again: reuse as u2
-            np.copyto(u2, zc, casting="unsafe")
-            u2 *= _TWO_NEG53
-            u2 *= 2.0 * math.pi
-            np.cos(u2, out=u2)
-            o *= u2
-    return out
+        for r0 in range(0, npairs, rows):
+            o = pairs[r0:r0 + rows]
+            m = len(o)
+            c = np.uint64(2) * (np.arange(r0, r0 + m, dtype=np.uint64) + np.uint64(p0))
+            _hash(hs, c, h1[:m], tmp[:m])
+            _hash(hs, c + np.uint64(1), h2[:m], tmp[:m])
+            _box_muller(h1[:m], h2[:m], o[:, 0], o[:, 1])
+    return pairs.reshape(2 * npairs, s.shape[0])[draw0 - 2 * p0:][:ndraws]

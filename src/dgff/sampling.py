@@ -2,10 +2,12 @@
 their laws.
 
 Randomness is counter based: a draw is a pure function of (seed, stream id,
-draw index), with the global vertex index as the stream id. Identical seeds
-reproduce identical noise for a given numpy build, and identical fields on a
-fixed machine and BLAS build; disjoint vertex sets get independent
-substreams by construction.
+draw index), with the global vertex index as the stream id; draws 2p and
+2p+1 are the two halves of one Box-Muller pair (`dgff.kernels`, stream
+version 2), which a block starting or ending at an odd draw computes whole.
+Identical seeds reproduce identical noise for a given numpy build, and
+identical fields on a fixed machine and BLAS build; disjoint vertex sets get
+independent substreams by construction.
 
 The white noise field (WNF) puts an independent standard normal at every
 vertex of its domain. Applying the growth operator of cluster n turns the
@@ -20,8 +22,8 @@ they look at is a linear image A z of the top cluster's white noise z: the
 DGFF Q_n z, its increments K_n z_{L_n} = (Q_n - Q_{n-1} zero-extended) z,
 the pairings <f, Psi_n> = (Q_n^* f) . z. So every empirical second moment
 is A S B^T, with S = sum z z^T / N the noise's Gram matrix, and the Monte
-Carlo keeps S alone (the Gram route). `noise_gram` sums it one generator
-chunk of draws at a time, never holding a trials x k block, and two draw
+Carlo keeps S alone (the Gram route). `noise_gram` sums it one block of at
+least 1024 draws at a time, never holding a trials x k block, and two draw
 ranges merge by adding their sums, so the trials can be split across
 workers by draw range. `brownian_check` and `sweep_average_check` draw
 nothing: they return the coefficient rows of the pairings and of the
@@ -123,16 +125,20 @@ class NoiseGram:
         return a @ self.total[: a.shape[1], : a.shape[1]] @ a.T / self.trials
 
 
+_GRAM_ROWS = 1024  # fewest draws per z^T z product: narrower ones cost up to 1.8x more
+
+
 def noise_gram(seed: int, streams, draw0: int, ndraws: int) -> NoiseGram:
     """Gram matrix of the normals of `streams` over draws [draw0, draw0 + ndraws).
 
-    The draws are made and summed one `kernels.normal_block` chunk of rows
-    at a time, so memory stays O(chunk + k^2) for any number of draws. Each
-    draw depends only on its own counter: the chunking, or a split of the
-    range, changes the sum only by rounding.
+    The draws are made and summed one block of rows at a time, about 2^16
+    normals (`kernels._CHUNK`) and at least _GRAM_ROWS draws, so memory
+    stays O(_GRAM_ROWS k + k^2) for any number of draws. Each draw
+    depends only on its own counter: the blocking, or a split of the range,
+    changes the sum only by rounding.
     """
     s = np.asarray(streams, dtype=np.uint64)
-    rows = max(1, kernels._CHUNK // max(s.shape[0], 1))
+    rows = max(_GRAM_ROWS, kernels._CHUNK // max(s.shape[0], 1))
     total = np.zeros((s.shape[0], s.shape[0]))
     for r0 in range(0, ndraws, rows):
         z = kernels.normal_block(seed, s, draw0 + r0, min(rows, ndraws - r0))

@@ -58,6 +58,7 @@ from .hadamard import (
     verify_hadamard_identity,
     verify_isometry,
 )
+from .kernels import STREAM_VERSION
 from .sampling import (
     GaussianStream,
     brownian_check,
@@ -357,6 +358,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     out = {
         "schema": 1,
+        "stream_version": STREAM_VERSION,
         "seed": seed,
         "trials": trials,
         "depth": depth,

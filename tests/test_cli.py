@@ -153,7 +153,9 @@ def test_sample_files_telescope(fixture_dir, tmp_path, capsys):
     assert run_cli("sample", "--graph", fixture_dir / "p5.json", "--roots", "v1",
                    "--seed", "7", "--n-samples", "3", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["schema"] == 1 and manifest["n_samples"] == 3
+    assert set(manifest) == {"schema", "stream_version", "seed", "n_samples", "levels", "files"}
+    assert manifest["schema"] == 1 and manifest["stream_version"] == 2
+    assert manifest["n_samples"] == 3
     for name in manifest["files"]:
         rows, cols, m = read_matrix_csv(out / name)
         levels = manifest["levels"]
@@ -177,7 +179,9 @@ def test_verify_small(fixture_dir, tmp_path, capsys):
                    "--seed", "42", "--trials", "4000", "--out", tmp_path)
     assert code == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
-    assert doc["schema"] == 1 and doc["pass"] is True
+    assert set(doc) == {"schema", "stream_version", "seed", "trials", "depth", "tolerances",
+                        "checks", "pass"}
+    assert doc["schema"] == 1 and doc["stream_version"] == 2 and doc["pass"] is True
     names = [c["name"] for c in doc["checks"]]
     assert names[0] == "green_inverse"
     assert "hadamard_identity" in names and "sweep_moments" in names

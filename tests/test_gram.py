@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dgff import OperatorStack, kernels
+from dgff import OperatorStack, kernels, sampling
 from dgff.fixtures import standard_fixture
 from dgff.sampling import (
     GaussianStream,
@@ -51,6 +51,17 @@ class TestNoiseGram:
         monkeypatch.setattr(kernels, "_CHUNK", chunk)
         np.testing.assert_allclose(noise_gram(5, self.STREAMS, 17, self.N).total, ref.total,
                                    rtol=1e-12)
+
+    @pytest.mark.parametrize("rows", [1, 11, 1000])
+    def test_gram_blocking_changes_rounding_only(self, monkeypatch, rows):
+        # products of `rows` draws each instead of one: the normals are the
+        # same bits, so the sums differ by rounding, on the scale of their
+        # Cauchy-Schwarz bound sqrt(S_ii S_jj)
+        ref = noise_gram(5, self.STREAMS, 17, self.N).total
+        monkeypatch.setattr(sampling, "_GRAM_ROWS", rows)
+        monkeypatch.setattr(kernels, "_CHUNK", len(self.STREAMS))
+        scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+        assert np.all(np.abs(noise_gram(5, self.STREAMS, 17, self.N).total - ref) <= 1e-12 * scale)
 
     def test_two_workers_equal_one(self):
         # a draw depends only on its counter, so trials split by draw range

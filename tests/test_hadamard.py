@@ -14,9 +14,9 @@ from dgff import (
     verify_isometry,
 )
 from dgff.errors import FoliationError
-from dgff.fixtures import standard_fixture
+from dgff.fixtures import standard_fixture, weighted
 from dgff.graph import dirichlet_inner
-from dgff.hadamard import dirichlet_gram
+from dgff.hadamard import dirichlet_gram, dirichlet_matrix
 
 import dense_reference
 
@@ -242,3 +242,19 @@ def test_adjoint_from_kernels_matches_dense_growth(name):
         np.testing.assert_allclose(ref, top_ref[: clu.size], rtol=0, atol=tol)
         np.testing.assert_allclose(rows[n, : clu.size], top_ref[: clu.size], rtol=0, atol=tol)
         np.testing.assert_array_equal(rows[n, clu.size:], 0.0)
+
+
+@pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13-weighted"))
+def test_scattered_laplacian_is_the_dirichlet_gram_of_the_identity(name):
+    # the oracle's A_top, scattered from the edge list, at every level
+    g, fol = standard_fixture(name.split("-")[0])
+    if name.endswith("weighted"):
+        g = weighted(g, seed=4, lo=0.1, hi=10.0)
+    stack = OperatorStack(g, fol)
+    for n in range(stack.depth + 1):
+        clu = stack.cluster(n)
+        a, ref = dirichlet_matrix(g, clu), dirichlet_gram(g, clu, np.eye(clu.size))
+        np.testing.assert_array_equal(a, a.T)
+        tol = 1e-14 * np.abs(ref).max()
+        assert np.abs(a - ref).max() <= tol
+        assert np.abs(a - dense_reference.laplacian(g, clu)).max() <= tol

@@ -153,7 +153,7 @@ def _guard_ladder(monkeypatch, **ladder_args):
     every noise Gram viewed as `_SquareMatmuls`; return the report, the call
     counts, the widths gathered from the stencil and the sizes of the
     matrices given to `linalg.cholesky`."""
-    counts = {"stencil": 0, "dirichlet_gram": 0, "hadamard_Q": 0}
+    counts = {"stencil": 0, "dirichlet_gram": 0, "dirichlet_matrix": 0, "hadamard_Q": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -171,6 +171,8 @@ def _guard_ladder(monkeypatch, **ladder_args):
     gram = counted("dirichlet_gram", hadamard.dirichlet_gram)
     for mod in (hadamard, verify):
         monkeypatch.setattr(mod, "dirichlet_gram", gram)
+    monkeypatch.setattr(hadamard, "dirichlet_matrix",
+                        counted("dirichlet_matrix", hadamard.dirichlet_matrix))
     factored = []
     cholesky = linalg.cholesky
     monkeypatch.setattr(linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
@@ -214,7 +216,7 @@ def test_exact_ladder_cost_guard(monkeypatch):
     assert not hasattr(operators, "laplacian")
     rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"stencil": 1, "dirichlet_gram": 1, "hadamard_Q": 1}
+    assert counts == {"stencil": 1, "dirichlet_gram": 1, "dirichlet_matrix": 0, "hadamard_Q": 1}
     assert gathered and max(gathered) <= widest
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
@@ -225,10 +227,11 @@ def test_monte_carlo_ladder_cost_guard(monkeypatch):
     2000 trials on grid13 the ladder still assembles one dense Q and
     multiplies no two k_n x k_n matrices, not even against a noise Gram,
     and the one Cholesky factor wider than a layer is the oracle's, of the
-    top Laplacian read from the edge list (its second Dirichlet Gram)."""
+    top Laplacian scattered from the edge list (`dirichlet_matrix`), not
+    multiplied through as a second Dirichlet Gram."""
     rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
     assert rep["pass"] and len(rep["checks"]) == 17
-    assert counts == {"stencil": 1, "dirichlet_gram": 2, "hadamard_Q": 1}
+    assert counts == {"stencil": 1, "dirichlet_gram": 1, "dirichlet_matrix": 1, "hadamard_Q": 1}
     assert [k for k in factored if k > widest] == [121]
     assert _SquareMatmuls.seen == []
 
