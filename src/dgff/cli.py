@@ -29,16 +29,21 @@ from .sampling import GaussianStream, dgff_block, wnf_block
 from .verify import TOL_EXACT, Z_MAX, run_ladder
 
 
-def _common_flags(p: argparse.ArgumentParser, need_cluster=False) -> None:
+def _flags(p: argparse.ArgumentParser, foliation=True, out=True, matrix=False) -> None:
+    """Register the flags a subcommand reads: the graph and its layering,
+    the output directory, and for the one-matrix commands the cluster and
+    the matrix format."""
     p.add_argument("--graph", required=True, help="graph file (.json or edge list)")
-    p.add_argument("--foliation", help="foliation JSON file")
+    if foliation:
+        p.add_argument("--foliation", help="foliation JSON file")
     p.add_argument("--roots", help="comma-separated root vertex ids for BFS layering")
-    if need_cluster:
+    if matrix:
         p.add_argument("--cluster", type=int, default=None,
                        help="cluster index n (default: the deepest)")
-    p.add_argument("--out", help="output directory (default: stdout)")
-    p.add_argument("--format", choices=("json", "csv"), default="csv",
-                   help="matrix output format")
+        p.add_argument("--format", choices=("json", "csv"), default="csv",
+                       help="matrix output format")
+    if out:
+        p.add_argument("--out", help="output directory (default: stdout)")
 
 
 def _resolve(args):
@@ -207,33 +212,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse and validate a graph (and foliation)")
-    _common_flags(p)
+    _flags(p, out=False)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("foliate", help="emit the BFS layering from --roots")
-    _common_flags(p)
+    _flags(p, foliation=False)
     p.set_defaults(fn=cmd_foliate)
 
     p = sub.add_parser("green", help="emit the normalized Green matrix of a cluster")
-    _common_flags(p, need_cluster=True)
+    _flags(p, matrix=True)
     p.set_defaults(fn=cmd_green)
 
     p = sub.add_parser("poisson", help="emit the Poisson kernel of a cluster")
-    _common_flags(p, need_cluster=True)
+    _flags(p, matrix=True)
     p.set_defaults(fn=cmd_poisson)
 
     p = sub.add_parser("hadamard", help="emit the growth operator and residual summary")
-    _common_flags(p, need_cluster=True)
+    _flags(p, matrix=True)
     p.set_defaults(fn=cmd_hadamard)
 
     p = sub.add_parser("sample", help="write reproducible field samples as CSV")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-samples", type=int, default=1)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("verify", help="run the full verification ladder")
-    _common_flags(p)
+    _flags(p)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--tol-exact", type=float, default=TOL_EXACT)

@@ -72,6 +72,13 @@ def validate_foliation(g: Graph, layers) -> Foliation:
     CoverageViolation or LocalityViolation; coverage is checked before
     locality, so an unassigned vertex is reported even when a locality
     breach is also present.
+
+    Every cluster then has an invertible Laplacian, with no further check.
+    A graph from the factories is connected, and the exterior is nonempty,
+    so each component C of a cluster has an edge to some vertex outside C.
+    That vertex is outside the cluster too, or it would belong to C. So
+    every component is grounded. A disconnected Graph built raw, past the
+    factories, fails in the build instead, with NotPD.
     """
     if not g.exterior:
         raise FoliationError("foliation requires a nonempty exterior", code="NoExterior")
@@ -112,38 +119,7 @@ def validate_foliation(g: Graph, layers) -> Foliation:
                 f"edge ({g.vertices[i]!r}, {g.vertices[j]!r}) joins layers {ti} "
                 f"and {tj}", code="LocalityViolation")
 
-    fol = Foliation(graph=g, layers=tuple(idx_layers), layer_of=layer_of)
-    _assert_clusters_grounded(fol)
-    return fol
-
-
-def _assert_clusters_grounded(fol: Foliation) -> None:
-    # every component of every cluster must see the outside, else its
-    # Laplacian is singular; guaranteed by connectivity + nonempty exterior
-    g = fol.graph
-    for n in range(len(fol.layers)):
-        members = set()
-        for m in range(n + 1):
-            members.update(fol.layers[m])
-        todo = set(members)
-        while todo:
-            comp = {todo.pop()}
-            frontier = list(comp)
-            grounded = False
-            while frontier:
-                x = frontier.pop()
-                for y in g.adj[x]:
-                    if y in members:
-                        if y in todo:
-                            todo.discard(y)
-                            comp.add(y)
-                            frontier.append(y)
-                    else:
-                        grounded = True
-            if not grounded:
-                raise FoliationError(
-                    f"cluster {n} has a component sealed off from its complement",
-                    code="CoverageViolation")
+    return Foliation(graph=g, layers=tuple(idx_layers), layer_of=layer_of)
 
 
 def bfs_foliate(g: Graph, roots) -> Foliation:

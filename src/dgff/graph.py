@@ -55,14 +55,6 @@ class Graph:
     def exterior_indices(self) -> frozenset[int]:
         return frozenset(self.index[v] for v in self.exterior)
 
-    @property
-    def interior_indices(self) -> tuple[int, ...]:
-        ext = self.exterior_indices
-        return tuple(i for i in range(self.n_vertices) if i not in ext)
-
-    def conductance(self, x: int, y: int) -> float:
-        return self.cond.get((x, y), 0.0)
-
     def ids(self, indices) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in indices)
 

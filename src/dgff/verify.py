@@ -33,6 +33,15 @@ the paper's per-level facts instead of a cubic check at every level:
 The increment rungs grow their fields with one `dgff_block` call; only
 `isometry` assembles a dense Q, Q_top once.
 
+Every rung is a generator with one protocol. An exact rung yields one
+statistic per level it reads; `isometry` yields once, for the top level. A
+statistical rung yields a (largest |z|, entries) pair per group of
+z-scores: one per level for the covariance rungs, one for the increment
+cross-covariances and one for each pairing rung. `_Ladder.run` alone
+reduces them: the row's statistic is the largest yield, its `entries` the
+sum, and a rung that yields nothing, such as the rungs that read levels
+n >= 1 on a one-layer foliation, is skipped.
+
 Rungs run in order and later rungs reuse earlier operators, but a failure
 does not stop the ladder: each rung records its own statistic, or the error
 code that prevented it, a numeric error included. This is what gives
@@ -80,44 +89,47 @@ INCREMENT_SAMPLES = 100
 class _Refuted(Exception):
     """A statistical rung's exact part failed, so it has no z statistic."""
 
-    def __init__(self, reason: str, entries: int):
-        super().__init__(reason)
-        self.entries = entries
-
 
 class _Ladder:
     def __init__(self, stack: OperatorStack):
         self.stack = stack
         self.checks: list[dict] = []
 
-    def run(self, name: str, kind: str, threshold: float, fn) -> None:
+    def run(self, name: str, kind: str, threshold: float, rung) -> None:
         """Record one rung, the seconds it took and the part of them spent
-        building operators on first use. A statistical rung's `fn` returns
-        the largest |z| and the number of entries it is taken over. A
+        building operators on first use.
+
+        `rung()` is a generator. An exact rung yields one statistic per
+        level it reads, a statistical rung a (largest |z|, entries) pair per
+        group of z-scores. The row's statistic is the largest yield, its
+        `entries` their sum, and a rung that yields nothing is skipped. A
         statistic is never a non-finite number: such a rung records null
-        with a `reason`, and a rung that raises records null with an
-        `error` code."""
+        with a `reason`, and so does a rung that raises `_Refuted`, which
+        keeps its entries. A rung that raises anything else records null
+        with an `error` code, whatever it yielded before."""
         row = {"name": name, "kind": kind, "threshold": threshold}
-        entries = None
+        stats, entries = [], None
         start, built = time.perf_counter(), self.stack.build_seconds
         try:
-            stat = fn()
-        except DGFFError as e:
-            row.update(statistic=None, passed=False, error=e.code, message=str(e))
-        except (np.linalg.LinAlgError, FloatingPointError) as e:
-            row.update(statistic=None, passed=False, error="NumericError", message=str(e))
+            for stat in rung():
+                if kind == "statistical":
+                    stat, m = stat
+                    entries = (entries or 0) + m
+                stats.append(stat)
+        except (DGFFError, np.linalg.LinAlgError, FloatingPointError) as e:
+            code = e.code if isinstance(e, DGFFError) else "NumericError"
+            row.update(statistic=None, passed=False, error=code, message=str(e))
+            entries = None
         except _Refuted as e:
             row.update(statistic=None, passed=False, reason=str(e))
-            entries = e.entries
         else:
-            if isinstance(stat, tuple):
-                stat, entries = stat
+            stat = float(np.max(stats)) if stats else None  # np.max keeps a NaN
             if stat is None:
                 row.update(statistic=None, passed=True, skipped=True)
             elif not math.isfinite(stat):
                 row.update(statistic=None, passed=False, reason=f"statistic is {stat}")
             else:
-                row.update(statistic=float(stat), passed=bool(stat <= threshold))
+                row.update(statistic=stat, passed=bool(stat <= threshold))
         if kind == "statistical":
             row["entries"] = entries
             row["false_alarm_bound"] = None if entries is None else min(
@@ -147,7 +159,6 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     stream = GaussianStream(seed)
 
     def green_inverse():
-        worst = 0.0
         for n in range(depth + 1):
             st = stack.stencil(n)
             gn = stack.green(n).normalized
@@ -156,111 +167,88 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
                 products.append(st.apply(gn.T, transpose=True).T)  # G A = (A^T G^T)^T
             for prod in products:
                 prod.flat[::st.size + 1] -= 1.0
-                worst = max(worst, float(np.abs(prod).max()))
-        return worst
+            yield max(float(np.abs(prod).max()) for prod in products)
 
     def green_symmetry():
-        worst = 0.0
         for n in range(depth + 1):
             k = stack.green(n)
             weighted = k.pi[:, None] * k.unnormalized
             scale = max(float(np.abs(weighted).max()), 1.0)
-            worst = max(worst, float(np.abs(weighted - weighted.T).max()) / scale)
-        return worst
+            yield float(np.abs(weighted - weighted.T).max()) / scale
 
     def green_positive():
-        worst = 0.0
         for n in range(depth + 1):
             k = stack.green(n)
             scale = max(float(np.abs(k.normalized).max()), 1.0)
-            worst = max(worst, max(0.0, -float(k.normalized.min())) / scale)
-        return worst
+            yield max(0.0, -float(k.normalized.min())) / scale
 
     def poisson_bounds():
-        worst = 0.0
         for n in range(depth + 1):
             p = stack.poisson(n)
-            worst = max(worst,
-                        max(0.0, -float(p.min())),
-                        max(0.0, float(p.max()) - 1.0),
-                        max(0.0, float(p.sum(axis=1).max()) - 1.0))
-        return worst
+            yield max(0.0, -float(p.min()), float(p.max()) - 1.0,
+                      float(p.sum(axis=1).max()) - 1.0)
 
     def poisson_harmonic():
-        worst = 0.0
         for n in range(1, depth + 1):
             st = stack.stencil(n)
             resid = st.apply(stack.poisson(n), rows=stack.cluster(n - 1).size)
-            worst = max(worst, float(np.abs(resid).max()) / max(float(np.abs(st.val).max()), 1.0))
-        return worst
+            yield float(np.abs(resid).max()) / max(float(np.abs(st.val).max()), 1.0)
 
     def green_variation():
-        if depth == 0:
-            return None
-        worst = 0.0
         for n in range(1, depth + 1):
             scale = max(float(np.abs(stack.green(n).unnormalized).max()), 1.0)
-            worst = max(worst, stack.variation_residual(n) / scale)
-        return worst
+            yield stack.variation_residual(n) / scale
 
     def green_monotone():
-        if depth == 0:
-            return None
-        worst = 0.0
         for n in range(1, depth + 1):
             diff = stack.green(n).unnormalized  # a fresh array
             scale = max(float(np.abs(diff).max()), 1.0)
             k_prev = stack.cluster(n - 1).size
             diff[:k_prev, :k_prev] -= stack.green(n - 1).unnormalized
-            worst = max(worst, max(0.0, -float(diff.min())) / scale)
-        return worst
+            yield max(0.0, -float(diff.min())) / scale
 
     def hadamard_identity():
         # `bound` >= |Q_n Q_n^T - G_n|: the full residual at level 0 (Q_0 is
         # K_0), then level n-1's bound plus the one-layer residual
         g0, k0 = stack.green(0).normalized, stack.kernel(0)
         bound = verify_hadamard_identity(k0 @ k0.T, g0)
-        worst = bound / max(float(np.abs(g0).max()), 1.0)
+        yield bound / max(float(np.abs(g0).max()), 1.0)
         for n in range(1, depth + 1):
             gn = stack.green(n).normalized
             bound += layer_identity_residual(gn, stack.green(n - 1).normalized,
                                              stack.kernel(n))
-            worst = max(worst, bound / max(float(np.abs(gn).max()), 1.0))
-        return worst
+            yield bound / max(float(np.abs(gn).max()), 1.0)
 
     def isometry():
         # level n's Gram is the top Gram's leading k_n block, so the top's
         # residual is the largest over the levels
-        return verify_isometry(dirichlet_gram(graph, stack.cluster(depth), stack.growth(depth)))
+        yield verify_isometry(dirichlet_gram(graph, stack.cluster(depth), stack.growth(depth)))
+
+    def increments():
+        """(n, noise block, Psi_n - Psi_{n-1}) for n = 1..N, the fields
+        grown from one fresh block of top-cluster noise."""
+        if depth == 0:
+            return  # no increment, so draw no noise
+        block = wnf_block(stack.cluster(depth).vertices, stream, INCREMENT_SAMPLES)
+        fields = dgff_block(stack, block)
+        for n in range(1, depth + 1):
+            diff = fields[n].copy()
+            diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
+            yield n, block, diff
 
     def increment_identity():
-        if depth == 0:
-            return None
         top = stack.cluster(depth)
-        block = wnf_block(top.vertices, stream, INCREMENT_SAMPLES)
-        fields, worst = dgff_block(stack, block), 0.0
-        for n in range(1, depth + 1):
-            diff = fields[n].copy()
-            diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
-            layer = top.layer_slice(n)
-            other = block[:, layer] @ stack.layer_sqrt(n).T @ stack.poisson(n).T
+        for n, block, diff in increments():
+            other = block[:, top.layer_slice(n)] @ stack.layer_sqrt(n).T @ stack.poisson(n).T
             scale = max(float(np.abs(diff).max()), 1.0)
-            worst = max(worst, float(np.abs(diff - other).max()) / scale)
-        return worst
+            yield float(np.abs(diff - other).max()) / scale
 
     def increment_harmonic():
-        if depth == 0:
-            return None
-        block = wnf_block(stack.cluster(depth).vertices, stream, INCREMENT_SAMPLES)
-        fields, worst = dgff_block(stack, block), 0.0
-        for n in range(1, depth + 1):
-            diff = fields[n].copy()
-            diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
+        for n, _, diff in increments():
             st = stack.stencil(n)
             resid = st.apply(diff.T, rows=stack.cluster(n - 1).size)
             scale = max(float(np.abs(diff).max()), 1.0) * max(float(np.abs(st.val).max()), 1.0)
-            worst = max(worst, float(np.abs(resid).max()) / scale)
-        return worst
+            yield float(np.abs(resid).max()) / scale
 
     # "phi": the DGFF noise Gram; "dgff", "oracle": per-level empirical covariances
     mc: dict[str, object] = {}
@@ -273,68 +261,57 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     reports: dict[str, dict] = {}
 
-    def scored(covs):  # largest |z| against G_n, its entries, the top level's report
-        worst, entries = 0.0, 0
-        for n, emp in enumerate(covs):
-            rep = moment_report(emp, stack.green(n).normalized, trials, seed)
-            worst, entries = max(worst, rep.max_abs_z), entries + rep.entries
-        return worst, entries, rep
-
     def dgff_covariance():
         mc["phi"] = stream.gram(stack.cluster(depth).vertices, trials)
         mc["dgff"] = grown_covariances([stack.kernel(n) for n in range(depth + 1)], mc["phi"])
-        worst, entries, top = scored(mc["dgff"])
+        for n, emp in enumerate(mc["dgff"]):
+            rep = moment_report(emp, stack.green(n).normalized, trials, seed)
+            yield rep.max_abs_z, rep.entries
         if collect_reports:
-            reports["covariance"] = top.to_json()
-        return worst, entries
+            reports["covariance"] = rep.to_json()  # the top level's
 
     def oracle_covariance():
         gram = stream.gram(stack.cluster(depth).vertices, trials)
         mc["oracle"] = grown_covariances(oracle_kernels(graph, stack.cluster(depth)), gram)
-        return scored(mc["oracle"])[:2]
+        for n, emp in enumerate(mc["oracle"]):
+            rep = moment_report(emp, stack.green(n).normalized, trials, seed)
+            yield rep.max_abs_z, rep.entries
 
     def oracle_agreement():
-        worst, entries = 0.0, 0
         for n, (a, b) in enumerate(zip(_need("dgff"), _need("oracle"))):
-            z, m = two_sample_zmax(a, b, trials, stack.green(n).normalized)
-            worst, entries = max(worst, z), entries + m
-        return worst, entries
+            yield two_sample_zmax(a, b, trials, stack.green(n).normalized)
 
     def increment_independence():
-        if depth == 0:
-            return None
-        return increment_cross_zmax(stack, _need("phi"))
+        if depth:  # Psi_0 alone has no increment to be independent of
+            yield increment_cross_zmax(stack, _need("phi"))
 
-    def brownian():
-        top = stack.cluster(depth)
+    def pairing(clu, check, key):
+        """Score `check`'s coefficient rows for a fresh noise vector f on
+        `clu` against the field's noise Gram; returns `check`'s report."""
         f = np.zeros(graph.n_vertices)
-        f[np.array(top.vertices)] = stream.draw(top.vertices)
-        rep = brownian_check(stack, f)
+        f[np.array(clu.vertices)] = stream.draw(clu.vertices)
+        rep = check(stack, f)
         cov = moment_report(_need("phi").cross(rep.coef), rep.target, trials, seed)
         if collect_reports:
-            reports["brownian"] = rep.to_json(cov)
+            reports[key] = rep.to_json(cov)
+        yield cov.max_abs_z, cov.entries
+        return rep
+
+    def brownian():
+        rep = yield from pairing(stack.cluster(depth), brownian_check, "brownian")
         if rep.pythagoras_residual > TOL_STRICT * max(rep.variance_targets.max(), 1.0):
             raise _Refuted("Pythagoras residual |f_n^T G_n f_n - T_n| "
-                           f"{rep.pythagoras_residual:.3g} exceeds the strict tolerance",
-                           cov.entries)
+                           f"{rep.pythagoras_residual:.3g} exceeds the strict tolerance")
         if not rep.targets_monotone:
-            raise _Refuted("Green energies f_n^T G_n f_n are not monotone in n", cov.entries)
-        return cov.max_abs_z, cov.entries
+            raise _Refuted("Green energies f_n^T G_n f_n are not monotone in n")
 
     def sweep():
         if depth == 0:
-            return None
-        base = stack.cluster(1)
-        f = np.zeros(graph.n_vertices)
-        f[np.array(base.vertices)] = stream.draw(base.vertices)
-        rep = sweep_average_check(stack, f)
-        cov = moment_report(_need("phi").cross(rep.coef), rep.target, trials, seed)
-        if collect_reports:
-            reports["sweep"] = rep.to_json(cov)
+            return  # no cluster 1 to sweep from
+        rep = yield from pairing(stack.cluster(1), sweep_average_check, "sweep")
         if rep.identity_residual > tol_exact * rep.identity_scale:
             raise _Refuted(f"boundary-average identity residual {rep.identity_residual:.3g} "
-                           "exceeds the exact tolerance", cov.entries)
-        return cov.max_abs_z, cov.entries
+                           "exceeds the exact tolerance")
 
     ladder = _Ladder(stack)
     ladder.run("green_inverse", "exact", tol_exact, green_inverse)

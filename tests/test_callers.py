@@ -1,10 +1,13 @@
 """Every public module-level function of the package has a caller in the
-package itself. A function that only tests call belongs in the tests.
+package itself, and so does every public method and property of its
+classes. A function that only tests call belongs in the tests.
 
 References are resolved through imports, so `from .operators import green`
 followed by `green(...)`, or `from . import linalg` followed by
-`linalg.cholesky(...)`, counts as a caller of that function. `__init__.py`
-re-exports names and does not count.
+`linalg.cholesky(...)`, counts as a caller of that function. A class member
+counts as called when the package reads its name as an attribute anywhere
+(`x.name`), whatever `x` is. `__init__.py` re-exports names and does not
+count.
 """
 
 import ast
@@ -19,7 +22,7 @@ EXCEPTIONS = {
     # the graph calculus: the tests' independent reference for the
     # Laplacian, the Dirichlet form and the stationary weights
     "graph.coboundary", "graph.divergence", "graph.dirichlet_inner", "graph.delta",
-    "graph.recompute_pi",
+    "graph.recompute_pi", "graph.EdgeField.value",
     # an example-graph builder, called by the benchmark's weighted workloads
     "fixtures.weighted",
 }
@@ -33,6 +36,19 @@ def _modules() -> dict[str, ast.Module]:
 def _public_functions(trees) -> set[str]:
     return {f"{mod}.{node.name}" for mod, tree in trees.items() for node in tree.body
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _public_members(trees) -> set[str]:
+    """Public methods and properties of the package's module-level classes."""
+    return {f"{mod}.{cls.name}.{node.name}" for mod, tree in trees.items()
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+
+
+def _attributes_read(tree: ast.Module) -> set[str]:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _referenced(mod: str, tree: ast.Module) -> set[str]:
@@ -65,9 +81,25 @@ def _referenced(mod: str, tree: ast.Module) -> set[str]:
     return found
 
 
-def test_every_public_function_has_a_caller_in_the_package():
+def _unused() -> tuple[set[str], set[str]]:
+    """The package's uncalled public functions and unread public members."""
     trees = _modules()
     called = set().union(*(_referenced(mod, tree) for mod, tree in trees.items()))
-    uncalled = _public_functions(trees) - called
+    read = set().union(*(_attributes_read(tree) for tree in trees.values()))
+    return (_public_functions(trees) - called,
+            {member for member in _public_members(trees) if member.rsplit(".", 1)[1] not in read})
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    uncalled, _ = _unused()
     assert sorted(uncalled - EXCEPTIONS) == []
-    assert sorted(EXCEPTIONS - uncalled) == []  # no stale exception
+
+
+def test_every_public_member_is_read_in_the_package():
+    _, unread = _unused()
+    assert sorted(unread - EXCEPTIONS) == []
+
+
+def test_no_stale_exception():
+    uncalled, unread = _unused()
+    assert sorted(EXCEPTIONS - uncalled - unread) == []

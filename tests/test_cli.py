@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from dgff.foliation import cluster
 import dense_reference
 
 pytestmark = pytest.mark.usefixtures("fixture_dir")
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module", name="fixture_dir")
@@ -323,3 +326,36 @@ def test_verify_rows_count_their_entries(fixture_dir, capsys):
     # p4: clusters of 1 and 2 vertices
     assert next(r for r in stat if r["name"] == "dgff_covariance")["entries"] == 1 + 4
     assert all(0 < r["false_alarm_bound"] <= 1 for r in stat)
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("validate", "--format"), ("foliate", "--format"), ("sample", "--format"),
+    ("verify", "--format"), ("validate", "--out"), ("foliate", "--foliation"),
+])
+def test_flag_the_subcommand_ignores_is_rejected(fixture_dir, tmp_path, capsys, command, flag):
+    value = {"--format": "json", "--out": tmp_path,
+             "--foliation": fixture_dir / "p4_foliation.json"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--graph", fixture_dir / "p4.json", "--roots", "v1", flag, value)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def _readme_examples():
+    """The `dgff ...` command lines of the README, as argument lists."""
+    return [line.split()[1:] for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("dgff ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert [argv[0] for argv in _readme_examples()] == [
+        "validate", "foliate", "green", "poisson", "hadamard", "sample", "verify"]
+
+
+@pytest.mark.parametrize("argv", _readme_examples(), ids=lambda argv: argv[0])
+def test_readme_example_runs(tmp_path, monkeypatch, capsys, argv):
+    # on the shipped fixtures, from a scratch working directory
+    shutil.copytree(ROOT / "fixtures", tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0

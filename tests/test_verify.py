@@ -5,6 +5,7 @@ negative controls live, and guard the cost and the report's contract."""
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ import pytest
 from dgff import OperatorStack, verify_hadamard_identity, verify_isometry
 from dgff import hadamard, linalg, operators, sampling, verify
 from dgff.cli import main
-from dgff.fixtures import standard_fixture, write_fixture_files
+from dgff.errors import DGFFError
+from dgff.fixtures import path_graph, standard_fixture, write_fixture_files
+from dgff.foliation import bfs_foliate
 from dgff.hadamard import dirichlet_gram
 from dgff.operators import GreenKernel
 from dgff.verify import run_ladder
@@ -301,3 +304,87 @@ class TestReport:
             row = _row(doc, name)
             assert row["statistic"] is None and not row["passed"] and row["reason"]
             assert row["entries"] > 0
+
+
+class TestRungProtocol:
+    """Rungs yield per-level statistics; `_Ladder.run` alone reduces them."""
+
+    @staticmethod
+    def _run(kind, rung):
+        ladder = verify._Ladder(SimpleNamespace(build_seconds=0.0))
+        ladder.run("stub", kind, 5.0, rung)
+        (row,) = ladder.checks
+        return row
+
+    def test_exact_statistic_is_the_largest_yield(self):
+        row = self._run("exact", lambda: iter([1.0, 7.0, 2.0]))
+        assert row["statistic"] == 7.0 and not row["passed"]
+        assert "entries" not in row
+
+    def test_pairs_give_the_largest_z_and_the_summed_entries(self):
+        row = self._run("statistical", lambda: iter([(1.5, 3), (4.0, 10), (2.0, 7)]))
+        assert row["statistic"] == 4.0 and row["passed"]
+        assert row["entries"] == 20
+        assert row["false_alarm_bound"] == pytest.approx(20 * math.erfc(5 / math.sqrt(2)))
+
+    @pytest.mark.parametrize("kind", ["exact", "statistical"])
+    def test_empty_rung_is_skipped(self, kind):
+        row = self._run(kind, lambda: iter(()))
+        assert row["statistic"] is None and row["passed"] and row["skipped"]
+        assert row.get("entries") is None
+
+    @pytest.mark.parametrize("exc, code", [(DGFFError("bad", code="NotPD"), "NotPD"),
+                                           (np.linalg.LinAlgError("bad"), "NumericError")])
+    def test_raising_after_yielding_records_the_error_only(self, exc, code):
+        def rung():
+            yield 1.0, 4
+            raise exc
+
+        row = self._run("statistical", rung)
+        assert row["error"] == code and row["message"] == "bad"
+        assert row["statistic"] is None and not row["passed"] and "skipped" not in row
+        assert row["entries"] is None and row["false_alarm_bound"] is None
+
+    def test_refuted_after_yielding_keeps_its_entries(self):
+        def rung():
+            yield 1.0, 4
+            raise verify._Refuted("exact part failed")
+
+        row = self._run("statistical", rung)
+        assert row["reason"] == "exact part failed" and "error" not in row
+        assert row["statistic"] is None and not row["passed"] and row["entries"] == 4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_yield_at_any_level_fails(self, bad):
+        row = self._run("exact", lambda: iter([0.0, bad, 1.0]))
+        assert row["statistic"] is None and not row["passed"]
+        assert row["reason"] == f"statistic is {bad}"
+
+    def test_nan_in_one_level_fails_the_rungs_that_read_it(self):
+        # a NaN in G_top alone: each rung's other levels are finite, and a
+        # running max(worst, nan) would keep the finite worst and pass
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        kern = stack.green(stack.depth)
+        bad = kern.normalized.copy()
+        bad[0, 0] = np.nan
+        stack._cache[("green", stack.depth)] = dataclasses.replace(kern, normalized=bad)
+        rep = run_ladder(g, fol, trials=0, stack=stack)
+        assert not rep["pass"]
+        for name in ("green_inverse", "green_symmetry", "green_positive",
+                     "green_variation", "green_monotone", "hadamard_identity"):
+            row = _row(rep, name)
+            assert row["statistic"] is None and row["reason"] == "statistic is nan"
+
+
+def test_depth_zero_ladder_skips_every_rung_past_level_zero():
+    g = path_graph(3)
+    fol = bfs_foliate(g, ("v1",))
+    rep = run_ladder(g, fol, seed=1, trials=2000)
+    assert rep["depth"] == 0 and len(rep["checks"]) == 17 and rep["pass"]
+    skipped = [r["name"] for r in rep["checks"] if r.get("skipped")]
+    assert skipped == ["poisson_harmonic", "green_variation", "green_monotone",
+                       "increment_identity", "increment_harmonic",
+                       "increment_independence", "sweep_moments"]
+    for row in rep["checks"]:
+        assert (row["statistic"] is None) == (row["name"] in skipped)
