@@ -29,18 +29,7 @@ from .foliation import (
     parse_foliation,
     validate_foliation,
 )
-from .graph import (
-    EdgeField,
-    Graph,
-    coboundary,
-    delta,
-    dirichlet_inner,
-    divergence,
-    from_edges,
-    load_graph,
-    parse_graph,
-    recompute_pi,
-)
+from .graph import Graph, from_edges, load_graph, parse_graph
 from .hadamard import (
     OperatorStack,
     hadamard_Q,

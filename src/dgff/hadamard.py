@@ -58,6 +58,8 @@ from .operators import (
     verify_green_variation,
 )
 
+_GATHER_ENTRIES = 1 << 16  # entries per block of gathered rows
+
 
 def layer_sqrt(bg: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a boundary Green matrix."""
@@ -126,12 +128,19 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     Computed through the edge route, independent of the Laplacian assembly:
     one row sqrt(c) (Q[x] - Q[y]) per edge touching the cluster, in
     `edge_list` order, where a zero row stands for every vertex outside it.
+    The rows are formed in place, with no padded copy of Q.
     """
     li, lj = _edge_ends(g, clu)
     touch = (li < clu.size) | (lj < clu.size)
-    padded = np.vstack([q, np.zeros((1, q.shape[1]))])
-    dq = padded[li[touch]]
-    dq -= padded[lj[touch]]
+    li, lj, last = li[touch], lj[touch], clu.size - 1
+    dq = q[np.minimum(li, last)]
+    dq[li > last] = 0.0
+    step = max(1, _GATHER_ENTRIES // max(q.shape[1], 1))
+    for r in range(0, dq.shape[0], step):  # the Q[y] rows a block at a time
+        ends = lj[r:r + step]
+        rows = q[np.minimum(ends, last)]
+        rows[ends > last] = 0.0
+        dq[r:r + step] -= rows
     dq *= np.sqrt(g.conductances[touch])[:, None]
     return dq.T @ dq
 
@@ -163,8 +172,16 @@ def oracle_kernels(graph: Graph, top: GrowthCluster) -> list[np.ndarray]:
 
 
 def verify_isometry(gram: np.ndarray) -> float:
-    """Max-abs residual of a `dirichlet_gram` matrix against the identity."""
-    return float(np.abs(gram - np.eye(gram.shape[0])).max())
+    """Max-abs residual of a `dirichlet_gram` matrix against the identity.
+
+    The identity is subtracted in place and the diagonal restored after, so
+    no k x k temporary is formed."""
+    diag = gram.diagonal().copy()
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    try:
+        return max(float(gram.max()), -float(gram.min()))
+    finally:
+        gram.flat[:: gram.shape[0] + 1] = diag
 
 
 class OperatorStack:
@@ -173,8 +190,18 @@ class OperatorStack:
     Levels are computed on first use, so partially valid inputs (the
     tampering controls) can exercise early identities before later
     constructions fail. Asking for level n builds the missing levels below
-    it first, since each Green kernel is grown from the previous one.
+    it first, since each Green kernel is grown from the previous one; a
+    cached level n-1 is grown from directly.
     `build_seconds` adds up the wall time spent building operators.
+
+    Every operator but the dense Green matrix is at most k_n x |L_n|. A
+    caller that walks the levels upward keeps a window of two Green levels,
+    G_{n-1} and G_n, all that level n's operators and checks read, by
+    releasing each level it is done with (`release_green`): the memory is
+    then O(k_top^2) instead of sum_n k_n^2. `boundary_green` returns a copy
+    of G_n's layer block, so the cached boundary Greens, square roots and
+    kernels do not keep a released G_n alive. A released level that is asked
+    for again is rebuilt, bit for bit, from the lowest level still cached.
     """
 
     def __init__(self, graph: Graph, fol: Foliation):
@@ -204,12 +231,14 @@ class OperatorStack:
     def _memo_upward(self, kind: str, n: int, build):
         """Memoize `build(n)` for a kind whose level n is built from level
         n-1: the missing lower levels are filled first, bottom up in a loop,
-        so a deep foliation never nests one call per level."""
-        low = n
-        while low > 0 and (kind, low - 1) not in self._cache:
-            low -= 1
-        for m in range(low, n):
-            self._memo(kind, m, lambda: build(m))
+        so a deep foliation never nests one call per level. A cached level
+        n is returned as it is, whatever is missing below it."""
+        if (kind, n) not in self._cache:
+            low = n
+            while low > 0 and (kind, low - 1) not in self._cache:
+                low -= 1
+            for m in range(low, n):
+                self._memo(kind, m, lambda: build(m))
         return self._memo(kind, n, lambda: build(n))
 
     def cluster(self, n: int) -> GrowthCluster:
@@ -226,6 +255,11 @@ class OperatorStack:
         """Green kernel of cluster n, grown by one layer from cluster n-1."""
         return self._memo_upward("green", n, lambda m: green(
             self.graph, self.cluster(m), self.stencil(m), self.green(m - 1) if m else None))
+
+    def release_green(self, n: int) -> None:
+        """Drop level n's cached Green kernel, if any; the other operators
+        stay cached."""
+        self._cache.pop(("green", n), None)
 
     def poisson(self, n: int) -> np.ndarray:
         """Poisson kernel of cluster n and its top layer, from G_{n-1}."""

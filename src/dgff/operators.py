@@ -219,15 +219,15 @@ def poisson(clu: GrowthCluster, st: Stencil,
 
 
 def boundary_green(kern: GreenKernel) -> np.ndarray:
-    """Green matrix restricted to the cluster's top layer; positive
-    definite by theory.
+    """Green matrix restricted to the cluster's top layer, as a copy that
+    does not keep the k_n x k_n matrix alive; positive definite by theory.
 
     For a reversible graph the Green matrix is exactly symmetric, so the
     restriction is too, and a Cholesky factor certifies it positive
     definite. A tampered (asymmetric) Green matrix skips the check.
     """
     top = kern.cluster.layer_slice(kern.cluster.n)
-    bg = kern.normalized[top, top]
+    bg = kern.normalized[top, top].copy()
     if np.array_equal(bg, bg.T):
         try:
             linalg.cholesky(bg)
@@ -253,5 +253,9 @@ def verify_green_variation(green_n: GreenKernel, green_prev: GreenKernel,
     g_n = green_n.unnormalized
     d = poisson_n @ g_n[clu.layer_slice(clu.n), :]  # the residual's negative, in place
     d -= g_n
-    d[:k_prev, :k_prev] += green_prev.unnormalized  # prefix vertex order
+    del g_n
+    step = max(1, _GATHER_BYTES // max(d[:1].nbytes, 1))
+    for r in range(0, k_prev, step):  # + (G_{n-1} + 0), prefix vertex order, by row blocks
+        d[r:min(r + step, k_prev), :k_prev] += (green_prev.normalized[r:r + step]
+                                                * green_prev.pi[None, :])
     return max(float(d.max()), -float(d.min()))

@@ -30,11 +30,12 @@ nothing: they return the coefficient rows of the pairings and of the
 boundary averages, all read off one adjoint Q_top^* (Q_n^* f is the
 leading k_n entries of Q_top^* f), with their exact covariance, and the
 caller scores them on its S. `grown_covariances` grows every level's
-T_n S T_n^T from the layer columns of T: the kernels K_n for the DGFF, and
-for the oracle, whose noise Gram has its own disjoint draw range, those of
-W. Explicit samples exist only as blocks of trials, one trial per row:
-`wnf_block` draws the noise and `dgff_block` grows every level from it one
-layer at a time, for `dgff sample` and the exact per-sample rungs.
+T_n S T_n^T from the layer columns of T, yielding one level at a time: the
+kernels K_n for the DGFF, and for the oracle, whose noise Gram has its own
+disjoint draw range, those of W. Explicit samples exist only as blocks of
+trials, one trial per row: `wnf_block` draws the noise and `dgff_block`
+grows every level from it one layer at a time, for `dgff sample` and the
+exact per-sample rungs.
 
 The empirical covariance of a zero-mean Gaussian sample has per-entry
 standard error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z|
@@ -45,6 +46,7 @@ taken over.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +54,7 @@ import numpy as np
 from . import kernels
 from .errors import SupportViolationError
 from .hadamard import OperatorStack
+from .operators import GreenKernel
 
 
 @dataclass
@@ -146,27 +149,29 @@ def noise_gram(seed: int, streams, draw0: int, ndraws: int) -> NoiseGram:
     return NoiseGram(total, ndraws)
 
 
-def grown_covariances(kernels: list[np.ndarray], gram: NoiseGram) -> list[np.ndarray]:
-    """Empirical covariances C_n = T_n S T_n^T, n = 0..N, S = sum z z^T / N,
-    of T_n = (T_{n-1} + 0 | K_n) given by its layer columns K_n.
+def grown_covariances(kernels: Iterable[np.ndarray], gram: NoiseGram) -> Iterator[np.ndarray]:
+    """Yield the empirical covariances C_n = T_n S T_n^T, n = 0..N,
+    S = sum z z^T / N, of T_n = (T_{n-1} + 0 | K_n) given by its layer
+    columns K_n, level by level.
 
     Level n grows from n-1 with U_n = T_n S[:k_n, :]: C_n = (C_{n-1} + 0) +
     X + X^T + K_n S[L_n, L_n] K_n^T, X = U_{n-1}[:, L_n] K_n^T in the leading
     k_{n-1} rows, and U_n = (U_{n-1} + 0) + K_n S[L_n, :]; sum_n k_n k_top |L_n|
-    flops in all, against sum_n k_n^3 for the products with a dense T_n."""
+    flops in all, against sum_n k_n^3 for the products with a dense T_n.
+    K_n is read when level n is due, and only C_{n-1} is kept."""
     s = gram.total / gram.trials
-    u, covs = np.zeros_like(s), []  # U_n is u[:k_n]
+    u, prev = np.zeros_like(s), None  # U_n is u[:k_n]
     for kern in kernels:
         k, lo = kern.shape[0], kern.shape[0] - kern.shape[1]  # L_n = lo:k
         x = u[:lo, lo:k] @ kern.T
         c = kern @ s[lo:k, lo:k] @ kern.T
         c[:lo] += x
         c[:, :lo] += x.T
-        if covs:
-            c[:lo, :lo] += covs[-1]
-        covs.append(c)
+        if prev is not None:
+            c[:lo, :lo] += prev
         u[:k] += kern @ s[lo:k]
-    return covs
+        yield c
+        prev = c
 
 
 # ---------------------------------------------------------------------------
@@ -232,19 +237,22 @@ def two_sample_zmax(emp_a: np.ndarray, emp_b: np.ndarray, trials: int,
     return _zmax(emp_a - emp_b, np.sqrt(2.0 * covariance_stderr(target, trials) ** 2))
 
 
-def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram) -> tuple[float, int]:
+def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram,
+                         green_diagonals: Sequence[np.ndarray]) -> tuple[float, int]:
     """Largest |z| over the empirical cross-covariances (i < j) of Psi_0 and
     the increments, whose true values are zero; with the number of entries.
 
     The increment Psi_n - Psi_{n-1} is K_n z_{L_n} (Psi_0 is K_0 z_{L_0}),
     so the cross-covariance of levels i and j is K_i S[L_i, L_j] K_j^T. The
-    variances are exact: G_0, then G_n - G_{n-1}.
+    variances are exact, read off `green_diagonals`, the diagonals of
+    G_0..G_N: G_0, then G_n - G_{n-1}. The Green matrices themselves are
+    not read.
     """
     top = stack.cluster(stack.depth)
-    variances = [np.diag(stack.green(0).normalized)]
+    variances = [green_diagonals[0]]
     for n in range(1, stack.depth + 1):
-        var = np.diag(stack.green(n).normalized).copy()
-        var[: stack.cluster(n - 1).size] -= np.diag(stack.green(n - 1).normalized)
+        var = green_diagonals[n].copy()
+        var[: green_diagonals[n - 1].shape[0]] -= green_diagonals[n - 1]
         variances.append(var)
     worst, entries = 0.0, 0
     for i in range(stack.depth + 1):
@@ -283,28 +291,35 @@ class BrownianReport:
         }
 
 
-def brownian_check(stack: OperatorStack, f: np.ndarray) -> BrownianReport:
+def green_energy(kern: GreenKernel, f: np.ndarray) -> float:
+    """The Green energy f_n^T G_n f_n of ambient f, f_n its restriction to
+    the kernel's cluster."""
+    f_n = np.asarray(f, dtype=float)[np.array(kern.cluster.vertices)]
+    return float(f_n @ kern.normalized @ f_n)
+
+
+def brownian_check(stack: OperatorStack, f: np.ndarray,
+                   energies: Sequence[float]) -> BrownianReport:
     """Coefficients of the pairings of f with Psi_0..Psi_N, their exact
     covariance, and two exact checks on the Green route.
 
     F_n is the pairing of the noise with Q_n^* f, the leading k_n entries
     of c = Q_top^* f, so T_n = |c[:k_n]|^2 and cov(F_n, F_m) = min(T_n, T_m).
-    The checks read the Green matrices, not the kernels: the Hadamard
-    formula summed over the layers is Q_n Q_n^T = G_n, so the Pythagoras
-    residual compares E_n = f_n^T G_n f_n with T_n, f_n the restriction of
-    f to cluster n; and E_n grows with n, as G_n - (G_{n-1} + 0) is PSD.
+    The checks read the Green matrices, not the kernels, through
+    `energies`, the Green energies E_n = f_n^T G_n f_n (`green_energy`) of
+    levels 0..N: the Hadamard formula summed over the layers is
+    Q_n Q_n^T = G_n, so the Pythagoras residual compares E_n with T_n; and
+    E_n grows with n, as G_n - (G_{n-1} + 0) is PSD.
     """
     f = np.asarray(f, dtype=float)
     c = stack.growth_adjoint_apply(f)
     levels = stack.depth + 1
     coef = np.zeros((levels, c.shape[0]))
-    targets, energies = np.empty(levels), np.empty(levels)
+    targets, energies = np.empty(levels), np.array(energies, dtype=float)
     for n in range(levels):
         clu = stack.cluster(n)
         coef[n, : clu.size] = c[: clu.size]
         targets[n] = float(c[: clu.size] @ c[: clu.size])
-        f_n = f[np.array(clu.vertices)]
-        energies[n] = float(f_n @ stack.green(n).normalized @ f_n)
     return BrownianReport(
         coef=coef, target=np.minimum.outer(targets, targets), variance_targets=targets,
         pythagoras_residual=float(np.abs(energies - targets).max()),

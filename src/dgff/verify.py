@@ -33,26 +33,46 @@ the paper's per-level facts instead of a cubic check at every level:
 The increment rungs grow their fields with one `dgff_block` call; only
 `isometry` assembles a dense Q, Q_top once.
 
-Every rung is a generator with one protocol. An exact rung yields one
-statistic per level it reads; `isometry` yields once, for the top level. A
-statistical rung yields a (largest |z|, entries) pair per group of
-z-scores: one per level for the covariance rungs, one for the increment
-cross-covariances and one for each pairing rung. `_Ladder.run` alone
-reduces them: the row's statistic is the largest yield, its `entries` the
-sum, and a rung that yields nothing, such as the rungs that read levels
-n >= 1 on a one-layer foliation, is skipped.
+The ladder is one level-major pass, as the paper grows the cluster. Every
+rung is a generator that yields once per level n = 0..N: what it reads at
+level n, or None where it reads nothing. Round n advances every rung by one
+level (`_Ladder.run`, once per rung and level) and then releases G_{n-1}:
+level n reads at most G_n and G_{n-1}, so no more than two dense Green
+levels are ever live and the memory is O(k_top^2), not sum_n k_n^2. After
+the top level G_top is released too, and one last round runs every rung to
+its end: `isometry`, the increment rungs and the pairing rungs read only
+kernels, Poisson kernels and noise Grams there. A rung holds no k_n x k_n
+array across a yield but its own running state (a covariance rung's C_n).
 
-Rungs run in order and later rungs reuse earlier operators, but a failure
-does not stop the ladder: each rung records its own statistic, or the error
-code that prevented it, a numeric error included. This is what gives
-tampering fixtures a precise failure point. Each row also records its wall
-time and the part of it spent building operators on first use.
+Every rung makes all its draws before its first yield. The draws come from
+one counter-based stream, and round 0 advances the rungs in the ladder's
+order, so every draw gets the counter it would get if the rungs ran one
+after another.
+
+An exact rung yields one statistic per level it reads; `isometry` yields
+once, after the top level. A statistical rung yields a (largest |z|,
+entries) pair per group of z-scores: one per level for the covariance rungs
+and for `oracle_agreement`, which scores level n while both covariances of
+level n are live, one for the increment cross-covariances, whose variances
+it collects from the diagonals of G_n level by level, and one for each
+pairing rung (`brownian_moments` collects its Green energies
+f_n^T G_n f_n the same way). `_Ladder.run` alone reduces them: the row's statistic is the largest
+yield, its `entries` the sum, and a rung that yields no statistic, such as
+the rungs that read levels n >= 1 on a one-layer foliation, is skipped.
+
+A failure does not stop the ladder: each rung records its own statistic,
+or the error code that prevented it, a numeric error included. This is
+what gives tampering fixtures a precise failure point. Each row also
+records its wall time and the part of it spent building operators on first
+use, summed over its rounds.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,10 +88,12 @@ from .hadamard import (
     verify_isometry,
 )
 from .kernels import STREAM_VERSION
+from .operators import GreenKernel, Stencil
 from .sampling import (
     GaussianStream,
     brownian_check,
     dgff_block,
+    green_energy,
     grown_covariances,
     increment_cross_zmax,
     moment_report,
@@ -84,59 +106,177 @@ TOL_EXACT = 1e-10
 TOL_STRICT = 1e-12
 Z_MAX = 5.0
 INCREMENT_SAMPLES = 100
+_BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k comparison
 
 
 class _Refuted(Exception):
     """A statistical rung's exact part failed, so it has no z statistic."""
 
 
+@dataclass
+class _Rung:
+    """A started rung: its generator (None once it has ended), its row, and
+    what it has yielded and spent so far."""
+
+    gen: Iterator | None
+    row: dict
+    stats: list = field(default_factory=list)
+    entries: int | None = None
+    calls: int = 0
+    seconds: float = 0.0
+    build_seconds: float = 0.0
+
+
 class _Ladder:
     def __init__(self, stack: OperatorStack):
         self.stack = stack
         self.checks: list[dict] = []
+        self._rungs: dict[str, _Rung] = {}
 
     def run(self, name: str, kind: str, threshold: float, rung) -> None:
-        """Record one rung, the seconds it took and the part of them spent
-        building operators on first use.
+        """Advance one rung by one level; record its row once it ends.
 
-        `rung()` is a generator. An exact rung yields one statistic per
-        level it reads, a statistical rung a (largest |z|, entries) pair per
-        group of z-scores. The row's statistic is the largest yield, its
-        `entries` their sum, and a rung that yields nothing is skipped. A
-        statistic is never a non-finite number: such a rung records null
-        with a `reason`, and so does a rung that raises `_Refuted`, which
-        keeps its entries. A rung that raises anything else records null
-        with an `error` code, whatever it yielded before."""
-        row = {"name": name, "kind": kind, "threshold": threshold}
-        stats, entries = [], None
+        `rung()` is a generator, started by the first call, which also gives
+        the row its place in `checks`. It yields once per level n = 0..N:
+        call n advances it to its yield for level n, and call N + 1, after
+        the top level, runs it to its end. An exact rung yields statistics,
+        a statistical rung (largest |z|, entries) pairs, and None stands for
+        no statistic at that level. The row's statistic is the largest
+        yield, its `entries` their sum, and a rung that yields no statistic
+        is skipped. A statistic is never a non-finite number: such a rung
+        records null with a `reason`, and so does a rung that raises
+        `_Refuted`, which keeps its entries. A rung that raises anything
+        else records null with an `error` code, whatever it yielded before,
+        and is not advanced again. The row's seconds, and the part of them
+        spent building operators on first use, add up over its calls."""
+        r = self._rungs.get(name)
+        if r is None:
+            r = self._rungs[name] = _Rung(rung(), {"name": name, "kind": kind,
+                                                   "threshold": threshold})
+            self.checks.append(r.row)
+        if r.gen is None:
+            return
+        to_end, ended, failure = r.calls > self.stack.depth, False, {}
+        r.calls += 1
         start, built = time.perf_counter(), self.stack.build_seconds
         try:
-            for stat in rung():
-                if kind == "statistical":
-                    stat, m = stat
-                    entries = (entries or 0) + m
-                stats.append(stat)
+            for stat in r.gen:
+                if stat is not None:
+                    if kind == "statistical":
+                        stat, m = stat
+                        r.entries = (r.entries or 0) + m
+                    r.stats.append(stat)
+                if not to_end:
+                    break
+            else:
+                ended = True
         except (DGFFError, np.linalg.LinAlgError, FloatingPointError) as e:
             code = e.code if isinstance(e, DGFFError) else "NumericError"
-            row.update(statistic=None, passed=False, error=code, message=str(e))
-            entries = None
+            ended, failure, r.entries = True, {"error": code, "message": str(e)}, None
         except _Refuted as e:
-            row.update(statistic=None, passed=False, reason=str(e))
+            ended, failure = True, {"reason": str(e)}
+        r.seconds += time.perf_counter() - start
+        r.build_seconds += self.stack.build_seconds - built
+        if ended:
+            r.gen = None
+            self._record(r, kind, threshold, failure)
+
+    @staticmethod
+    def _record(r: _Rung, kind: str, threshold: float, failure: dict) -> None:
+        row = r.row
+        stat = float(np.max(r.stats)) if r.stats else None  # np.max keeps a NaN
+        if failure:
+            row.update(statistic=None, passed=False, **failure)
+        elif stat is None:
+            row.update(statistic=None, passed=True, skipped=True)
+        elif not math.isfinite(stat):
+            row.update(statistic=None, passed=False, reason=f"statistic is {stat}")
         else:
-            stat = float(np.max(stats)) if stats else None  # np.max keeps a NaN
-            if stat is None:
-                row.update(statistic=None, passed=True, skipped=True)
-            elif not math.isfinite(stat):
-                row.update(statistic=None, passed=False, reason=f"statistic is {stat}")
-            else:
-                row.update(statistic=stat, passed=bool(stat <= threshold))
+            row.update(statistic=stat, passed=bool(stat <= threshold))
         if kind == "statistical":
-            row["entries"] = entries
-            row["false_alarm_bound"] = None if entries is None else min(
-                1.0, entries * math.erfc(threshold / math.sqrt(2)))
-        row["seconds"] = time.perf_counter() - start
-        row["build_seconds"] = self.stack.build_seconds - built
-        self.checks.append(row)
+            row["entries"] = r.entries
+            row["false_alarm_bound"] = None if r.entries is None else min(
+                1.0, r.entries * math.erfc(threshold / math.sqrt(2)))
+        row["seconds"] = r.seconds
+        row["build_seconds"] = r.build_seconds
+
+
+# Per-level readings of the exact rungs. Each forms at most a few k_n x k_n
+# temporaries, freed before the rung yields, and reduces with `_peak`.
+
+def _peak(*values) -> float:
+    """max(0, *values), NaN if any value is NaN: np.max keeps a NaN that
+    Python's max drops unless it comes first. abs() makes a zero +0.0."""
+    return abs(float(np.max((0.0, *values))))
+
+
+def _absmax(m: np.ndarray) -> float:
+    """max |m|, without an |m| temporary."""
+    return _peak(m.max(), -m.min())
+
+
+def _scale(m: np.ndarray) -> float:
+    """max(max |m|, 1), the denominator of a relative residual."""
+    return _peak(m.max(), -m.min(), 1.0)
+
+
+def _row_blocks(k: int):
+    step = max(1, _BLOCK_ENTRIES // max(k, 1))
+    return (slice(r, r + step) for r in range(0, k, step))
+
+
+def _inverse_residual(st: Stencil, gn: np.ndarray) -> float:
+    """max |A G - I| for A given by its stencil, and max |G A - I|, read off
+    its transpose A^T G^T - I, unless A and G are both exactly symmetric."""
+    worst = []
+    for transpose in (False, True):
+        if transpose and st.symmetric and np.array_equal(gn, gn.T):
+            break
+        prod = st.apply(gn.T if transpose else gn, transpose=transpose)
+        prod.flat[:: st.size + 1] -= 1.0
+        worst.append(_absmax(prod))
+    return _peak(*worst)
+
+
+def _asymmetry(kern: GreenKernel) -> float:
+    """max |pi(x) G(x, y) - pi(y) G(y, x)| / max(|pi G|, 1) for the
+    unnormalized G, weighted in place in one buffer and compared a block of
+    rows against the same block of columns at a time."""
+    w = kern.unnormalized  # a fresh array
+    w *= kern.pi[:, None]
+    return _peak(*[_absmax(w[r] - w[:, r].T) for r in _row_blocks(w.shape[0])]) / _scale(w)
+
+
+def _positive_drop(gn: np.ndarray) -> float:
+    """The largest negative part of G relative to max(|G|, 1)."""
+    return _peak(-gn.min()) / _scale(gn)
+
+
+def _monotone_drop(kern: GreenKernel, prev: GreenKernel) -> float:
+    """The largest negative part of G_n - (G_{n-1} + 0), for unnormalized
+    Green kernels, relative to max(|G_n|, 1); a block of rows at a time."""
+    k_prev = prev.cluster.size
+    drops, scales = [], []
+    for r in _row_blocks(kern.cluster.size):
+        d = kern.normalized[r] * kern.pi[None, :]
+        scales.append(_absmax(d))
+        below = prev.normalized[r] * prev.pi[None, :]  # the rows of r under k_prev
+        d[: below.shape[0], :k_prev] -= below
+        drops.append(-d.min())
+    return _peak(*drops) / _peak(1.0, *scales)
+
+
+def _identity_term(stack: OperatorStack, n: int) -> tuple[float, float]:
+    """Level n's term of the bound on |Q_n Q_n^T - G_n|, the full residual
+    at level 0 (Q_0 is K_0) and the one-layer residual above it, and the
+    scale max(|G_n|, 1)."""
+    gn = stack.green(n).normalized
+    if n:
+        term = layer_identity_residual(gn, stack.green(n - 1).normalized, stack.kernel(n))
+    else:
+        k0 = stack.kernel(0)
+        term = verify_hadamard_identity(k0 @ k0.T, gn)
+    return term, _scale(gn)
 
 
 def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_000,
@@ -146,8 +286,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     A prebuilt (possibly deliberately corrupted) `stack` may be supplied;
     negative-control tests use this to pin down which rung a defect trips.
-    With `collect_reports` the result carries the detailed statistical
-    reports (empirical and target moments) under a "reports" key.
+    The ladder releases its Green levels as it goes, so a supplied stack
+    ends with none cached. With `collect_reports` the result carries the
+    detailed statistical reports (empirical and target moments) under a
+    "reports" key.
     """
     if trials < 0:
         raise DGFFError("trials must be nonnegative", code="BadFormat")
@@ -157,148 +299,154 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         stack = OperatorStack(graph, fol)
     depth = stack.depth
     stream = GaussianStream(seed)
+    after_top = (None,) * (depth + 1)  # a rung that reads no level waits these out
 
     def green_inverse():
         for n in range(depth + 1):
-            st = stack.stencil(n)
-            gn = stack.green(n).normalized
-            products = [st.apply(gn)]
-            if not (st.symmetric and np.array_equal(gn, gn.T)):
-                products.append(st.apply(gn.T, transpose=True).T)  # G A = (A^T G^T)^T
-            for prod in products:
-                prod.flat[::st.size + 1] -= 1.0
-            yield max(float(np.abs(prod).max()) for prod in products)
+            yield _inverse_residual(stack.stencil(n), stack.green(n).normalized)
 
     def green_symmetry():
         for n in range(depth + 1):
-            k = stack.green(n)
-            weighted = k.pi[:, None] * k.unnormalized
-            scale = max(float(np.abs(weighted).max()), 1.0)
-            yield float(np.abs(weighted - weighted.T).max()) / scale
+            yield _asymmetry(stack.green(n))
 
     def green_positive():
         for n in range(depth + 1):
-            k = stack.green(n)
-            scale = max(float(np.abs(k.normalized).max()), 1.0)
-            yield max(0.0, -float(k.normalized.min())) / scale
+            yield _positive_drop(stack.green(n).normalized)
 
     def poisson_bounds():
         for n in range(depth + 1):
             p = stack.poisson(n)
-            yield max(0.0, -float(p.min()), float(p.max()) - 1.0,
-                      float(p.sum(axis=1).max()) - 1.0)
+            yield _peak(-p.min(), p.max() - 1.0, p.sum(axis=1).max() - 1.0)
 
     def poisson_harmonic():
+        yield None  # level 0 has no interior
         for n in range(1, depth + 1):
             st = stack.stencil(n)
             resid = st.apply(stack.poisson(n), rows=stack.cluster(n - 1).size)
-            yield float(np.abs(resid).max()) / max(float(np.abs(st.val).max()), 1.0)
+            yield _absmax(resid) / _scale(st.val)
 
     def green_variation():
+        yield None  # level 0 has no level below it
         for n in range(1, depth + 1):
-            scale = max(float(np.abs(stack.green(n).unnormalized).max()), 1.0)
+            scale = _scale(stack.green(n).unnormalized)
             yield stack.variation_residual(n) / scale
 
     def green_monotone():
+        yield None  # level 0 has no level below it
         for n in range(1, depth + 1):
-            diff = stack.green(n).unnormalized  # a fresh array
-            scale = max(float(np.abs(diff).max()), 1.0)
-            k_prev = stack.cluster(n - 1).size
-            diff[:k_prev, :k_prev] -= stack.green(n - 1).unnormalized
-            yield max(0.0, -float(diff.min())) / scale
+            yield _monotone_drop(stack.green(n), stack.green(n - 1))
 
     def hadamard_identity():
-        # `bound` >= |Q_n Q_n^T - G_n|: the full residual at level 0 (Q_0 is
-        # K_0), then level n-1's bound plus the one-layer residual
-        g0, k0 = stack.green(0).normalized, stack.kernel(0)
-        bound = verify_hadamard_identity(k0 @ k0.T, g0)
-        yield bound / max(float(np.abs(g0).max()), 1.0)
-        for n in range(1, depth + 1):
-            gn = stack.green(n).normalized
-            bound += layer_identity_residual(gn, stack.green(n - 1).normalized,
-                                             stack.kernel(n))
-            yield bound / max(float(np.abs(gn).max()), 1.0)
+        # `bound` >= |Q_n Q_n^T - G_n|: level n's bound is level n-1's plus
+        # level n's term
+        bound = 0.0
+        for n in range(depth + 1):
+            term, scale = _identity_term(stack, n)
+            bound += term
+            yield bound / scale
 
     def isometry():
         # level n's Gram is the top Gram's leading k_n block, so the top's
         # residual is the largest over the levels
+        yield from after_top
         yield verify_isometry(dirichlet_gram(graph, stack.cluster(depth), stack.growth(depth)))
 
-    def increments():
-        """(n, noise block, Psi_n - Psi_{n-1}) for n = 1..N, the fields
-        grown from one fresh block of top-cluster noise."""
+    def increments(check):
+        """An increment rung: one fresh block of top-cluster noise, drawn at
+        once; after the top level, check(n, block, Psi_n - Psi_{n-1}) for
+        n = 1..N, the fields grown from the block."""
         if depth == 0:
             return  # no increment, so draw no noise
         block = wnf_block(stack.cluster(depth).vertices, stream, INCREMENT_SAMPLES)
+        yield from after_top
         fields = dgff_block(stack, block)
         for n in range(1, depth + 1):
             diff = fields[n].copy()
             diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
-            yield n, block, diff
+            yield check(n, block, diff)
 
-    def increment_identity():
-        top = stack.cluster(depth)
-        for n, block, diff in increments():
-            other = block[:, top.layer_slice(n)] @ stack.layer_sqrt(n).T @ stack.poisson(n).T
-            scale = max(float(np.abs(diff).max()), 1.0)
-            yield float(np.abs(diff - other).max()) / scale
+    def increment_identity(n, block, diff):
+        other = (block[:, stack.cluster(depth).layer_slice(n)] @ stack.layer_sqrt(n).T
+                 @ stack.poisson(n).T)
+        return _absmax(diff - other) / _scale(diff)
 
-    def increment_harmonic():
-        for n, _, diff in increments():
-            st = stack.stencil(n)
-            resid = st.apply(diff.T, rows=stack.cluster(n - 1).size)
-            scale = max(float(np.abs(diff).max()), 1.0) * max(float(np.abs(st.val).max()), 1.0)
-            yield float(np.abs(resid).max()) / scale
+    def increment_harmonic(n, block, diff):
+        st = stack.stencil(n)
+        resid = st.apply(diff.T, rows=stack.cluster(n - 1).size)
+        return _absmax(resid) / (_scale(diff) * _scale(st.val))
 
-    # "phi": the DGFF noise Gram; "dgff", "oracle": per-level empirical covariances
+    # "phi": the DGFF noise Gram; "dgff", "oracle": (n, C_n), each
+    # covariance rung's empirical covariance of the current level
     mc: dict[str, object] = {}
 
-    def _need(key: str):
-        if key not in mc:
+    def _need(key: str, n: int | None = None):
+        value = mc.get(key)
+        if n is not None and value is not None:
+            value = value[1] if value[0] == n else None
+        if value is None:
             raise DGFFError(f"prerequisite rung did not produce {key!r}",
                             code="PrerequisiteFailed")
-        return mc[key]
+        return value
 
     reports: dict[str, dict] = {}
 
+    def covariance(key, gram, kernels):
+        """A covariance rung, after its draw: C_n scored against G_n level
+        by level, and left under mc[key] for `oracle_agreement`."""
+        for n, emp in enumerate(grown_covariances(kernels, gram)):
+            mc[key] = n, emp
+            yield score(key, n, emp)
+        del mc[key]
+
+    def score(key, n, emp):
+        rep = moment_report(emp, stack.green(n).normalized, trials, seed)
+        if collect_reports and key == "dgff" and n == depth:
+            reports["covariance"] = rep.to_json()  # the top level's
+        return rep.max_abs_z, rep.entries
+
     def dgff_covariance():
         mc["phi"] = stream.gram(stack.cluster(depth).vertices, trials)
-        mc["dgff"] = grown_covariances([stack.kernel(n) for n in range(depth + 1)], mc["phi"])
-        for n, emp in enumerate(mc["dgff"]):
-            rep = moment_report(emp, stack.green(n).normalized, trials, seed)
-            yield rep.max_abs_z, rep.entries
-        if collect_reports:
-            reports["covariance"] = rep.to_json()  # the top level's
+        yield from covariance("dgff", mc["phi"], (stack.kernel(n) for n in range(depth + 1)))
 
     def oracle_covariance():
         gram = stream.gram(stack.cluster(depth).vertices, trials)
-        mc["oracle"] = grown_covariances(oracle_kernels(graph, stack.cluster(depth)), gram)
-        for n, emp in enumerate(mc["oracle"]):
-            rep = moment_report(emp, stack.green(n).normalized, trials, seed)
-            yield rep.max_abs_z, rep.entries
+        yield from covariance("oracle", gram, oracle_kernels(graph, stack.cluster(depth)))
 
     def oracle_agreement():
-        for n, (a, b) in enumerate(zip(_need("dgff"), _need("oracle"))):
-            yield two_sample_zmax(a, b, trials, stack.green(n).normalized)
+        for n in range(depth + 1):
+            yield two_sample_zmax(_need("dgff", n), _need("oracle", n), trials,
+                                  stack.green(n).normalized)
 
     def increment_independence():
-        if depth:  # Psi_0 alone has no increment to be independent of
-            yield increment_cross_zmax(stack, _need("phi"))
+        if not depth:
+            return  # Psi_0 alone has no increment to be independent of
+        gram, diagonals = _need("phi"), []
+        for n in range(depth + 1):
+            diagonals.append(np.diag(stack.green(n).normalized).copy())
+            yield None
+        yield increment_cross_zmax(stack, gram, diagonals)
 
-    def pairing(clu, check, key):
-        """Score `check`'s coefficient rows for a fresh noise vector f on
-        `clu` against the field's noise Gram; returns `check`'s report."""
+    def draw_on(clu):
+        """A fresh noise vector on `clu`, zero elsewhere."""
         f = np.zeros(graph.n_vertices)
         f[np.array(clu.vertices)] = stream.draw(clu.vertices)
-        rep = check(stack, f)
+        return f
+
+    def pairing(rep, key):
+        """Score a pairing report's coefficient rows against the field's
+        noise Gram; with `collect_reports`, keep the report under `key`."""
         cov = moment_report(_need("phi").cross(rep.coef), rep.target, trials, seed)
         if collect_reports:
             reports[key] = rep.to_json(cov)
-        yield cov.max_abs_z, cov.entries
-        return rep
+        return cov.max_abs_z, cov.entries
 
     def brownian():
-        rep = yield from pairing(stack.cluster(depth), brownian_check, "brownian")
+        f, energies = draw_on(stack.cluster(depth)), []
+        for n in range(depth + 1):
+            energies.append(green_energy(stack.green(n), f))
+            yield None
+        rep = brownian_check(stack, f, energies)
+        yield pairing(rep, "brownian")
         if rep.pythagoras_residual > TOL_STRICT * max(rep.variance_targets.max(), 1.0):
             raise _Refuted("Pythagoras residual |f_n^T G_n f_n - T_n| "
                            f"{rep.pythagoras_residual:.3g} exceeds the strict tolerance")
@@ -308,30 +456,44 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def sweep():
         if depth == 0:
             return  # no cluster 1 to sweep from
-        rep = yield from pairing(stack.cluster(1), sweep_average_check, "sweep")
+        f = draw_on(stack.cluster(1))
+        yield from after_top
+        rep = sweep_average_check(stack, f)
+        yield pairing(rep, "sweep")
         if rep.identity_residual > tol_exact * rep.identity_scale:
             raise _Refuted(f"boundary-average identity residual {rep.identity_residual:.3g} "
                            "exceeds the exact tolerance")
 
-    ladder = _Ladder(stack)
-    ladder.run("green_inverse", "exact", tol_exact, green_inverse)
-    ladder.run("green_symmetry", "exact", tol_exact, green_symmetry)
-    ladder.run("green_positive", "exact", tol_exact, green_positive)
-    ladder.run("poisson_bounds", "exact", tol_exact, poisson_bounds)
-    ladder.run("poisson_harmonic", "exact", tol_exact, poisson_harmonic)
-    ladder.run("green_variation", "exact", tol_exact, green_variation)
-    ladder.run("green_monotone", "exact", TOL_STRICT, green_monotone)
-    ladder.run("hadamard_identity", "exact", tol_exact, hadamard_identity)
-    ladder.run("isometry", "exact", tol_exact, isometry)
-    ladder.run("increment_identity", "exact", TOL_STRICT, increment_identity)
-    ladder.run("increment_harmonic", "exact", tol_exact, increment_harmonic)
+    rungs = [
+        ("green_inverse", "exact", tol_exact, green_inverse),
+        ("green_symmetry", "exact", tol_exact, green_symmetry),
+        ("green_positive", "exact", tol_exact, green_positive),
+        ("poisson_bounds", "exact", tol_exact, poisson_bounds),
+        ("poisson_harmonic", "exact", tol_exact, poisson_harmonic),
+        ("green_variation", "exact", tol_exact, green_variation),
+        ("green_monotone", "exact", TOL_STRICT, green_monotone),
+        ("hadamard_identity", "exact", tol_exact, hadamard_identity),
+        ("isometry", "exact", tol_exact, isometry),
+        ("increment_identity", "exact", TOL_STRICT, lambda: increments(increment_identity)),
+        ("increment_harmonic", "exact", tol_exact, lambda: increments(increment_harmonic)),
+    ]
     if trials:
-        ladder.run("dgff_covariance", "statistical", z_max, dgff_covariance)
-        ladder.run("oracle_covariance", "statistical", z_max, oracle_covariance)
-        ladder.run("oracle_agreement", "statistical", z_max, oracle_agreement)
-        ladder.run("increment_independence", "statistical", z_max, increment_independence)
-        ladder.run("brownian_moments", "statistical", z_max, brownian)
-        ladder.run("sweep_moments", "statistical", z_max, sweep)
+        rungs += [
+            ("dgff_covariance", "statistical", z_max, dgff_covariance),
+            ("oracle_covariance", "statistical", z_max, oracle_covariance),
+            ("oracle_agreement", "statistical", z_max, oracle_agreement),
+            ("increment_independence", "statistical", z_max, increment_independence),
+            ("brownian_moments", "statistical", z_max, brownian),
+            ("sweep_moments", "statistical", z_max, sweep),
+        ]
+    ladder = _Ladder(stack)
+    for n in range(depth + 1):
+        for rung in rungs:
+            ladder.run(*rung)
+        stack.release_green(n - 1)  # level n + 1 reads G_n and G_{n+1} only
+    stack.release_green(depth)  # the rungs' ends read no Green level
+    for rung in rungs:
+        ladder.run(*rung)
 
     out = {
         "schema": 1,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dgff import OperatorStack
 from dgff.fixtures import standard_fixture
 from dgff.graph import from_edges
+from dgff.sampling import green_energy
 
 FIXTURES = ("p4", "p5", "grid5", "tree3")
 
@@ -35,6 +36,16 @@ def fixture_set():
 @pytest.fixture(scope="session")
 def stack_set(fixture_set):
     return {name: OperatorStack(g, fol) for name, (g, fol) in fixture_set.items()}
+
+
+def green_energies(stack, f):
+    """f_n^T G_n f_n at every level, the Green side of `brownian_check`."""
+    return [green_energy(stack.green(n), f) for n in range(stack.depth + 1)]
+
+
+def green_diagonals(stack):
+    """The diagonal of G_n at every level, read by `increment_cross_zmax`."""
+    return [np.diag(stack.green(n).normalized) for n in range(stack.depth + 1)]
 
 
 def tamper_directed(g, u: str, v: str, c: float):

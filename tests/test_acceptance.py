@@ -183,8 +183,8 @@ def test_criterion_7_covariance(mc):
         # one oracle noise block over the top cluster, after the field's draws;
         # the oracle grows W_n = (W_{n-1} + 0 | W[:k_n, L_n]), W = L^{-T}, A_top = L L^T
         top = stack.cluster(stack.depth)
-        oracle = grown_covariances(oracle_kernels(stack.graph, top),
-                                   mc[name]["stream"].gram(top.vertices, TRIALS))
+        oracle = list(grown_covariances(oracle_kernels(stack.graph, top),
+                                        mc[name]["stream"].gram(top.vertices, TRIALS)))
         worst = 0.0
         for n, grown in enumerate(dgff_block(stack, phi)):
             target = stack.green(n).normalized

@@ -19,10 +19,6 @@ SRC = Path(dgff.__file__).resolve().parent
 
 # Functions kept without a caller in the package, with the reason.
 EXCEPTIONS = {
-    # the graph calculus: the tests' independent reference for the
-    # Laplacian, the Dirichlet form and the stationary weights
-    "graph.coboundary", "graph.divergence", "graph.dirichlet_inner", "graph.delta",
-    "graph.recompute_pi", "graph.EdgeField.value",
     # an example-graph builder, called by the benchmark's weighted workloads
     "fixtures.weighted",
 }

@@ -22,6 +22,7 @@ from dgff.sampling import (
 from dgff.verify import run_ladder
 
 from block_reference import covariance_report, cross_covariance_zmax, pairing_block
+from conftest import green_diagonals, green_energies
 
 RTOL = 1e-9
 
@@ -122,14 +123,15 @@ class TestEquivalence:
             for j in range(i + 1, len(blocks)):
                 worst = max(worst, cross_covariance_zmax(blocks[i], blocks[j],
                                                          variances[i], variances[j]))
-        assert increment_cross_zmax(stack, gram)[0] == pytest.approx(worst, rel=RTOL)
+        assert (increment_cross_zmax(stack, gram, green_diagonals(stack))[0]
+                == pytest.approx(worst, rel=RTOL))
 
     def test_brownian_moments(self, routes):
         g, stack, phi, gram = routes
         f = np.zeros(g.n_vertices)
         top = stack.cluster(stack.depth)
         f[np.array(top.vertices)] = GaussianStream(3).draw(top.vertices)
-        rep = brownian_check(stack, f)
+        rep = brownian_check(stack, f, green_energies(stack, f))
         target = np.minimum.outer(rep.variance_targets, rep.variance_targets)
         np.testing.assert_array_equal(rep.target, target)
         streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgff import (
-    GraphError,
-    coboundary,
-    delta,
-    dirichlet_inner,
-    divergence,
-    parse_graph,
-    recompute_pi,
-)
+from dgff import GraphError, parse_graph
 from dgff.graph import from_edges, graph_to_json
 
+from calculus_reference import coboundary, delta, dirichlet_inner, divergence, recompute_pi
 from conftest import small_graphs
 
 P4_EDGELIST = """\

@@ -15,10 +15,11 @@ from dgff import (
 )
 from dgff.errors import FoliationError
 from dgff.fixtures import standard_fixture, weighted
-from dgff.graph import dirichlet_inner
 from dgff.hadamard import dirichlet_gram, dirichlet_matrix
 
 import dense_reference
+from calculus_reference import dirichlet_inner
+from conftest import green_energies
 
 SQ12 = math.sqrt(0.5)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -230,7 +231,7 @@ def test_adjoint_from_kernels_matches_dense_growth(name):
     top = stack.cluster(fol.depth)
     top_ref = hadamard_Q(top, [stack.kernel(m) for m in range(fol.depth + 1)]).T \
         @ f[np.array(top.vertices)]
-    rows = brownian_check(stack, f).coef
+    rows = brownian_check(stack, f, green_energies(stack, f)).coef
     coef = stack.growth_adjoint_apply(f)
     assert coef.shape == (top.size,)
     for n in range(fol.depth + 1):

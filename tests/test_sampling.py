@@ -23,6 +23,7 @@ from dgff.sampling import (
 )
 
 import dense_reference
+from conftest import green_energies
 from block_reference import (
     covariance_report,
     cross_covariance_zmax,
@@ -226,7 +227,7 @@ class TestOracle:
         grown = dgff_block(stack, wnf_block(stack.cluster(1).vertices,
                                             GaussianStream(41), TRIALS))[1]
         gram = GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS)
-        direct = grown_covariances(oracle_kernels(g, stack.cluster(1)), gram)[1]
+        direct = list(grown_covariances(oracle_kernels(g, stack.cluster(1)), gram))[1]
         z, entries = two_sample_zmax(known_mean_covariance(grown), direct, TRIALS, target)
         assert z <= ZMAX and entries == target.size
 
@@ -236,12 +237,12 @@ class TestOracle:
         g, stack = p4_stack
         gram = GaussianStream(1).gram(stack.cluster(1).vertices, 10)
         w0 = oracle_kernels(g, stack.cluster(1))[0]
-        moment = grown_covariances([w0], gram)[0]
+        (moment,) = grown_covariances([w0], gram)
         assert moment.shape == (1, 1) == w0.shape
         np.testing.assert_allclose(moment, w0 @ gram.total[:1, :1] @ w0.T / 10, rtol=1e-15)
         other = gram.total.copy()
         other[1:] = other[:, 1:] = 7.0
-        np.testing.assert_array_equal(grown_covariances([w0], NoiseGram(other, 10))[0],
+        np.testing.assert_array_equal(next(grown_covariances([w0], NoiseGram(other, 10))),
                                       moment)
 
 
@@ -251,7 +252,7 @@ class TestGrownCovariances:
         stack = OperatorStack(*standard_fixture(name))
         z = kernels.normal_block(19, np.arange(stack.cluster(stack.depth).size), 0, 300)
         gram = NoiseGram(z.T @ z, 300)
-        covs = grown_covariances([stack.kernel(n) for n in range(stack.depth + 1)], gram)
+        covs = list(grown_covariances([stack.kernel(n) for n in range(stack.depth + 1)], gram))
         assert len(covs) == stack.depth + 1
         for n, cov in enumerate(covs):
             ref = gram.cross(stack.growth(n))
@@ -276,7 +277,7 @@ class TestBrownian:
         g, stack = p4_stack
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = brownian_check(stack, f)
+        rep = brownian_check(stack, f, green_energies(stack, f))
         np.testing.assert_allclose(rep.variance_targets, [0.5, 2.0 / 3.0], atol=1e-12)
         # level 1's layer pieces: K_0^T f on layer 0, K_1^T f on layer 1
         np.testing.assert_allclose(rep.coef[1] ** 2, [0.5, 1.0 / 6.0], atol=1e-12)
@@ -295,14 +296,15 @@ class TestBrownian:
         stack._cache[("green", 1)] = dataclasses.replace(kern, normalized=kern.normalized / 2)
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = brownian_check(stack, f)
+        rep = brownian_check(stack, f, green_energies(stack, f))
         np.testing.assert_allclose(rep.variance_targets, [0.5, 2.0 / 3.0], atol=1e-12)
         assert not rep.targets_monotone
         assert rep.pythagoras_residual == pytest.approx(1.0 / 3.0)
 
     def test_zero_vector(self, p4_stack):
         g, stack = p4_stack
-        rep = brownian_check(stack, np.zeros(g.n_vertices))
+        f = np.zeros(g.n_vertices)
+        rep = brownian_check(stack, f, green_energies(stack, f))
         np.testing.assert_array_equal(rep.variance_targets, 0.0)
 
     def test_pairing_covariance(self, grid_stack):
@@ -310,7 +312,7 @@ class TestBrownian:
         rng = np.random.default_rng(0)
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(2).vertices)] = rng.normal(size=9)
-        rep = brownian_check(stack, f)
+        rep = brownian_check(stack, f, green_energies(stack, f))
         gram = GaussianStream(53).gram(stack.cluster(2).vertices, TRIALS)
         # stationarity in the later index: cov(F_n, F_m) targets min(T_n, T_m)
         assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 53).max_abs_z <= ZMAX

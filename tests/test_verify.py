@@ -5,6 +5,8 @@ negative controls live, and guard the cost and the report's contract."""
 import dataclasses
 import json
 import math
+import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,7 +16,7 @@ from dgff import OperatorStack, verify_hadamard_identity, verify_isometry
 from dgff import hadamard, linalg, operators, sampling, verify
 from dgff.cli import main
 from dgff.errors import DGFFError
-from dgff.fixtures import path_graph, standard_fixture, write_fixture_files
+from dgff.fixtures import grid_graph, path_graph, standard_fixture, write_fixture_files
 from dgff.foliation import bfs_foliate
 from dgff.hadamard import dirichlet_gram
 from dgff.operators import GreenKernel
@@ -254,6 +256,58 @@ def test_stack_keeps_no_dense_growth_operator(monkeypatch):
     assert not [key for key in stack._cache if key[0] == "growth"]
 
 
+def _spy_green_levels(monkeypatch):
+    """Count the builds of each Green level, and record after every memoized
+    call how many Green levels the stack holds."""
+    builds, held = Counter(), []
+    memo = OperatorStack._memo
+
+    def spied(stack, kind, n, build):
+        def counted():
+            builds[n] += kind == "green"
+            return build()
+        out = memo(stack, kind, n, counted)
+        held.append(sum(key[0] == "green" for key in stack._cache))
+        return out
+
+    monkeypatch.setattr(OperatorStack, "_memo", spied)
+    return builds, held
+
+
+def _grid21():
+    g = grid_graph(21)
+    return g, bfs_foliate(g, ("r10c10",))
+
+
+@pytest.mark.parametrize("graph, trials", [("grid21", 0), ("grid13", 2000)])
+def test_ladder_builds_each_green_level_once_and_holds_two(monkeypatch, graph, trials):
+    """The ladder walks the levels once: every Green level is built exactly
+    once, and the stack never holds more than G_{n-1} and G_n."""
+    builds, held = _spy_green_levels(monkeypatch)
+    g, fol = _grid21() if graph == "grid21" else standard_fixture(graph)
+    stack = OperatorStack(g, fol)
+    rep = run_ladder(g, fol, seed=1, trials=trials, stack=stack)
+    assert rep["pass"] and len(rep["checks"]) == (17 if trials else 11)
+    assert dict(builds) == {n: 1 for n in range(stack.depth + 1)}
+    assert max(held) == 2
+    assert not [key for key in stack._cache if key[0] == "green"]
+
+
+def test_exact_ladder_memory_is_a_few_top_levels():
+    """Two Green levels and a few k_top x k_top temporaries: the traced peak
+    of the 21x21 exact ladder stays under 8 k_top^2 doubles (the whole Green
+    family, sum_n k_n^2, is 7.3 k_top^2 on this grid)."""
+    g, fol = _grid21()
+    k_top = 19 * 19
+    tracemalloc.start()
+    try:
+        assert run_ladder(g, fol, trials=0)["pass"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * k_top * k_top * 8
+
+
 def test_guard_sees_a_square_product(monkeypatch):
     monkeypatch.setattr(_SquareMatmuls, "seen", [])
     a = np.eye(60).view(_SquareMatmuls)
@@ -307,14 +361,54 @@ class TestReport:
 
 
 class TestRungProtocol:
-    """Rungs yield per-level statistics; `_Ladder.run` alone reduces them."""
+    """Rungs yield per-level statistics; `_Ladder.run` advances a rung one
+    level per call and alone reduces the yields."""
 
     @staticmethod
-    def _run(kind, rung):
-        ladder = verify._Ladder(SimpleNamespace(build_seconds=0.0))
-        ladder.run("stub", kind, 5.0, rung)
+    def _run(kind, rung, depth=2):
+        # one call per level 0..depth, then one to run the rung to its end
+        ladder = verify._Ladder(SimpleNamespace(build_seconds=0.0, depth=depth))
+        for _ in range(depth + 2):
+            ladder.run("stub", kind, 5.0, rung)
         (row,) = ladder.checks
         return row
+
+    def test_each_call_advances_one_level_and_the_last_runs_to_the_end(self):
+        seen = []
+
+        def rung():
+            for n in range(3):
+                seen.append(n)
+                yield float(n)
+            seen.append("after the top")
+            yield 1.0
+            yield 9.0
+
+        ladder = verify._Ladder(SimpleNamespace(build_seconds=0.0, depth=2))
+        for n in range(3):
+            ladder.run("stub", "exact", 5.0, rung)
+            assert seen == list(range(n + 1))
+            assert "statistic" not in ladder.checks[0]  # recorded when it ends
+        ladder.run("stub", "exact", 5.0, rung)
+        assert seen == [0, 1, 2, "after the top"]
+        (row,) = ladder.checks
+        assert row["statistic"] == 9.0 and not row["passed"]
+        ladder.run("stub", "exact", 5.0, rung)  # an ended rung is not advanced
+        assert ladder.checks == [row] and seen[-1] == "after the top"
+
+    def test_none_is_no_statistic(self):
+        row = self._run("statistical", lambda: iter([None, (3.0, 2), None, (1.0, 5)]))
+        assert row["statistic"] == 3.0 and row["entries"] == 7
+        row = self._run("exact", lambda: iter([None, None, None]))
+        assert row["statistic"] is None and row["passed"] and row["skipped"]
+
+    def test_rows_keep_the_order_of_the_first_calls(self):
+        ladder = verify._Ladder(SimpleNamespace(build_seconds=0.0, depth=0))
+        for _ in range(2):
+            ladder.run("long", "exact", 5.0, lambda: iter([None, 1.0]))
+            ladder.run("short", "exact", 5.0, lambda: iter(()))
+        assert [row["name"] for row in ladder.checks] == ["long", "short"]
+        assert [row["statistic"] for row in ladder.checks] == [1.0, None]
 
     def test_exact_statistic_is_the_largest_yield(self):
         row = self._run("exact", lambda: iter([1.0, 7.0, 2.0]))
@@ -375,6 +469,26 @@ class TestRungProtocol:
                      "green_variation", "green_monotone", "hadamard_identity"):
             row = _row(rep, name)
             assert row["statistic"] is None and row["reason"] == "statistic is nan"
+
+    def test_nan_in_the_top_poisson_kernel_fails_poisson_bounds(self):
+        # max(0.0, -p.min(), ...) in Python's max drops the NaN and reads 0.0
+        g, fol = standard_fixture("grid5")
+        stack = OperatorStack(g, fol)
+        bad = stack.poisson(stack.depth).copy()
+        bad[0, 0] = np.nan
+        stack._cache[("poisson", stack.depth)] = bad
+        rep = run_ladder(g, fol, trials=0, stack=stack)
+        for name in ("poisson_bounds", "poisson_harmonic"):
+            row = _row(rep, name)
+            assert row["statistic"] is None and row["reason"] == "statistic is nan"
+
+    def test_nan_reductions(self):
+        m = np.array([[0.5, -2.0], [np.nan, 1.0]])
+        assert math.isnan(verify._absmax(m)) and math.isnan(verify._scale(m))
+        assert math.isnan(verify._peak(1.0, math.nan)) and math.isnan(verify._peak(math.nan))
+        assert verify._absmax(m[:1]) == 2.0 and verify._scale(m[:1] / 4) == 1.0
+        # a zero reads +0.0, as np.abs(...).max() did
+        assert math.copysign(1.0, verify._absmax(np.zeros((2, 2)))) == 1.0
 
 
 def test_depth_zero_ladder_skips_every_rung_past_level_zero():
