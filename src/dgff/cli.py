@@ -133,6 +133,12 @@ def cmd_hadamard(args) -> int:
     n = _pick_cluster(args, fol).n
     clu = stack.cluster(n)
     ids = g.ids(clu.vertices)
+    variation = []
+    for m in range(n + 1):  # up to level n, holding G_{m-1} and G_m only
+        stack.kernel(m)
+        if m:
+            variation.append(stack.variation_residual(m) / stack.green(m).scale())
+        stack.release_green(m - 1)
     q = stack.growth(n)
     square, gram = q @ q.T, dirichlet_gram(g, clu, q)
     if args.out:
@@ -140,15 +146,14 @@ def cmd_hadamard(args) -> int:
         _emit(args, f"growth_{n}_square.csv", _matrix_text(args, ids, ids, square))
         _emit(args, f"growth_{n}_gram.csv", _matrix_text(args, ids, ids, gram))
     gn = stack.green(n).normalized
-    scale = max(float(np.abs(gn).max()), 1.0)
     summary = {
         "schema": 1,
         "cluster": n,
-        "identity_residual": verify_hadamard_identity(square, gn) / scale,
+        "identity_residual": verify_hadamard_identity(square, gn)
+                             / float(np.max((gn.max(), -gn.min(), 1.0))),
         "isometry_residual": verify_isometry(gram),
-        "variation_residual": max(
-            (stack.variation_residual(m) / max(float(np.abs(stack.green(m).unnormalized).max()), 1.0)
-             for m in range(1, n + 1)), default=0.0),
+        # np.max keeps a NaN, which Python's max drops
+        "variation_residual": float(np.max(variation, initial=0.0)),
     }
     print(json.dumps(summary))
     return 0

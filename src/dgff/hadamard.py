@@ -58,9 +58,6 @@ from .operators import (
     verify_green_variation,
 )
 
-_GATHER_ENTRIES = 1 << 16  # entries per block of gathered rows
-
-
 def layer_sqrt(bg: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a boundary Green matrix."""
     return linalg.psd_sqrt(bg)
@@ -100,17 +97,22 @@ def verify_hadamard_identity(square: np.ndarray, green_norm: np.ndarray) -> floa
 def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
                             kernel_n: np.ndarray) -> float:
     """Max-abs residual of the discrete Hadamard variational formula at one
-    layer, G_n - (G_{n-1} + 0) = K_n K_n^T, for normalized Green matrices.
+    layer, G_n - (G_{n-1} + 0) = K_n K_n^T, for normalized Green matrices,
+    formed and reduced a block of rows at a time.
 
     It costs k_n^2 |L_n|. Q_n is Q_{n-1} + 0 with K_n in the layer-n
     columns (`hadamard_Q`), so Q_n Q_n^T = (Q_{n-1} Q_{n-1}^T + 0) + K_n K_n^T
     and |Q_n Q_n^T - G_n| is at most |Q_{n-1} Q_{n-1}^T - G_{n-1}| plus this.
     """
-    d = kernel_n @ kernel_n.T  # the residual's negative, built in place
-    d -= green_n
     k = green_prev.shape[0]
-    d[:k, :k] += green_prev
-    return max(float(d.max()), -float(d.min()))
+    worst = []
+    for r in linalg.row_blocks(green_n.shape[0]):
+        d = kernel_n[r] @ kernel_n.T  # the residual's negative, in place
+        d -= green_n[r]
+        below = green_prev[r]  # the rows of r under k
+        d[: below.shape[0], :k] += below
+        worst.append((d.max(), -d.min()))
+    return abs(float(np.max(worst)))
 
 
 def _edge_ends(g: Graph, clu: GrowthCluster) -> tuple[np.ndarray, np.ndarray]:
@@ -126,23 +128,44 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     """Gram matrix of Q's columns in the Dirichlet inner product.
 
     Computed through the edge route, independent of the Laplacian assembly:
-    one row sqrt(c) (Q[x] - Q[y]) per edge touching the cluster, in
-    `edge_list` order, where a zero row stands for every vertex outside it.
-    The rows are formed in place, with no padded copy of Q.
+    the Gram of the rows sqrt(c) (Q[x] - Q[y]), one per edge touching the
+    cluster, in `edge_list` order, where a zero row stands for every vertex
+    outside it. The rows are formed in place, one block of edges at a time.
+    When one block holds every edge, the Gram is that block's own product.
+    Otherwise each block adds its share of the upper triangle, a block of
+    columns at a time, and the lower triangle mirrors the sum: no edge-row
+    matrix of the whole cluster is formed.
     """
     li, lj = _edge_ends(g, clu)
     touch = (li < clu.size) | (lj < clu.size)
-    li, lj, last = li[touch], lj[touch], clu.size - 1
-    dq = q[np.minimum(li, last)]
-    dq[li > last] = 0.0
-    step = max(1, _GATHER_ENTRIES // max(q.shape[1], 1))
-    for r in range(0, dq.shape[0], step):  # the Q[y] rows a block at a time
-        ends = lj[r:r + step]
-        rows = q[np.minimum(ends, last)]
-        rows[ends > last] = 0.0
-        dq[r:r + step] -= rows
-    dq *= np.sqrt(g.conductances[touch])[:, None]
-    return dq.T @ dq
+    li, lj, root = li[touch], lj[touch], np.sqrt(g.conductances[touch])
+    last, width = clu.size - 1, q.shape[1]
+
+    def edge_rows(e: slice) -> np.ndarray:
+        dq = q[np.minimum(li[e], last)]
+        dq[li[e] > last] = 0.0
+        other = q[np.minimum(lj[e], last)]
+        other[lj[e] > last] = 0.0
+        dq -= other
+        dq *= root[e, None]
+        return dq
+
+    blocks = list(linalg.row_blocks(len(li), width))
+    if len(blocks) == 1:
+        dq = edge_rows(blocks[0])
+        return dq.T @ dq
+    gram = np.zeros((width, width))
+    for e in blocks:
+        dq = edge_rows(e)
+        for c in linalg.tiles(width):  # rows :c.stop, the upper triangle's
+            gram[: c.stop, c] += dq[:, : c.stop].T @ dq[:, c]
+    for r, c in linalg.tile_pairs(width):  # the lower triangle mirrors the upper
+        if r == c:
+            tile = gram[r, c]
+            tile[...] = np.triu(tile) + np.triu(tile, 1).T
+        else:
+            gram[c, r] = gram[r, c].T
+    return gram
 
 
 def dirichlet_matrix(g: Graph, clu: GrowthCluster) -> np.ndarray:

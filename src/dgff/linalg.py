@@ -1,5 +1,7 @@
 """Dense symmetric linear algebra: eigendecomposition, PSD square root,
-Cholesky factorization and SPD inverse, all on LAPACK through ``numpy.linalg``.
+Cholesky factorization and SPD inverse, all on LAPACK through ``numpy.linalg``,
+and the block traversals that read or symmetrize a k x k matrix without a
+k x k temporary.
 
 Matrices are plain float ndarrays. Symmetry is a contract, not a wrapper
 class: ``as_symmetric`` mirrors the upper triangle exactly and rejects
@@ -23,6 +25,8 @@ from .errors import (
 )
 
 PSD_CLAMP_REL = 1e-8
+BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k pass
+_TILE = 128  # side of a square tile; a tile pair's temporaries stay in cache
 
 
 class EigenDecomposition(NamedTuple):
@@ -43,6 +47,36 @@ def as_symmetric(a: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     if gap > rtol * scale:
         raise NotSymmetricError(f"matrix asymmetry {gap:.3e} exceeds {rtol:.1e} * scale")
     return np.triu(a) + np.triu(a, 1).T
+
+
+def row_blocks(k: int, width: int | None = None):
+    """Slices of at most BLOCK_ENTRIES // width rows (width k by default)
+    that cover 0..k."""
+    step = max(1, BLOCK_ENTRIES // max(k if width is None else width, 1))
+    return (slice(r, r + step) for r in range(0, k, step))
+
+
+def tiles(k: int):
+    """Slices of _TILE indices that cover 0..k: the sides of square tiles."""
+    return (slice(i, i + _TILE) for i in range(0, k, _TILE))
+
+
+def tile_pairs(k: int):
+    """Square tiles (r, c) of a k x k matrix with c at or right of r: each
+    pair of mirror tiles, [r, c] and [c, r], is met once."""
+    return ((r, c) for r in tiles(k) for c in tiles(k) if c.start >= r.start)
+
+
+def symmetrize(m: np.ndarray) -> np.ndarray:
+    """Set m to (m + m^T) / 2 in place, one tile pair at a time, and return
+    it: exactly symmetric, because float addition commutes, and unchanged
+    when m is exactly symmetric."""
+    for r, c in tile_pairs(m.shape[0]):
+        s = m[r, c] + m[c, r].T
+        s /= 2.0
+        m[r, c] = s
+        m[c, r] = s.T
+    return m
 
 
 def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
@@ -70,8 +104,7 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     if w[0] < -PSD_CLAMP_REL * scale:
         raise NotPositiveSemidefiniteError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP_REL:.0e} * scale")
     root = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * root) @ v.T
-    return (s + s.T) / 2.0
+    return symmetrize((v * root) @ v.T)
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
@@ -104,7 +137,7 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
         x = np.linalg.inv(as_symmetric(a))
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is singular to working precision") from None
-    return (x + x.T) / 2.0
+    return symmetrize(x)
 
 
 def write_matrix_csv(fh, row_ids, col_ids, m: np.ndarray) -> None:

@@ -23,6 +23,11 @@ Y = V G_{n-1}, the block-inverse (Schur complement) identity gives
 and the Poisson kernel's interior block is -X. Only a layer-sized matrix
 is factorized per level; positive definiteness of A_n follows from that of
 A_{n-1} and of the Schur complement, which a Cholesky factor certifies.
+G_n is assembled in place, in one array: the rank-|L_n| update X B_n Y is
+multiplied straight into its leading block and symmetrized there one tile
+pair at a time, G_{n-1} is added to it, and the layer blocks are copied
+in. Beyond G_{n-1} and G_n a step holds only k_n x |L_n| blocks and one
+tile, and its bits are those of the block assembly.
 Without the previous level the whole cluster is the new layer: the same
 code is then the recursion's base step, the inverse of the whole cluster
 Laplacian, which `dgff green` and `dgff poisson` use for a single level.
@@ -47,9 +52,6 @@ from . import linalg
 from .errors import NotPositiveDefiniteError
 from .foliation import GrowthCluster
 from .graph import Graph
-
-
-_GATHER_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -86,17 +88,24 @@ class Stencil:
                        val=np.where(outside, 0.0, self.val[:k]),
                        val_t=np.where(outside, 0.0, self.val_t[:k]))
 
-    def apply(self, x: np.ndarray, rows: int | None = None,
-              transpose: bool = False) -> np.ndarray:
-        """A X (A^T X with `transpose`) for the first `rows` rows: row i is
-        sum_j val[i, j] X[idx[i, j]], taken over row chunks as a batched
-        (1 x w)(w x m) product so that each chunk's gather stays in cache."""
+    def products(self, x: np.ndarray, rows: int | None = None,
+                 transpose: bool = False):
+        """Yield the rows of A X (A^T X with `transpose`), up to `rows`, as
+        (start, chunk) pairs: row i is sum_j val[i, j] X[idx[i, j]], taken
+        over row chunks as a batched (1 x w)(w x m) product so that each
+        chunk's gather stays in cache."""
         idx = self.idx[:rows]
         val = (self.val_t if transpose else self.val)[:rows, None, :]
-        out = np.empty((idx.shape[0], x.shape[1]))
-        step = max(1, _GATHER_BYTES // max(x[:1].nbytes * idx.shape[1], 1))
-        for r in range(0, idx.shape[0], step):
-            out[r:r + step] = (val[r:r + step] @ x[idx[r:r + step]])[:, 0]
+        for r in linalg.row_blocks(idx.shape[0], idx.shape[1] * x.shape[1]):
+            yield r.start, (val[r] @ x[idx[r]])[:, 0]
+
+    def apply(self, x: np.ndarray, rows: int | None = None,
+              transpose: bool = False) -> np.ndarray:
+        """A X (A^T X with `transpose`) for the first `rows` rows, gathered
+        from `products`."""
+        out = np.empty((self.idx[:rows].shape[0], x.shape[1]))
+        for r, chunk in self.products(x, rows, transpose):
+            out[r:r + len(chunk)] = chunk
         return out
 
     def dense(self, lo: int, hi: int, transpose: bool = False) -> np.ndarray:
@@ -134,10 +143,19 @@ class GreenKernel:
     normalized: np.ndarray  # inverse Laplacian
     pi: np.ndarray          # stationary weights on the cluster
 
-    @property
-    def unnormalized(self) -> np.ndarray:
-        """G(x, y) = Gn(x, y) pi(y)."""
-        return self.normalized * self.pi[None, :]
+    def unnormalized_rows(self, r: slice) -> np.ndarray:
+        """Rows r of the unnormalized kernel G(x, y) = Gn(x, y) pi(y)."""
+        return self.normalized[r] * self.pi[None, :]
+
+    def scale(self) -> float:
+        """max(max |G|, 1) for the unnormalized kernel G, the denominator of
+        its relative residuals; a block of rows at a time, and NaN if G has
+        a NaN."""
+        peaks = [1.0]
+        for r in linalg.row_blocks(self.cluster.size):
+            m = self.unnormalized_rows(r)
+            peaks += [m.max(), -m.min()]
+        return float(np.max(peaks))
 
 
 def _couple(g_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -145,12 +163,6 @@ def _couple(g_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
     row (layer n-1 when u couples layer n to cluster n-1)."""
     rows = np.flatnonzero(u.any(axis=1))
     return g_prev[:, rows] @ u[rows]
-
-
-def _symmetric_part(m: np.ndarray) -> np.ndarray:
-    """(m + m^T) / 2: exactly symmetric, because float addition commutes,
-    and m itself when m is exactly symmetric."""
-    return (m + m.T) / 2.0
 
 
 def green(g: Graph, clu: GrowthCluster, st: Stencil,
@@ -161,7 +173,8 @@ def green(g: Graph, clu: GrowthCluster, st: Stencil,
     new layer are read. With `prev`, the Green kernel of the cluster minus
     its top layer, the matrix is grown by that one layer (see the module
     docstring); without it the whole cluster is the new layer and is
-    inverted at once.
+    inverted at once. G_n is written block by block into one array: beyond
+    G_{n-1} and G_n the step holds only layer-wide blocks.
 
     Raises NotPD when some cluster component is sealed off from the
     exterior, which makes the Laplacian singular.
@@ -178,18 +191,23 @@ def green(g: Graph, clu: GrowthCluster, st: Stencil,
     x = _couple(g_prev, u)
     try:
         if st.symmetric:
-            b = linalg.spd_inverse(_symmetric_part(d - u.T @ x))
-            xb = x @ b
-            gn = np.block([[g_prev + _symmetric_part(xb @ x.T), -xb], [-xb.T, b]])
+            b, y = linalg.spd_inverse(linalg.symmetrize(d - u.T @ x)), x.T
         else:
             y = v @ g_prev
             b = np.linalg.inv(d - v @ x)
-            xb = x @ b
-            gn = np.block([[g_prev + xb @ y, -xb], [-b @ y, b]])
     except (NotPositiveDefiniteError, np.linalg.LinAlgError):
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
             "has no path to the exterior") from None
+    xb = x @ b
+    gn = np.empty((clu.size, clu.size))
+    np.matmul(xb, y, out=gn[:k, :k])  # the rank-|L_n| update X B_n Y
+    if st.symmetric:
+        linalg.symmetrize(gn[:k, :k])
+    gn[:k, :k] += g_prev
+    gn[:k, k:] = -xb
+    gn[k:, :k] = -xb.T if st.symmetric else -b @ y
+    gn[k:, k:] = b
     pi = np.array([g.pi[v] for v in clu.vertices])
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)
 
@@ -246,16 +264,17 @@ def verify_green_variation(green_n: GreenKernel, green_prev: GreenKernel,
                                     P_n(x, xi) G_n(xi, y)
 
     with G_{n-1} zero-extended; `poisson_n` is the Poisson kernel of
-    cluster n and its top layer.
+    cluster n and its top layer. The residual is formed and reduced a block
+    of rows at a time.
     """
     clu = green_n.cluster
     k_prev = green_prev.cluster.size
-    g_n = green_n.unnormalized
-    d = poisson_n @ g_n[clu.layer_slice(clu.n), :]  # the residual's negative, in place
-    d -= g_n
-    del g_n
-    step = max(1, _GATHER_BYTES // max(d[:1].nbytes, 1))
-    for r in range(0, k_prev, step):  # + (G_{n-1} + 0), prefix vertex order, by row blocks
-        d[r:min(r + step, k_prev), :k_prev] += (green_prev.normalized[r:r + step]
-                                                * green_prev.pi[None, :])
-    return max(float(d.max()), -float(d.min()))
+    top = green_n.unnormalized_rows(clu.layer_slice(clu.n))
+    worst = []
+    for r in linalg.row_blocks(clu.size):
+        d = poisson_n[r] @ top  # the residual's negative, in place
+        d -= green_n.unnormalized_rows(r)
+        below = green_prev.unnormalized_rows(r)  # the rows of r under k_prev
+        d[: below.shape[0], :k_prev] += below
+        worst.append((d.max(), -d.min()))
+    return abs(float(np.max(worst)))

@@ -90,12 +90,15 @@ def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> list[np.ndarray]:
     """DGFF samples Psi_0..Psi_N, one (trials, k_n) block per level, grown
     from the kernels as Psi_n = (Psi_{n-1} + 0) + K_n z_{L_n}, with no dense
     Q_n. `phi_block` holds WNF rows over the top cluster, in its vertex
-    order, whose prefix is the order of every smaller cluster.
+    order, whose prefix is the order of every smaller cluster. The kernels
+    are walked upward and each Green level below the current one is
+    released from the stack, so at most two are cached at a time.
     """
     top = stack.cluster(stack.depth)
     fields = []
     for n in range(stack.depth + 1):
         psi = phi_block[:, top.layer_slice(n)] @ stack.kernel(n).T
+        stack.release_green(n - 1)  # level n + 1's kernel reads G_n and G_{n+1} only
         if n:
             psi[:, : fields[-1].shape[1]] += fields[-1]
         fields.append(psi)
@@ -205,8 +208,9 @@ class CovarianceReport:
 
 
 def _zmax(dev: np.ndarray, se: np.ndarray) -> tuple[float, int]:
-    """Largest |dev| / se over the entries with se > 0, and their number."""
-    mask = se > 0
+    """Largest |dev| / se over the entries whose se is not zero, and their
+    number: a NaN standard error counts, and makes the largest |z| NaN."""
+    mask = ~(se <= 0)
     if not mask.any():
         return 0.0, 0
     return float((np.abs(dev)[mask] / se[mask]).max()), int(np.count_nonzero(mask))
@@ -254,14 +258,15 @@ def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram,
         var = green_diagonals[n].copy()
         var[: green_diagonals[n - 1].shape[0]] -= green_diagonals[n - 1]
         variances.append(var)
-    worst, entries = 0.0, 0
+    zs, entries = [0.0], 0
     for i in range(stack.depth + 1):
         for j in range(i + 1, stack.depth + 1):
             s_ij = gram.total[top.layer_slice(i), top.layer_slice(j)]
             emp = stack.kernel(i) @ s_ij @ stack.kernel(j).T / gram.trials
             z, m = cross_moment_zmax(emp, variances[i], variances[j], gram.trials)
-            worst, entries = max(worst, z), entries + m
-    return worst, entries
+            zs.append(z)
+            entries += m
+    return float(np.max(zs)), entries  # np.max keeps a NaN, which Python's max drops
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +380,7 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
     sizes = [stack.cluster(n).size for n in range(depth + 1)]
     t = np.array([float(c[:k] @ c[:k]) for k in sizes])
     a = np.empty((depth, c.shape[0]))
-    resid = 0.0
+    resid = [0.0]
     for n in range(1, depth + 1):
         clu = stack.cluster(n)
         placed = np.zeros(stack.graph.n_vertices)
@@ -383,9 +388,11 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
         a[n - 1] = stack.growth_adjoint_apply(placed)
         telescoped = c.copy()
         telescoped[: sizes[n - 1]] = 0.0  # c[:k_{n-1}] is F_{n-1}'s coefficients
-        resid = max(resid, float(np.abs(a[n - 1] - telescoped).max()))
+        resid.append(np.abs(a[n - 1] - telescoped).max())
 
     later = np.maximum.outer(np.arange(depth), np.arange(depth))  # max(n, m) - 1
+    # np.max keeps a NaN, which Python's max drops
     return SweepReport(coef=a, target=t[depth] - t[later],
-                       variance_targets=t[depth] - t[:depth], identity_residual=resid,
-                       identity_scale=max(1.0, float(np.abs(c).max())))
+                       variance_targets=t[depth] - t[:depth],
+                       identity_residual=float(np.max(resid)),
+                       identity_scale=float(np.max((1.0, np.abs(c).max()))))

@@ -17,18 +17,21 @@ taken over (`entries`) and bounds the chance that a correct program fails
 it, M erfc(z_max / sqrt 2), by the union bound over normal z-scores
 (`false_alarm_bound`).
 
-No exact rung multiplies two k_n x k_n matrices. Products with the
-Laplacian go through the stack's padded neighbour stencil. Two rungs read
-the paper's per-level facts instead of a cubic check at every level:
+No exact rung multiplies two k_n x k_n matrices, and none forms a k_n x k_n
+temporary: each reads G_n (and G_{n-1}) a block of rows, a chunk of the
+stencil product or a pair of mirror tiles at a time, and reduces block by
+block. Products with the Laplacian go through the stack's padded neighbour
+stencil. Two rungs read the paper's per-level facts instead of a cubic
+check at every level:
 
 * `hadamard_identity` sums the one-layer residuals
   r_m = |G_m - G_{m-1} + 0 - K_m K_m^T| after the full residual
   |K_0 K_0^T - G_0| of level 0. Q_n is Q_{n-1} + 0 with K_n in the layer-n
   columns by construction, so Q_n Q_n^T grows by exactly K_n K_n^T and the
   sum bounds the full residual |Q_n Q_n^T - G_n| up to rounding.
-* `isometry` forms one Dirichlet Gram, of Q_top. Q_n is the leading block
-  of Q_top with zeros below, so its Gram is the top Gram's leading k_n
-  block, whose residual is part of the top's.
+* `isometry` forms one Dirichlet Gram, of Q_top, summed over blocks of
+  edges. Q_n is the leading block of Q_top with zeros below, so its Gram
+  is the top Gram's leading k_n block, whose residual is part of the top's.
 
 The increment rungs grow their fields with one `dgff_block` call; only
 `isometry` assembles a dense Q, Q_top once.
@@ -76,6 +79,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
@@ -106,7 +110,6 @@ TOL_EXACT = 1e-10
 TOL_STRICT = 1e-12
 Z_MAX = 5.0
 INCREMENT_SAMPLES = 100
-_BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k comparison
 
 
 class _Refuted(Exception):
@@ -201,8 +204,9 @@ class _Ladder:
         row["build_seconds"] = r.build_seconds
 
 
-# Per-level readings of the exact rungs. Each forms at most a few k_n x k_n
-# temporaries, freed before the rung yields, and reduces with `_peak`.
+# Per-level readings of the exact rungs. Each reads G_n (and G_{n-1}) a block
+# of rows or a pair of mirror tiles at a time, reduces each block with `_peak`
+# and forms no k_n x k_n temporary.
 
 def _peak(*values) -> float:
     """max(0, *values), NaN if any value is NaN: np.max keeps a NaN that
@@ -220,31 +224,40 @@ def _scale(m: np.ndarray) -> float:
     return _peak(m.max(), -m.min(), 1.0)
 
 
-def _row_blocks(k: int):
-    step = max(1, _BLOCK_ENTRIES // max(k, 1))
-    return (slice(r, r + step) for r in range(0, k, step))
+def _exactly_symmetric(m: np.ndarray) -> bool:
+    """m == m^T, compared one pair of mirror tiles at a time."""
+    return all(np.array_equal(m[r, c], m[c, r].T) for r, c in linalg.tile_pairs(m.shape[0]))
 
 
 def _inverse_residual(st: Stencil, gn: np.ndarray) -> float:
     """max |A G - I| for A given by its stencil, and max |G A - I|, read off
-    its transpose A^T G^T - I, unless A and G are both exactly symmetric."""
+    its transpose A^T G^T - I, unless A and G are both exactly symmetric;
+    one chunk of the stencil product at a time."""
     worst = []
     for transpose in (False, True):
-        if transpose and st.symmetric and np.array_equal(gn, gn.T):
+        if transpose and st.symmetric and _exactly_symmetric(gn):
             break
-        prod = st.apply(gn.T if transpose else gn, transpose=transpose)
-        prod.flat[:: st.size + 1] -= 1.0
-        worst.append(_absmax(prod))
+        for r, prod in st.products(gn.T if transpose else gn, transpose=transpose):
+            diag = np.arange(len(prod))
+            prod[diag, r + diag] -= 1.0
+            worst.append(_absmax(prod))
     return _peak(*worst)
 
 
 def _asymmetry(kern: GreenKernel) -> float:
     """max |pi(x) G(x, y) - pi(y) G(y, x)| / max(|pi G|, 1) for the
-    unnormalized G, weighted in place in one buffer and compared a block of
-    rows against the same block of columns at a time."""
-    w = kern.unnormalized  # a fresh array
-    w *= kern.pi[:, None]
-    return _peak(*[_absmax(w[r] - w[:, r].T) for r in _row_blocks(w.shape[0])]) / _scale(w)
+    unnormalized G, one pair of mirror tiles at a time, each weighted as
+    (Gn(x, y) pi(y)) pi(x)."""
+    gn, pi = kern.normalized, kern.pi
+    diffs, peaks = [], []
+    for r, c in linalg.tile_pairs(gn.shape[0]):
+        upper = gn[r, c] * pi[None, c]
+        upper *= pi[r, None]
+        lower = gn[c, r] * pi[None, r]
+        lower *= pi[c, None]
+        diffs.append(_absmax(upper - lower.T))
+        peaks += [_absmax(upper), _absmax(lower)]
+    return _peak(*diffs) / _peak(1.0, *peaks)
 
 
 def _positive_drop(gn: np.ndarray) -> float:
@@ -257,10 +270,10 @@ def _monotone_drop(kern: GreenKernel, prev: GreenKernel) -> float:
     Green kernels, relative to max(|G_n|, 1); a block of rows at a time."""
     k_prev = prev.cluster.size
     drops, scales = [], []
-    for r in _row_blocks(kern.cluster.size):
-        d = kern.normalized[r] * kern.pi[None, :]
+    for r in linalg.row_blocks(kern.cluster.size):
+        d = kern.unnormalized_rows(r)
         scales.append(_absmax(d))
-        below = prev.normalized[r] * prev.pi[None, :]  # the rows of r under k_prev
+        below = prev.unnormalized_rows(r)  # the rows of r under k_prev
         d[: below.shape[0], :k_prev] -= below
         drops.append(-d.min())
     return _peak(*drops) / _peak(1.0, *scales)
@@ -328,8 +341,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def green_variation():
         yield None  # level 0 has no level below it
         for n in range(1, depth + 1):
-            scale = _scale(stack.green(n).unnormalized)
-            yield stack.variation_residual(n) / scale
+            yield stack.variation_residual(n) / stack.green(n).scale()
 
     def green_monotone():
         yield None  # level 0 has no level below it

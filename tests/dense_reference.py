@@ -2,13 +2,16 @@
 graph, its inverse, and the Poisson kernel by a Cholesky solve of the
 interior system. The library builds every level from the neighbour
 stencil, one layer at a time; these functions share none of that code and
-are the reference it is tested against."""
+are the reference it is tested against. Two more are whole-matrix forms of
+what the library reads or writes a block at a time: the unnormalized Green
+matrix, and the one-layer Green step assembled by `np.block`."""
 
 import numpy as np
 
+from dgff import linalg
 from dgff.foliation import GrowthCluster
 from dgff.graph import Graph
-from dgff.operators import GreenKernel
+from dgff.operators import GreenKernel, Stencil
 
 
 def laplacian(g: Graph, clu: GrowthCluster) -> np.ndarray:
@@ -43,3 +46,34 @@ def poisson(g: Graph, clu: GrowthCluster) -> np.ndarray:
         low = np.linalg.cholesky(a[:k, :k])
         p[:k] = np.linalg.solve(low.T, np.linalg.solve(low, -a[:k, top]))
     return p
+
+
+def unnormalized(kern: GreenKernel) -> np.ndarray:
+    """The unnormalized Green matrix G(x, y) = Gn(x, y) pi(y), whole."""
+    return kern.normalized * kern.pi[None, :]
+
+
+def block_green(g: Graph, clu: GrowthCluster, st: Stencil,
+                prev: GreenKernel | None = None) -> np.ndarray:
+    """The one-layer step of `operators.green`, with G_n assembled by
+    `np.block` from freshly allocated blocks: G_{n-1} + X B_n Y with the
+    update symmetrized as (m + m^T) / 2, -X B_n, -B_n Y and B_n. The
+    package writes the same blocks into one array, and must give the same
+    bits."""
+    k = 0 if prev is None else prev.cluster.size
+    g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
+    layer = st.dense(k, clu.size)
+    v, d = layer[:, :k], layer[:, k:]
+    u = st.dense(k, clu.size, transpose=True)[:, :k].T
+    rows = np.flatnonzero(u.any(axis=1))
+    x = g_prev[:, rows] @ u[rows]
+    if st.symmetric:
+        s = d - u.T @ x
+        b = linalg.spd_inverse((s + s.T) / 2.0)
+        xb = x @ b
+        update = xb @ x.T
+        return np.block([[g_prev + (update + update.T) / 2.0, -xb], [-xb.T, b]])
+    y = v @ g_prev
+    b = np.linalg.inv(d - v @ x)
+    xb = x @ b
+    return np.block([[g_prev + xb @ y, -xb], [-b @ y, b]])

@@ -79,7 +79,7 @@ def test_criterion_2_green_symmetry(stack_set):
     for stack in cases:
         for n in range(stack.depth + 1):
             k = stack.green(n)
-            w = k.pi[:, None] * k.unnormalized
+            w = k.pi[:, None] * dense_reference.unnormalized(k)
             worst = max(worst, np.abs(w - w.T).max() / max(np.abs(w).max(), 1.0))
     _line(2, worst <= TOL_EXACT,
           f"weighted-symmetry residual {worst:.2e} <= {TOL_EXACT:g} incl. non-unit conductances")
@@ -100,11 +100,11 @@ def test_criterion_3_variation_and_monotone(stack_set):
     for name in FIXTURES:
         stack = stack_set[name]
         for n in range(1, stack.depth + 1):
-            g_n = stack.green(n).unnormalized
+            g_n = dense_reference.unnormalized(stack.green(n))
             scale = max(np.abs(g_n).max(), 1.0)
             worst_var = max(worst_var, stack.variation_residual(n) / scale)
             diff = g_n.copy()
-            prev = stack.green(n - 1).unnormalized
+            prev = dense_reference.unnormalized(stack.green(n - 1))
             diff[: prev.shape[0], : prev.shape[1]] -= prev
             worst_mono = max(worst_mono, max(0.0, -diff.min()) / scale)
     _line(3, worst_var <= TOL_EXACT and worst_mono <= TOL_STRICT,

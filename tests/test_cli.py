@@ -151,6 +151,15 @@ def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch
     assert doc["isometry_residual"] == np.abs(written - np.eye(len(written))).max()
 
 
+def test_hadamard_variation_keeps_a_nan(fixture_dir, capsys, monkeypatch):
+    # a NaN at the second of two levels: Python's max dropped it
+    reading = cli.OperatorStack.variation_residual
+    monkeypatch.setattr(cli.OperatorStack, "variation_residual",
+                        lambda stack, m: np.nan if m == 2 else reading(stack, m))
+    assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2") == 0
+    assert np.isnan(json.loads(capsys.readouterr().out)["variation_residual"])
+
+
 def test_sample_files_telescope(fixture_dir, tmp_path, capsys):
     out = tmp_path / "samples"
     assert run_cli("sample", "--graph", fixture_dir / "p5.json", "--roots", "v1",

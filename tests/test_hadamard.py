@@ -5,6 +5,7 @@ import pytest
 
 from dgff import (
     OperatorStack,
+    bfs_foliate,
     brownian_check,
     cluster,
     hadamard_Q,
@@ -13,8 +14,9 @@ from dgff import (
     verify_hadamard_identity,
     verify_isometry,
 )
+from dgff import linalg
 from dgff.errors import FoliationError
-from dgff.fixtures import standard_fixture, weighted
+from dgff.fixtures import grid_graph, standard_fixture, weighted
 from dgff.hadamard import dirichlet_gram, dirichlet_matrix
 
 import dense_reference
@@ -182,6 +184,34 @@ class TestIsometry:
                     rows.append(np.sqrt(c) * (qi - qj))
                 dq = np.array(rows)
                 np.testing.assert_array_equal(dirichlet_gram(g, clu, q), dq.T @ dq)
+
+
+    def test_gram_summed_over_edge_and_column_blocks(self):
+        # the 21x21 top cluster has k = 361 columns, several tiles wide, and
+        # its edge rows span several edge blocks, so the Gram is summed block
+        # by block and mirrored: dq^T dq and Q^T A Q up to rounding. Each of
+        # the three differs from the exact Gram by at most about
+        # (E + k) eps (|Q|^T |A| |Q|) entrywise, as |dq|^T |dq| <= |Q|^T |A| |Q|
+        g = weighted(grid_graph(21), seed=5, lo=0.1, hi=10.0)
+        fol = bfs_foliate(g, ["r10c10"])
+        clu = cluster(fol, fol.depth)
+        q = np.random.default_rng(7).normal(size=(clu.size, clu.size))
+        zero = np.zeros(clu.size)
+        rows = []
+        for (i, j), c in zip(g.edge_list, g.conductances):
+            li, lj = clu.local.get(i), clu.local.get(j)
+            if li is not None or lj is not None:
+                rows.append(np.sqrt(c) * ((zero if li is None else q[li])
+                                          - (zero if lj is None else q[lj])))
+        dq = np.array(rows)
+        assert len(list(linalg.row_blocks(len(dq), clu.size))) > 1
+        assert clu.size > 2 * linalg._TILE
+        gram, a = dirichlet_gram(g, clu, q), dirichlet_matrix(g, clu)
+        np.testing.assert_array_equal(gram, gram.T)
+        eps = np.finfo(float).eps
+        bound = 2 * (len(dq) + clu.size) * eps * (np.abs(q).T @ np.abs(a) @ np.abs(q))
+        assert (np.abs(gram - dq.T @ dq) <= bound).all()
+        assert (np.abs(gram - q.T @ a @ q) <= bound).all()
 
 
 class TestInjectivity:

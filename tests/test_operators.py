@@ -1,5 +1,6 @@
 import inspect
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from dgff import (
     verify_green_variation,
 )
 from dgff import linalg
-from dgff.fixtures import path_graph, standard_fixture
+from dgff.fixtures import grid_graph, path_graph, standard_fixture
 from dgff.foliation import GrowthCluster
 from dgff.graph import Graph, from_edges, recompute_pi_from
 from dgff.operators import GreenKernel
@@ -109,14 +110,14 @@ class TestGreen:
     def test_singleton_unnormalized_is_one(self, p4_parts):
         g, _, c0, _ = p4_parts
         k = base_green(g, c0)
-        assert k.unnormalized[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert dense_reference.unnormalized(k)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_p4_normalized_matrix(self, p4_parts):
         g, _, _, c1 = p4_parts
         k = base_green(g, c1)
         np.testing.assert_allclose(k.normalized, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3,
                                    atol=1e-12)
-        assert k.unnormalized[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert dense_reference.unnormalized(k)[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_inverse_identities(self, p4_parts):
         g, fol, _, _ = p4_parts
@@ -131,7 +132,7 @@ class TestGreen:
         g = path_graph(4, conductances=[3.0, 1.0, 1.0])
         fol = bfs_foliate(g, ["v1"])
         k = base_green(g, cluster(fol, 1))
-        weighted = k.pi[:, None] * k.unnormalized
+        weighted = k.pi[:, None] * dense_reference.unnormalized(k)
         assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max()
 
     def test_entries_nonnegative_diagonal_positive(self):
@@ -291,6 +292,50 @@ class TestOneLayerBuild:
             assert np.abs(a @ gn - np.eye(a.shape[0])).max() <= 1e-12
         assert not np.array_equal(gn, gn.T)
 
+    @pytest.mark.parametrize("name", FIXTURES + ("grid13", "grid21", "p4 tampered",
+                                                "grid5 tampered"))
+    def test_in_place_build_equals_the_block_assembly(self, name):
+        # G_n is written into one array; the bits must be those of the
+        # np.block assembly of fresh blocks, on both branches
+        base, tampered = name.split(" ")[0], name.endswith("tampered")
+        if base == "grid21":
+            g = grid_graph(21)
+            fol = bfs_foliate(g, ["r10c10"])
+        else:
+            g, fol = standard_fixture(base)
+        if tampered:
+            g = tamper_directed(g, *(("v2", "v1") if base == "p4" else ("r2c1", "r2c2")), 2.0)
+        prev = None
+        for n in range(fol.depth + 1):
+            clu = cluster(fol, n)
+            st = stencil(g, clu)
+            kern = green(g, clu, st, prev)
+            ref = dense_reference.block_green(g, clu, st, prev)
+            assert kern.normalized.tobytes() == ref.tobytes(), n
+            prev = kern
+        assert tampered != np.array_equal(prev.normalized, prev.normalized.T)
+
+    def test_one_step_allocates_one_level_and_layer_wide_blocks(self):
+        # beyond its inputs, a step holds G_n and blocks of k_n x |L_n| (the
+        # old assembly held several k_n x k_n temporaries, 13.7 to 27 k_n |L_n|
+        # beyond G_n on these levels), plus one tile of the symmetrization
+        g = grid_graph(31)
+        fol = bfs_foliate(g, ["r15c15"])
+        stack = OperatorStack(g, fol)
+        for n in range(1, fol.depth + 1):
+            prev, clu, st = stack.green(n - 1), stack.cluster(n), stack.stencil(n)
+            stack.release_green(n - 2)
+            width = len(fol.layers[n])
+            if width < 32:
+                continue
+            tracemalloc.start()
+            try:
+                green(g, clu, st, prev)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * (clu.size ** 2 + 8 * clu.size * width + linalg._TILE ** 2), n
+
     def test_tampered_singular_schur_complement_is_not_pd(self):
         # A_1 = [[2, -1], [2, -1]]: the Schur complement -1 - 2 * (1/2) * (-1) is 0
         g, fol = standard_fixture("p4")
@@ -345,8 +390,8 @@ class TestOneLayerBuild:
 class TestVariation:
     def test_p4_hand_identity(self, p4_parts):
         g, fol, c0, c1 = p4_parts
-        g1 = base_green(g, c1).unnormalized
-        g0 = base_green(g, c0).unnormalized
+        g1 = dense_reference.unnormalized(base_green(g, c1))
+        g0 = dense_reference.unnormalized(base_green(g, c0))
         # new minus old at (v1, v1) equals 1/3, and so does the harmonic route
         assert g1[0, 0] - g0[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
         p = poisson(c1, stencil(g, c1), base_green(g, c0))
@@ -359,7 +404,7 @@ class TestVariation:
             for n in range(1, fol.depth + 1):
                 clu = cluster(fol, n)
                 green_n = dense_reference.green(g, clu)
-                scale = np.abs(green_n.unnormalized).max()
+                scale = np.abs(dense_reference.unnormalized(green_n)).max()
                 resid = verify_green_variation(green_n,
                                                dense_reference.green(g, cluster(fol, n - 1)),
                                                dense_reference.poisson(g, clu))
@@ -368,8 +413,8 @@ class TestVariation:
     def test_monotone_growth(self):
         g, fol = standard_fixture("grid5")
         for n in range(1, fol.depth + 1):
-            gn = base_green(g, cluster(fol, n)).unnormalized
-            prev = base_green(g, cluster(fol, n - 1)).unnormalized
+            gn = dense_reference.unnormalized(base_green(g, cluster(fol, n)))
+            prev = dense_reference.unnormalized(base_green(g, cluster(fol, n - 1)))
             diff = gn.copy()
             diff[: prev.shape[0], : prev.shape[1]] -= prev
             assert diff.min() >= -1e-12 * np.abs(gn).max()

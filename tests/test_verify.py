@@ -18,6 +18,7 @@ from dgff.cli import main
 from dgff.errors import DGFFError
 from dgff.fixtures import grid_graph, path_graph, standard_fixture, write_fixture_files
 from dgff.foliation import bfs_foliate
+from dgff.graph import graph_to_json
 from dgff.hadamard import dirichlet_gram
 from dgff.operators import GreenKernel
 from dgff.verify import run_ladder
@@ -308,6 +309,34 @@ def test_exact_ladder_memory_is_a_few_top_levels():
     assert peak <= 8 * k_top * k_top * 8
 
 
+def test_exact_ladder_memory_is_two_levels_and_the_kernels():
+    """Every exact reading goes a block of rows or a tile pair at a time,
+    and G_n is built in place: the traced peak of the 31x31 exact ladder
+    stays under 4.5 k_top^2 doubles, near its floor of two Green levels and
+    the cached kernels (about 3.6 k_top^2); k_top^2 temporaries made it 5.7."""
+    g = grid_graph(31)
+    fol = bfs_foliate(g, ("r15c15",))
+    k_top = 29 * 29
+    tracemalloc.start()
+    try:
+        assert run_ladder(g, fol, trials=0)["pass"]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * k_top * k_top * 8
+
+
+def test_sample_builds_each_green_level_once_and_holds_two(monkeypatch, tmp_path):
+    builds, held = _spy_green_levels(monkeypatch)
+    g, _ = _grid21()
+    path = tmp_path / "grid21.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    assert main(["sample", "--graph", str(path), "--roots", "r10c10", "--n-samples", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert dict(builds) == {n: 1 for n in range(19)}
+    assert max(held) == 2
+
+
 def test_guard_sees_a_square_product(monkeypatch):
     monkeypatch.setattr(_SquareMatmuls, "seen", [])
     a = np.eye(60).view(_SquareMatmuls)
@@ -481,6 +510,29 @@ class TestRungProtocol:
         for name in ("poisson_bounds", "poisson_harmonic"):
             row = _row(rep, name)
             assert row["statistic"] is None and row["reason"] == "statistic is nan"
+
+    def test_nan_in_a_kernel_fails_the_statistical_rungs_that_read_it(self):
+        # a NaN at K_5[0, 0] on grid13: a running max(worst, z) from 0.0 kept
+        # increment_independence's finite worst (z 3.92), and a mask se > 0
+        # dropped the pairings' NaN standard errors (sweep_moments read 0.0)
+        g, fol = standard_fixture("grid13")
+        stack = OperatorStack(g, fol)
+        bad = stack.kernel(5).copy()
+        bad[0, 0] = np.nan
+        stack._cache[("kernel", 5)] = bad
+        rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
+        for name in ("increment_independence", "sweep_moments"):
+            row = _row(rep, name)
+            assert row["statistic"] is None and row["reason"] == "statistic is nan", name
+
+    def test_nan_standard_errors_count_and_zeros_do_not(self):
+        dev = np.array([[0.1, 0.2], [0.3, 0.0]])
+        se = np.array([[0.1, 0.0], [np.nan, 1.0]])
+        z, entries = sampling._zmax(dev, se)
+        assert math.isnan(z) and entries == 3
+        se[1, 0] = 0.5
+        assert sampling._zmax(dev, se) == (pytest.approx(1.0), 3)
+        assert sampling._zmax(dev, np.zeros((2, 2))) == (0.0, 0)
 
     def test_nan_reductions(self):
         m = np.array([[0.5, -2.0], [np.nan, 1.0]])
