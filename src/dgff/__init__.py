@@ -43,9 +43,8 @@ from .linalg import EigenDecomposition, cholesky, jacobi_eigen, psd_sqrt
 from .operators import (
     GreenKernel,
     Stencil,
-    boundary_green,
     green,
-    poisson,
+    layer_step,
     stencil,
     verify_green_variation,
 )

@@ -24,7 +24,7 @@ from .graph import load_graph
 from .hadamard import OperatorStack, dirichlet_gram, verify_hadamard_identity, verify_isometry
 from .kernels import STREAM_VERSION
 from .linalg import write_matrix_csv
-from .operators import green, poisson, stencil
+from .operators import layer_step, stencil
 from .sampling import GaussianStream, dgff_block, wnf_block
 from .verify import TOL_EXACT, Z_MAX, run_ladder
 
@@ -102,28 +102,29 @@ def _pick_cluster(args, fol) -> GrowthCluster:
 # `green` and `poisson` emit one level, so they take the recursion's base
 # step on one cluster (its whole Laplacian inverted at once) instead of the
 # one-layer chain: the same O(k^3) for a cluster of size k, holding one
-# k x k matrix instead of every lower level's. The Poisson kernel's interior
-# block is -G U, with G the base step on the cluster minus the top layer.
+# k x k matrix instead of every lower level's. The Poisson kernel is one
+# layer step from the base step's layer columns of the cluster minus the
+# top layer.
 
 def cmd_green(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
     ids = g.ids(clu.vertices)
     _emit(args, f"green_{clu.n}.csv",
-          _matrix_text(args, ids, ids, green(g, clu, stencil(g, clu)).normalized))
+          _matrix_text(args, ids, ids, layer_step(clu, stencil(g, clu), None)[1]))
     return 0
 
 
 def cmd_poisson(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
-    st, green_prev = stencil(g, clu), None
+    st, cols = stencil(g, clu), None
     if clu.n:
         inner = make_cluster(fol, clu.n - 1)
-        green_prev = green(g, inner, st.leading(inner.size))
+        cols = layer_step(inner, st.leading(inner.size), None)[1][:, inner.layer_slice(inner.n)]
     _emit(args, f"poisson_{clu.n}.csv",
           _matrix_text(args, g.ids(clu.vertices), g.ids(clu.top_layer),
-                       poisson(clu, st, green_prev)))
+                       layer_step(clu, st, cols)[0]))
     return 0
 
 
@@ -140,22 +141,23 @@ def cmd_hadamard(args) -> int:
             variation.append(stack.variation_residual(m) / stack.green(m).scale())
         stack.release_green(m - 1)
     q = stack.growth(n)
-    square, gram = q @ q.T, dirichlet_gram(g, clu, q)
+    gram = dirichlet_gram(g, clu, q)
     if args.out:
         _emit(args, f"growth_{n}.csv", _matrix_text(args, ids, ids, q))
-        _emit(args, f"growth_{n}_square.csv", _matrix_text(args, ids, ids, square))
+        _emit(args, f"growth_{n}_square.csv", _matrix_text(args, ids, ids, q @ q.T))
         _emit(args, f"growth_{n}_gram.csv", _matrix_text(args, ids, ids, gram))
     gn = stack.green(n).normalized
-    summary = {
-        "schema": 1,
-        "cluster": n,
-        "identity_residual": verify_hadamard_identity(square, gn)
+    residuals = {
+        "identity_residual": verify_hadamard_identity(q, gn)
                              / float(np.max((gn.max(), -gn.min(), 1.0))),
         "isometry_residual": verify_isometry(gram),
         # np.max keeps a NaN, which Python's max drops
         "variation_residual": float(np.max(variation, initial=0.0)),
     }
-    print(json.dumps(summary))
+    # a non-finite residual is written as null, so the line stays strict JSON
+    print(json.dumps({"schema": 1, "cluster": n, **{
+        name: value if np.isfinite(value) else None for name, value in residuals.items()}},
+        allow_nan=False))
     return 0
 
 

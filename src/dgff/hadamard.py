@@ -28,9 +28,12 @@ samples grow from the kernels a layer at a time (`dgff.sampling`), and
 Q_n^* f. `growth(n)` assembles a dense Q_n afresh on each call, for
 `dgff hadamard` and the `isometry` rung, which reads Q_top.
 It builds the operators as the paper grows the cluster, one layer at a
-time: level n's Green kernel, Poisson kernel and boundary Green B_n come
-from G_{n-1} and the new layer's rows of the Laplacian, factorizing only a
-layer-sized Schur complement (see `dgff.operators`). The Laplacian is held
+time: level n's Poisson kernel P_n and boundary Green B_n come from one
+Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
+layer's rows of the Laplacian, factorizing only a layer-sized matrix (see
+`dgff.operators`). So the kernels, and the samples grown from them, cost
+sum_n k_n |L_n| memory; the dense Green kernel G_n is assembled from
+G_{n-1} and that step only when a check reads it. The Laplacian is held
 once, as the top cluster's padded neighbour stencil read from the graph's
 edges; level n's is its leading block. The build gathers its layer rows
 from it and the checks multiply by it, while `dirichlet_gram` and
@@ -48,15 +51,7 @@ from . import linalg
 from .errors import FoliationError
 from .foliation import Foliation, GrowthCluster, cluster as make_cluster
 from .graph import Graph
-from .operators import (
-    GreenKernel,
-    Stencil,
-    boundary_green,
-    green,
-    poisson,
-    stencil,
-    verify_green_variation,
-)
+from .operators import GreenKernel, Stencil, green, layer_step, stencil, verify_green_variation
 
 def layer_sqrt(bg: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a boundary Green matrix."""
@@ -88,10 +83,15 @@ def hadamard_Q(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
     return q
 
 
-def verify_hadamard_identity(square: np.ndarray, green_norm: np.ndarray) -> float:
-    """Max-abs residual of `square`, the product Q Q^T, against the
-    normalized Green matrix."""
-    return float(np.abs(square - green_norm).max())
+def verify_hadamard_identity(q: np.ndarray, green_norm: np.ndarray) -> float:
+    """Max-abs residual of Q Q^T against the normalized Green matrix,
+    formed and reduced a block of rows at a time."""
+    worst = []
+    for r in linalg.row_blocks(q.shape[0]):
+        d = q[r] @ q.T
+        d -= green_norm[r]
+        worst.append((d.max(), -d.min()))
+    return abs(float(np.max(worst)))
 
 
 def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
@@ -213,17 +213,18 @@ class OperatorStack:
     Levels are computed on first use, so partially valid inputs (the
     tampering controls) can exercise early identities before later
     constructions fail. Asking for level n builds the missing levels below
-    it first, since each Green kernel is grown from the previous one; a
-    cached level n-1 is grown from directly.
-    `build_seconds` adds up the wall time spent building operators.
+    it first, since each layer step reads the previous one and each Green
+    kernel is grown from the previous one; a cached level n-1 is grown from
+    directly. `build_seconds` adds up the wall time spent building
+    operators.
 
-    Every operator but the dense Green matrix is at most k_n x |L_n|. A
-    caller that walks the levels upward keeps a window of two Green levels,
-    G_{n-1} and G_n, all that level n's operators and checks read, by
+    Every operator but the dense Green matrix is at most k_n x |L_n|, and
+    none of them reads a Green kernel: the layer steps (P_n, B_n) are
+    cached under ("step", n), and `poisson` and `boundary_green` return
+    their parts. A checker that walks the levels upward keeps a window of
+    two Green levels, G_{n-1} and G_n, all that level n's checks read, by
     releasing each level it is done with (`release_green`): the memory is
-    then O(k_top^2) instead of sum_n k_n^2. `boundary_green` returns a copy
-    of G_n's layer block, so the cached boundary Greens, square roots and
-    kernels do not keep a released G_n alive. A released level that is asked
+    then O(k_top^2) instead of sum_n k_n^2. A released level that is asked
     for again is rebuilt, bit for bit, from the lowest level still cached.
     """
 
@@ -274,10 +275,18 @@ class OperatorStack:
                          lambda: stencil(self.graph, self.cluster(self.depth)))
         return top if n == self.depth else top.leading(self.cluster(n).size)
 
+    def _step(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Level n's layer step (P_n, B_n), from level n-1's layer columns
+        G_{n-1}[:, L_{n-1}] = P_{n-1} B_{n-1}, formed afresh and not kept."""
+        return self._memo_upward("step", n, lambda m: layer_step(
+            self.cluster(m), self.stencil(m), np.matmul(*self._step(m - 1)) if m else None))
+
     def green(self, n: int) -> GreenKernel:
-        """Green kernel of cluster n, grown by one layer from cluster n-1."""
+        """Green kernel of cluster n, assembled from G_{n-1} and the layer
+        step."""
         return self._memo_upward("green", n, lambda m: green(
-            self.graph, self.cluster(m), self.stencil(m), self.green(m - 1) if m else None))
+            self.graph, self.cluster(m), self.stencil(m), self.green(m - 1) if m else None,
+            self._step(m)))
 
     def release_green(self, n: int) -> None:
         """Drop level n's cached Green kernel, if any; the other operators
@@ -285,12 +294,11 @@ class OperatorStack:
         self._cache.pop(("green", n), None)
 
     def poisson(self, n: int) -> np.ndarray:
-        """Poisson kernel of cluster n and its top layer, from G_{n-1}."""
-        return self._memo("poisson", n, lambda: poisson(
-            self.cluster(n), self.stencil(n), self.green(n - 1) if n else None))
+        """Poisson kernel of cluster n and its top layer."""
+        return self._step(n)[0]
 
     def boundary_green(self, n: int) -> np.ndarray:
-        return self._memo("bgreen", n, lambda: boundary_green(self.green(n)))
+        return self._step(n)[1]
 
     def layer_sqrt(self, n: int) -> np.ndarray:
         return self._memo("sqrt", n, lambda: layer_sqrt(self.boundary_green(n)))

@@ -1,5 +1,5 @@
-"""Per-cluster operators: Laplacian stencil, Green kernels, Poisson kernels
-and the boundary Green restriction.
+"""Per-cluster operators: Laplacian stencil, the layer step (Poisson kernel
+and boundary Green) and Green kernels.
 
 For a growth cluster U the Laplacian matrix has diag(x) = pi(x) and
 off-diagonal -c(x, y) on cluster-internal edges; it is positive definite
@@ -18,19 +18,23 @@ where D is the new layer's block and U, V couple it to the old cluster
 Y = V G_{n-1}, the block-inverse (Schur complement) identity gives
 
     B_n = (D - V X)^-1                     boundary Green of the layer,
-    G_n = [[G_{n-1} + X B_n Y, -X B_n], [-B_n Y, B_n]],
+    P_n = [-X; I]                          Poisson kernel of the layer,
+    G_n = [[G_{n-1} + X B_n Y, -X B_n], [-B_n Y, B_n]].
 
-and the Poisson kernel's interior block is -X. Only a layer-sized matrix
-is factorized per level; positive definiteness of A_n follows from that of
-A_{n-1} and of the Schur complement, which a Cholesky factor certifies.
-G_n is assembled in place, in one array: the rank-|L_n| update X B_n Y is
-multiplied straight into its leading block and symmetrized there one tile
-pair at a time, G_{n-1} is added to it, and the layer blocks are copied
-in. Beyond G_{n-1} and G_n a step holds only k_n x |L_n| blocks and one
-tile, and its bits are those of the block assembly.
-Without the previous level the whole cluster is the new layer: the same
-code is then the recursion's base step, the inverse of the whole cluster
-Laplacian, which `dgff green` and `dgff poisson` use for a single level.
+This is the recursive Green's function method (Lake, Klimeck, Bowen &
+Jovanovic 1997). U is nonzero only on the rows of L_{n-1}, so `layer_step`
+makes (P_n, B_n) from level n-1's layer columns
+G_{n-1}[:, L_{n-1}] = P_{n-1} B_{n-1} alone: the kernels, and the samples,
+need no dense G_n. Only a layer-sized matrix is factorized per level, and a
+Cholesky factor of the Schur complement certifies A_n positive definite.
+`green` assembles G_n, which only the checks read, from G_{n-1} and the
+step in one array: the update (-X B_n)(-X)^T is multiplied straight into
+its leading block and symmetrized there one tile pair at a time, G_{n-1}
+is added and the layer blocks are copied in, holding only k_n x |L_n|
+blocks and one tile beyond G_{n-1} and G_n; its bits are those of the
+block assembly. Without layer columns the whole cluster is the layer: the
+base step, P = I and B the inverse of the cluster Laplacian, which
+`dgff green` and `dgff poisson` use for a single level.
 
 A tampered (direction-dependent) conductance table yields an asymmetric
 Laplacian; the Green inverse then falls back to a general LU inverse of the
@@ -158,102 +162,83 @@ class GreenKernel:
         return float(np.max(peaks))
 
 
-def _couple(g_prev: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """g_prev @ u, reading only the columns of g_prev where u has a nonzero
-    row (layer n-1 when u couples layer n to cluster n-1)."""
-    rows = np.flatnonzero(u.any(axis=1))
-    return g_prev[:, rows] @ u[rows]
-
-
-def green(g: Graph, clu: GrowthCluster, st: Stencil,
-          prev: GreenKernel | None = None) -> GreenKernel:
-    """Normalized Green matrix of the cluster (Laplacian inverse).
-
-    `st` is the cluster's Laplacian stencil, of which only the rows of the
-    new layer are read. With `prev`, the Green kernel of the cluster minus
-    its top layer, the matrix is grown by that one layer (see the module
-    docstring); without it the whole cluster is the new layer and is
-    inverted at once. G_n is written block by block into one array: beyond
-    G_{n-1} and G_n the step holds only layer-wide blocks.
+def layer_step(clu: GrowthCluster, st: Stencil,
+               cols_prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """One Schur step: the Poisson kernel P_n = [-X; I] and the boundary
+    Green B_n = (D - V X)^-1 of the cluster's top layer, with X = G_{n-1} U
+    read from `cols_prev`, the layer columns G_{n-1}[:, L_{n-1}] of the
+    cluster minus its top layer. `st` is the cluster's Laplacian stencil.
+    With `cols_prev` None it is the base step: P = I and B = A^-1.
 
     Raises NotPD when some cluster component is sealed off from the
-    exterior, which makes the Laplacian singular.
+    exterior, which makes the Laplacian singular, and when an exactly
+    symmetric B_n fails its Cholesky certificate.
     """
-    k = 0 if prev is None else prev.cluster.size
     if st.size != clu.size:
         raise ValueError("st must be the stencil of the cluster")
-    if prev is not None and prev.cluster.vertices != clu.vertices[:k]:
-        raise ValueError("prev must be the Green kernel of a prefix of the cluster")
-    g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
+    cols = np.zeros((0, 0)) if cols_prev is None else cols_prev
+    k = 0 if cols_prev is None else clu.layer_slice(clu.n).start
+    if cols_prev is not None and (not clu.n or cols.shape != (k, k - clu.layer_start[clu.n - 1])):
+        raise ValueError("cols_prev must be the layer columns of the cluster minus its top layer")
     layer = st.dense(k, clu.size)
     v, d = layer[:, :k], layer[:, k:]
     u = st.dense(k, clu.size, transpose=True)[:, :k].T
-    x = _couple(g_prev, u)
+    rows = np.flatnonzero(u.any(axis=1))  # within L_{n-1}, which starts at k - |L_{n-1}|
+    x = cols[:, rows - (k - cols.shape[1])] @ u[rows]
     try:
         if st.symmetric:
-            b, y = linalg.spd_inverse(linalg.symmetrize(d - u.T @ x)), x.T
+            b = linalg.spd_inverse(linalg.symmetrize(d - u.T @ x))
         else:
-            y = v @ g_prev
             b = np.linalg.inv(d - v @ x)
     except (NotPositiveDefiniteError, np.linalg.LinAlgError):
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
             "has no path to the exterior") from None
-    xb = x @ b
+    if np.array_equal(b, b.T):  # positive definite by theory: certify it
+        try:
+            linalg.cholesky(b)
+        except NotPositiveDefiniteError:
+            raise NotPositiveDefiniteError(
+                f"boundary Green on layer of cluster {clu.n} is not "
+                "positive definite") from None
+    p = np.empty((clu.size, clu.size - k))
+    np.negative(x, out=p[:k])
+    p[k:] = np.eye(clu.size - k)
+    return p, b
+
+
+def green(g: Graph, clu: GrowthCluster, st: Stencil, prev: GreenKernel | None,
+          step: tuple[np.ndarray, np.ndarray]) -> GreenKernel:
+    """Normalized Green matrix of the cluster (Laplacian inverse), assembled
+    in one array from `prev`, the Green kernel of the cluster minus its top
+    layer (None for the base step), and `step`, the layer's (P_n, B_n) from
+    `layer_step`. The asymmetric branch reads the layer rows V of `st`, the
+    cluster's stencil, for Y = V G_{n-1}.
+    """
+    k = 0 if prev is None else prev.cluster.size
+    p, b = step
+    if st.size != clu.size:
+        raise ValueError("st must be the stencil of the cluster")
+    if prev is not None and prev.cluster.vertices != clu.vertices[:k]:
+        raise ValueError("prev must be the Green kernel of a prefix of the cluster")
+    if p.shape != (clu.size, clu.size - k):
+        raise ValueError("step must be the layer step of the cluster over prev")
+    g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
+    pb = p[:k] @ b  # -X B_n
     gn = np.empty((clu.size, clu.size))
-    np.matmul(xb, y, out=gn[:k, :k])  # the rank-|L_n| update X B_n Y
     if st.symmetric:
+        np.matmul(pb, p[:k].T, out=gn[:k, :k])  # the rank-|L_n| update (-X B_n)(-X)^T
         linalg.symmetrize(gn[:k, :k])
+        gn[k:, :k] = pb.T
+    else:
+        neg_y = -st.dense(k, clu.size)[:, :k] @ g_prev  # -Y = -V G_{n-1}
+        np.matmul(pb, neg_y, out=gn[:k, :k])
+        np.matmul(b, neg_y, out=gn[k:, :k])
     gn[:k, :k] += g_prev
-    gn[:k, k:] = -xb
-    gn[k:, :k] = -xb.T if st.symmetric else -b @ y
+    gn[:k, k:] = pb
     gn[k:, k:] = b
     pi = np.array([g.pi[v] for v in clu.vertices])
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)
-
-
-def poisson(clu: GrowthCluster, st: Stencil,
-            green_prev: GreenKernel | None = None) -> np.ndarray:
-    """Poisson kernel of the cluster and its top layer: rows over the
-    cluster, columns over the layer; identity on the layer, harmonic
-    elsewhere in the cluster, zero outside.
-
-    At cluster 0 the layer is the whole cluster, there is no interior and
-    the kernel is the identity. Any other cluster needs `green_prev`, the
-    Green kernel of the cluster minus the layer: the interior block is
-    -G_{n-1} U, with U the coupling read from the layer's rows of `st`,
-    the cluster's Laplacian stencil.
-    """
-    top = clu.layer_slice(clu.n)
-    k = top.start  # the interior is the prefix below the top layer
-    p = np.zeros((clu.size, top.stop - k))
-    p[top] = np.eye(top.stop - k)
-    if k:
-        if green_prev is None or green_prev.cluster.vertices != clu.vertices[:k]:
-            raise ValueError("green_prev must be the Green kernel of the cluster minus the layer")
-        u = st.dense(k, clu.size, transpose=True)[:, :k].T
-        p[:k] = _couple(green_prev.normalized, -u)
-    return p
-
-
-def boundary_green(kern: GreenKernel) -> np.ndarray:
-    """Green matrix restricted to the cluster's top layer, as a copy that
-    does not keep the k_n x k_n matrix alive; positive definite by theory.
-
-    For a reversible graph the Green matrix is exactly symmetric, so the
-    restriction is too, and a Cholesky factor certifies it positive
-    definite. A tampered (asymmetric) Green matrix skips the check.
-    """
-    top = kern.cluster.layer_slice(kern.cluster.n)
-    bg = kern.normalized[top, top].copy()
-    if np.array_equal(bg, bg.T):
-        try:
-            linalg.cholesky(bg)
-        except NotPositiveDefiniteError:
-            raise NotPositiveDefiniteError(
-                f"boundary Green on layer of cluster {kern.cluster.n} is not "
-                "positive definite") from None
-    return bg
 
 
 def verify_green_variation(green_n: GreenKernel, green_prev: GreenKernel,

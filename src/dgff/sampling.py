@@ -91,14 +91,12 @@ def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> list[np.ndarray]:
     from the kernels as Psi_n = (Psi_{n-1} + 0) + K_n z_{L_n}, with no dense
     Q_n. `phi_block` holds WNF rows over the top cluster, in its vertex
     order, whose prefix is the order of every smaller cluster. The kernels
-    are walked upward and each Green level below the current one is
-    released from the stack, so at most two are cached at a time.
+    come from the layer steps alone: no dense Green level is built.
     """
     top = stack.cluster(stack.depth)
     fields = []
     for n in range(stack.depth + 1):
         psi = phi_block[:, top.layer_slice(n)] @ stack.kernel(n).T
-        stack.release_green(n - 1)  # level n + 1's kernel reads G_n and G_{n+1} only
         if n:
             psi[:, : fields[-1].shape[1]] += fields[-1]
         fields.append(psi)

@@ -287,8 +287,7 @@ def _identity_term(stack: OperatorStack, n: int) -> tuple[float, float]:
     if n:
         term = layer_identity_residual(gn, stack.green(n - 1).normalized, stack.kernel(n))
     else:
-        k0 = stack.kernel(0)
-        term = verify_hadamard_identity(k0 @ k0.T, gn)
+        term = verify_hadamard_identity(stack.kernel(0), gn)
     return term, _scale(gn)
 
 

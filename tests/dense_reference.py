@@ -4,7 +4,9 @@ interior system. The library builds every level from the neighbour
 stencil, one layer at a time; these functions share none of that code and
 are the reference it is tested against. Two more are whole-matrix forms of
 what the library reads or writes a block at a time: the unnormalized Green
-matrix, and the one-layer Green step assembled by `np.block`."""
+matrix, and the one-layer Green step assembled by `np.block`. The last two
+read a layer's Poisson kernel and boundary Green out of the dense Green
+matrices, as the library did before its layer step made them directly."""
 
 import numpy as np
 
@@ -46,6 +48,33 @@ def poisson(g: Graph, clu: GrowthCluster) -> np.ndarray:
         low = np.linalg.cholesky(a[:k, :k])
         p[:k] = np.linalg.solve(low.T, np.linalg.solve(low, -a[:k, top]))
     return p
+
+
+def poisson_from_green(clu: GrowthCluster, st: Stencil,
+                       green_prev: GreenKernel | None = None) -> np.ndarray:
+    """Poisson kernel of the cluster and its top layer with the interior
+    block -G_{n-1} U, read from the whole G_{n-1} on the rows where the
+    coupling U, gathered from the stencil `st`, is nonzero."""
+    top = clu.layer_slice(clu.n)
+    k = top.start
+    p = np.zeros((clu.size, top.stop - k))
+    p[top] = np.eye(top.stop - k)
+    if k:
+        u = st.dense(k, clu.size, transpose=True)[:, :k].T
+        rows = np.flatnonzero(u.any(axis=1))
+        p[:k] = green_prev.normalized[:, rows] @ -u[rows]
+    return p
+
+
+def boundary_green(kern: GreenKernel) -> np.ndarray:
+    """G_n restricted to the cluster's top layer, as a copy; an exactly
+    symmetric restriction is certified positive definite by a Cholesky
+    factor."""
+    top = kern.cluster.layer_slice(kern.cluster.n)
+    bg = kern.normalized[top, top].copy()
+    if np.array_equal(bg, bg.T):
+        linalg.cholesky(bg)
+    return bg
 
 
 def unnormalized(kern: GreenKernel) -> np.ndarray:

@@ -119,7 +119,7 @@ def test_criterion_4_hadamard_identity(stack_set):
         for n in range(stack.depth + 1):
             gn = stack.green(n).normalized
             q = stack.growth(n)
-            resid = verify_hadamard_identity(q @ q.T, gn)
+            resid = verify_hadamard_identity(q, gn)
             worst = max(worst, resid / max(np.abs(gn).max(), 1.0))
     # hand-checked values on the four-vertex path against a 2x2 inversion oracle
     stack = stack_set["p4"]

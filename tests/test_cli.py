@@ -157,7 +157,11 @@ def test_hadamard_variation_keeps_a_nan(fixture_dir, capsys, monkeypatch):
     monkeypatch.setattr(cli.OperatorStack, "variation_residual",
                         lambda stack, m: np.nan if m == 2 else reading(stack, m))
     assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2") == 0
-    assert np.isnan(json.loads(capsys.readouterr().out)["variation_residual"])
+    out = capsys.readouterr().out
+    assert "NaN" not in out  # strict JSON: the NaN is written as null
+    doc = json.loads(out)
+    assert doc["variation_residual"] is None
+    assert doc["identity_residual"] is not None and doc["isometry_residual"] is not None
 
 
 def test_sample_files_telescope(fixture_dir, tmp_path, capsys):

@@ -176,15 +176,16 @@ class TestSweepIdentity:
         assert rep.identity_scale == max(1.0, float(np.abs(coef).max()))
 
     def test_tampered_poisson_kernel_fails_the_sweep_rung(self):
-        # the kernels (and so the field) are built from the true P_1; the
-        # sweep then reads a corrupted one
+        # the kernels (and so the field) and the Green levels are built from
+        # the true P_1; the sweep then reads a corrupted one
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
         for n in range(stack.depth + 1):
             stack.growth(n)
+            stack.green(n)
         bad = stack.poisson(1).copy()
         bad[:, 0] *= 0.5
-        stack._cache[("poisson", 1)] = bad
+        stack._cache[("step", 1)] = (bad, stack.boundary_green(1))
         rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
         row = next(r for r in rep["checks"] if r["name"] == "sweep_moments")
         assert not row["passed"] and row["statistic"] is None

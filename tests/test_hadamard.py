@@ -121,7 +121,7 @@ class TestIdentity:
         qqt = q @ q.T
         assert qqt[0, 0] == pytest.approx(0.5 + 1.0 / 6.0, abs=1e-12)
         assert qqt[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert verify_hadamard_identity(qqt, stack.green(1).normalized) <= 1e-12
+        assert verify_hadamard_identity(q, stack.green(1).normalized) <= 1e-12
 
     def test_fixtures_within_tolerance(self):
         for name in ("p5", "grid5", "tree3"):
@@ -130,8 +130,22 @@ class TestIdentity:
             for n in range(fol.depth + 1):
                 gn = stack.green(n).normalized
                 q = stack.growth(n)
-                resid = verify_hadamard_identity(q @ q.T, gn)
+                resid = verify_hadamard_identity(q, gn)
                 assert resid <= 1e-10 * np.abs(gn).max()
+
+    def test_row_blocks_read_the_whole_residual(self):
+        # 361 rows of Q_top on the 21x21 grid span two row blocks; the
+        # blocked products differ from q @ q.T by rounding only, and a NaN
+        # in G is kept
+        g = grid_graph(21)
+        stack = OperatorStack(g, bfs_foliate(g, ["r10c10"]))
+        q, gn = stack.growth(stack.depth), stack.green(stack.depth).normalized.copy()
+        assert len(list(linalg.row_blocks(q.shape[0]))) == 2
+        whole = float(np.abs(q @ q.T - gn).max())
+        eps = np.finfo(float).eps
+        assert abs(verify_hadamard_identity(q, gn) - whole) <= 4 * eps * np.abs(gn).max()
+        gn[-1, 0] = np.nan
+        assert math.isnan(verify_hadamard_identity(q, gn))
 
 
 class TestIsometry:

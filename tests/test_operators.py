@@ -11,10 +11,9 @@ from dgff import (
     NotPositiveDefiniteError,
     OperatorStack,
     bfs_foliate,
-    boundary_green,
     cluster,
     green,
-    poisson,
+    layer_step,
     stencil,
     verify_green_variation,
 )
@@ -22,7 +21,6 @@ from dgff import linalg
 from dgff.fixtures import grid_graph, path_graph, standard_fixture
 from dgff.foliation import GrowthCluster
 from dgff.graph import Graph, from_edges, recompute_pi_from
-from dgff.operators import GreenKernel
 from dgff.verify import run_ladder
 
 import dense_reference
@@ -31,7 +29,19 @@ from conftest import FIXTURES, small_graphs, tamper_directed
 
 def base_green(g, clu):
     """The recursion's base step: the whole cluster inverted at once."""
-    return green(g, clu, stencil(g, clu))
+    st = stencil(g, clu)
+    return green(g, clu, st, None, layer_step(clu, st, None))
+
+
+def top_step(g, fol, n):
+    """Cluster n's layer step from the layer columns of cluster n-1's base
+    step."""
+    clu = cluster(fol, n)
+    if not n:
+        return layer_step(clu, stencil(g, clu), None)
+    inner = cluster(fol, n - 1)
+    cols = base_green(g, inner).normalized[:, inner.layer_slice(n - 1)]
+    return layer_step(clu, stencil(g, clu), cols)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +163,7 @@ class TestPoisson:
         # only at cluster 0 is the top layer the whole cluster
         g = p4_parts[0]
         c0 = cluster(bfs_foliate(g, ["v1", "v2"]), 0)
-        np.testing.assert_array_equal(poisson(c0, stencil(g, c0)), np.eye(2))
+        np.testing.assert_array_equal(layer_step(c0, stencil(g, c0), None)[0], np.eye(2))
 
     def test_grid_row_sums_at_most_one(self):
         g, fol = standard_fixture("grid5")
@@ -200,22 +210,21 @@ class TestPoisson:
 
 class TestBoundaryGreen:
     def test_p4_level_one(self, p4_parts):
-        g, _, _, c1 = p4_parts
-        bg = boundary_green(base_green(g, c1))
+        g, fol, _, _ = p4_parts
+        bg = top_step(g, fol, 1)[1]
         np.testing.assert_allclose(bg, [[2.0 / 3.0]], atol=1e-12)
 
     def test_level_zero_is_whole_green(self, p4_parts):
         g, _, c0, _ = p4_parts
         k = base_green(g, c0)
-        np.testing.assert_array_equal(boundary_green(k), k.normalized)
+        np.testing.assert_array_equal(layer_step(c0, stencil(g, c0), None)[1], k.normalized)
 
     def test_grid_eigenvalues_positive(self):
         from dgff import jacobi_eigen
 
         g, fol = standard_fixture("grid5")
         for n in range(fol.depth + 1):
-            clu = cluster(fol, n)
-            bg = boundary_green(base_green(g, clu))
+            bg = top_step(g, fol, n)[1]
             w, _ = jacobi_eigen(np.asarray(bg))
             assert w[0] > 0
 
@@ -223,21 +232,19 @@ class TestBoundaryGreen:
         # exact symmetry is what makes the positive-definite check run
         g, fol = standard_fixture("grid13")
         for n in range(fol.depth + 1):
-            clu = cluster(fol, n)
-            bg = boundary_green(base_green(g, clu))
+            bg = top_step(g, fol, n)[1]
             assert np.array_equal(bg, bg.T), n
 
-    def test_indefinite_restriction_rejected(self):
-        # symmetric with a unit diagonal, but the top-layer block holds the
-        # indefinite corner [[1, 2], [2, 1]]
+    def test_indefinite_restriction_rejected(self, monkeypatch):
+        # the layer's inverse comes back symmetric with a unit diagonal, but
+        # holds the indefinite corner [[1, 2], [2, 1]]
         g, fol = standard_fixture("grid5")
-        c1 = cluster(fol, 1)
-        i = c1.layer_slice(1).start
-        bad = np.eye(c1.size)
-        bad[i, i + 1] = bad[i + 1, i] = 2.0
-        kern = GreenKernel(cluster=c1, normalized=bad, pi=np.ones(c1.size))
-        with pytest.raises(NotPositiveDefiniteError):
-            boundary_green(kern)
+        width = len(fol.layers[1])
+        bad = np.eye(width)
+        bad[0, 1] = bad[1, 0] = 2.0
+        monkeypatch.setattr(linalg, "spd_inverse", lambda a: bad.copy())
+        with pytest.raises(NotPositiveDefiniteError, match="boundary Green"):
+            top_step(g, fol, 1)
 
     def test_one_eigendecomposition_per_level(self, monkeypatch):
         calls = []
@@ -305,32 +312,41 @@ class TestOneLayerBuild:
             g, fol = standard_fixture(base)
         if tampered:
             g = tamper_directed(g, *(("v2", "v1") if base == "p4" else ("r2c1", "r2c2")), 2.0)
-        prev = None
+        prev, cols = None, None
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
             st = stencil(g, clu)
-            kern = green(g, clu, st, prev)
+            p, b = step = layer_step(clu, st, cols)
+            kern = green(g, clu, st, prev, step)
             ref = dense_reference.block_green(g, clu, st, prev)
             assert kern.normalized.tobytes() == ref.tobytes(), n
+            # the step's P_n and B_n are those read out of G_{n-1} and G_n
+            assert p.tobytes() == dense_reference.poisson_from_green(clu, st, prev).tobytes(), n
+            assert b.tobytes() == dense_reference.boundary_green(kern).tobytes(), n
+            # and the next step's layer columns P_n B_n are G_n's
+            cols = p @ b
+            assert cols.tobytes() == kern.normalized[:, clu.layer_slice(n)].tobytes(), n
             prev = kern
         assert tampered != np.array_equal(prev.normalized, prev.normalized.T)
 
     def test_one_step_allocates_one_level_and_layer_wide_blocks(self):
-        # beyond its inputs, a step holds G_n and blocks of k_n x |L_n| (the
-        # old assembly held several k_n x k_n temporaries, 13.7 to 27 k_n |L_n|
-        # beyond G_n on these levels), plus one tile of the symmetrization
+        # beyond its inputs, a layer step and the assembly of G_n hold G_n
+        # and blocks of k_n x |L_n| (the np.block assembly held several
+        # k_n x k_n temporaries, 13.7 to 27 k_n |L_n| beyond G_n on these
+        # levels), plus one tile of the symmetrization
         g = grid_graph(31)
         fol = bfs_foliate(g, ["r15c15"])
         stack = OperatorStack(g, fol)
         for n in range(1, fol.depth + 1):
             prev, clu, st = stack.green(n - 1), stack.cluster(n), stack.stencil(n)
+            cols = prev.normalized[:, prev.cluster.layer_slice(n - 1)]
             stack.release_green(n - 2)
             width = len(fol.layers[n])
             if width < 32:
                 continue
             tracemalloc.start()
             try:
-                green(g, clu, st, prev)
+                green(g, clu, st, prev, layer_step(clu, st, cols))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -358,6 +374,7 @@ class TestOneLayerBuild:
         stack = OperatorStack(g, fol)
         for n in range(fol.depth + 1):
             stack.growth(n)
+            stack.green(n)
         widest = max(len(layer) for layer in fol.layers)
         assert shapes and max(max(s) for s in shapes) <= widest
 
@@ -377,14 +394,23 @@ class TestOneLayerBuild:
 
     def test_prev_must_be_a_prefix(self, p4_parts):
         g, _, c0, c1 = p4_parts
+        st0, st1 = stencil(g, c0), stencil(g, c1)
         with pytest.raises(ValueError):
-            green(g, c0, stencil(g, c0), prev=base_green(g, c1))
+            green(g, c0, st0, base_green(g, c1), layer_step(c0, st0, None))
         with pytest.raises(ValueError):
-            green(g, c1, stencil(g, c0))  # not the cluster's stencil
+            green(g, c1, st0, None, layer_step(c1, st1, None))  # not the cluster's stencil
         with pytest.raises(ValueError):
-            poisson(c1, stencil(g, c1), green_prev=base_green(g, c1))  # not the cluster minus the layer
+            green(g, c1, st1, base_green(g, c0), layer_step(c1, st1, None))  # not the step over prev
         with pytest.raises(ValueError):
-            poisson(c1, stencil(g, c1))  # an interior needs green_prev
+            layer_step(c1, st0, None)  # not the cluster's stencil
+        with pytest.raises(ValueError):
+            layer_step(c1, st1, base_green(g, c1).normalized)  # not the cluster minus the layer
+        with pytest.raises(ValueError):
+            layer_step(c0, st0, np.ones((1, 1)))  # cluster 0 has no level below
+        # without layer columns the whole cluster is the layer: the base step
+        p, b = layer_step(c1, st1, None)
+        np.testing.assert_array_equal(p, np.eye(2))
+        assert b.tobytes() == base_green(g, c1).normalized.tobytes()
 
 
 class TestVariation:
@@ -394,7 +420,7 @@ class TestVariation:
         g0 = dense_reference.unnormalized(base_green(g, c0))
         # new minus old at (v1, v1) equals 1/3, and so does the harmonic route
         assert g1[0, 0] - g0[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        p = poisson(c1, stencil(g, c1), base_green(g, c0))
+        p = layer_step(c1, stencil(g, c1), base_green(g, c0).normalized)[0]
         assert p[0, 0] * g1[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
         assert verify_green_variation(base_green(g, c1), base_green(g, c0), p) <= 1e-12
 

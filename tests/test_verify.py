@@ -36,7 +36,7 @@ def _old_hadamard_statistic(stack):
     for n in range(stack.depth + 1):
         gn = stack.green(n).normalized
         q = stack.growth(n)
-        worst = max(worst, verify_hadamard_identity(q @ q.T, gn)
+        worst = max(worst, verify_hadamard_identity(q, gn)
                     / max(float(np.abs(gn).max()), 1.0))
     return worst
 
@@ -199,6 +199,8 @@ def _guard_ladder(monkeypatch, **ladder_args):
                 return out.view(_SquareMatmuls)
             if isinstance(out, GreenKernel):
                 return dataclasses.replace(out, normalized=out.normalized.view(_SquareMatmuls))
+            if isinstance(out, tuple):  # a layer step (P_n, B_n)
+                return tuple(m.view(_SquareMatmuls) for m in out)
             return out
         return memo(stack, kind, n, wrapped)
 
@@ -326,15 +328,38 @@ def test_exact_ladder_memory_is_two_levels_and_the_kernels():
     assert peak <= 4.5 * k_top * k_top * 8
 
 
-def test_sample_builds_each_green_level_once_and_holds_two(monkeypatch, tmp_path):
+def test_sample_builds_no_green_level(monkeypatch, tmp_path):
+    """`dgff sample` grows its fields from the layer steps alone."""
     builds, held = _spy_green_levels(monkeypatch)
     g, _ = _grid21()
     path = tmp_path / "grid21.json"
     path.write_text(json.dumps(graph_to_json(g)))
     assert main(["sample", "--graph", str(path), "--roots", "r10c10", "--n-samples", "2",
                  "--out", str(tmp_path / "out")]) == 0
-    assert dict(builds) == {n: 1 for n in range(19)}
-    assert max(held) == 2
+    assert sum(builds.values()) == 0 and held and max(held) == 0
+
+
+def test_sample_memory_is_the_layer_operators_and_the_blocks():
+    """`dgff_block` holds the per-level operators, each at most k_n x |L_n|
+    (P_n and K_n, sum_n k_n |L_n| numbers each), the noise block and the
+    field blocks: on the 31x31 grid its traced peak, 2.0 times their sum,
+    stays under 2.5 times. Building each dense G_n put it at 5.1 times."""
+    g = grid_graph(31)
+    fol = bfs_foliate(g, ("r15c15",))
+    stack = OperatorStack(g, fol)
+    trials = 8
+    phi = sampling.wnf_block(stack.cluster(stack.depth).vertices, sampling.GaussianStream(3),
+                             trials)
+    sizes = [stack.cluster(n).size for n in range(stack.depth + 1)]
+    columns = sum(k * len(layer) for k, layer in zip(sizes, fol.layers))
+    blocks = trials * (sizes[-1] + sum(sizes))
+    tracemalloc.start()
+    try:
+        sampling.dgff_block(stack, phi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (columns + blocks) * 8
 
 
 def test_guard_sees_a_square_product(monkeypatch):
@@ -501,15 +526,18 @@ class TestRungProtocol:
 
     def test_nan_in_the_top_poisson_kernel_fails_poisson_bounds(self):
         # max(0.0, -p.min(), ...) in Python's max drops the NaN and reads 0.0
+        # (G_top is built first, from the true step: the NaN is in P alone)
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
+        stack.green(stack.depth)
         bad = stack.poisson(stack.depth).copy()
         bad[0, 0] = np.nan
-        stack._cache[("poisson", stack.depth)] = bad
+        stack._cache[("step", stack.depth)] = (bad, stack.boundary_green(stack.depth))
         rep = run_ladder(g, fol, trials=0, stack=stack)
         for name in ("poisson_bounds", "poisson_harmonic"):
             row = _row(rep, name)
             assert row["statistic"] is None and row["reason"] == "statistic is nan"
+        assert _row(rep, "green_inverse")["passed"]
 
     def test_nan_in_a_kernel_fails_the_statistical_rungs_that_read_it(self):
         # a NaN at K_5[0, 0] on grid13: a running max(worst, z) from 0.0 kept
