@@ -34,9 +34,7 @@ from .hadamard import (
     OperatorStack,
     hadamard_Q,
     kernel_K,
-    layer_identity_residual,
     layer_sqrt,
-    verify_hadamard_identity,
     verify_isometry,
 )
 from .linalg import EigenDecomposition, cholesky, jacobi_eigen, psd_sqrt
@@ -46,7 +44,6 @@ from .operators import (
     green,
     layer_step,
     stencil,
-    verify_green_variation,
 )
 from .sampling import (
     BrownianReport,
@@ -58,7 +55,7 @@ from .sampling import (
     noise_gram,
     sweep_average_check,
 )
-from .verify import run_ladder
+from .verify import increment_residual, run_ladder
 
 __version__ = "0.1.0"
 

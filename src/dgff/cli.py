@@ -21,12 +21,11 @@ import numpy as np
 from .errors import DGFFError, GraphError
 from .foliation import GrowthCluster, bfs_foliate, cluster as make_cluster, load_foliation
 from .graph import load_graph
-from .hadamard import OperatorStack, dirichlet_gram, verify_hadamard_identity, verify_isometry
+from .hadamard import OperatorStack, dirichlet_gram, verify_isometry
 from .kernels import STREAM_VERSION
 from .linalg import write_matrix_csv
-from .operators import layer_step, stencil
 from .sampling import GaussianStream, dgff_block, wnf_block
-from .verify import TOL_EXACT, Z_MAX, run_ladder
+from .verify import TOL_EXACT, Z_MAX, increment_residual, run_ladder, variation_residual
 
 
 def _flags(p: argparse.ArgumentParser, foliation=True, out=True, matrix=False) -> None:
@@ -57,22 +56,35 @@ def _resolve(args):
     return g, fol
 
 
-def _emit(args, name: str, text: str) -> None:
+def _emit(args, name: str, write) -> None:
+    """Call `write` on the output stream: the file `name` under --out, else
+    stdout."""
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / name).write_text(text)
+        with open(outdir / name, "w") as fh:
+            write(fh)
     else:
-        sys.stdout.write(text)
+        write(sys.stdout)
 
 
-def _matrix_text(args, row_ids, col_ids, m) -> str:
+def _emit_matrix(args, name: str, row_ids, col_ids, m) -> None:
+    """Emit a matrix as JSON, or as CSV written a row at a time."""
     if args.format == "json":
-        return json.dumps({"schema": 1, "rows": list(row_ids), "cols": list(col_ids),
+        text = json.dumps({"schema": 1, "rows": list(row_ids), "cols": list(col_ids),
                            "entries": np.asarray(m).tolist()}, indent=1) + "\n"
-    buf = io.StringIO()
-    write_matrix_csv(buf, row_ids, col_ids, m)
-    return buf.getvalue()
+        _emit(args, name, lambda fh: fh.write(text))
+    else:
+        _emit(args, name, lambda fh: write_matrix_csv(fh, row_ids, col_ids, m))
+
+
+def _finite(doc):
+    """`doc` with every non-finite number in it as None, for strict JSON."""
+    if isinstance(doc, dict):
+        return {key: _finite(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_finite(value) for value in doc]
+    return None if isinstance(doc, float) and not np.isfinite(doc) else doc
 
 
 def cmd_validate(args) -> int:
@@ -91,7 +103,7 @@ def cmd_foliate(args) -> int:
     if not args.roots:
         raise GraphError("foliate needs --roots", code="BadFormat")
     fol = bfs_foliate(g, tuple(args.roots.split(",")))
-    _emit(args, "foliation.json", json.dumps(fol.to_json()) + "\n")
+    _emit(args, "foliation.json", lambda fh: fh.write(json.dumps(fol.to_json()) + "\n"))
     return 0
 
 
@@ -99,32 +111,29 @@ def _pick_cluster(args, fol) -> GrowthCluster:
     return make_cluster(fol, args.cluster if args.cluster is not None else fol.depth)
 
 
-# `green` and `poisson` emit one level, so they take the recursion's base
-# step on one cluster (its whole Laplacian inverted at once) instead of the
-# one-layer chain: the same O(k^3) for a cluster of size k, holding one
-# k x k matrix instead of every lower level's. The Poisson kernel is one
-# layer step from the base step's layer columns of the cluster minus the
-# top layer.
+def _green(g, fol, n: int):
+    """G_n, walked up from level 0 with two Green levels cached at a time;
+    the stack and its layer steps are dropped on return."""
+    stack = OperatorStack(g, fol)
+    for m in range(n + 1):
+        stack.green(m)
+        stack.release_green(m - 1)
+    return stack.green(n)
+
 
 def cmd_green(args) -> int:
     g, fol = _resolve(args)
-    clu = _pick_cluster(args, fol)
-    ids = g.ids(clu.vertices)
-    _emit(args, f"green_{clu.n}.csv",
-          _matrix_text(args, ids, ids, layer_step(clu, stencil(g, clu), None)[1]))
+    kern = _green(g, fol, _pick_cluster(args, fol).n)
+    ids = g.ids(kern.cluster.vertices)
+    _emit_matrix(args, f"green_{kern.cluster.n}.csv", ids, ids, kern.normalized)
     return 0
 
 
 def cmd_poisson(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
-    st, cols = stencil(g, clu), None
-    if clu.n:
-        inner = make_cluster(fol, clu.n - 1)
-        cols = layer_step(inner, st.leading(inner.size), None)[1][:, inner.layer_slice(inner.n)]
-    _emit(args, f"poisson_{clu.n}.csv",
-          _matrix_text(args, g.ids(clu.vertices), g.ids(clu.top_layer),
-                       layer_step(clu, st, cols)[0]))
+    _emit_matrix(args, f"poisson_{clu.n}.csv", g.ids(clu.vertices), g.ids(clu.top_layer),
+                 OperatorStack(g, fol).poisson(clu.n))
     return 0
 
 
@@ -138,26 +147,23 @@ def cmd_hadamard(args) -> int:
     for m in range(n + 1):  # up to level n, holding G_{m-1} and G_m only
         stack.kernel(m)
         if m:
-            variation.append(stack.variation_residual(m) / stack.green(m).scale())
+            variation.append(variation_residual(stack, m))
         stack.release_green(m - 1)
     q = stack.growth(n)
     gram = dirichlet_gram(g, clu, q)
     if args.out:
-        _emit(args, f"growth_{n}.csv", _matrix_text(args, ids, ids, q))
-        _emit(args, f"growth_{n}_square.csv", _matrix_text(args, ids, ids, q @ q.T))
-        _emit(args, f"growth_{n}_gram.csv", _matrix_text(args, ids, ids, gram))
+        _emit_matrix(args, f"growth_{n}.csv", ids, ids, q)
+        _emit_matrix(args, f"growth_{n}_square.csv", ids, ids, q @ q.T)
+        _emit_matrix(args, f"growth_{n}_gram.csv", ids, ids, gram)
     gn = stack.green(n).normalized
     residuals = {
-        "identity_residual": verify_hadamard_identity(q, gn)
+        "identity_residual": increment_residual(q, q.T, gn.__getitem__)
                              / float(np.max((gn.max(), -gn.min(), 1.0))),
         "isometry_residual": verify_isometry(gram),
         # np.max keeps a NaN, which Python's max drops
         "variation_residual": float(np.max(variation, initial=0.0)),
     }
-    # a non-finite residual is written as null, so the line stays strict JSON
-    print(json.dumps({"schema": 1, "cluster": n, **{
-        name: value if np.isfinite(value) else None for name, value in residuals.items()}},
-        allow_nan=False))
+    print(json.dumps(_finite({"schema": 1, "cluster": n, **residuals}), allow_nan=False))
     return 0
 
 
@@ -207,7 +213,7 @@ def cmd_verify(args) -> int:
         (outdir / "verify.json").write_text(text + "\n")
         for name, doc in detail.items():
             (outdir / f"report_{name}.json").write_text(
-                json.dumps({"schema": 1, **doc}, indent=1) + "\n")
+                json.dumps(_finite({"schema": 1, **doc}), indent=1, allow_nan=False) + "\n")
     print(text)
     return 0 if report["pass"] else 3
 

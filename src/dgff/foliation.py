@@ -67,11 +67,11 @@ class GrowthCluster:
 def validate_foliation(g: Graph, layers) -> Foliation:
     """Check the layering axioms and freeze the result.
 
-    `layers` is a sequence of vertex-id (or index) collections. Raises
-    FoliationError with codes NoExterior, EmptyLayer, OverlappingLayers,
-    CoverageViolation or LocalityViolation; coverage is checked before
-    locality, so an unassigned vertex is reported even when a locality
-    breach is also present.
+    `layers` is a nonempty sequence of vertex-id (or index) collections.
+    Raises FoliationError with codes NoExterior, EmptyLayer (also for no
+    layer), OverlappingLayers, CoverageViolation or LocalityViolation;
+    coverage is checked before locality, so an unassigned vertex is
+    reported even when a locality breach is also present.
 
     Every cluster then has an invertible Laplacian, with no further check.
     A graph from the factories is connected, and the exterior is nonempty,
@@ -90,6 +90,8 @@ def validate_foliation(g: Graph, layers) -> Foliation:
         if isinstance(members[0], str):
             members = g.indices_of(members)
         idx_layers.append(tuple(sorted(members)))
+    if not idx_layers:
+        raise FoliationError("foliation has no layers", code="EmptyLayer")
 
     layer_of = np.full(g.n_vertices, -1, dtype=int)
     ext = g.exterior_indices

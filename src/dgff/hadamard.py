@@ -7,26 +7,27 @@ kernels column-by-column yields the growth operator Q_n, whose column for a
 vertex y of layer m is K_m(., y) zero-extended. In layer-major vertex order
 Q_n is block upper triangular with the R_m blocks on the diagonal.
 
-Two matrix identities make Q_n useful and are verified numerically here:
+Two matrix identities make Q_n useful:
 
 * Q_n Q_n^T equals the normalized Green matrix of the cluster, and
 * the columns of Q_n are orthonormal in the Dirichlet inner product,
   so Q_n maps white noise to a field with Green covariance.
 
 Both hold one layer at a time. The discrete Hadamard variational formula
-G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment
-(`layer_identity_residual`); read on a test function f it says that
-f_n^T G_n f_n = ||Q_n^* f||^2 at every level. A column supported on
+G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment, which
+`dgff.verify.increment_residual` checks; read on a test function f it says
+that f_n^T G_n f_n = ||Q_n^* f||^2 at every level. A column supported on
 cluster m has the same Dirichlet energy at every level n >= m, so the
 Dirichlet Gram of Q_n is the leading block of the top level's.
 
 `OperatorStack` memoizes the per-level operators for a foliated graph and
-is the single entry point the sampling and verification layers build on.
-It stores Q only as its kernel list K_0..K_n, sum_m k_m |L_m| numbers:
-samples grow from the kernels a layer at a time (`dgff.sampling`), and
-`growth_adjoint_apply` returns Q_top^* f, whose leading k_n entries are
-Q_n^* f. `growth(n)` assembles a dense Q_n afresh on each call, for
-`dgff hadamard` and the `isometry` rung, which reads Q_top.
+is the single entry point the commands, the sampling and the checks build
+on; it holds no check code. It stores Q only as its kernel list K_0..K_n,
+sum_m k_m |L_m| numbers: samples grow from the kernels a layer at a time
+(`dgff.sampling`), and `growth_adjoint_apply` returns Q_top^* f, whose
+leading k_n entries are Q_n^* f. `growth(n)` assembles a dense Q_n afresh
+on each call, for `dgff hadamard` and the `isometry` rung, which reads
+Q_top.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Poisson kernel P_n and boundary Green B_n come from one
 Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
@@ -51,7 +52,7 @@ from . import linalg
 from .errors import FoliationError
 from .foliation import Foliation, GrowthCluster, cluster as make_cluster
 from .graph import Graph
-from .operators import GreenKernel, Stencil, green, layer_step, stencil, verify_green_variation
+from .operators import GreenKernel, Stencil, green, layer_step, stencil
 
 def layer_sqrt(bg: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root of a boundary Green matrix."""
@@ -81,38 +82,6 @@ def hadamard_Q(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
         rows = k_m.shape[0]
         q[:rows, clu.layer_slice(m)] = k_m
     return q
-
-
-def verify_hadamard_identity(q: np.ndarray, green_norm: np.ndarray) -> float:
-    """Max-abs residual of Q Q^T against the normalized Green matrix,
-    formed and reduced a block of rows at a time."""
-    worst = []
-    for r in linalg.row_blocks(q.shape[0]):
-        d = q[r] @ q.T
-        d -= green_norm[r]
-        worst.append((d.max(), -d.min()))
-    return abs(float(np.max(worst)))
-
-
-def layer_identity_residual(green_n: np.ndarray, green_prev: np.ndarray,
-                            kernel_n: np.ndarray) -> float:
-    """Max-abs residual of the discrete Hadamard variational formula at one
-    layer, G_n - (G_{n-1} + 0) = K_n K_n^T, for normalized Green matrices,
-    formed and reduced a block of rows at a time.
-
-    It costs k_n^2 |L_n|. Q_n is Q_{n-1} + 0 with K_n in the layer-n
-    columns (`hadamard_Q`), so Q_n Q_n^T = (Q_{n-1} Q_{n-1}^T + 0) + K_n K_n^T
-    and |Q_n Q_n^T - G_n| is at most |Q_{n-1} Q_{n-1}^T - G_{n-1}| plus this.
-    """
-    k = green_prev.shape[0]
-    worst = []
-    for r in linalg.row_blocks(green_n.shape[0]):
-        d = kernel_n[r] @ kernel_n.T  # the residual's negative, in place
-        d -= green_n[r]
-        below = green_prev[r]  # the rows of r under k
-        d[: below.shape[0], :k] += below
-        worst.append((d.max(), -d.min()))
-    return abs(float(np.max(worst)))
 
 
 def _edge_ends(g: Graph, clu: GrowthCluster) -> tuple[np.ndarray, np.ndarray]:
@@ -310,9 +279,6 @@ class OperatorStack:
         """The growth operator Q_n, assembled from the cached kernels; the
         dense matrix itself is not kept."""
         return hadamard_Q(self.cluster(n), [self.kernel(m) for m in range(n + 1)])
-
-    def variation_residual(self, n: int) -> float:
-        return verify_green_variation(self.green(n), self.green(n - 1), self.poisson(n))
 
     def growth_adjoint_apply(self, f: np.ndarray) -> np.ndarray:
         """Q_top^* f on the top cluster, for ambient f (restriction built in).

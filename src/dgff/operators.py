@@ -27,14 +27,14 @@ makes (P_n, B_n) from level n-1's layer columns
 G_{n-1}[:, L_{n-1}] = P_{n-1} B_{n-1} alone: the kernels, and the samples,
 need no dense G_n. Only a layer-sized matrix is factorized per level, and a
 Cholesky factor of the Schur complement certifies A_n positive definite.
-`green` assembles G_n, which only the checks read, from G_{n-1} and the
-step in one array: the update (-X B_n)(-X)^T is multiplied straight into
-its leading block and symmetrized there one tile pair at a time, G_{n-1}
-is added and the layer blocks are copied in, holding only k_n x |L_n|
-blocks and one tile beyond G_{n-1} and G_n; its bits are those of the
-block assembly. Without layer columns the whole cluster is the layer: the
-base step, P = I and B the inverse of the cluster Laplacian, which
-`dgff green` and `dgff poisson` use for a single level.
+`green` assembles G_n, which only the checks and `dgff green` read, from
+G_{n-1} and the step in one array: the update (-X B_n)(-X)^T is multiplied
+straight into its leading block and symmetrized there one tile pair at a
+time, G_{n-1} is added and the layer blocks are copied in, holding only
+k_n x |L_n| blocks and one tile beyond G_{n-1} and G_n; its bits are those
+of the block assembly. Without layer columns the whole cluster is the
+layer: the base step (P = I, B = A^-1), which the recursion takes at
+level 0 only.
 
 A tampered (direction-dependent) conductance table yields an asymmetric
 Laplacian; the Green inverse then falls back to a general LU inverse of the
@@ -239,27 +239,3 @@ def green(g: Graph, clu: GrowthCluster, st: Stencil, prev: GreenKernel | None,
     gn[k:, k:] = b
     pi = np.array([g.pi[v] for v in clu.vertices])
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)
-
-
-def verify_green_variation(green_n: GreenKernel, green_prev: GreenKernel,
-                           poisson_n: np.ndarray) -> float:
-    """Max-abs residual of the one-layer Green update on cluster n:
-
-        G_n(x, y) - G_{n-1}(x, y) = sum over top-layer xi of
-                                    P_n(x, xi) G_n(xi, y)
-
-    with G_{n-1} zero-extended; `poisson_n` is the Poisson kernel of
-    cluster n and its top layer. The residual is formed and reduced a block
-    of rows at a time.
-    """
-    clu = green_n.cluster
-    k_prev = green_prev.cluster.size
-    top = green_n.unnormalized_rows(clu.layer_slice(clu.n))
-    worst = []
-    for r in linalg.row_blocks(clu.size):
-        d = poisson_n[r] @ top  # the residual's negative, in place
-        d -= green_n.unnormalized_rows(r)
-        below = green_prev.unnormalized_rows(r)  # the rows of r under k_prev
-        d[: below.shape[0], :k_prev] += below
-        worst.append((d.max(), -d.min()))
-    return abs(float(np.max(worst)))

@@ -25,13 +25,18 @@ stencil. Two rungs read the paper's per-level facts instead of a cubic
 check at every level:
 
 * `hadamard_identity` sums the one-layer residuals
-  r_m = |G_m - G_{m-1} + 0 - K_m K_m^T| after the full residual
-  |K_0 K_0^T - G_0| of level 0. Q_n is Q_{n-1} + 0 with K_n in the layer-n
-  columns by construction, so Q_n Q_n^T grows by exactly K_n K_n^T and the
-  sum bounds the full residual |Q_n Q_n^T - G_n| up to rounding.
+  r_m = |G_m - (G_{m-1} + 0) - K_m K_m^T|, with G_{-1} empty, so r_0 is
+  |K_0 K_0^T - G_0|. Q_n is Q_{n-1} + 0 with K_n in the layer-n columns
+  by construction, so Q_n Q_n^T grows by exactly K_n K_n^T and the sum
+  bounds the full residual |Q_n Q_n^T - G_n| up to rounding.
 * `isometry` forms one Dirichlet Gram, of Q_top, summed over blocks of
   edges. Q_n is the leading block of Q_top with zeros below, so its Gram
   is the top Gram's leading k_n block, whose residual is part of the top's.
+
+One reader, `increment_residual`, checks each formula for the increment
+G_n - (G_{n-1} + 0): K_n K_n^T here, P_n G_n[L_n, :] in `green_variation`
+(and Q_n Q_n^T against G_n in `dgff hadamard`). In the ladder the left
+factor has |L_n| columns, so no level forms Q_n Q_n^T.
 
 The increment rungs grow their fields with one `dgff_block` call; only
 `isometry` assembles a dense Q, Q_top once.
@@ -83,14 +88,7 @@ from . import linalg
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
-from .hadamard import (
-    OperatorStack,
-    dirichlet_gram,
-    layer_identity_residual,
-    oracle_kernels,
-    verify_hadamard_identity,
-    verify_isometry,
-)
+from .hadamard import OperatorStack, dirichlet_gram, oracle_kernels, verify_isometry
 from .kernels import STREAM_VERSION
 from .operators import GreenKernel, Stencil
 from .sampling import (
@@ -279,16 +277,40 @@ def _monotone_drop(kern: GreenKernel, prev: GreenKernel) -> float:
     return _peak(*drops) / _peak(1.0, *scales)
 
 
+def increment_residual(lhs: np.ndarray, rhs: np.ndarray, rows_n, rows_prev=None) -> float:
+    """max |lhs rhs - (G_n - (G_{n-1} + 0))|, formed and reduced a block of
+    rows at a time. `rows_n(r)` returns rows r of G_n and `rows_prev(r)` those
+    of them under k_{n-1} of G_{n-1}, in either normalization; without
+    `rows_prev` G_{n-1} is empty, and the residual is |lhs rhs - G_n|."""
+    worst = []
+    for r in linalg.row_blocks(lhs.shape[0]):
+        d = lhs[r] @ rhs  # the residual's negative, in place
+        d -= rows_n(r)
+        if rows_prev is not None:
+            below = rows_prev(r)
+            d[: below.shape[0], : below.shape[1]] += below
+        worst.append(_absmax(d))
+    return _peak(*worst)
+
+
+def variation_residual(stack: OperatorStack, n: int) -> float:
+    """The residual of the variation formula at level n >= 1,
+    G_n - (G_{n-1} + 0) = P_n G_n[L_n, :] for unnormalized Green kernels,
+    relative to max(|G_n|, 1)."""
+    kern, prev = stack.green(n), stack.green(n - 1)
+    top = kern.unnormalized_rows(kern.cluster.layer_slice(n))
+    return increment_residual(stack.poisson(n), top, kern.unnormalized_rows,
+                              prev.unnormalized_rows) / kern.scale()
+
+
 def _identity_term(stack: OperatorStack, n: int) -> tuple[float, float]:
-    """Level n's term of the bound on |Q_n Q_n^T - G_n|, the full residual
-    at level 0 (Q_0 is K_0) and the one-layer residual above it, and the
-    scale max(|G_n|, 1)."""
+    """Level n's term of the bound on |Q_n Q_n^T - G_n|, the residual of
+    G_n - (G_{n-1} + 0) = K_n K_n^T (at level 0, where Q_0 is K_0, the full
+    residual), and the scale max(|G_n|, 1)."""
     gn = stack.green(n).normalized
-    if n:
-        term = layer_identity_residual(gn, stack.green(n - 1).normalized, stack.kernel(n))
-    else:
-        term = verify_hadamard_identity(stack.kernel(0), gn)
-    return term, _scale(gn)
+    below = stack.green(n - 1).normalized.__getitem__ if n else None
+    k = stack.kernel(n)
+    return increment_residual(k, k.T, gn.__getitem__, below), _scale(gn)
 
 
 def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_000,
@@ -340,7 +362,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def green_variation():
         yield None  # level 0 has no level below it
         for n in range(1, depth + 1):
-            yield stack.variation_residual(n) / stack.green(n).scale()
+            yield variation_residual(stack, n)
 
     def green_monotone():
         yield None  # level 0 has no level below it

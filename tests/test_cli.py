@@ -1,3 +1,4 @@
+import io
 import json
 import shutil
 from pathlib import Path
@@ -5,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgff import cli, hadamard
+from dgff import OperatorStack, cli, hadamard
 from dgff.cli import main
 from dgff.fixtures import standard_fixture, write_fixture_files
 from dgff.foliation import cluster
+from dgff.linalg import write_matrix_csv
+from dgff.verify import run_ladder
 
 import dense_reference
 
@@ -110,6 +113,22 @@ def test_green_and_poisson_match_the_dense_reference_on_grid13(fixture_dir, tmp_
             assert np.abs(m - ref).max() <= 1e-12, (command, n)
 
 
+def test_green_and_poisson_print_the_stacks_operators(fixture_dir, tmp_path):
+    # the commands read the stack that `dgff verify` checks and `dgff sample`
+    # grows from, so they print its G_n and P_n byte for byte
+    g, fol = standard_fixture("grid13")
+    stack = OperatorStack(g, fol)
+    for n in range(fol.depth + 1):
+        for command, m in (("green", stack.green(n).normalized), ("poisson", stack.poisson(n))):
+            assert run_cli(command, "--graph", fixture_dir / "grid13.json", "--roots", "r6c6",
+                           "--cluster", n, "--out", tmp_path) == 0
+            clu = stack.cluster(n)
+            cols = clu.vertices if command == "green" else clu.top_layer
+            buf = io.StringIO()
+            write_matrix_csv(buf, g.ids(clu.vertices), g.ids(cols), m)
+            assert (tmp_path / f"{command}_{n}.csv").read_text() == buf.getvalue(), (command, n)
+
+
 @pytest.mark.parametrize("command,n", [("green", 1), ("poisson", 2)])
 def test_singular_cluster_is_not_pd_without_a_traceback(tmp_path, capsys, command, n):
     # pi(b) rounds to c(a, b), so cluster 1 = {a, b} is singular, and the
@@ -153,8 +172,8 @@ def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch
 
 def test_hadamard_variation_keeps_a_nan(fixture_dir, capsys, monkeypatch):
     # a NaN at the second of two levels: Python's max dropped it
-    reading = cli.OperatorStack.variation_residual
-    monkeypatch.setattr(cli.OperatorStack, "variation_residual",
+    reading = cli.variation_residual
+    monkeypatch.setattr(cli, "variation_residual",
                         lambda stack, m: np.nan if m == 2 else reading(stack, m))
     assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2") == 0
     out = capsys.readouterr().out
@@ -213,6 +232,41 @@ def test_verify_small(fixture_dir, tmp_path, capsys):
     swp = json.loads((tmp_path / "report_sweep.json").read_text())
     assert set(swp) == summary | {"n1", "n2", "identity_residual", "variance_targets"}
     assert swp["n1"] == 1 and swp["n2"] == 1
+
+
+def _refuse(constant):
+    raise ValueError(f"non-strict JSON constant {constant}")
+
+
+def test_verify_reports_are_strict_json(fixture_dir, tmp_path, capsys, monkeypatch):
+    # a NaN in the top kernel reaches every report; each writes it as null
+    def tampered(g, fol, **kwargs):
+        stack = OperatorStack(g, fol)
+        bad = stack.kernel(fol.depth).copy()
+        bad[0, 0] = np.nan
+        stack._cache[("kernel", fol.depth)] = bad
+        return run_ladder(g, fol, stack=stack, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ladder", tampered)
+    assert run_cli("verify", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2",
+                   "--trials", "2000", "--out", tmp_path) == 3
+    capsys.readouterr()
+    docs = {name: json.loads((tmp_path / f"{name}.json").read_text(), parse_constant=_refuse)
+            for name in ("verify", "report_covariance", "report_brownian", "report_sweep")}
+    assert docs["report_covariance"]["max_abs_z"] is None
+    assert docs["report_brownian"]["pythagoras_residual"] is None
+    assert docs["report_sweep"]["identity_residual"] is None
+
+
+def test_no_layers_exits_two_everywhere(tmp_path, capsys):
+    graph = tmp_path / "exterior.edgelist"
+    graph.write_text("!exterior a b\na b 1\n")
+    fol = tmp_path / "empty.json"
+    fol.write_text('{"layers": []}')
+    for command in ("validate", "verify", "green", "poisson", "hadamard", "sample"):
+        extra = ("--out", tmp_path / "out") if command == "sample" else ()
+        assert run_cli(command, "--graph", graph, "--foliation", fol, *extra) == 2, command
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "EmptyLayer", command
 
 
 def test_verify_needs_foliation_or_roots(fixture_dir, capsys):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dgff import FoliationError, bfs_foliate, cluster, validate_foliation
 from dgff.fixtures import grid_graph, path_graph, standard_fixture
+from dgff.graph import from_edges
 
 import dense_reference
 from conftest import small_graphs
@@ -46,6 +47,15 @@ def test_skipping_a_layer_flags_locality(p5):
 def test_empty_layer_rejected(p5):
     with pytest.raises(FoliationError) as exc:
         validate_foliation(p5, [["v1"], [], ["v2", "v3"]])
+    assert exc.value.code == "EmptyLayer"
+
+
+def test_no_layers_rejected():
+    # every vertex exterior: an empty layer list covers the interior, but a
+    # foliation has at least one layer, or it has no cluster to grow
+    g = from_edges(["a", "b"], ["a", "b"], [("a", "b", 1.0)])
+    with pytest.raises(FoliationError) as exc:
+        validate_foliation(g, [])
     assert exc.value.code == "EmptyLayer"
 
 

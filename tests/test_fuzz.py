@@ -1,7 +1,10 @@
 """Fuzzing of the graph and foliation parsers through the CLI entry point.
 
 The property: any input file exits 0, or exits 2 with a JSON diagnostic
-that names an error code. It never ends in a Python traceback.
+that names an error code. It never ends in a Python traceback. A
+foliation that `dgff validate` accepts also runs the exact ladder to its
+end: `dgff verify` exits 0 or 3, and no rung fails for an index out of
+range or a missing prerequisite.
 """
 
 import contextlib
@@ -40,6 +43,16 @@ LAYERS = st.one_of(st.lists(st.lists(st.sampled_from(["v1", "v2", "v3", "v4", "v
                                      max_size=3), max_size=5), JSON_VALUES)
 FOLIATION_DOCS = st.one_of(st.fixed_dictionaries({"layers": LAYERS}), JSON_VALUES)
 
+
+@st.composite
+def p5_partitions(draw):
+    """The interior of p5 in some order, cut into consecutive layers: every
+    vertex is covered once, and locality may or may not hold."""
+    order = draw(st.permutations(["v1", "v2", "v3"]))
+    cuts = sorted(draw(st.sets(st.integers(1, len(order) - 1))))
+    return {"layers": [order[i:j] for i, j in zip([0, *cuts], [*cuts, len(order)])]}
+
+
 # Inputs that once ended in a traceback.
 INVALID_UTF8 = b"\xff\xfe a b 1\n"
 HUGE_INTEGER = ('{"exterior": ["x"], "edges": [{"u": "a", "v": "x", "c": 1'
@@ -53,20 +66,23 @@ DEEP_NESTING = b"[" * 100_000 + b"]" * 100_000
 def fixture_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("fixtures")
     write_fixture_files(d)
+    (d / "exterior.edgelist").write_text("!exterior a b\na b 1\n")  # no interior
     return d
 
 
-def run(name: str, data: bytes, *argv) -> None:
-    """Run the CLI on `data` written to a file called `name`; check the exit."""
+def run(name: str, data: bytes, *argv, exits=(0, 2)) -> tuple[int, str]:
+    """Run the CLI on `data` written to a file called `name`; check the exit
+    and return it with the output."""
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / name
         path.write_bytes(data)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a).replace("{path}", str(path)) for a in argv])
-    assert code in (0, 2), (code, err.getvalue())
+    assert code in exits, (code, err.getvalue())
     if code == 2:
         assert isinstance(json.loads(err.getvalue())["error"]["code"], str)
+    return code, out.getvalue()
 
 
 @settings(max_examples=150, deadline=None)
@@ -106,3 +122,18 @@ def test_foliation_json(fixture_dir, doc):
 @example(b'{"layers": [["v1"], ["v2"], ["v3"], ["v4"], ["v5"]]}')
 def test_foliation_bytes(fixture_dir, data):
     run("f.json", data, "validate", "--graph", fixture_dir / "p5.json", "--foliation", "{path}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["p5.json", "exterior.edgelist"]),
+       st.one_of(FOLIATION_DOCS, p5_partitions()))
+@example("exterior.edgelist", {"layers": []})
+@example("p5.json", {"layers": [["v2"], ["v1", "v3"]]})
+def test_foliation_past_validate(fixture_dir, graph, doc):
+    argv = ("--graph", fixture_dir / graph, "--foliation", "{path}")
+    data = json.dumps(doc).encode()
+    if run("f.json", data, "validate", *argv)[0]:
+        return
+    code, out = run("f.json", data, "verify", *argv, "--trials", "0", exits=(0, 3))
+    errors = {row.get("error") for row in json.loads(out)["checks"]}
+    assert not errors & {"IndexOutOfRange", "PrerequisiteFailed"}, errors

@@ -1,4 +1,5 @@
 import inspect
+import json
 import sys
 import tracemalloc
 
@@ -13,14 +14,15 @@ from dgff import (
     bfs_foliate,
     cluster,
     green,
+    increment_residual,
     layer_step,
     stencil,
-    verify_green_variation,
 )
 from dgff import linalg
+from dgff.cli import main
 from dgff.fixtures import grid_graph, path_graph, standard_fixture
 from dgff.foliation import GrowthCluster
-from dgff.graph import Graph, from_edges, recompute_pi_from
+from dgff.graph import Graph, from_edges, graph_to_json, recompute_pi_from
 from dgff.verify import run_ladder
 
 import dense_reference
@@ -31,6 +33,13 @@ def base_green(g, clu):
     """The recursion's base step: the whole cluster inverted at once."""
     st = stencil(g, clu)
     return green(g, clu, st, None, layer_step(clu, st, None))
+
+
+def variation(kern, prev, p):
+    """The variation formula's residual |P_n G_n[L_n, :] - (G_n - (G_{n-1} + 0))|
+    for unnormalized kernels."""
+    top = kern.unnormalized_rows(kern.cluster.layer_slice(kern.cluster.n))
+    return increment_residual(p, top, kern.unnormalized_rows, prev.unnormalized_rows)
 
 
 def top_step(g, fol, n):
@@ -359,7 +368,7 @@ class TestOneLayerBuild:
         with pytest.raises(NotPositiveDefiniteError):
             stack.green(1)
 
-    def test_factorizes_nothing_wider_than_a_layer(self, monkeypatch):
+    def test_factorizes_nothing_wider_than_a_layer(self, monkeypatch, tmp_path, capsys):
         shapes = []
 
         def recording(fn):
@@ -375,6 +384,12 @@ class TestOneLayerBuild:
         for n in range(fol.depth + 1):
             stack.growth(n)
             stack.green(n)
+        # and neither does a command that prints one level's operator
+        path = tmp_path / "grid13.json"
+        path.write_text(json.dumps(graph_to_json(g)))
+        for command in ("green", "poisson"):
+            assert main([command, "--graph", str(path), "--roots", "r6c6"]) == 0
+        capsys.readouterr()
         widest = max(len(layer) for layer in fol.layers)
         assert shapes and max(max(s) for s in shapes) <= widest
 
@@ -422,7 +437,7 @@ class TestVariation:
         assert g1[0, 0] - g0[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
         p = layer_step(c1, stencil(g, c1), base_green(g, c0).normalized)[0]
         assert p[0, 0] * g1[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert verify_green_variation(base_green(g, c1), base_green(g, c0), p) <= 1e-12
+        assert variation(base_green(g, c1), base_green(g, c0), p) <= 1e-12
 
     def test_residual_small_on_fixtures(self):
         for name in ("p5", "grid5", "tree3"):
@@ -431,9 +446,8 @@ class TestVariation:
                 clu = cluster(fol, n)
                 green_n = dense_reference.green(g, clu)
                 scale = np.abs(dense_reference.unnormalized(green_n)).max()
-                resid = verify_green_variation(green_n,
-                                               dense_reference.green(g, cluster(fol, n - 1)),
-                                               dense_reference.poisson(g, clu))
+                resid = variation(green_n, dense_reference.green(g, cluster(fol, n - 1)),
+                                  dense_reference.poisson(g, clu))
                 assert resid <= 1e-10 * scale
 
     def test_monotone_growth(self):

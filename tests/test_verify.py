@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dgff import OperatorStack, verify_hadamard_identity, verify_isometry
+from dgff import OperatorStack, increment_residual, verify_isometry
 from dgff import hadamard, linalg, operators, sampling, verify
 from dgff.cli import main
 from dgff.errors import DGFFError
@@ -36,7 +36,7 @@ def _old_hadamard_statistic(stack):
     for n in range(stack.depth + 1):
         gn = stack.green(n).normalized
         q = stack.growth(n)
-        worst = max(worst, verify_hadamard_identity(q, gn)
+        worst = max(worst, increment_residual(q, q.T, gn.__getitem__)
                     / max(float(np.abs(gn).max()), 1.0))
     return worst
 
@@ -51,13 +51,18 @@ class TestHadamardIdentity:
         assert row["statistic"] >= _old_hadamard_statistic(stack) - 1e-15
 
     def test_reads_the_full_residual_at_level_zero_only(self, monkeypatch):
+        # every product the ladder's reader forms has |L_n| columns on its
+        # left, k_0 at level 0, where K_0 is Q_0: no level forms Q_n Q_n^T
         calls = []
-        full = verify.verify_hadamard_identity
-        monkeypatch.setattr(verify, "verify_hadamard_identity",
-                            lambda sq, gn: calls.append(sq.shape[0]) or full(sq, gn))
+        reader = verify.increment_residual
+        monkeypatch.setattr(verify, "increment_residual",
+                            lambda lhs, *rest: calls.append(lhs.shape) or reader(lhs, *rest))
         g, fol = standard_fixture("grid13")
         assert _row(run_ladder(g, fol, trials=0), "hadamard_identity")["passed"]
-        assert calls == [1]
+        stack = OperatorStack(g, fol)
+        layers = [(stack.cluster(n).size, len(fol.layers[n])) for n in range(fol.depth + 1)]
+        # hadamard_identity at every level, green_variation above level 0
+        assert Counter(calls) == Counter(layers + layers[1:])
 
     def test_corrupted_top_kernel_fails(self):
         g, fol = standard_fixture("grid5")
