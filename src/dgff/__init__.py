@@ -10,6 +10,8 @@ an oracle of the same law from the Cholesky factor of the top Laplacian,
 grown one layer at a time like the field.
 """
 
+__version__ = "0.1.0"  # first: verify reads it while the package imports
+
 from .errors import (
     ConvergenceError,
     DGFFError,
@@ -56,7 +58,5 @@ from .sampling import (
     sweep_average_check,
 )
 from .verify import increment_residual, run_ladder
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,10 +2,11 @@
 
 Subcommands: validate, foliate, green, poisson, hadamard, sample, verify.
 Reports are JSON (schema version 1) on stdout; matrices are CSV with vertex
-ids in the first row and column. Exit codes: 0 success, 1 I/O failure,
-2 invalid input (parse or validation, with the error code in the JSON
-diagnostic), 3 verification checks failed. All randomness derives from
---seed; nothing reads ambient entropy.
+ids in the first row and column, or with --format json a JSON document of
+the ids and the rows of entries, a non-finite entry as null. Exit codes:
+0 success, 1 I/O failure, 2 invalid input (parse or validation, with the
+error code in the JSON diagnostic), 3 verification checks failed. All
+randomness derives from --seed; nothing reads ambient entropy.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,14 +70,24 @@ def _emit(args, name: str, write) -> None:
         write(sys.stdout)
 
 
-def _emit_matrix(args, name: str, row_ids, col_ids, m) -> None:
-    """Emit a matrix as JSON, or as CSV written a row at a time."""
-    if args.format == "json":
-        text = json.dumps({"schema": 1, "rows": list(row_ids), "cols": list(col_ids),
-                           "entries": np.asarray(m).tolist()}, indent=1) + "\n"
-        _emit(args, name, lambda fh: fh.write(text))
-    else:
-        _emit(args, name, lambda fh: write_matrix_csv(fh, row_ids, col_ids, m))
+def _write_matrix_json(fh, row_ids, col_ids, m: np.ndarray) -> None:
+    """Matrix JSON (schema 1): the ids, then the entries a row at a time,
+    one line each; a non-finite entry is written as null."""
+    fh.write('{"schema": 1, "rows": %s, "cols": %s, "entries": ['
+             % (json.dumps(list(row_ids)), json.dumps(list(col_ids))))
+    for i, row in enumerate(np.atleast_2d(m)):
+        values = row.tolist()
+        if not np.isfinite(row).all():
+            values = [x if math.isfinite(x) else None for x in values]
+        fh.write(("," if i else "") + "\n" + json.dumps(values, allow_nan=False))
+    fh.write("\n]}\n")
+
+
+def _emit_matrix(args, stem: str, row_ids, col_ids, m) -> None:
+    """Emit a matrix in --format, CSV or JSON, to `stem`.csv or `stem`.json
+    under --out; either is written a row at a time."""
+    write = _write_matrix_json if args.format == "json" else write_matrix_csv
+    _emit(args, f"{stem}.{args.format}", lambda fh: write(fh, row_ids, col_ids, m))
 
 
 def _finite(doc):
@@ -125,14 +137,14 @@ def cmd_green(args) -> int:
     g, fol = _resolve(args)
     kern = _green(g, fol, _pick_cluster(args, fol).n)
     ids = g.ids(kern.cluster.vertices)
-    _emit_matrix(args, f"green_{kern.cluster.n}.csv", ids, ids, kern.normalized)
+    _emit_matrix(args, f"green_{kern.cluster.n}", ids, ids, kern.normalized)
     return 0
 
 
 def cmd_poisson(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
-    _emit_matrix(args, f"poisson_{clu.n}.csv", g.ids(clu.vertices), g.ids(clu.top_layer),
+    _emit_matrix(args, f"poisson_{clu.n}", g.ids(clu.vertices), g.ids(clu.top_layer),
                  OperatorStack(g, fol).poisson(clu.n))
     return 0
 
@@ -152,9 +164,9 @@ def cmd_hadamard(args) -> int:
     q = stack.growth(n)
     gram = dirichlet_gram(g, clu, q)
     if args.out:
-        _emit_matrix(args, f"growth_{n}.csv", ids, ids, q)
-        _emit_matrix(args, f"growth_{n}_square.csv", ids, ids, q @ q.T)
-        _emit_matrix(args, f"growth_{n}_gram.csv", ids, ids, gram)
+        _emit_matrix(args, f"growth_{n}", ids, ids, q)
+        _emit_matrix(args, f"growth_{n}_square", ids, ids, q @ q.T)
+        _emit_matrix(args, f"growth_{n}_gram", ids, ids, gram)
     gn = stack.green(n).normalized
     residuals = {
         "identity_residual": increment_residual(q, q.T, gn.__getitem__)

@@ -59,20 +59,25 @@ def _hash(hs: np.ndarray, counters: np.ndarray, z: np.ndarray, tmp: np.ndarray) 
     z >>= np.uint64(11)
 
 
-def _box_muller(h1: np.ndarray, h2: np.ndarray, cos_out: np.ndarray,
+def _box_muller(h1: np.ndarray, h2: np.ndarray, tmp: np.ndarray, cos_out: np.ndarray,
                 sin_out: np.ndarray) -> None:
     """The two normals r cos theta and r sin theta of each pair of 53-bit
-    hashes (h1, h2), written to `cos_out` and `sin_out`; both uint64
-    arrays are used as scratch and clobbered.
+    hashes (h1, h2), written to `cos_out` and `sin_out`; the three uint64
+    arrays of one shape are used as scratch and clobbered.
+
+    r, t and q live in the contiguous scratch, viewed as float64; the
+    outputs, strided views into a pairs buffer, are written once each, by
+    one multiply.
 
     h2 = 0 gives t = tan(-pi/2 rounded), about -1.6e16, and h2 = 2^53 - 1
     gives t about 2.0e15: t^2 stays finite, q - 1 = -1 and t q is about 0.
     """
-    np.add(h1, 1.0, out=cos_out)                # u1 in (0, 1], then r = sqrt(-2 ln u1)
-    cos_out *= _TWO_NEG53
-    np.log(cos_out, out=cos_out)
-    cos_out *= -2.0
-    np.sqrt(cos_out, out=cos_out)
+    r = tmp.view(np.float64)                     # u1 in (0, 1], then r = sqrt(-2 ln u1)
+    np.add(h1, 1.0, out=r)
+    r *= _TWO_NEG53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
     t = h1.view(np.float64)                      # h1 is free again: reuse as t
     np.copyto(t, h2, casting="unsafe")
     t -= 2.0 ** 52                               # exact: pi (u2 - 1/2) scaled by 2^53
@@ -84,8 +89,58 @@ def _box_muller(h1: np.ndarray, h2: np.ndarray, cos_out: np.ndarray,
     np.divide(2.0, q, out=q)
     t *= q                                       # sin theta
     q -= 1.0                                     # cos theta
-    np.multiply(cos_out, t, out=sin_out)
-    cos_out *= q
+    np.multiply(r, t, out=sin_out)
+    np.multiply(r, q, out=cos_out)
+
+
+def _stream_hashes(seed: int, streams: np.ndarray) -> np.ndarray:
+    """h_s of each uint64 stream id under `seed`."""
+    with np.errstate(over="ignore"):
+        h = np.full(1, (seed & _MASK) ^ _GOLDEN, dtype=np.uint64)
+        _fmix64(h, np.empty_like(h))
+        hs = streams * np.uint64(_GOLDEN) + np.uint64(1)
+        hs ^= h
+        _fmix64(hs, np.empty_like(hs))
+    return hs
+
+
+def _pairs(draw0: int, ndraws: int) -> int:
+    """Number of Box-Muller pairs covering draws [draw0, draw0 + ndraws)."""
+    return (draw0 + ndraws + 1) // 2 - draw0 // 2
+
+
+def _scratch(npairs: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three uint64 scratch arrays of `_fill_draws`: one chunk of about
+    _CHUNK hash pairs, or `npairs` rows of k if fewer."""
+    rows = max(1, min(npairs, _CHUNK // max(k, 1)))
+    return tuple(np.empty((rows, k), dtype=np.uint64) for _ in range(3))
+
+
+def _fill_draws(hs: np.ndarray, draw0: int, ndraws: int, pairs: np.ndarray,
+                h1: np.ndarray, h2: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Draws [draw0, draw0 + ndraws) of the streams hashed `hs`, made in
+    caller-owned buffers and returned as an (ndraws, k) view into `pairs`.
+
+    `pairs` holds at least `_pairs(draw0, ndraws)` rows of shape (2, k):
+    row i gets draws 2(p0 + i) and 2(p0 + i) + 1, p0 = draw0 // 2. They
+    are made len(h1) rows at a time in the scratch h1, h2, tmp (`_scratch`).
+    Every entry depends only on its own pair's counters, so neither the
+    chunking nor the buffers change the values; an odd `draw0` or end
+    computes its boundary pair whole and drops the other half. numpy's
+    error state is per thread, so it is set here, where a draw thread
+    enters.
+    """
+    p0, rows = draw0 // 2, len(h1)
+    npairs = _pairs(draw0, ndraws)
+    with np.errstate(over="ignore"):
+        for r0 in range(0, npairs, rows):
+            o = pairs[r0:min(r0 + rows, npairs)]
+            m = len(o)
+            c = np.uint64(2) * (np.arange(r0, r0 + m, dtype=np.uint64) + np.uint64(p0))
+            _hash(hs, c, h1[:m], tmp[:m])
+            _hash(hs, c + np.uint64(1), h2[:m], tmp[:m])
+            _box_muller(h1[:m], h2[:m], tmp[:m], o[:, 0], o[:, 1])
+    return pairs[:npairs].reshape(2 * npairs, hs.shape[0])[draw0 - 2 * p0:][:ndraws]
 
 
 def normal_block(seed: int, streams: np.ndarray, draw0: int, ndraws: int) -> np.ndarray:
@@ -93,28 +148,9 @@ def normal_block(seed: int, streams: np.ndarray, draw0: int, ndraws: int) -> np.
 
     The pairs covering the draws are generated in chunks of about _CHUNK
     hash pairs, in place: three uint64 scratch arrays of one chunk each are
-    all the memory needed beyond the output. Every entry depends only on
-    its own pair's counters, so the chunking does not change the values; an
-    odd `draw0` or end computes its boundary pair whole and drops the other
-    half.
+    all the memory needed beyond the output (`_fill_draws`).
     """
     s = np.asarray(streams, dtype=np.uint64)
-    p0 = draw0 // 2
-    npairs = (draw0 + ndraws + 1) // 2 - p0
-    pairs = np.empty((npairs, 2, s.shape[0]))    # pairs[i] holds draws 2(p0+i), 2(p0+i)+1
-    rows = max(1, min(npairs, _CHUNK // max(s.shape[0], 1)))
-    h1, h2, tmp = (np.empty((rows, s.shape[0]), dtype=np.uint64) for _ in range(3))
-    with np.errstate(over="ignore"):
-        h = np.full(1, (seed & _MASK) ^ _GOLDEN, dtype=np.uint64)
-        _fmix64(h, np.empty_like(h))
-        hs = s * np.uint64(_GOLDEN) + np.uint64(1)
-        hs ^= h
-        _fmix64(hs, np.empty_like(hs))
-        for r0 in range(0, npairs, rows):
-            o = pairs[r0:r0 + rows]
-            m = len(o)
-            c = np.uint64(2) * (np.arange(r0, r0 + m, dtype=np.uint64) + np.uint64(p0))
-            _hash(hs, c, h1[:m], tmp[:m])
-            _hash(hs, c + np.uint64(1), h2[:m], tmp[:m])
-            _box_muller(h1[:m], h2[:m], o[:, 0], o[:, 1])
-    return pairs.reshape(2 * npairs, s.shape[0])[draw0 - 2 * p0:][:ndraws]
+    npairs = _pairs(draw0, ndraws)
+    return _fill_draws(_stream_hashes(seed, s), draw0, ndraws,
+                       np.empty((npairs, 2, s.shape[0])), *_scratch(npairs, s.shape[0]))

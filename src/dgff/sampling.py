@@ -23,19 +23,20 @@ DGFF Q_n z, its increments K_n z_{L_n} = (Q_n - Q_{n-1} zero-extended) z,
 the pairings <f, Psi_n> = (Q_n^* f) . z. So every empirical second moment
 is A S B^T, with S = sum z z^T / N the noise's Gram matrix, and the Monte
 Carlo keeps S alone (the Gram route). `noise_gram` sums it one block of at
-least 1024 draws at a time, never holding a trials x k block, and two draw
-ranges merge by adding their sums, so the trials can be split across
-workers by draw range. `brownian_check` and `sweep_average_check` draw
-nothing: they return the coefficient rows of the pairings and of the
-boundary averages, all read off one adjoint Q_top^* (Q_n^* f is the
-leading k_n entries of Q_top^* f), with their exact covariance, and the
-caller scores them on its S. `grown_covariances` grows every level's
-T_n S T_n^T from the layer columns of T, yielding one level at a time: the
-kernels K_n for the DGFF, and for the oracle, whose noise Gram has its own
-disjoint draw range, those of W. Explicit samples exist only as blocks of
-trials, one trial per row: `wnf_block` draws the noise and `dgff_block`
-grows every level from it one layer at a time, for `dgff sample` and the
-exact per-sample rungs.
+least 1024 draws at a time, never holding a trials x k block. The blocks
+are drawn on two threads when the process may use two CPUs, and added in
+draw order, so S has the same bits on one thread or two; two draw ranges
+merge by adding their sums, to rounding. `brownian_check` and
+`sweep_average_check` draw nothing: they return the coefficient rows of
+the pairings and of the boundary averages, all read off one adjoint
+Q_top^* (Q_n^* f is the leading k_n entries of Q_top^* f), with their
+exact covariance, and the caller scores them on its S.
+`grown_covariances` grows every level's T_n S T_n^T from the layer columns
+of T, yielding one level at a time: the kernels K_n for the DGFF, and for
+the oracle, whose noise Gram has its own disjoint draw range, those of W.
+Explicit samples exist only as blocks of trials, one trial per row:
+`wnf_block` draws the noise and `dgff_block` grows every level from it one
+layer at a time, for `dgff sample` and the exact per-sample rungs.
 
 The empirical covariance of a zero-mean Gaussian sample has per-entry
 standard error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z|
@@ -46,6 +47,8 @@ taken over.
 
 from __future__ import annotations
 
+import os
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
@@ -132,21 +135,114 @@ class NoiseGram:
 _GRAM_ROWS = 1024  # fewest draws per z^T z product: narrower ones cost up to 1.8x more
 
 
+def _workers() -> int:
+    """Draw threads for `noise_gram`: two when this process may run on two
+    CPUs, else one, which draws in the calling thread."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    return 2 if len(cpus) >= 2 else 1
+
+
+def _task_grams(hs: np.ndarray, draw0: int, ndraws: int, rows: int,
+                buffers: tuple[np.ndarray, ...]) -> list[np.ndarray]:
+    """z_b^T z_b of each block of `rows` draws in [draw0, draw0 + ndraws),
+    in order, each block drawn into one thread's `buffers`. No public dgff
+    function is called here: the tracer's span stack is not thread-safe."""
+    grams = []
+    for r0 in range(0, ndraws, rows):
+        z = kernels._fill_draws(hs, draw0 + r0, min(rows, ndraws - r0), *buffers)
+        grams.append(z.T @ z)
+    return grams
+
+
+def _in_order(tasks: Sequence, start, work, take, workers: int) -> None:
+    """take(work(start(), task)) for each task, in order of `tasks`.
+
+    With two or more workers and tasks, `work` runs on that many threads,
+    each with its own state from `start`, while the calling thread takes
+    the results in order; at most workers + 1 tasks are begun and not yet
+    taken. A worker's exception is raised here, after every thread has
+    been joined. Otherwise everything runs in the calling thread.
+    """
+    if workers < 2 or len(tasks) < 2:
+        state = start()
+        for task in tasks:
+            take(work(state, task))
+        return
+    done: dict[int, object] = {}
+    failed: list[BaseException] = []
+    begun = [0]
+    cond, slots = threading.Condition(), threading.Semaphore(workers + 1)
+
+    def run() -> None:
+        try:
+            state = start()
+            while True:
+                slots.acquire()
+                with cond:
+                    i = begun[0]
+                    if i == len(tasks):
+                        return
+                    begun[0] += 1
+                result = work(state, tasks[i])
+                with cond:
+                    done[i] = result
+                    cond.notify_all()
+        except BaseException as exc:  # re-raised by the calling thread
+            with cond:
+                failed.append(exc)
+                cond.notify_all()
+
+    threads = [threading.Thread(target=run, daemon=True) for _ in range(workers)]
+    try:
+        for t in threads:
+            t.start()
+        for i in range(len(tasks)):
+            with cond:
+                cond.wait_for(lambda: i in done or failed)
+                if failed:
+                    raise failed[0]
+                result = done.pop(i)
+            take(result)
+            slots.release()
+    finally:
+        with cond:
+            begun[0] = len(tasks)  # no task begins after this
+        for _ in threads:
+            slots.release()
+        for t in threads:
+            if t.ident is not None:  # started
+                t.join()
+
+
 def noise_gram(seed: int, streams, draw0: int, ndraws: int) -> NoiseGram:
     """Gram matrix of the normals of `streams` over draws [draw0, draw0 + ndraws).
 
-    The draws are made and summed one block of rows at a time, about 2^16
-    normals (`kernels._CHUNK`) and at least _GRAM_ROWS draws, so memory
-    stays O(_GRAM_ROWS k + k^2) for any number of draws. Each draw
-    depends only on its own counter: the blocking, or a split of the range,
-    changes the sum only by rounding.
+    The draws are summed one block of rows at a time, about 2^16 normals
+    (`kernels._CHUNK`) and at least _GRAM_ROWS draws: `total` adds each
+    block's z_b^T z_b in block order. A task draws two blocks, one chunk of
+    pairs when k <= 64, and the tasks run on two threads when the process
+    may use two CPUs (`_workers`); numpy releases the GIL in its ufuncs and
+    products. Each thread draws into buffers it allocates once per call,
+    so memory stays O(_GRAM_ROWS k + k^2) per thread for any number of
+    draws, and the calling thread adds the tasks' products in order: the
+    bits of `total` do not depend on the number of threads. Each draw
+    depends only on its own counter: a split of the range changes the sum
+    only by rounding.
     """
     s = np.asarray(streams, dtype=np.uint64)
-    rows = max(_GRAM_ROWS, kernels._CHUNK // max(s.shape[0], 1))
-    total = np.zeros((s.shape[0], s.shape[0]))
-    for r0 in range(0, ndraws, rows):
-        z = kernels.normal_block(seed, s, draw0 + r0, min(rows, ndraws - r0))
-        total += z.T @ z
+    k = s.shape[0]
+    rows = max(_GRAM_ROWS, kernels._CHUNK // max(k, 1))
+    hs = kernels._stream_hashes(seed, s)
+    tasks = [(draw0 + r0, min(2 * rows, ndraws - r0)) for r0 in range(0, ndraws, 2 * rows)]
+    npairs = min(rows, ndraws) // 2 + 1  # the most pairs a block can cover
+    total = np.zeros((k, k))
+
+    def add(grams: list[np.ndarray]) -> None:
+        for g in grams:
+            np.add(total, g, out=total)
+
+    _in_order(tasks, lambda: (np.empty((npairs, 2, k)), *kernels._scratch(npairs, k)),
+              lambda buffers, task: _task_grams(hs, *task, rows, buffers), add, _workers())
     return NoiseGram(total, ndraws)
 
 

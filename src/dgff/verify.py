@@ -84,7 +84,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import __version__, linalg
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
@@ -313,6 +313,18 @@ def _identity_term(stack: OperatorStack, n: int) -> tuple[float, float]:
     return increment_residual(k, k.T, gn.__getitem__, below), _scale(gn)
 
 
+def provenance() -> dict:
+    """The builds that fix the bits of a report besides its inputs: the
+    normal bitstream is fixed per numpy build and the statistics per BLAS.
+    The BLAS name is numpy's own record of its build, None where numpy
+    keeps none."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.25 has no mode "dicts"
+        blas = None
+    return {"dgff": __version__, "numpy": np.__version__, "blas": blas}
+
+
 def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_000,
                tol_exact: float = TOL_EXACT, z_max: float = Z_MAX,
                stack: OperatorStack | None = None, collect_reports: bool = False) -> dict:
@@ -531,6 +543,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     out = {
         "schema": 1,
         "stream_version": STREAM_VERSION,
+        "provenance": provenance(),
         "seed": seed,
         "trials": trials,
         "depth": depth,

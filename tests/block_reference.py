@@ -5,6 +5,7 @@ reference it is tested against."""
 
 import numpy as np
 
+from dgff import kernels, sampling
 from dgff.sampling import CovarianceReport, cross_moment_zmax, dgff_block, moment_report
 
 
@@ -28,3 +29,15 @@ def pairing_block(stack, f: np.ndarray, phi_block: np.ndarray) -> np.ndarray:
     """(trials, depth+1) matrix of pairings F_n = <f, Psi_n>."""
     f_top = np.asarray(f, dtype=float)[np.array(stack.cluster(stack.depth).vertices)]
     return np.column_stack([s @ f_top[: s.shape[1]] for s in dgff_block(stack, phi_block)])
+
+
+def serial_noise_gram(seed: int, streams, draw0: int, ndraws: int) -> np.ndarray:
+    """The noise Gram total drawn in one thread: `normal_block` blocks of
+    `noise_gram`'s row count, their z^T z added in draw order."""
+    s = np.asarray(streams)
+    rows = max(sampling._GRAM_ROWS, kernels._CHUNK // max(len(s), 1))
+    total = np.zeros((len(s), len(s)))
+    for r0 in range(0, ndraws, rows):
+        z = kernels.normal_block(seed, s, draw0 + r0, min(rows, ndraws - r0))
+        total += z.T @ z
+    return total

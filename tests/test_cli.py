@@ -1,11 +1,15 @@
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dgff
 from dgff import OperatorStack, cli, hadamard
 from dgff.cli import main
 from dgff.fixtures import standard_fixture, write_fixture_files
@@ -89,6 +93,54 @@ def test_green_json_format(fixture_dir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["rows"] == ["v1"]
     assert doc["entries"][0][0] == pytest.approx(0.5, abs=1e-14)
+
+
+def strict_json(path):
+    """The JSON document at `path`, refusing NaN and Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name,roots", [("p4", "v1"), ("grid13", "r6c6")])
+def test_json_matrices_are_named_json_and_match_the_csv(fixture_dir, tmp_path, name, roots):
+    # the document is {"schema", "rows", "cols", "entries"}, as when it was
+    # built whole; its entries equal the CSV's, whose %.17g round-trips
+    stems = {"green": ["green_{n}"], "poisson": ["poisson_{n}"],
+             "hadamard": ["growth_{n}", "growth_{n}_square", "growth_{n}_gram"]}
+    n = standard_fixture(name)[1].depth
+    for command in stems:
+        for fmt in ("csv", "json"):
+            assert run_cli(command, "--graph", fixture_dir / f"{name}.json", "--roots", roots,
+                           "--format", fmt, "--out", tmp_path / fmt) == 0
+    names = [stem.format(n=n) for stem in sum(stems.values(), [])]
+    assert sorted(p.name for p in (tmp_path / "json").iterdir()) == sorted(
+        f"{stem}.json" for stem in names)
+    for stem in names:
+        rows, cols, m = read_matrix_csv(tmp_path / "csv" / f"{stem}.csv")
+        assert strict_json(tmp_path / "json" / f"{stem}.json") == {
+            "schema": 1, "rows": rows, "cols": cols, "entries": m.tolist()}
+
+
+def test_json_matrix_writes_non_finite_entries_as_null(tmp_path):
+    path = tmp_path / "m.json"
+    with open(path, "w") as fh:
+        cli._write_matrix_json(fh, ["a", "b"], ["c", "d"],
+                               np.array([[1.5, np.nan], [-np.inf, np.inf]]))
+    assert strict_json(path) == {"schema": 1, "rows": ["a", "b"], "cols": ["c", "d"],
+                                 "entries": [[1.5, None], [None, None]]}
+
+
+def test_cli_import_starts_no_thread_pool_and_no_logging():
+    # `dgff validate` pays for every import of the CLI: concurrent.futures
+    # pulls in logging, about 5 ms on top of a 0.2 s command
+    code = ("import sys, dgff.cli; "
+            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_poisson_csv(fixture_dir, tmp_path):
@@ -214,8 +266,12 @@ def test_verify_small(fixture_dir, tmp_path, capsys):
                    "--seed", "42", "--trials", "4000", "--out", tmp_path)
     assert code == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
-    assert set(doc) == {"schema", "stream_version", "seed", "trials", "depth", "tolerances",
-                        "checks", "pass"}
+    assert set(doc) == {"schema", "stream_version", "provenance", "seed", "trials", "depth",
+                        "tolerances", "checks", "pass"}
+    prov = doc["provenance"]
+    assert set(prov) == {"dgff", "numpy", "blas"}
+    assert prov["dgff"] == dgff.__version__ and prov["numpy"] == np.__version__
+    assert prov["blas"] is None or isinstance(prov["blas"], str)
     assert doc["schema"] == 1 and doc["stream_version"] == 2 and doc["pass"] is True
     names = [c["name"] for c in doc["checks"]]
     assert names[0] == "green_inverse"

@@ -1,7 +1,11 @@
 """The Gram route of the Monte Carlo rungs: streamed noise Gram matrices,
 their merging, and their agreement with the statistics of explicit blocks."""
 
+import itertools
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +25,12 @@ from dgff.sampling import (
 )
 from dgff.verify import run_ladder
 
-from block_reference import covariance_report, cross_covariance_zmax, pairing_block
+from block_reference import (
+    covariance_report,
+    cross_covariance_zmax,
+    pairing_block,
+    serial_noise_gram,
+)
 from conftest import green_diagonals, green_energies
 
 RTOL = 1e-9
@@ -87,6 +96,129 @@ class TestNoiseGram:
         a = np.arange(12.0).reshape(3, 4)
         np.testing.assert_allclose(gram.cross(a), (z[:, :4] @ a.T).T @ (z[:, :4] @ a.T) / 500,
                                    rtol=1e-12)
+
+
+def _cpus(monkeypatch, n):
+    """Let noise_gram see n usable CPUs."""
+    monkeypatch.setattr(sampling.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs, as a list that grows."""
+    threads, start = [], threading.Thread.start
+
+    def record(self):
+        threads.append(self)
+        start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", record)
+    return threads
+
+
+class Injected(Exception):
+    pass
+
+
+class TestThreadedGram:
+    """noise_gram draws on two threads and adds the blocks in draw order, so
+    its total is the serial sum's to the bit."""
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("k,ndraws", [
+        (1, 0), (1, 300_001),               # 65536 draws per block: three tasks
+        (9, 0), (9, 1000), (9, 40_000),     # 7281 per block: below it, and 5.5 blocks
+        (121, 5000), (841, 700), (841, 5000)])  # 1024 per block
+    def test_equals_the_serial_sum(self, monkeypatch, started, cpus, k, ndraws):
+        _cpus(monkeypatch, cpus)
+        streams = np.arange(2, 2 + k)
+        gram = noise_gram(5, streams, 3, ndraws)
+        assert gram.trials == ndraws
+        np.testing.assert_array_equal(gram.total, serial_noise_gram(5, streams, 3, ndraws))
+        tasks = -(-ndraws // (2 * max(sampling._GRAM_ROWS, kernels._CHUNK // k)))
+        assert len(started) == (2 if cpus == 2 and tasks > 1 else 0)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("draw0", [0, 3])
+    def test_tiny_blocks(self, monkeypatch, cpus, draw0):
+        # blocks of two draws, tasks of four: odd boundaries inside and
+        # between tasks, and many more tasks than threads
+        _cpus(monkeypatch, cpus)
+        monkeypatch.setattr(kernels, "_CHUNK", 6)
+        monkeypatch.setattr(sampling, "_GRAM_ROWS", 1)
+        streams = np.array([4, 0, 17])
+        np.testing.assert_array_equal(noise_gram(5, streams, draw0, 27).total,
+                                      serial_noise_gram(5, streams, draw0, 27))
+
+    def test_worker_failure_is_raised_and_every_thread_joined(self, monkeypatch, started):
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(kernels, "_CHUNK", 6)
+        monkeypatch.setattr(sampling, "_GRAM_ROWS", 1)
+        calls, fill = itertools.count(1), kernels._fill_draws
+
+        def fail_third(*args):
+            if next(calls) == 5:  # a task draws two blocks: the third task's first
+                raise Injected("third task")
+            return fill(*args)
+
+        monkeypatch.setattr(kernels, "_fill_draws", fail_third)
+        baseline = threading.active_count()
+        with pytest.raises(Injected, match="third task"):
+            noise_gram(5, np.arange(3), 1, 40)
+        assert len(started) == 2
+        assert not any(t.is_alive() for t in started)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_memory_does_not_grow_with_the_draws(self, monkeypatch, cpus):
+        _cpus(monkeypatch, cpus)
+        streams = np.arange(9)
+
+        def peak(ndraws):
+            tracemalloc.start()
+            try:
+                noise_gram(5, streams, 0, ndraws)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        pairs = kernels._CHUNK // 9 // 2 + 1  # of one block of draws
+        task_bytes = 8 * 9 * pairs * (2 + 3)    # a thread's pairs buffer and scratch
+        assert abs(peak(1_000_000) - peak(100_000)) <= task_bytes
+        assert peak(1_000_000) <= (cpus + 1) * task_bytes
+
+
+def test_in_order_under_thread_switching():
+    # eight threads on fewer CPUs, switching every microsecond: each task is
+    # begun once and taken once, in order, with at most nine begun and not
+    # yet taken
+    workers, tasks, lock = 8, list(range(400)), threading.Lock()
+    begun, taken, open_, most = [], [], [0], [0]
+
+    def work(state, task):
+        with lock:
+            begun.append(task)
+            open_[0] += 1
+            most[0] = max(most[0], open_[0])
+        return task * task
+
+    def take(result):
+        with lock:
+            open_[0] -= 1
+        taken.append(result)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(
+            target=sampling._in_order, args=(tasks, lambda: None, work, take, workers))
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert sorted(begun) == tasks and taken == [t * t for t in tasks]
+    assert most[0] <= workers + 1
 
 
 class TestEquivalence:

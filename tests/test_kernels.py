@@ -123,7 +123,7 @@ def test_extreme_hashes_give_finite_bounded_normals():
     h2 = np.array([0, top, 0, top, 1 << 52, 0], dtype=np.uint64)
     r = np.sqrt(-2.0 * np.log((h1.astype(float) + 1.0) * 2.0 ** -53))
     cos_r, sin_r = np.empty(len(h1)), np.empty(len(h1))
-    kernels._box_muller(h1.copy(), h2.copy(), cos_r, sin_r)
+    kernels._box_muller(h1.copy(), h2.copy(), np.empty_like(h1), cos_r, sin_r)
     assert np.isfinite(cos_r).all() and np.isfinite(sin_r).all()
     assert np.all(np.abs(cos_r) <= r) and np.all(np.abs(sin_r) <= r)
     np.testing.assert_allclose(np.hypot(cos_r, sin_r), r, rtol=1e-15, atol=0)
