@@ -27,7 +27,7 @@ from .hadamard import OperatorStack, dirichlet_gram, verify_isometry
 from .kernels import STREAM_VERSION
 from .linalg import write_matrix_csv
 from .sampling import GaussianStream, dgff_block, wnf_block
-from .verify import TOL_EXACT, Z_MAX, increment_residual, run_ladder, variation_residual
+from .verify import TOL_EXACT, Z_MAX, increment_residual, provenance, run_ladder, variation_residual
 
 
 def _flags(p: argparse.ArgumentParser, foliation=True, out=True, matrix=False) -> None:
@@ -205,8 +205,8 @@ def cmd_sample(args) -> int:
         write_matrix_csv(buf, ids, cols, rows)
         (outdir / name).write_text(buf.getvalue())
         files.append(name)
-    manifest = {"schema": 1, "stream_version": STREAM_VERSION, "seed": args.seed,
-                "n_samples": args.n_samples, "levels": depth + 1, "files": files}
+    manifest = {"schema": 1, "stream_version": STREAM_VERSION, "provenance": provenance(),
+                "seed": args.seed, "n_samples": args.n_samples, "levels": depth + 1, "files": files}
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     print(json.dumps({"schema": 1, "written": len(files), "out": str(outdir)}))
     return 0

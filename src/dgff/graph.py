@@ -241,6 +241,8 @@ def _parse_json(data: str | bytes) -> Graph:
         edges = [(e["u"], e["v"], e["c"]) for e in doc["edges"]]
     except (TypeError, KeyError):
         raise GraphError("each edge needs 'u', 'v' and 'c'", code="BadFormat") from None
+    if any(isinstance(c, bool) or not isinstance(c, (int, float)) for *_, c in edges):
+        raise GraphError("each edge's 'c' must be a JSON number", code="BadFormat")
     exterior = _id_array(doc.get("exterior", []), "exterior")
     _id_array([w for u, v, _ in edges for w in (u, v)], "edge endpoints")
     if "vertices" in doc:

@@ -54,19 +54,6 @@ from .foliation import Foliation, GrowthCluster, cluster as make_cluster
 from .graph import Graph
 from .operators import GreenKernel, Stencil, green, layer_step, stencil
 
-def layer_sqrt(bg: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root of a boundary Green matrix."""
-    return linalg.psd_sqrt(bg)
-
-
-def kernel_K(poisson_n: np.ndarray, sqrt_n: np.ndarray) -> np.ndarray:
-    """Harmonic extension of the layer square root: K = P R.
-
-    Rows over the cluster, columns over the layer; restricted to the layer
-    the kernel is R itself because the Poisson kernel pins layer values.
-    """
-    return poisson_n @ sqrt_n
-
 
 def hadamard_Q(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
     """Assemble the growth operator of cluster n from kernels K_0..K_n.
@@ -270,10 +257,10 @@ class OperatorStack:
         return self._step(n)[1]
 
     def layer_sqrt(self, n: int) -> np.ndarray:
-        return self._memo("sqrt", n, lambda: layer_sqrt(self.boundary_green(n)))
+        return self._memo("sqrt", n, lambda: linalg.psd_sqrt(self.boundary_green(n)))
 
     def kernel(self, n: int) -> np.ndarray:
-        return self._memo("kernel", n, lambda: kernel_K(self.poisson(n), self.layer_sqrt(n)))
+        return self._memo("kernel", n, lambda: self.poisson(n) @ self.layer_sqrt(n))
 
     def growth(self, n: int) -> np.ndarray:
         """The growth operator Q_n, assembled from the cached kernels; the

@@ -1,7 +1,6 @@
-"""Dense symmetric linear algebra: eigendecomposition, PSD square root,
-Cholesky factorization and SPD inverse, all on LAPACK through ``numpy.linalg``,
-and the block traversals that read or symmetrize a k x k matrix without a
-k x k temporary.
+"""Dense symmetric linear algebra on LAPACK through ``numpy.linalg`` (PSD
+square root, Cholesky factorization, SPD inverse), and the block traversals
+that read or symmetrize a k x k matrix without a k x k temporary.
 
 Matrices are plain float ndarrays. Symmetry is a contract, not a wrapper
 class: ``as_symmetric`` mirrors the upper triangle exactly and rejects
@@ -12,8 +11,6 @@ machine and BLAS build; across builds they agree to rounding only.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,11 +24,6 @@ from .errors import (
 PSD_CLAMP_REL = 1e-8
 BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k pass
 _TILE = 128  # side of a square tile; a tile pair's temporaries stay in cache
-
-
-class EigenDecomposition(NamedTuple):
-    eigenvalues: np.ndarray   # ascending
-    eigenvectors: np.ndarray  # orthonormal columns, aligned with eigenvalues
 
 
 def as_symmetric(a: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
@@ -79,27 +71,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def jacobi_eigen(a: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix by ``numpy.linalg.eigh``
-    (LAPACK ``syevd``; the name predates the switch from Jacobi rotations).
-
-    Eigenvalues come back ascending with orthonormal eigenvector columns.
-    """
-    work = as_symmetric(a)
-    try:
-        w, v = np.linalg.eigh(work)
-    except np.linalg.LinAlgError as e:
-        raise ConvergenceError(f"symmetric eigensolver failed: {e}") from None
-    return EigenDecomposition(w, v)
-
-
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via the spectral decomposition.
+    """Symmetric PSD square root via ``numpy.linalg.eigh`` (LAPACK ``syevd``).
 
     Eigenvalues in [-PSD_CLAMP_REL * ||a||, 0) are clamped to zero; anything
     more negative raises NotPositiveSemidefiniteError.
     """
-    w, v = jacobi_eigen(a)
+    try:
+        w, v = np.linalg.eigh(as_symmetric(a))
+    except np.linalg.LinAlgError as e:
+        raise ConvergenceError(f"symmetric eigensolver failed: {e}") from None
     scale = max(np.abs(w).max(), np.finfo(float).tiny)
     if w[0] < -PSD_CLAMP_REL * scale:
         raise NotPositiveSemidefiniteError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP_REL:.0e} * scale")
@@ -107,20 +88,24 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return symmetrize((v * root) @ v.T)
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L with L L^T = a (LAPACK ``potrf``).
-
-    Raises NotPositiveDefiniteError when a is not positive definite or has
-    a non-finite entry.
-    """
+def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`as_symmetric(a)` and its lower Cholesky factor (LAPACK ``potrf``).
+    Raises NotPositiveDefiniteError when a is not positive definite or has a
+    non-finite entry; the latter is checked before the mirror, whose a - a^T
+    turns an infinity into NaN."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         raise NotPositiveDefiniteError("matrix has a non-finite entry")
     work = as_symmetric(a)
     try:
-        return np.linalg.cholesky(work)
+        return work, np.linalg.cholesky(work)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
+
+
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L with L L^T = a (see `_factor`)."""
+    return _factor(a)[1]
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:
@@ -132,9 +117,9 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     against the factor. A matrix that passes the factorization but is
     singular to working precision is not positive definite either.
     """
-    cholesky(a)
+    work = _factor(a)[0]  # the factor is dropped before the inverse is formed
     try:
-        x = np.linalg.inv(as_symmetric(a))
+        x = np.linalg.inv(work)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is singular to working precision") from None
     return symmetrize(x)

@@ -115,15 +115,12 @@ class NoiseGram:
     """Sufficient statistic of zero-mean noise over a range of draws: the
     sum of z z^T over the draws, and their number.
 
-    Two ranges merge by adding (Chan, Golub & LeVeque 1979; the mean is
-    known to be zero, so no correction term appears).
+    Two ranges merge by adding totals and trial counts (Chan, Golub &
+    LeVeque 1979; the mean is known to be zero, so no correction term).
     """
 
     total: np.ndarray
     trials: int
-
-    def __add__(self, other: NoiseGram) -> NoiseGram:
-        return NoiseGram(self.total + other.total, self.trials + other.trials)
 
     def cross(self, a: np.ndarray) -> np.ndarray:
         """Empirical covariance a S a^T of the image a z, with

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 import dgff
-from dgff import OperatorStack, increment_residual, validate_foliation, verify_isometry
+from dgff import OperatorStack, validate_foliation
 from dgff.fixtures import standard_fixture, weighted
-from dgff.hadamard import dirichlet_gram, oracle_kernels
+from dgff.hadamard import dirichlet_gram, oracle_kernels, verify_isometry
 from dgff.sampling import (
     GaussianStream,
     NoiseGram,
@@ -20,7 +20,7 @@ from dgff.sampling import (
     two_sample_zmax,
     wnf_block,
 )
-from dgff.verify import run_ladder, variation_residual
+from dgff.verify import increment_residual, run_ladder, variation_residual
 
 import dense_reference
 from block_reference import covariance_report, cross_covariance_zmax, pairing_block

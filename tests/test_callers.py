@@ -8,9 +8,13 @@ followed by `green(...)`, or `from . import linalg` followed by
 counts as called when the package reads its name as an attribute anywhere
 (`x.name`), whatever `x` is. `__init__.py` re-exports names and does not
 count.
+
+The package namespace exports the library API and nothing else: the tests
+import everything else from its module.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import dgff
@@ -99,3 +103,20 @@ def test_every_public_member_is_read_in_the_package():
 def test_no_stale_exception():
     uncalled, unread = _unused()
     assert sorted(EXCEPTIONS - uncalled - unread) == []
+
+
+LIBRARY_API = {
+    "ConvergenceError", "DGFFError", "FoliationError", "GraphError",
+    "NotPositiveDefiniteError", "NotPositiveSemidefiniteError", "NotSymmetricError",
+    "SupportViolationError",
+    "Graph", "from_edges", "load_graph", "parse_graph",
+    "Foliation", "GrowthCluster", "bfs_foliate", "cluster", "load_foliation",
+    "parse_foliation", "validate_foliation",
+    "OperatorStack", "run_ladder",
+    "GaussianStream", "NoiseGram", "noise_gram", "wnf_block", "dgff_block",
+}
+
+
+def test_namespace_exports_only_the_library_api():
+    exported = {name for name in dgff.__all__ if not inspect.ismodule(getattr(dgff, name))}
+    assert exported == LIBRARY_API

@@ -15,7 +15,7 @@ from dgff.cli import main
 from dgff.fixtures import standard_fixture, write_fixture_files
 from dgff.foliation import cluster
 from dgff.linalg import write_matrix_csv
-from dgff.verify import run_ladder
+from dgff.verify import provenance, run_ladder
 
 import dense_reference
 
@@ -134,8 +134,9 @@ def test_json_matrix_writes_non_finite_entries_as_null(tmp_path):
 def test_cli_import_starts_no_thread_pool_and_no_logging():
     # `dgff validate` pays for every import of the CLI: concurrent.futures
     # pulls in logging, about 5 ms on top of a 0.2 s command
-    code = ("import sys, dgff.cli; "
-            "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+    # and scipy is installed beside numpy but is not a dependency
+    code = ("import sys, dgff, dgff.cli; print([m for m in "
+            "('concurrent.futures', 'logging', 'scipy') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -240,8 +241,10 @@ def test_sample_files_telescope(fixture_dir, tmp_path, capsys):
     assert run_cli("sample", "--graph", fixture_dir / "p5.json", "--roots", "v1",
                    "--seed", "7", "--n-samples", "3", "--out", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert set(manifest) == {"schema", "stream_version", "seed", "n_samples", "levels", "files"}
+    assert set(manifest) == {"schema", "stream_version", "provenance", "seed", "n_samples",
+                             "levels", "files"}
     assert manifest["schema"] == 1 and manifest["stream_version"] == 2
+    assert manifest["provenance"] == provenance()
     assert manifest["n_samples"] == 3
     for name in manifest["files"]:
         rows, cols, m = read_matrix_csv(out / name)

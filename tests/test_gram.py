@@ -77,10 +77,10 @@ class TestNoiseGram:
         # a draw depends only on its counter, so trials split by draw range
         one = GaussianStream(5).gram(self.STREAMS, self.N)
         half = self.N // 2
-        two = (GaussianStream(5).gram(self.STREAMS, half)
-               + GaussianStream(5, counter=half).gram(self.STREAMS, self.N - half))
-        assert two.trials == one.trials == self.N
-        np.testing.assert_allclose(two.total, one.total, rtol=1e-12)
+        a = GaussianStream(5).gram(self.STREAMS, half)
+        b = GaussianStream(5, counter=half).gram(self.STREAMS, self.N - half)
+        assert a.trials + b.trials == one.trials == self.N
+        np.testing.assert_allclose(a.total + b.total, one.total, rtol=1e-12)
 
     def test_stream_counter_advances(self):
         stream = GaussianStream(5)

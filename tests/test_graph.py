@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -57,6 +59,20 @@ def test_parse_rejects_duplicate_vertex():
     with pytest.raises(GraphError) as exc:
         from_edges(["a", "b", "a"], [], [("a", "b", 1.0)])
     assert exc.value.code == "DuplicateVertex"
+
+
+@pytest.mark.parametrize("c", [True, False, "2.5", "1", "abc", None, [1.0], {"value": 1.0}],
+                         ids=["true", "false", "numeric_string", "int_string", "string", "null",
+                              "list", "object"])
+def test_json_conductance_must_be_a_number(c):
+    # a bool is an int to Python and "2.5" converts with float(), but
+    # neither is a JSON number
+    doc = {"exterior": ["x"], "edges": [{"u": "a", "v": "x", "c": c}]}
+    with pytest.raises(GraphError) as exc:
+        parse_graph(json.dumps(doc), "json")
+    assert exc.value.code == "BadFormat"
+    doc["edges"][0]["c"] = 2
+    assert parse_graph(json.dumps(doc), "json").conductances.tolist() == [2.0]
 
 
 def test_json_roundtrip():

@@ -3,21 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from dgff import (
-    OperatorStack,
-    bfs_foliate,
-    brownian_check,
-    cluster,
-    hadamard_Q,
-    increment_residual,
-    kernel_K,
-    layer_sqrt,
-    verify_isometry,
-)
+from dgff import OperatorStack, bfs_foliate, cluster
 from dgff import linalg
 from dgff.errors import FoliationError
 from dgff.fixtures import grid_graph, standard_fixture, weighted
-from dgff.hadamard import dirichlet_gram, dirichlet_matrix
+from dgff.hadamard import dirichlet_gram, dirichlet_matrix, hadamard_Q, verify_isometry
+from dgff.sampling import brownian_check
+from dgff.verify import increment_residual
 
 import dense_reference
 from calculus_reference import dirichlet_inner
@@ -40,7 +32,7 @@ class TestLayerSqrt:
         assert stack.layer_sqrt(1)[0, 0] == pytest.approx(SQ23, abs=1e-12)
 
     def test_diagonal_boundary_green(self):
-        s = layer_sqrt(np.diag([4.0, 0.25]))
+        s = linalg.psd_sqrt(np.diag([4.0, 0.25]))
         np.testing.assert_allclose(s, np.diag([2.0, 0.5]), atol=1e-12)
 
     def test_square_reproduces_boundary_green(self):
@@ -48,7 +40,7 @@ class TestLayerSqrt:
         stack = OperatorStack(g, fol)
         for n in range(fol.depth + 1):
             bg = np.asarray(stack.boundary_green(n))
-            r = layer_sqrt(bg)
+            r = linalg.psd_sqrt(bg)
             assert np.abs(r @ r - bg).max() <= 1e-10 * np.abs(bg).max()
             np.testing.assert_array_equal(r, r.T)
 
@@ -259,10 +251,9 @@ def test_kernel_columns_harmonic_below_their_layer():
         assert np.abs((a @ k)[:interior]).max() <= 1e-10 * np.abs(a).max()
 
 
-def test_kernel_K_is_poisson_times_sqrt(p4_stack):
+def test_kernel_is_poisson_times_sqrt(p4_stack):
     _, stack = p4_stack
-    np.testing.assert_array_equal(kernel_K(stack.poisson(1), stack.layer_sqrt(1)),
-                                  stack.poisson(1) @ stack.layer_sqrt(1))
+    np.testing.assert_array_equal(stack.kernel(1), stack.poisson(1) @ stack.layer_sqrt(1))
 
 
 @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))

@@ -5,79 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgff import cholesky, jacobi_eigen, psd_sqrt
+from dgff import linalg
 from dgff.errors import (
     ConvergenceError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
-from dgff.linalg import as_symmetric, spd_inverse
-
-
-def random_symmetric(n, seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n))
-    return (a + a.T) / 2
+from dgff.linalg import as_symmetric, cholesky, psd_sqrt, spd_inverse
 
 
 def random_psd(n, seed):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(n, n))
     return b @ b.T
-
-
-class TestJacobi:
-    def test_identity(self):
-        w, v = jacobi_eigen(np.eye(3))
-        np.testing.assert_array_equal(w, [1.0, 1.0, 1.0])
-
-    def test_two_by_two_hand_values(self):
-        w, v = jacobi_eigen(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-12)
-        s = 1 / math.sqrt(2)
-        # eigenvectors up to sign
-        assert min(np.abs(v[:, 0] - [s, s]).max(), np.abs(v[:, 0] + [s, s]).max()) < 1e-12
-        assert min(np.abs(v[:, 1] - [s, -s]).max(), np.abs(v[:, 1] + [s, -s]).max()) < 1e-12
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = jacobi_eigen(np.diag([5.0, 2.0, 9.0]))
-        np.testing.assert_array_equal(w, [2.0, 5.0, 9.0])
-
-    @pytest.mark.parametrize("n,seed", [(5, 0), (20, 1), (50, 2)])
-    def test_reconstruction_and_orthonormality(self, n, seed):
-        a = random_symmetric(n, seed)
-        w, v = jacobi_eigen(a)
-        scale = np.linalg.norm(a)
-        assert np.linalg.norm(v @ np.diag(w) @ v.T - a) <= 1e-10 * scale
-        assert np.abs(v.T @ v - np.eye(n)).max() <= 1e-12
-        # residual per pair
-        assert np.abs(a @ v - v * w[None, :]).max() <= 1e-12 * max(scale, 1.0)
-
-    @pytest.mark.parametrize("n,seed", [(8, 3), (33, 4)])
-    def test_matches_lapack_eigenvalues(self, n, seed):
-        a = random_symmetric(n, seed)
-        w, _ = jacobi_eigen(a)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(a), atol=1e-10 * np.linalg.norm(a))
-
-    def test_deterministic_bit_identical(self):
-        a = random_symmetric(17, 9)
-        w1, v1 = jacobi_eigen(a)
-        w2, v2 = jacobi_eigen(a)
-        np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_array_equal(v1, v2)
-
-    def test_solver_failure_is_convergence_error(self, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(ConvergenceError):
-            jacobi_eigen(random_symmetric(4, 5))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
-            jacobi_eigen(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestPsdSqrt:
@@ -99,7 +40,7 @@ class TestPsdSqrt:
         s = psd_sqrt(a)
         np.testing.assert_array_equal(s, s.T)
         assert np.linalg.norm(s @ s - a) <= 1e-10 * np.linalg.norm(a)
-        assert jacobi_eigen(s)[0][0] >= -1e-12 * np.linalg.norm(s)
+        assert np.linalg.eigvalsh(s)[0] >= -1e-12 * np.linalg.norm(s)
 
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPositiveSemidefiniteError):
@@ -109,6 +50,22 @@ class TestPsdSqrt:
         a = np.array([[1.0, 0.0], [0.0, -1e-15]])
         s = psd_sqrt(a)
         assert s[1, 1] == 0.0
+
+    def test_deterministic_bit_identical(self):
+        a = random_psd(17, 9)
+        np.testing.assert_array_equal(psd_sqrt(a), psd_sqrt(a))
+
+    def test_solver_failure_is_convergence_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            psd_sqrt(random_psd(4, 5))
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(NotSymmetricError):
+            psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestCholesky:
@@ -171,6 +128,13 @@ class TestSpdInverse:
         with pytest.raises(NotPositiveDefiniteError):
             spd_inverse(a)
 
+    def test_mirrors_its_input_once(self, monkeypatch):
+        calls = []
+        mirror = linalg.as_symmetric
+        monkeypatch.setattr(linalg, "as_symmetric", lambda a: calls.append(1) or mirror(a))
+        spd_inverse(random_psd(5, 3) + 5 * np.eye(5))
+        assert len(calls) == 1
+
     def test_hand_inverse(self):
         x = spd_inverse(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         np.testing.assert_allclose(x, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]],
@@ -189,12 +153,3 @@ def test_psd_sqrt_property(n, seed):
     a = random_psd(n, seed)
     s = psd_sqrt(a)
     assert np.linalg.norm(s @ s - a) <= 1e-10 * max(np.linalg.norm(a), 1e-30)
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.integers(2, 10), st.integers(0, 2 ** 31))
-def test_jacobi_reconstruction_property(n, seed):
-    a = random_symmetric(n, seed)
-    w, v = jacobi_eigen(a)
-    assert np.linalg.norm(v @ np.diag(w) @ v.T - a) <= 1e-10 * max(np.linalg.norm(a), 1e-30)
-    assert np.all(np.diff(w) >= 0)

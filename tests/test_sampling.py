@@ -3,21 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from dgff import (
-    GaussianStream,
-    OperatorStack,
-    SupportViolationError,
-    brownian_check,
-    kernels,
-    sweep_average_check,
-)
+from dgff import GaussianStream, OperatorStack, SupportViolationError, kernels
 from dgff.fixtures import standard_fixture
 from dgff.hadamard import hadamard_Q, oracle_kernels
 from dgff.sampling import (
     NoiseGram,
+    brownian_check,
     dgff_block,
     grown_covariances,
     moment_report,
+    sweep_average_check,
     two_sample_zmax,
     wnf_block,
 )

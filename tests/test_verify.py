@@ -12,16 +12,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dgff import OperatorStack, increment_residual, verify_isometry
+from dgff import OperatorStack
 from dgff import hadamard, linalg, operators, sampling, verify
 from dgff.cli import main
 from dgff.errors import DGFFError
 from dgff.fixtures import grid_graph, path_graph, standard_fixture, write_fixture_files
 from dgff.foliation import bfs_foliate
 from dgff.graph import graph_to_json
-from dgff.hadamard import dirichlet_gram
+from dgff.hadamard import dirichlet_gram, verify_isometry
 from dgff.operators import GreenKernel
-from dgff.verify import run_ladder
+from dgff.verify import increment_residual, run_ladder
 
 from conftest import FIXTURES
 
