@@ -25,9 +25,10 @@ is the single entry point the commands, the sampling and the checks build
 on; it holds no check code. It stores Q only as its kernel list K_0..K_n,
 sum_m k_m |L_m| numbers: samples grow from the kernels a layer at a time
 (`dgff.sampling`), and `growth_adjoint_apply` returns Q_top^* f, whose
-leading k_n entries are Q_n^* f. `growth(n)` assembles a dense Q_n afresh
-on each call, for `dgff hadamard` and the `isometry` rung, which reads
-Q_top.
+leading k_n entries are Q_n^* f. `dirichlet_blocks` reads the Dirichlet
+Gram of Q_n from the kernels a pair of layers at a time, for the
+`isometry` rung and `dgff hadamard`. `growth(n)` assembles a dense Q_n
+afresh on each call, for `dgff hadamard` alone, which prints it.
 It builds the operators as the paper grows the cluster, one layer at a
 time: level n's Poisson kernel P_n and boundary Green B_n come from one
 Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
@@ -37,7 +38,7 @@ sum_n k_n |L_n| memory; the dense Green kernel G_n is assembled from
 G_{n-1} and that step only when a check reads it. The Laplacian is held
 once, as the top cluster's padded neighbour stencil read from the graph's
 edges; level n's is its leading block. The build gathers its layer rows
-from it and the checks multiply by it, while `dirichlet_gram` and
+from it and the checks multiply by it, while `dirichlet_blocks` and
 `dirichlet_matrix` read the edge list directly, so the `isometry` check and
 the Cholesky oracle (`oracle_kernels`) stay independent of the stencil.
 """
@@ -45,30 +46,14 @@ the Cholesky oracle (`oracle_kernels`) stay independent of the stencil.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 
 import numpy as np
 
 from . import linalg
-from .errors import FoliationError
 from .foliation import Foliation, GrowthCluster, cluster as make_cluster
 from .graph import Graph
 from .operators import GreenKernel, Stencil, green, layer_step, stencil
-
-
-def hadamard_Q(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
-    """Assemble the growth operator of cluster n from kernels K_0..K_n.
-
-    Column y (a vertex of layer m) is K_m(., y) zero-extended to the
-    cluster; the layer-major prefix ordering makes the extension a zero pad.
-    """
-    if len(kernels) != clu.n + 1:
-        raise FoliationError(f"cluster {clu.n} needs kernels 0..{clu.n}",
-                             code="IndexOutOfRange")
-    q = np.zeros((clu.size, clu.size))
-    for m, k_m in enumerate(kernels):
-        rows = k_m.shape[0]
-        q[:rows, clu.layer_slice(m)] = k_m
-    return q
 
 
 def _edge_ends(g: Graph, clu: GrowthCluster) -> tuple[np.ndarray, np.ndarray]:
@@ -80,54 +65,39 @@ def _edge_ends(g: Graph, clu: GrowthCluster) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0], ends[:, 1]
 
 
-def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
-    """Gram matrix of Q's columns in the Dirichlet inner product.
+def dirichlet_blocks(stack: OperatorStack, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Gram matrix of Q_n's columns in the Dirichlet inner product, as its
+    layer blocks (p, m, Q_n[:, L_p]^T A Q_n[:, L_m]) for p <= m <= n.
 
-    Computed through the edge route, independent of the Laplacian assembly:
-    the Gram of the rows sqrt(c) (Q[x] - Q[y]), one per edge touching the
-    cluster, in `edge_list` order, where a zero row stands for every vertex
-    outside it. The rows are formed in place, one block of edges at a time.
-    When one block holds every edge, the Gram is that block's own product.
-    Otherwise each block adds its share of the upper triangle, a block of
-    columns at a time, and the lower triangle mirrors the sum: no edge-row
-    matrix of the whole cluster is formed.
+    Read from the edge list and the kernels, independent of the stencil. In
+    the columns of layer m the edge rows are D_m = sqrt(c) (K_m[x] - K_m[y]),
+    with a zero row for a vertex outside cluster m. Sorted stably by the
+    lower layer of their two ends (outside cluster n counting as n + 1), the
+    edges that touch cluster m are a prefix, E_m long, so block (p, m) is
+    D_p^T D_m[:E_p]. The D_m read so far are kept, about Q_n's nonzeros on a
+    grid; no dense Q_n and no k_n x k_n Gram is formed.
     """
-    li, lj = _edge_ends(g, clu)
-    touch = (li < clu.size) | (lj < clu.size)
-    li, lj, root = li[touch], lj[touch], np.sqrt(g.conductances[touch])
-    last, width = clu.size - 1, q.shape[1]
-
-    def edge_rows(e: slice) -> np.ndarray:
-        dq = q[np.minimum(li[e], last)]
-        dq[li[e] > last] = 0.0
-        other = q[np.minimum(lj[e], last)]
-        other[lj[e] > last] = 0.0
-        dq -= other
-        dq *= root[e, None]
-        return dq
-
-    blocks = list(linalg.row_blocks(len(li), width))
-    if len(blocks) == 1:
-        dq = edge_rows(blocks[0])
-        return dq.T @ dq
-    gram = np.zeros((width, width))
-    for e in blocks:
-        dq = edge_rows(e)
-        for c in linalg.tiles(width):  # rows :c.stop, the upper triangle's
-            gram[: c.stop, c] += dq[:, : c.stop].T @ dq[:, c]
-    for r, c in linalg.tile_pairs(width):  # the lower triangle mirrors the upper
-        if r == c:
-            tile = gram[r, c]
-            tile[...] = np.triu(tile) + np.triu(tile, 1).T
-        else:
-            gram[c, r] = gram[r, c].T
-    return gram
+    clu = stack.cluster(n)
+    x, y = _edge_ends(stack.graph, clu)
+    low = np.searchsorted(clu.layer_start, np.minimum(x, y), side="right") - 1
+    order = np.argsort(low, kind="stable")
+    x, y, root = x[order], y[order], np.sqrt(stack.graph.conductances[order])
+    stops = np.searchsorted(low[order], np.arange(n + 1), side="right")
+    rows = []
+    for m, e in enumerate(stops):
+        k_m = stack.kernel(m)
+        pad = np.vstack((k_m, np.zeros_like(k_m[:1])))  # its last row: outside cluster m
+        d = pad[np.minimum(x[:e], len(k_m))] - pad[np.minimum(y[:e], len(k_m))]
+        d *= root[:e, None]
+        rows.append(d)
+        for p in range(m + 1):
+            yield p, m, rows[p].T @ d[: len(rows[p])]
 
 
 def dirichlet_matrix(g: Graph, clu: GrowthCluster) -> np.ndarray:
     """The cluster's Laplacian A read from the edge list: the Dirichlet Gram
-    of its coordinate basis, `dirichlet_gram(g, clu, I)` up to rounding,
-    scattered in O(E + k^2) instead of multiplied through in E k^2.
+    of its coordinate basis, scattered in O(E + k^2) instead of multiplied
+    through edge rows in E k^2.
 
     An edge xy of conductance c adds c to A[x, x] and A[y, y] and -c to
     A[x, y] and A[y, x]; the entries of a vertex outside the cluster land in
@@ -150,19 +120,6 @@ def oracle_kernels(graph: Graph, top: GrowthCluster) -> list[np.ndarray]:
     return [w[: top.layer_slice(n).stop, top.layer_slice(n)] for n in range(top.n + 1)]
 
 
-def verify_isometry(gram: np.ndarray) -> float:
-    """Max-abs residual of a `dirichlet_gram` matrix against the identity.
-
-    The identity is subtracted in place and the diagonal restored after, so
-    no k x k temporary is formed."""
-    diag = gram.diagonal().copy()
-    gram.flat[:: gram.shape[0] + 1] -= 1.0
-    try:
-        return max(float(gram.max()), -float(gram.min()))
-    finally:
-        gram.flat[:: gram.shape[0] + 1] = diag
-
-
 class OperatorStack:
     """Memoized per-level operator family for a foliated graph.
 
@@ -177,11 +134,13 @@ class OperatorStack:
     Every operator but the dense Green matrix is at most k_n x |L_n|, and
     none of them reads a Green kernel: the layer steps (P_n, B_n) are
     cached under ("step", n), and `poisson` and `boundary_green` return
-    their parts. A checker that walks the levels upward keeps a window of
-    two Green levels, G_{n-1} and G_n, all that level n's checks read, by
-    releasing each level it is done with (`release_green`): the memory is
-    then O(k_top^2) instead of sum_n k_n^2. A released level that is asked
-    for again is rebuilt, bit for bit, from the lowest level still cached.
+    their parts. Q_n is kept as its kernels only; `growth` assembles it
+    whole, uncached, for `dgff hadamard`. A checker that walks the levels
+    upward keeps a window of two Green levels, G_{n-1} and G_n, all that
+    level n's checks read, by releasing each level it is done with
+    (`release_green`): the memory is then O(k_top^2) instead of
+    sum_n k_n^2. A released level that is asked for again is rebuilt, bit
+    for bit, from the lowest level still cached.
     """
 
     def __init__(self, graph: Graph, fol: Foliation):
@@ -263,9 +222,15 @@ class OperatorStack:
         return self._memo("kernel", n, lambda: self.poisson(n) @ self.layer_sqrt(n))
 
     def growth(self, n: int) -> np.ndarray:
-        """The growth operator Q_n, assembled from the cached kernels; the
-        dense matrix itself is not kept."""
-        return hadamard_Q(self.cluster(n), [self.kernel(m) for m in range(n + 1)])
+        """The growth operator Q_n, assembled from the cached kernels: column
+        y of layer m is K_m(., y) zero-extended, which the layer-major order
+        makes a zero pad. The dense matrix itself is not kept."""
+        clu = self.cluster(n)
+        q = np.zeros((clu.size, clu.size))
+        for m in range(n + 1):
+            k_m = self.kernel(m)
+            q[: len(k_m), clu.layer_slice(m)] = k_m
+        return q
 
     def growth_adjoint_apply(self, f: np.ndarray) -> np.ndarray:
         """Q_top^* f on the top cluster, for ambient f (restriction built in).

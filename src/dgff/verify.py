@@ -29,8 +29,8 @@ check at every level:
   |K_0 K_0^T - G_0|. Q_n is Q_{n-1} + 0 with K_n in the layer-n columns
   by construction, so Q_n Q_n^T grows by exactly K_n K_n^T and the sum
   bounds the full residual |Q_n Q_n^T - G_n| up to rounding.
-* `isometry` forms one Dirichlet Gram, of Q_top, summed over blocks of
-  edges. Q_n is the leading block of Q_top with zeros below, so its Gram
+* `isometry` reads Q_top's Dirichlet Gram in layer blocks from the
+  kernels. Q_n is the leading block of Q_top with zeros below, so its Gram
   is the top Gram's leading k_n block, whose residual is part of the top's.
 
 One reader, `increment_residual`, checks each formula for the increment
@@ -38,8 +38,8 @@ G_n - (G_{n-1} + 0): K_n K_n^T here, P_n G_n[L_n, :] in `green_variation`
 (and Q_n Q_n^T against G_n in `dgff hadamard`). In the ladder the left
 factor has |L_n| columns, so no level forms Q_n Q_n^T.
 
-The increment rungs grow their fields with one `dgff_block` call; only
-`isometry` assembles a dense Q, Q_top once.
+The increment rungs grow their fields with one `dgff_block` call, and no
+rung assembles a dense Q_n: every one reads the kernels.
 
 The ladder is one level-major pass, as the paper grows the cluster. Every
 rung is a generator that yields once per level n = 0..N: what it reads at
@@ -88,7 +88,7 @@ from . import __version__, linalg
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
-from .hadamard import OperatorStack, dirichlet_gram, oracle_kernels, verify_isometry
+from .hadamard import OperatorStack, dirichlet_blocks, oracle_kernels
 from .kernels import STREAM_VERSION
 from .operators import GreenKernel, Stencil
 from .sampling import (
@@ -293,6 +293,13 @@ def increment_residual(lhs: np.ndarray, rhs: np.ndarray, rows_n, rows_prev=None)
     return _peak(*worst)
 
 
+def isometry_residual(blocks) -> float:
+    """max |block - delta_pm I| over the layer blocks (p, m, block) of a
+    Dirichlet Gram (`dirichlet_blocks`): the Gram's residual against the
+    identity, read a block at a time."""
+    return _peak(*(_absmax(b - np.eye(len(b)) if p == m else b) for p, m, b in blocks))
+
+
 def variation_residual(stack: OperatorStack, n: int) -> float:
     """The residual of the variation formula at level n >= 1,
     G_n - (G_{n-1} + 0) = P_n G_n[L_n, :] for unnormalized Green kernels,
@@ -394,7 +401,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         # level n's Gram is the top Gram's leading k_n block, so the top's
         # residual is the largest over the levels
         yield from after_top
-        yield verify_isometry(dirichlet_gram(graph, stack.cluster(depth), stack.growth(depth)))
+        yield isometry_residual(dirichlet_blocks(stack, depth))
 
     def increments(check):
         """An increment rung: one fresh block of top-cluster noise, drawn at

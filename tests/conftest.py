@@ -60,3 +60,13 @@ def tamper_directed(g, u: str, v: str, c: float):
     for i, nbrs in enumerate(g.adj):
         pi[i] = sum(cond[(i, j)] for j in nbrs)
     return dataclasses.replace(g, cond=cond, pi=pi)
+
+
+def gram_from_blocks(clu, blocks):
+    """The whole Dirichlet Gram of cluster `clu`'s growth operator from its
+    layer blocks (p, m, block), p <= m, as `dirichlet_blocks` yields them."""
+    gram = np.full((clu.size, clu.size), np.nan)
+    for p, m, b in blocks:
+        gram[clu.layer_slice(p), clu.layer_slice(m)] = b
+        gram[clu.layer_slice(m), clu.layer_slice(p)] = b.T
+    return gram

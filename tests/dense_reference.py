@@ -2,11 +2,14 @@
 graph, its inverse, and the Poisson kernel by a Cholesky solve of the
 interior system. The library builds every level from the neighbour
 stencil, one layer at a time; these functions share none of that code and
-are the reference it is tested against. Two more are whole-matrix forms of
-what the library reads or writes a block at a time: the unnormalized Green
-matrix, and the one-layer Green step assembled by `np.block`. The last two
-read a layer's Poisson kernel and boundary Green out of the dense Green
-matrices, as the library did before its layer step made them directly."""
+are the reference it is tested against. Four more are whole-matrix forms
+of what the library reads or writes a block at a time: the unnormalized
+Green matrix, the one-layer Green step assembled by `np.block`, the growth
+operator Q_n assembled from its kernels, and its Dirichlet Gram as the
+product of its edge rows, formed one edge at a time. `poisson_from_green`
+and `boundary_green` read a layer's Poisson kernel and boundary Green out
+of the dense Green matrices, as the library did before its layer step made
+them directly."""
 
 import numpy as np
 
@@ -80,6 +83,30 @@ def boundary_green(kern: GreenKernel) -> np.ndarray:
 def unnormalized(kern: GreenKernel) -> np.ndarray:
     """The unnormalized Green matrix G(x, y) = Gn(x, y) pi(y), whole."""
     return kern.normalized * kern.pi[None, :]
+
+
+def growth(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
+    """The growth operator of cluster n from its kernels K_0..K_n: column y
+    of layer m is K_m(., y), zero below cluster m."""
+    q = np.zeros((clu.size, clu.size))
+    for m, k_m in enumerate(kernels):
+        q[: len(k_m), clu.layer_slice(m)] = k_m
+    return q
+
+
+def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
+    """The Gram of q's columns in the Dirichlet inner product, dq^T dq with
+    one row sqrt(c) (q[x] - q[y]) per edge touching the cluster, in
+    `edge_list` order, q being zero at a vertex outside the cluster."""
+    zero = np.zeros(q.shape[1])
+    rows = []
+    for (i, j), c in zip(g.edge_list, g.conductances):
+        li, lj = clu.local.get(i), clu.local.get(j)
+        if li is not None or lj is not None:
+            rows.append(np.sqrt(c) * ((zero if li is None else q[li])
+                                      - (zero if lj is None else q[lj])))
+    dq = np.array(rows)
+    return dq.T @ dq
 
 
 def block_green(g: Graph, clu: GrowthCluster, st: Stencil,

@@ -206,18 +206,18 @@ def test_hadamard_summary(fixture_dir, tmp_path, capsys):
 
 def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch):
     calls = []
-    gram = hadamard.dirichlet_gram
+    blocks = hadamard.dirichlet_blocks
 
-    def counted(*args):
-        calls.append(args[1].n)
-        return gram(*args)
+    def counted(stack, n):
+        calls.append(n)
+        return blocks(stack, n)
 
-    monkeypatch.setattr(cli, "dirichlet_gram", counted)
-    monkeypatch.setattr(hadamard, "dirichlet_gram", counted)
+    monkeypatch.setattr(cli, "dirichlet_blocks", counted)
+    monkeypatch.setattr(hadamard, "dirichlet_blocks", counted)
     assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2",
                    "--out", tmp_path) == 0
     assert calls == [2]
-    # the summary reads the Gram matrix that was written
+    # the summary reads the blocks of the Gram matrix that was written
     doc = json.loads(capsys.readouterr().out)
     _, _, written = read_matrix_csv(tmp_path / "growth_2_gram.csv")
     assert doc["isometry_residual"] == np.abs(written - np.eye(len(written))).max()

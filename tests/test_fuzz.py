@@ -4,7 +4,8 @@ The property: any input file exits 0, or exits 2 with a JSON diagnostic
 that names an error code. It never ends in a Python traceback. A
 foliation that `dgff validate` accepts also runs the exact ladder to its
 end: `dgff verify` exits 0 or 3, and no rung fails for an index out of
-range or a missing prerequisite.
+range or a missing prerequisite. `dgff hadamard` exits 0 on it and prints
+its three residuals as strict JSON.
 """
 
 import contextlib
@@ -137,3 +138,10 @@ def test_foliation_past_validate(fixture_dir, graph, doc):
     code, out = run("f.json", data, "verify", *argv, "--trials", "0", exits=(0, 3))
     errors = {row.get("error") for row in json.loads(out)["checks"]}
     assert not errors & {"IndexOutOfRange", "PrerequisiteFailed"}, errors
+    _, out = run("f.json", data, "hadamard", *argv, exits=(0,))
+    doc = json.loads(out, parse_constant=_non_finite)
+    assert {"identity_residual", "isometry_residual", "variation_residual"} <= set(doc)
+
+
+def _non_finite(name: str):
+    raise ValueError(f"{name} is not strict JSON")

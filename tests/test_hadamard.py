@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from dgff import OperatorStack, bfs_foliate, cluster
+from dgff import OperatorStack, bfs_foliate
 from dgff import linalg
 from dgff.errors import FoliationError
-from dgff.fixtures import grid_graph, standard_fixture, weighted
-from dgff.hadamard import dirichlet_gram, dirichlet_matrix, hadamard_Q, verify_isometry
+from dgff.fixtures import binary_tree, grid_graph, standard_fixture, weighted
+from dgff.hadamard import dirichlet_blocks, dirichlet_matrix
 from dgff.sampling import brownian_check
-from dgff.verify import increment_residual
+from dgff.verify import increment_residual, isometry_residual
 
 import dense_reference
 from calculus_reference import dirichlet_inner
-from conftest import green_energies
+from conftest import gram_from_blocks, green_energies
 
 SQ12 = math.sqrt(0.5)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -92,9 +92,12 @@ class TestGrowthMatrix:
         np.testing.assert_array_equal(q2[k1:, :k1], 0.0)
 
     def test_missing_kernels_rejected(self, p4_stack):
+        # p4 has levels 0 and 1: level 2 has no kernels to read
         _, stack = p4_stack
         with pytest.raises(FoliationError):
-            hadamard_Q(stack.cluster(1), [stack.kernel(0)])
+            stack.growth(2)
+        with pytest.raises(FoliationError):
+            next(dirichlet_blocks(stack, 2))
 
     def test_block_triangular(self):
         g, fol = standard_fixture("tree3")
@@ -167,58 +170,53 @@ class TestIsometry:
             g, fol = standard_fixture(name)
             stack = OperatorStack(g, fol)
             for n in range(fol.depth + 1):
-                gram = dirichlet_gram(g, stack.cluster(n), stack.growth(n))
-                assert verify_isometry(gram) <= 1e-10
+                assert isometry_residual(dirichlet_blocks(stack, n)) <= 1e-10
 
     def test_gram_matches_edge_by_edge_reference(self):
-        # reference: one row sqrt(c) (Q[x] - Q[y]) per edge touching the
-        # cluster, in edge_list order, with Q zero outside the cluster; the
-        # vectorized build must give the same bits
-        rng = np.random.default_rng(3)
-        for name in ("p4", "tree3", "grid5"):
-            g, fol = standard_fixture(name)
+        # reference: Q_n assembled whole, and one row sqrt(c) (Q[x] - Q[y])
+        # per edge touching the cluster, in edge_list order, with Q zero
+        # outside the cluster; the layer blocks, assembled, differ from its
+        # dq^T dq by rounding only
+        graphs = [standard_fixture(name) for name in ("p4", "p5", "grid5", "tree3", "grid13")]
+        for g, fol in graphs + _weighted_graphs():
+            stack = OperatorStack(g, fol)
             for n in range(fol.depth + 1):
-                clu = cluster(fol, n)
-                q = rng.normal(size=(clu.size, clu.size))
-                zero = np.zeros(clu.size)
-                rows = []
-                for (i, j), c in zip(g.edge_list, g.conductances):
-                    li, lj = clu.local.get(i), clu.local.get(j)
-                    if li is None and lj is None:
-                        continue
-                    qi = zero if li is None else q[li]
-                    qj = zero if lj is None else q[lj]
-                    rows.append(np.sqrt(c) * (qi - qj))
-                dq = np.array(rows)
-                np.testing.assert_array_equal(dirichlet_gram(g, clu, q), dq.T @ dq)
-
+                clu = stack.cluster(n)
+                ref = dense_reference.dirichlet_gram(
+                    g, clu, dense_reference.growth(clu, [stack.kernel(m) for m in range(n + 1)]))
+                gram = gram_from_blocks(clu, dirichlet_blocks(stack, n))
+                assert np.abs(gram - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
     def test_gram_summed_over_edge_and_column_blocks(self):
-        # the 21x21 top cluster has k = 361 columns, several tiles wide, and
-        # its edge rows span several edge blocks, so the Gram is summed block
-        # by block and mirrored: dq^T dq and Q^T A Q up to rounding. Each of
-        # the three differs from the exact Gram by at most about
-        # (E + k) eps (|Q|^T |A| |Q|) entrywise, as |dq|^T |dq| <= |Q|^T |A| |Q|
-        g = weighted(grid_graph(21), seed=5, lo=0.1, hi=10.0)
-        fol = bfs_foliate(g, ["r10c10"])
-        clu = cluster(fol, fol.depth)
-        q = np.random.default_rng(7).normal(size=(clu.size, clu.size))
-        zero = np.zeros(clu.size)
-        rows = []
-        for (i, j), c in zip(g.edge_list, g.conductances):
-            li, lj = clu.local.get(i), clu.local.get(j)
-            if li is not None or lj is not None:
-                rows.append(np.sqrt(c) * ((zero if li is None else q[li])
-                                          - (zero if lj is None else q[lj])))
-        dq = np.array(rows)
-        assert len(list(linalg.row_blocks(len(dq), clu.size))) > 1
-        assert clu.size > 2 * linalg._TILE
-        gram, a = dirichlet_gram(g, clu, q), dirichlet_matrix(g, clu)
-        np.testing.assert_array_equal(gram, gram.T)
-        eps = np.finfo(float).eps
-        bound = 2 * (len(dq) + clu.size) * eps * (np.abs(q).T @ np.abs(a) @ np.abs(q))
-        assert (np.abs(gram - dq.T @ dq) <= bound).all()
-        assert (np.abs(gram - q.T @ a @ q) <= bound).all()
+        # random kernels in the stack, so no block is near 0 or I: each
+        # block sums a prefix of the sorted edge rows into the columns of two
+        # layers, and the assembled Gram is exactly symmetric and equals
+        # dq^T dq and Q^T A Q up to rounding. Each of the three differs from
+        # the exact Gram by at most about (E + k) eps (|Q|^T |A| |Q|)
+        # entrywise, as |dq|^T |dq| <= |Q|^T |A| |Q|
+        rng = np.random.default_rng(7)
+        for g, fol in _weighted_graphs():
+            stack = OperatorStack(g, fol)
+            for m in range(fol.depth + 1):
+                stack._cache[("kernel", m)] = rng.normal(size=stack.kernel(m).shape)
+            clu = stack.cluster(fol.depth)
+            q = dense_reference.growth(clu, [stack.kernel(m) for m in range(fol.depth + 1)])
+            gram = gram_from_blocks(clu, dirichlet_blocks(stack, fol.depth))
+            np.testing.assert_array_equal(gram, gram.T)
+            a = dirichlet_matrix(g, clu)
+            eps = np.finfo(float).eps
+            bound = (2 * (len(g.edge_list) + clu.size) * eps
+                     * (np.abs(q).T @ np.abs(a) @ np.abs(q)))
+            assert (np.abs(gram - dense_reference.dirichlet_gram(g, clu, q)) <= bound).all()
+            assert (np.abs(gram - q.T @ a @ q) <= bound).all()
+
+
+def _weighted_graphs():
+    """A 21x21 grid and a depth-8 binary tree with conductances spread over
+    two decades, foliated from the centre and from the root."""
+    grid = weighted(grid_graph(21), seed=5, lo=0.1, hi=10.0)
+    tree = weighted(binary_tree(8), seed=6, lo=0.1, hi=10.0)
+    return [(grid, bfs_foliate(grid, ["r10c10"])), (tree, bfs_foliate(tree, ["t1"]))]
 
 
 class TestInjectivity:
@@ -265,14 +263,14 @@ def test_adjoint_from_kernels_matches_dense_growth(name):
     stack = OperatorStack(g, fol)
     f = np.random.default_rng(5).normal(size=g.n_vertices)
     top = stack.cluster(fol.depth)
-    top_ref = hadamard_Q(top, [stack.kernel(m) for m in range(fol.depth + 1)]).T \
+    top_ref = dense_reference.growth(top, [stack.kernel(m) for m in range(fol.depth + 1)]).T \
         @ f[np.array(top.vertices)]
     rows = brownian_check(stack, f, green_energies(stack, f)).coef
     coef = stack.growth_adjoint_apply(f)
     assert coef.shape == (top.size,)
     for n in range(fol.depth + 1):
         clu = stack.cluster(n)
-        q = hadamard_Q(clu, [stack.kernel(m) for m in range(n + 1)])
+        q = dense_reference.growth(clu, [stack.kernel(m) for m in range(n + 1)])
         ref = q.T @ f[np.array(clu.vertices)]
         tol = 1e-12 * max(1.0, float(np.abs(ref).max()))
         np.testing.assert_allclose(coef[: clu.size], ref, rtol=0, atol=tol)
@@ -290,7 +288,7 @@ def test_scattered_laplacian_is_the_dirichlet_gram_of_the_identity(name):
     stack = OperatorStack(g, fol)
     for n in range(stack.depth + 1):
         clu = stack.cluster(n)
-        a, ref = dirichlet_matrix(g, clu), dirichlet_gram(g, clu, np.eye(clu.size))
+        a, ref = dirichlet_matrix(g, clu), dense_reference.dirichlet_gram(g, clu, np.eye(clu.size))
         np.testing.assert_array_equal(a, a.T)
         tol = 1e-14 * np.abs(ref).max()
         assert np.abs(a - ref).max() <= tol

@@ -19,9 +19,9 @@ from dgff.errors import DGFFError
 from dgff.fixtures import grid_graph, path_graph, standard_fixture, write_fixture_files
 from dgff.foliation import bfs_foliate
 from dgff.graph import graph_to_json
-from dgff.hadamard import dirichlet_gram, verify_isometry
+from dgff.hadamard import dirichlet_blocks
 from dgff.operators import GreenKernel
-from dgff.verify import increment_residual, run_ladder
+from dgff.verify import increment_residual, isometry_residual, run_ladder
 
 from conftest import FIXTURES
 
@@ -110,15 +110,39 @@ class TestBrownianPythagoras:
 
 class TestIsometry:
     def test_top_gram_blocks_equal_the_per_level_grams(self):
+        # level n's blocks are the top level's blocks (p, m) with m <= n, bit
+        # for bit: the edges touching cluster m are the same prefix at every
+        # level n >= m
         g, fol = standard_fixture("grid13")
         stack = OperatorStack(g, fol)
-        top = dirichlet_gram(g, stack.cluster(stack.depth), stack.growth(stack.depth))
+        top = list(dirichlet_blocks(stack, stack.depth))
         for n in range(stack.depth + 1):
-            k = stack.cluster(n).size
-            own = dirichlet_gram(g, stack.cluster(n), stack.growth(n))
-            assert np.abs(top[:k, :k] - own).max() <= 1e-14
-            reading = float(np.abs(top[:k, :k] - np.eye(k)).max())
-            assert reading == pytest.approx(verify_isometry(own), abs=1e-14)
+            own = list(dirichlet_blocks(stack, n))
+            leading = [(p, m, b) for p, m, b in top if m <= n]
+            assert [(p, m) for p, m, _ in own] == [(p, m) for p, m, _ in leading]
+            for (_, _, mine), (_, _, theirs) in zip(own, leading):
+                np.testing.assert_array_equal(mine, theirs)
+            assert isometry_residual(own) == isometry_residual(leading)
+        assert isometry_residual(top) == max(isometry_residual(dirichlet_blocks(stack, n))
+                                             for n in range(stack.depth + 1))
+
+    def test_reading_memory_is_the_edge_rows(self):
+        """With the kernels cached, the reading holds its edge rows D_m
+        (about Q_top's nonzeros) and one block at a time: on the 31x31 grid
+        its traced peak stays under 1.3 k_top^2 doubles. A dense Q_top and
+        its k_top x k_top Gram put it at 2.3."""
+        g = grid_graph(31)
+        stack = OperatorStack(g, bfs_foliate(g, ("r15c15",)))
+        k_top = 29 * 29
+        for m in range(stack.depth + 1):
+            stack.kernel(m)
+        tracemalloc.start()
+        try:
+            assert isometry_residual(dirichlet_blocks(stack, stack.depth)) <= 1e-12
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * k_top * k_top * 8
 
 
     @pytest.mark.parametrize("name", ("grid5", "grid13"))
@@ -160,11 +184,11 @@ class _SquareMatmuls(np.ndarray):
 
 
 def _guard_ladder(monkeypatch, **ladder_args):
-    """Run the grid13 ladder with the cached operators, every dense Q and
-    every noise Gram viewed as `_SquareMatmuls`; return the report, the call
-    counts, the widths gathered from the stencil and the sizes of the
-    matrices given to `linalg.cholesky`."""
-    counts = {"stencil": 0, "dirichlet_gram": 0, "dirichlet_matrix": 0, "hadamard_Q": 0}
+    """Run the grid13 ladder with the cached operators and every noise Gram
+    viewed as `_SquareMatmuls`; return the report, the call counts, the
+    widths gathered from the stencil and the sizes of the matrices given to
+    `linalg.cholesky`."""
+    counts = {"stencil": 0, "dirichlet_blocks": 0, "dirichlet_matrix": 0, "growth": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -179,9 +203,9 @@ def _guard_ladder(monkeypatch, **ladder_args):
     dense = operators.Stencil.dense
     monkeypatch.setattr(operators.Stencil, "dense", lambda st, lo, hi, transpose=False: (
         gathered.append(hi - lo) or dense(st, lo, hi, transpose)))
-    gram = counted("dirichlet_gram", hadamard.dirichlet_gram)
+    blocks = counted("dirichlet_blocks", hadamard.dirichlet_blocks)
     for mod in (hadamard, verify):
-        monkeypatch.setattr(mod, "dirichlet_gram", gram)
+        monkeypatch.setattr(mod, "dirichlet_blocks", blocks)
     monkeypatch.setattr(hadamard, "dirichlet_matrix",
                         counted("dirichlet_matrix", hadamard.dirichlet_matrix))
     factored = []
@@ -210,9 +234,7 @@ def _guard_ladder(monkeypatch, **ladder_args):
         return memo(stack, kind, n, wrapped)
 
     monkeypatch.setattr(OperatorStack, "_memo", spied)
-    assemble = counted("hadamard_Q", hadamard.hadamard_Q)
-    monkeypatch.setattr(hadamard, "hadamard_Q",
-                        lambda clu, kernels: assemble(clu, kernels).view(_SquareMatmuls))
+    monkeypatch.setattr(OperatorStack, "growth", counted("growth", OperatorStack.growth))
     monkeypatch.setattr(_SquareMatmuls, "seen", [])
     g, fol = standard_fixture("grid13")
     rep = run_ladder(g, fol, **ladder_args)
@@ -223,13 +245,12 @@ def _guard_ladder(monkeypatch, **ladder_args):
 def test_exact_ladder_cost_guard(monkeypatch):
     """On grid13 the exact ladder builds one Laplacian stencil and no dense
     Laplacian (it gathers no block wider than a layer from the stencil),
-    forms one Dirichlet Gram, assembles one dense Q (the top's, for that
-    Gram) and multiplies no two k_n x k_n matrices for k_n > 50: neither the
-    cached operators nor a dense Q_n, which `hadamard_Q` assembles anew."""
+    reads the Dirichlet Gram's layer blocks once, assembles no dense Q and
+    multiplies no two k_n x k_n matrices for k_n > 50."""
     assert not hasattr(operators, "laplacian")
     rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"stencil": 1, "dirichlet_gram": 1, "dirichlet_matrix": 0, "hadamard_Q": 1}
+    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "dirichlet_matrix": 0, "growth": 0}
     assert gathered and max(gathered) <= widest
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
@@ -237,29 +258,29 @@ def test_exact_ladder_cost_guard(monkeypatch):
 
 def test_monte_carlo_ladder_cost_guard(monkeypatch):
     """Both covariance rungs grow their covariances a layer at a time: with
-    2000 trials on grid13 the ladder still assembles one dense Q and
+    2000 trials on grid13 the ladder still assembles no dense Q and
     multiplies no two k_n x k_n matrices, not even against a noise Gram,
     and the one Cholesky factor wider than a layer is the oracle's, of the
     top Laplacian scattered from the edge list (`dirichlet_matrix`), not
     multiplied through as a second Dirichlet Gram."""
     rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
     assert rep["pass"] and len(rep["checks"]) == 17
-    assert counts == {"stencil": 1, "dirichlet_gram": 1, "dirichlet_matrix": 1, "hadamard_Q": 1}
+    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "dirichlet_matrix": 1, "growth": 0}
     assert [k for k in factored if k > widest] == [121]
     assert _SquareMatmuls.seen == []
 
 
 def test_stack_keeps_no_dense_growth_operator(monkeypatch):
-    # the samples and both covariance rungs grow from the kernels; a dense Q
-    # is assembled once, Q_top, for the isometry's Dirichlet Gram
+    # the samples, both covariance rungs and the isometry's Dirichlet Gram
+    # read the kernels; no dense Q is assembled
     sizes = []
-    assemble = hadamard.hadamard_Q
-    monkeypatch.setattr(hadamard, "hadamard_Q",
-                        lambda clu, kernels: sizes.append(clu.size) or assemble(clu, kernels))
+    assemble = OperatorStack.growth
+    monkeypatch.setattr(OperatorStack, "growth",
+                        lambda stack, n: sizes.append(n) or assemble(stack, n))
     g, fol = standard_fixture("grid5")
     stack = OperatorStack(g, fol)
     assert run_ladder(g, fol, seed=1, trials=2000, stack=stack)["pass"]
-    assert sizes == [stack.cluster(stack.depth).size]
+    assert sizes == []
     assert ("kernel", stack.depth) in stack._cache
     assert not [key for key in stack._cache if key[0] == "growth"]
 
@@ -381,7 +402,7 @@ class TestReport:
         def fail(*args, **kwargs):
             raise exc("injected")
 
-        monkeypatch.setattr(verify, "verify_isometry", fail)
+        monkeypatch.setattr(verify, "isometry_residual", fail)
         rep = run_ladder(*standard_fixture("p4"), seed=1, trials=2000)
         assert len(rep["checks"]) == 17
         row = _row(rep, "isometry")
