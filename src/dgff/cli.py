@@ -50,9 +50,9 @@ def _flags(p: argparse.ArgumentParser, foliation=True, out=True, matrix=False) -
 
 def _resolve(args):
     g = load_graph(args.graph)
-    if args.foliation:
+    if args.foliation is not None:
         fol = load_foliation(g, args.foliation)
-    elif args.roots:
+    elif args.roots is not None:
         fol = bfs_foliate(g, tuple(args.roots.split(",")))
     else:
         raise GraphError("need --foliation or --roots", code="BadFormat")
@@ -104,7 +104,7 @@ def cmd_validate(args) -> int:
     g = load_graph(args.graph)
     doc = {"schema": 1, "graph": {"vertices": g.n_vertices, "edges": len(g.edge_list),
                                   "exterior": len(g.exterior)}}
-    if args.foliation or args.roots:
+    if args.foliation is not None or args.roots is not None:
         _, fol = _resolve(args)
         doc["foliation"] = {"layers": [len(l) for l in fol.layers]}
     print(json.dumps(doc))
@@ -113,7 +113,7 @@ def cmd_validate(args) -> int:
 
 def cmd_foliate(args) -> int:
     g = load_graph(args.graph)
-    if not args.roots:
+    if args.roots is None:
         raise GraphError("foliate needs --roots", code="BadFormat")
     fol = bfs_foliate(g, tuple(args.roots.split(",")))
     _emit(args, "foliation.json", lambda fh: fh.write(json.dumps(fol.to_json()) + "\n"))

@@ -50,7 +50,6 @@ class GrowthCluster:
     n: int
     vertices: tuple[int, ...]
     layer_start: tuple[int, ...]         # offsets, len n+2 (last = size)
-    local: dict[int, int]
 
     @property
     def size(self) -> int:
@@ -183,9 +182,4 @@ def cluster(fol: Foliation, n: int) -> GrowthCluster:
     for m in range(n + 1):
         verts.extend(fol.layers[m])
         starts.append(len(verts))
-    return GrowthCluster(
-        n=n,
-        vertices=tuple(verts),
-        layer_start=tuple(starts),
-        local={v: k for k, v in enumerate(verts)},
-    )
+    return GrowthCluster(n=n, vertices=tuple(verts), layer_start=tuple(starts))

@@ -198,15 +198,14 @@ def load_graph(path) -> Graph:
     return parse_graph(data, fmt)
 
 
+def _vertex_order(edges, exterior) -> list[str]:
+    """Vertex ids in order of first appearance in the edges, then in the
+    exterior; a vertex only in the exterior is isolated and fails the
+    connectivity check."""
+    return list(dict.fromkeys([w for u, v, _ in edges for w in (u, v)] + list(exterior)))
+
+
 def _parse_edgelist(text: str) -> Graph:
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def note(v: str):
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-
     exterior: list[str] = []
     edges: list[tuple[str, str, float]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -224,13 +223,8 @@ def _parse_edgelist(text: str) -> Graph:
             c = float(cs)
         except ValueError:
             raise GraphError(f"line {lineno}: bad conductance {cs!r}", code="BadFormat") from None
-        note(u)
-        note(v)
         edges.append((u, v, c))
-    for v in exterior:
-        note(v)  # vertex order follows the edge lines; a header-only vertex
-        # is isolated and will fail the connectivity check
-    return from_edges(order, exterior, edges)
+    return from_edges(_vertex_order(edges, exterior), exterior, edges)
 
 
 def _parse_json(data: str | bytes) -> Graph:
@@ -245,20 +239,8 @@ def _parse_json(data: str | bytes) -> Graph:
         raise GraphError("each edge's 'c' must be a JSON number", code="BadFormat")
     exterior = _id_array(doc.get("exterior", []), "exterior")
     _id_array([w for u, v, _ in edges for w in (u, v)], "edge endpoints")
-    if "vertices" in doc:
-        vertices = _id_array(doc["vertices"], "vertices")
-    else:
-        vertices = []
-        seen: set[str] = set()
-        for u, v, _ in edges:
-            for w in (u, v):
-                if w not in seen:
-                    seen.add(w)
-                    vertices.append(w)
-        for w in exterior:
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
+    vertices = (_id_array(doc["vertices"], "vertices") if "vertices" in doc
+                else _vertex_order(edges, exterior))
     return from_edges(vertices, exterior, edges)
 
 

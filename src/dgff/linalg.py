@@ -3,11 +3,14 @@ square root, Cholesky factorization, SPD inverse), and the block traversals
 that read or symmetrize a k x k matrix without a k x k temporary.
 
 Matrices are plain float ndarrays. Symmetry is a contract, not a wrapper
-class: ``as_symmetric`` mirrors the upper triangle exactly and rejects
-inputs whose asymmetry exceeds tolerance. LAPACK failures surface as the
-package's own errors (``ConvergenceError``, ``NotPositiveDefiniteError``),
-never as ``numpy.linalg.LinAlgError``. Results repeat bit for bit on a fixed
-machine and BLAS build; across builds they agree to rounding only.
+class: every matrix the package factorizes is built exactly symmetric, so
+each entry point rejects a non-finite entry, then any inexact symmetry
+(``exactly_symmetric``, with ``NotSymmetricError``), and hands its input to
+LAPACK unchanged, neither copied nor mirrored. LAPACK failures surface as
+the package's own errors (``ConvergenceError``,
+``NotPositiveDefiniteError``), never as ``numpy.linalg.LinAlgError``.
+Results repeat bit for bit on a fixed machine and BLAS build; across builds
+they agree to rounding only.
 """
 
 from __future__ import annotations
@@ -24,21 +27,6 @@ from .errors import (
 PSD_CLAMP_REL = 1e-8
 BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k pass
 _TILE = 128  # side of a square tile; a tile pair's temporaries stay in cache
-
-
-def as_symmetric(a: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Return a copy with the upper triangle mirrored exactly onto the lower.
-
-    Raises NotSymmetricError when max |a - a.T| exceeds rtol * max|a|.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise NotSymmetricError("matrix must be square")
-    scale = max(np.abs(a).max(), 1.0) if a.size else 1.0
-    gap = np.abs(a - a.T).max() if a.size else 0.0
-    if gap > rtol * scale:
-        raise NotSymmetricError(f"matrix asymmetry {gap:.3e} exceeds {rtol:.1e} * scale")
-    return np.triu(a) + np.triu(a, 1).T
 
 
 def row_blocks(k: int, width: int | None = None):
@@ -71,14 +59,38 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def exactly_symmetric(m: np.ndarray) -> bool:
+    """m is square and m == m^T, compared one pair of mirror tiles at a time."""
+    return (m.ndim == 2 and m.shape[0] == m.shape[1]
+            and all(np.array_equal(m[r, c], m[c, r].T) for r, c in tile_pairs(m.shape[0])))
+
+
+def _symmetric_input(a, not_finite: type[Exception]) -> np.ndarray:
+    """a as a float array, neither copied nor mirrored. Raises `not_finite`
+    on a non-finite entry (checked first: NaN != NaN), then
+    NotSymmetricError unless a is exactly symmetric."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        raise not_finite("matrix has a non-finite entry")
+    if not exactly_symmetric(a):
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise NotSymmetricError("matrix must be square")
+        gap = max(np.abs(a[r, c] - a[c, r].T).max() for r, c in tile_pairs(len(a)))
+        raise NotSymmetricError(f"matrix is not exactly symmetric: max |a - a^T| = {gap:.3e}")
+    return a
+
+
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via ``numpy.linalg.eigh`` (LAPACK ``syevd``).
+    """Symmetric PSD square root via ``numpy.linalg.eigh`` (LAPACK ``syevd``)
+    of an exactly symmetric, finite a (NotPositiveSemidefiniteError on a
+    non-finite entry).
 
     Eigenvalues in [-PSD_CLAMP_REL * ||a||, 0) are clamped to zero; anything
     more negative raises NotPositiveSemidefiniteError.
     """
+    a = _symmetric_input(a, NotPositiveSemidefiniteError)
     try:
-        w, v = np.linalg.eigh(as_symmetric(a))
+        w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:
         raise ConvergenceError(f"symmetric eigensolver failed: {e}") from None
     scale = max(np.abs(w).max(), np.finfo(float).tiny)
@@ -88,38 +100,32 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     return symmetrize((v * root) @ v.T)
 
 
-def _factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`as_symmetric(a)` and its lower Cholesky factor (LAPACK ``potrf``).
-    Raises NotPositiveDefiniteError when a is not positive definite or has a
-    non-finite entry; the latter is checked before the mirror, whose a - a^T
-    turns an infinity into NaN."""
-    a = np.asarray(a, dtype=float)
-    if not np.isfinite(a).all():
-        raise NotPositiveDefiniteError("matrix has a non-finite entry")
-    work = as_symmetric(a)
+def cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor L with L L^T = a (LAPACK ``potrf``), of an
+    exactly symmetric a. Raises NotPositiveDefiniteError when a is not
+    positive definite or has a non-finite entry."""
+    a = _symmetric_input(a, NotPositiveDefiniteError)
     try:
-        return work, np.linalg.cholesky(work)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor L with L L^T = a (see `_factor`)."""
-    return _factor(a)[1]
-
-
 def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive definite matrix, exactly symmetric.
+    """Inverse of an exactly symmetric positive definite matrix, exactly
+    symmetric.
 
-    The Cholesky factorization certifies positive definiteness. The inverse
-    itself comes from one LU inverse: numpy exposes no triangular solver,
-    and at n = 841 that is faster and more accurate than two general solves
-    against the factor. A matrix that passes the factorization but is
-    singular to working precision is not positive definite either.
+    The Cholesky factorization (`cholesky`) certifies positive definiteness.
+    The inverse itself comes from one LU inverse of a: numpy exposes no
+    triangular solver, and at n = 841 that is faster and more accurate than
+    two general solves against the factor. A matrix that passes the
+    factorization but is singular to working precision is not positive
+    definite either.
     """
-    work = _factor(a)[0]  # the factor is dropped before the inverse is formed
+    a = np.asarray(a, dtype=float)
+    cholesky(a)  # the factor is dropped before the inverse is formed
     try:
-        x = np.linalg.inv(work)
+        x = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is singular to working precision") from None
     return symmetrize(x)

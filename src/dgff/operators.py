@@ -103,12 +103,10 @@ class Stencil:
         for r in linalg.row_blocks(idx.shape[0], idx.shape[1] * x.shape[1]):
             yield r.start, (val[r] @ x[idx[r]])[:, 0]
 
-    def apply(self, x: np.ndarray, rows: int | None = None,
-              transpose: bool = False) -> np.ndarray:
-        """A X (A^T X with `transpose`) for the first `rows` rows, gathered
-        from `products`."""
+    def apply(self, x: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """A X for the first `rows` rows, gathered from `products`."""
         out = np.empty((self.idx[:rows].shape[0], x.shape[1]))
-        for r, chunk in self.products(x, rows, transpose):
+        for r, chunk in self.products(x, rows):
             out[r:r + len(chunk)] = chunk
         return out
 
@@ -128,9 +126,10 @@ class Stencil:
 def stencil(g: Graph, clu: GrowthCluster) -> Stencil:
     """The cluster Laplacian as a `Stencil`, read from the graph's
     adjacency and conductances."""
+    local = {v: i for i, v in enumerate(clu.vertices)}
     rows = [[(li, g.pi[vi], g.pi[vi])]
-            + [(clu.local[vj], -g.cond[(vi, vj)], -g.cond[(vj, vi)])
-               for vj in g.adj[vi] if vj in clu.local]
+            + [(local[vj], -g.cond[(vi, vj)], -g.cond[(vj, vi)])
+               for vj in g.adj[vi] if vj in local]
             for li, vi in enumerate(clu.vertices)]
     width = max((len(row) for row in rows), default=1)
     idx = np.tile(np.arange(clu.size)[:, None], (1, width))
@@ -194,7 +193,7 @@ def layer_step(clu: GrowthCluster, st: Stencil,
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
             "has no path to the exterior") from None
-    if np.array_equal(b, b.T):  # positive definite by theory: certify it
+    if linalg.exactly_symmetric(b):  # positive definite by theory: certify it
         try:
             linalg.cholesky(b)
         except NotPositiveDefiniteError:

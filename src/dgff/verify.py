@@ -222,18 +222,13 @@ def _scale(m: np.ndarray) -> float:
     return _peak(m.max(), -m.min(), 1.0)
 
 
-def _exactly_symmetric(m: np.ndarray) -> bool:
-    """m == m^T, compared one pair of mirror tiles at a time."""
-    return all(np.array_equal(m[r, c], m[c, r].T) for r, c in linalg.tile_pairs(m.shape[0]))
-
-
 def _inverse_residual(st: Stencil, gn: np.ndarray) -> float:
     """max |A G - I| for A given by its stencil, and max |G A - I|, read off
     its transpose A^T G^T - I, unless A and G are both exactly symmetric;
     one chunk of the stencil product at a time."""
     worst = []
     for transpose in (False, True):
-        if transpose and st.symmetric and _exactly_symmetric(gn):
+        if transpose and st.symmetric and linalg.exactly_symmetric(gn):
             break
         for r, prod in st.products(gn.T if transpose else gn, transpose=transpose):
             diag = np.arange(len(prod))

@@ -19,14 +19,20 @@ from dgff.graph import Graph
 from dgff.operators import GreenKernel, Stencil
 
 
+def _positions(clu: GrowthCluster) -> dict[int, int]:
+    """Vertex -> position in the cluster's order."""
+    return {v: i for i, v in enumerate(clu.vertices)}
+
+
 def laplacian(g: Graph, clu: GrowthCluster) -> np.ndarray:
     """Cluster Laplacian in the cluster's vertex order."""
     k = clu.size
     a = np.zeros((k, k))
+    local = _positions(clu)
     for li, vi in enumerate(clu.vertices):
         a[li, li] = g.pi[vi]
         for vj in g.adj[vi]:
-            lj = clu.local.get(vj)
+            lj = local.get(vj)
             if lj is not None:
                 a[li, lj] = -g.cond[(vi, vj)]
     return a
@@ -100,8 +106,9 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
     `edge_list` order, q being zero at a vertex outside the cluster."""
     zero = np.zeros(q.shape[1])
     rows = []
+    local = _positions(clu)
     for (i, j), c in zip(g.edge_list, g.conductances):
-        li, lj = clu.local.get(i), clu.local.get(j)
+        li, lj = local.get(i), local.get(j)
         if li is not None or lj is not None:
             rows.append(np.sqrt(c) * ((zero if li is None else q[li])
                                       - (zero if lj is None else q[lj])))

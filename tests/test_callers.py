@@ -9,6 +9,12 @@ counts as called when the package reads its name as an attribute anywhere
 (`x.name`), whatever `x` is. `__init__.py` re-exports names and does not
 count.
 
+Every defaulted parameter of a public function or method is passed by some
+call site in the package: a default that every caller keeps is a knob with
+one value in use, and belongs in the body. A call through an attribute of
+anything but a package module (`x.name(...)`) counts for every public method
+of that name.
+
 The package namespace exports the library API and nothing else: the tests
 import everything else from its module.
 """
@@ -25,6 +31,25 @@ SRC = Path(dgff.__file__).resolve().parent
 EXCEPTIONS = {
     # an example-graph builder, called by the benchmark's weighted workloads
     "fixtures.weighted",
+}
+
+
+# Defaulted parameters that no call site in the package passes, with the reason.
+KNOBS = {
+    "cli.main.argv": "a test seam: the tests pass the arguments, the console script "
+                     "reads sys.argv",
+    "verify.run_ladder.stack": "a test seam: the tests pass a stack they have built "
+                               "or tampered with",
+    "fixtures.path_graph.conductances": "an example graph's shape: the tests choose it",
+    "fixtures.path_graph.exterior": "an example graph's shape: the tests choose it",
+    "fixtures.grid_graph.conductance": "an example graph's conductance: the tests choose it",
+    "fixtures.binary_tree.conductance": "an example graph's conductance: the tests choose it",
+    "fixtures.weighted.seed": "an example graph's conductances: the tests and the "
+                              "benchmark choose them",
+    "fixtures.weighted.lo": "an example graph's conductances: the tests and the "
+                            "benchmark choose them",
+    "fixtures.weighted.hi": "an example graph's conductances: the tests and the "
+                            "benchmark choose them",
 }
 
 
@@ -51,11 +76,10 @@ def _attributes_read(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
-def _referenced(mod: str, tree: ast.Module) -> set[str]:
-    """Qualified names of package functions that `tree` refers to, outside
-    their own definitions."""
-    local = {}    # name bound by `from .x import y as name` -> "x.y"
-    modules = {}  # name bound by `from . import x` -> "x"
+def _imports(tree: ast.Module) -> tuple[dict[str, str], dict[str, str]]:
+    """Names bound by `from .x import y as name` -> "x.y", and by
+    `from . import x` -> "x"."""
+    local, modules = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             for alias in node.names:
@@ -64,6 +88,13 @@ def _referenced(mod: str, tree: ast.Module) -> set[str]:
                     local[bound] = f"{node.module}.{alias.name}"
                 else:
                     modules[bound] = alias.name
+    return local, modules
+
+
+def _referenced(mod: str, tree: ast.Module) -> set[str]:
+    """Qualified names of package functions that `tree` refers to, outside
+    their own definitions."""
+    local, modules = _imports(tree)
     own = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
     found = set()
@@ -120,3 +151,75 @@ LIBRARY_API = {
 def test_namespace_exports_only_the_library_api():
     exported = {name for name in dgff.__all__ if not inspect.ismodule(getattr(dgff, name))}
     assert exported == LIBRARY_API
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[str]:
+    """Names of fn's parameters that have a default."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = [p.arg for p in positional[len(positional) - len(args.defaults):]]
+    return named + [p.arg for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _signatures(trees) -> dict[str, tuple[list[str], list[str]]]:
+    """Qualified name -> (positional parameters after any self, defaulted
+    parameters) of every public function and public method."""
+    found = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members = [(f"{mod}.{node.name}", node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(f"{mod}.{node.name}.{fn.name}", fn, 1)
+                           for fn in node.body if isinstance(fn, ast.FunctionDef)]
+            else:
+                continue
+            for name, fn, skip in members:
+                if not fn.name.startswith("_"):
+                    positional = fn.args.posonlyargs + fn.args.args
+                    found[name] = ([p.arg for p in positional[skip:]], _defaulted(fn))
+    return found
+
+
+def _passed(mod: str, tree: ast.Module, signatures) -> set[str]:
+    """`name.parameter` for each parameter that a call in `tree` passes to a
+    public function or method, positionally or by keyword."""
+    local, modules = _imports(tree)
+    passed = set()
+    for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+        func = call.func
+        if isinstance(func, ast.Name):
+            targets = [local.get(func.id, f"{mod}.{func.id}")]
+        elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id in modules:
+            targets = [f"{modules[func.value.id]}.{func.attr}"]
+        elif isinstance(func, ast.Attribute):
+            targets = [name for name in signatures if name.count(".") == 2
+                       and name.endswith(f".{func.attr}")]
+        else:
+            continue
+        spread = any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords)
+        for target in targets:
+            positional, defaulted = signatures.get(target, ([], []))
+            given = set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+            passed |= {f"{target}.{p}" for p in defaulted if spread or p in given}
+    return passed
+
+
+def _unpassed() -> set[str]:
+    """Defaulted parameters of public functions and methods that no call in
+    the package passes."""
+    trees = _modules()
+    signatures = _signatures(trees)
+    defaulted = {f"{name}.{p}" for name, (_, params) in signatures.items() for p in params}
+    return defaulted - set().union(*(_passed(mod, tree, signatures)
+                                     for mod, tree in trees.items()))
+
+
+def test_every_defaulted_parameter_is_passed_by_the_package():
+    assert sorted(_unpassed() - set(KNOBS)) == []
+
+
+def test_no_stale_knob_exception():
+    assert sorted(set(KNOBS) - _unpassed()) == []

@@ -334,6 +334,19 @@ def test_verify_needs_foliation_or_roots(fixture_dir, capsys):
     assert err["error"]["code"] == "BadFormat"
 
 
+@pytest.mark.parametrize("command", ["validate", "foliate", "green", "poisson", "hadamard",
+                                     "sample", "verify"])
+def test_empty_roots_or_foliation_is_an_error(fixture_dir, tmp_path, capsys, command):
+    extra = () if command == "validate" else ("--out", tmp_path / "out")
+    graph = fixture_dir / "p4.json"
+    assert run_cli(command, "--graph", graph, "--roots", "", *extra) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "UnknownVertex"
+    if command != "foliate":  # foliate takes --roots only
+        assert run_cli(command, "--graph", graph, "--foliation", "", "--roots", "v1", *extra) == 1
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "IoError"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_failing_checks_exit_three(fixture_dir, capsys):
     # an unattainable exact tolerance must surface as a failed run
     code = run_cli("verify", "--graph", fixture_dir / "p4.json", "--roots", "v1",

@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgff import linalg
 from dgff.errors import (
     ConvergenceError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
     NotSymmetricError,
 )
-from dgff.linalg import as_symmetric, cholesky, psd_sqrt, spd_inverse
+from dgff.fixtures import grid_graph
+from dgff.foliation import bfs_foliate, cluster
+from dgff.hadamard import dirichlet_matrix
+from dgff.linalg import cholesky, exactly_symmetric, psd_sqrt, spd_inverse
 
 
 def random_psd(n, seed):
@@ -128,12 +131,15 @@ class TestSpdInverse:
         with pytest.raises(NotPositiveDefiniteError):
             spd_inverse(a)
 
-    def test_mirrors_its_input_once(self, monkeypatch):
-        calls = []
-        mirror = linalg.as_symmetric
-        monkeypatch.setattr(linalg, "as_symmetric", lambda a: calls.append(1) or mirror(a))
-        spd_inverse(random_psd(5, 3) + 5 * np.eye(5))
-        assert len(calls) == 1
+    def test_hands_its_input_to_lapack_unchanged(self, monkeypatch):
+        seen = []
+        for name in ("cholesky", "inv"):
+            solver = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda m, solver=solver: seen.append(m) or solver(m))
+        a = random_psd(5, 3) + 5 * np.eye(5)
+        spd_inverse(a)
+        assert len(seen) == 2 and all(m is a for m in seen)
 
     def test_hand_inverse(self):
         x = spd_inverse(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -141,10 +147,69 @@ class TestSpdInverse:
                                    atol=1e-15)
 
 
-def test_as_symmetric_mirrors_exactly():
-    a = np.array([[1.0, 2.0 + 1e-12], [2.0, 3.0]])
-    b = as_symmetric(a)
-    np.testing.assert_array_equal(b, b.T)
+class TestExactSymmetry:
+    """Every entry point takes an exactly symmetric matrix as it is and
+    refuses any other, however small its asymmetry."""
+
+    ENTRY_POINTS = {"psd_sqrt": psd_sqrt, "cholesky": cholesky, "spd_inverse": spd_inverse}
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("n", [2, 300])
+    def test_one_ulp_is_refused(self, entry, n):
+        a = random_psd(n, 4) + n * np.eye(n)
+        self.ENTRY_POINTS[entry](a)
+        a[n - 1, 0] = np.nextafter(a[n - 1, 0], np.inf)
+        with pytest.raises(NotSymmetricError, match="not exactly symmetric"):
+            self.ENTRY_POINTS[entry](a)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_message_states_the_largest_asymmetry(self, entry):
+        a = 300 * np.eye(300)
+        a[299, 1] = 0.5   # in a tile below the diagonal
+        a[0, 140] = 0.25  # in a tile above it
+        with pytest.raises(NotSymmetricError, match=r"max \|a - a\^T\| = 5\.000e-01$"):
+            self.ENTRY_POINTS[entry](a)
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_non_square_is_refused(self, entry):
+        with pytest.raises(NotSymmetricError, match="square"):
+            self.ENTRY_POINTS[entry](np.ones((2, 3)))
+
+    @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
+    def test_exactly_symmetric_across_tiles(self, n):
+        a = random_psd(n, 6)
+        assert exactly_symmetric(a)
+        if n > 1:
+            a[n - 1, n // 2] = np.nextafter(a[n - 1, n // 2], np.inf)
+            assert not exactly_symmetric(a) and not exactly_symmetric(a.T.copy())
+        assert not exactly_symmetric(np.zeros((n, n + 1)))
+        assert not exactly_symmetric(np.zeros(n))
+
+
+@pytest.mark.parametrize("matrix", [np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                                    np.array([[np.inf]]),
+                                    np.array([[2.0, -np.inf], [-np.inf, 2.0]])])
+def test_psd_sqrt_refuses_a_non_finite_entry(matrix):
+    with pytest.raises(NotPositiveSemidefiniteError, match="non-finite"):
+        psd_sqrt(matrix)
+
+
+def test_cholesky_memory_is_the_factor():
+    # neither a copy of the input nor an a - a^T temporary: the traced peak
+    # is the k x k factor
+    g = grid_graph(31)
+    fol = bfs_foliate(g, ("r15c15",))
+    a = dirichlet_matrix(g, cluster(fol, fol.depth))
+    k = a.shape[0]
+    tracemalloc.start()
+    try:
+        low = cholesky(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert k == 841
+    assert np.abs(low @ low.T - a).max() <= 1e-12
+    assert peak <= 1.1 * 8 * k * k
 
 
 @settings(deadline=None, max_examples=40)
