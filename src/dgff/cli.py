@@ -48,15 +48,18 @@ def _flags(p: argparse.ArgumentParser, foliation=True, out=True, matrix=False) -
         p.add_argument("--out", help="output directory (default: stdout)")
 
 
+def _layering(args, g):
+    """The foliation of g read from --foliation, else grown from --roots."""
+    if args.foliation is not None:
+        return load_foliation(g, args.foliation)
+    if args.roots is not None:
+        return bfs_foliate(g, tuple(args.roots.split(",")))
+    raise GraphError("need --foliation or --roots", code="BadFormat")
+
+
 def _resolve(args):
     g = load_graph(args.graph)
-    if args.foliation is not None:
-        fol = load_foliation(g, args.foliation)
-    elif args.roots is not None:
-        fol = bfs_foliate(g, tuple(args.roots.split(",")))
-    else:
-        raise GraphError("need --foliation or --roots", code="BadFormat")
-    return g, fol
+    return g, _layering(args, g)
 
 
 def _emit(args, name: str, write) -> None:
@@ -105,8 +108,7 @@ def cmd_validate(args) -> int:
     doc = {"schema": 1, "graph": {"vertices": g.n_vertices, "edges": len(g.edge_list),
                                   "exterior": len(g.exterior)}}
     if args.foliation is not None or args.roots is not None:
-        _, fol = _resolve(args)
-        doc["foliation"] = {"layers": [len(l) for l in fol.layers]}
+        doc["foliation"] = {"layers": [len(l) for l in _layering(args, g).layers]}
     print(json.dumps(doc))
     return 0
 

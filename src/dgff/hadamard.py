@@ -123,9 +123,10 @@ def oracle_kernels(graph: Graph, top: GrowthCluster) -> list[np.ndarray]:
 class OperatorStack:
     """Memoized per-level operator family for a foliated graph.
 
-    Levels are computed on first use, so partially valid inputs (the
-    tampering controls) can exercise early identities before later
-    constructions fail. Asking for level n builds the missing levels below
+    Levels are computed on first use: a level that cannot be built (a
+    cluster component sealed off from the exterior) fails only the checks
+    that read it, after the levels below it were checked, and an operator
+    placed in the cache (a negative control) is read as it stands. Asking for level n builds the missing levels below
     it first, since each layer step reads the previous one and each Green
     kernel is grown from the previous one; a cached level n-1 is grown from
     directly. `build_seconds` adds up the wall time spent building
@@ -200,8 +201,7 @@ class OperatorStack:
         """Green kernel of cluster n, assembled from G_{n-1} and the layer
         step."""
         return self._memo_upward("green", n, lambda m: green(
-            self.graph, self.cluster(m), self.stencil(m), self.green(m - 1) if m else None,
-            self._step(m)))
+            self.graph, self.cluster(m), self.green(m - 1) if m else None, self._step(m)))
 
     def release_green(self, n: int) -> None:
         """Drop level n's cached Green kernel, if any; the other operators

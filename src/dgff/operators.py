@@ -12,14 +12,14 @@ the graph's edges: products with it cost (deg + 1) k per column instead of
 k^2, and the build gathers from it just the rows of the new layer.
 
 Cluster n is cluster n-1 plus one layer, and the operators are built that
-way. In layer-major order the Laplacian is A_n = [[A_{n-1}, U], [V, D]],
-where D is the new layer's block and U, V couple it to the old cluster
-(by locality, only through layer n-1). With X = G_{n-1} U and
-Y = V G_{n-1}, the block-inverse (Schur complement) identity gives
+way. In layer-major order the Laplacian is A_n = [[A_{n-1}, U], [U^T, D]],
+where D is the new layer's block and U couples it to the old cluster (by
+locality, only through layer n-1). With X = G_{n-1} U, the block-inverse
+(Schur complement) identity gives
 
-    B_n = (D - V X)^-1                     boundary Green of the layer,
+    B_n = (D - U^T X)^-1                   boundary Green of the layer,
     P_n = [-X; I]                          Poisson kernel of the layer,
-    G_n = [[G_{n-1} + X B_n Y, -X B_n], [-B_n Y, B_n]].
+    G_n = [[G_{n-1} + X B_n X^T, -X B_n], [-B_n X^T, B_n]].
 
 This is the recursive Green's function method (Lake, Klimeck, Bowen &
 Jovanovic 1997). U is nonzero only on the rows of L_{n-1}, so `layer_step`
@@ -36,11 +36,10 @@ of the block assembly. Without layer columns the whole cluster is the
 layer: the base step (P = I, B = A^-1), which the recursion takes at
 level 0 only.
 
-A tampered (direction-dependent) conductance table yields an asymmetric
-Laplacian; the Green inverse then falls back to a general LU inverse of the
-Schur complement, so the inverse identity still holds while the
-reversibility identity pi(x) G(x, y) = pi(y) G(y, x) fails, which is exactly
-what the verification ladder's negative controls rely on. Because the build
+Conductances are symmetric, c(x, y) = c(y, x), so every A_n is exactly
+symmetric and is built one way. Both graph parsers refuse a
+direction-dependent conductance; `stencil` refuses one that reached a graph
+past them (NotSymmetric), so nothing is built from it. Because the build
 and the checks that multiply by A read the same stencil, a wrong stencil
 entry is seen by the checks that read the graph's edge list instead
 (`isometry`), not by `green_inverse`.
@@ -53,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import NotPositiveDefiniteError
+from .errors import NotPositiveDefiniteError, NotSymmetricError
 from .foliation import GrowthCluster
 from .graph import Graph
 
@@ -64,24 +63,17 @@ class Stencil:
 
     Row i of A holds `val[i, j]` in column `idx[i, j]`: the diagonal first,
     then the in-cluster neighbours; a padding slot points at row i with
-    value 0. `val_t` holds the rows of A^T on the same pattern (adjacency
-    is symmetric), which differ from `val` only for a tampered,
-    direction-dependent conductance. A product A X costs (deg + 1) k m for
+    value 0. A is exactly symmetric (`stencil` refuses anything else), so
+    the rows are also those of A^T. A product A X costs (deg + 1) k m for
     an m-column X instead of the dense k^2 m.
     """
 
     idx: np.ndarray
     val: np.ndarray
-    val_t: np.ndarray
 
     @property
     def size(self) -> int:
         return self.idx.shape[0]
-
-    @property
-    def symmetric(self) -> bool:
-        """True when the Laplacian is exactly symmetric."""
-        return bool(np.array_equal(self.val, self.val_t))
 
     def leading(self, k: int) -> "Stencil":
         """Stencil of the leading k x k block: the first k rows, with the
@@ -89,17 +81,14 @@ class Stencil:
         idx = self.idx[:k]
         outside = idx >= k
         return Stencil(idx=np.where(outside, np.arange(k)[:, None], idx),
-                       val=np.where(outside, 0.0, self.val[:k]),
-                       val_t=np.where(outside, 0.0, self.val_t[:k]))
+                       val=np.where(outside, 0.0, self.val[:k]))
 
-    def products(self, x: np.ndarray, rows: int | None = None,
-                 transpose: bool = False):
-        """Yield the rows of A X (A^T X with `transpose`), up to `rows`, as
-        (start, chunk) pairs: row i is sum_j val[i, j] X[idx[i, j]], taken
-        over row chunks as a batched (1 x w)(w x m) product so that each
-        chunk's gather stays in cache."""
+    def products(self, x: np.ndarray, rows: int | None = None):
+        """Yield the rows of A X, up to `rows`, as (start, chunk) pairs: row
+        i is sum_j val[i, j] X[idx[i, j]], taken over row chunks as a batched
+        (1 x w)(w x m) product so that each chunk's gather stays in cache."""
         idx = self.idx[:rows]
-        val = (self.val_t if transpose else self.val)[:rows, None, :]
+        val = self.val[:rows, None, :]
         for r in linalg.row_blocks(idx.shape[0], idx.shape[1] * x.shape[1]):
             yield r.start, (val[r] @ x[idx[r]])[:, 0]
 
@@ -110,11 +99,11 @@ class Stencil:
             out[r:r + len(chunk)] = chunk
         return out
 
-    def dense(self, lo: int, hi: int, transpose: bool = False) -> np.ndarray:
-        """Rows lo:hi of A (of A^T with `transpose`) as a dense block over
-        columns :hi; entries in columns >= hi are left out."""
+    def dense(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo:hi of A as a dense block over columns :hi; entries in
+        columns >= hi are left out."""
         idx = self.idx[lo:hi]
-        val = (self.val_t if transpose else self.val)[lo:hi]
+        val = self.val[lo:hi]
         i, j = np.nonzero(idx < hi)
         out = np.zeros((hi - lo, hi))
         # accumulated, not assigned: a padding slot repeats the diagonal's
@@ -125,19 +114,25 @@ class Stencil:
 
 def stencil(g: Graph, clu: GrowthCluster) -> Stencil:
     """The cluster Laplacian as a `Stencil`, read from the graph's
-    adjacency and conductances."""
+    adjacency and conductances. Raises NotSymmetric, naming the edge, when
+    an edge at a cluster vertex has a direction-dependent conductance,
+    which no graph parser lets through."""
+    for vi in clu.vertices:
+        for vj in g.adj[vi]:
+            if g.cond[(vi, vj)] != g.cond[(vj, vi)]:
+                x, y = g.vertices[vi], g.vertices[vj]
+                raise NotSymmetricError(
+                    f"conductance of edge ({x}, {y}) depends on its direction: "
+                    f"c({x}, {y}) = {g.cond[(vi, vj)]!r}, c({y}, {x}) = {g.cond[(vj, vi)]!r}")
     local = {v: i for i, v in enumerate(clu.vertices)}
-    rows = [[(li, g.pi[vi], g.pi[vi])]
-            + [(local[vj], -g.cond[(vi, vj)], -g.cond[(vj, vi)])
-               for vj in g.adj[vi] if vj in local]
+    rows = [[(li, g.pi[vi])] + [(local[vj], -g.cond[(vi, vj)]) for vj in g.adj[vi] if vj in local]
             for li, vi in enumerate(clu.vertices)]
     width = max((len(row) for row in rows), default=1)
     idx = np.tile(np.arange(clu.size)[:, None], (1, width))
     val = np.zeros((clu.size, width))
-    val_t = np.zeros((clu.size, width))
     for i, row in enumerate(rows):
-        idx[i, :len(row)], val[i, :len(row)], val_t[i, :len(row)] = zip(*row)
-    return Stencil(idx=idx, val=val, val_t=val_t)
+        idx[i, :len(row)], val[i, :len(row)] = zip(*row)
+    return Stencil(idx=idx, val=val)
 
 
 @dataclass(frozen=True)
@@ -170,8 +165,8 @@ def layer_step(clu: GrowthCluster, st: Stencil,
     With `cols_prev` None it is the base step: P = I and B = A^-1.
 
     Raises NotPD when some cluster component is sealed off from the
-    exterior, which makes the Laplacian singular, and when an exactly
-    symmetric B_n fails its Cholesky certificate.
+    exterior, which makes the Laplacian singular, and when B_n fails its
+    Cholesky certificate.
     """
     if st.size != clu.size:
         raise ValueError("st must be the stencil of the cluster")
@@ -180,44 +175,35 @@ def layer_step(clu: GrowthCluster, st: Stencil,
     if cols_prev is not None and (not clu.n or cols.shape != (k, k - clu.layer_start[clu.n - 1])):
         raise ValueError("cols_prev must be the layer columns of the cluster minus its top layer")
     layer = st.dense(k, clu.size)
-    v, d = layer[:, :k], layer[:, k:]
-    u = st.dense(k, clu.size, transpose=True)[:, :k].T
+    u, d = layer[:, :k].T, layer[:, k:]
     rows = np.flatnonzero(u.any(axis=1))  # within L_{n-1}, which starts at k - |L_{n-1}|
     x = cols[:, rows - (k - cols.shape[1])] @ u[rows]
     try:
-        if st.symmetric:
-            b = linalg.spd_inverse(linalg.symmetrize(d - u.T @ x))
-        else:
-            b = np.linalg.inv(d - v @ x)
-    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
+        b = linalg.spd_inverse(linalg.symmetrize(d - u.T @ x))
+    except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
             "has no path to the exterior") from None
-    if linalg.exactly_symmetric(b):  # positive definite by theory: certify it
-        try:
-            linalg.cholesky(b)
-        except NotPositiveDefiniteError:
-            raise NotPositiveDefiniteError(
-                f"boundary Green on layer of cluster {clu.n} is not "
-                "positive definite") from None
+    try:  # positive definite by theory: certify it
+        linalg.cholesky(b)
+    except NotPositiveDefiniteError:
+        raise NotPositiveDefiniteError(
+            f"boundary Green on layer of cluster {clu.n} is not positive definite") from None
     p = np.empty((clu.size, clu.size - k))
     np.negative(x, out=p[:k])
     p[k:] = np.eye(clu.size - k)
     return p, b
 
 
-def green(g: Graph, clu: GrowthCluster, st: Stencil, prev: GreenKernel | None,
+def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None,
           step: tuple[np.ndarray, np.ndarray]) -> GreenKernel:
     """Normalized Green matrix of the cluster (Laplacian inverse), assembled
     in one array from `prev`, the Green kernel of the cluster minus its top
     layer (None for the base step), and `step`, the layer's (P_n, B_n) from
-    `layer_step`. The asymmetric branch reads the layer rows V of `st`, the
-    cluster's stencil, for Y = V G_{n-1}.
+    `layer_step`.
     """
     k = 0 if prev is None else prev.cluster.size
     p, b = step
-    if st.size != clu.size:
-        raise ValueError("st must be the stencil of the cluster")
     if prev is not None and prev.cluster.vertices != clu.vertices[:k]:
         raise ValueError("prev must be the Green kernel of a prefix of the cluster")
     if p.shape != (clu.size, clu.size - k):
@@ -225,16 +211,11 @@ def green(g: Graph, clu: GrowthCluster, st: Stencil, prev: GreenKernel | None,
     g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
     pb = p[:k] @ b  # -X B_n
     gn = np.empty((clu.size, clu.size))
-    if st.symmetric:
-        np.matmul(pb, p[:k].T, out=gn[:k, :k])  # the rank-|L_n| update (-X B_n)(-X)^T
-        linalg.symmetrize(gn[:k, :k])
-        gn[k:, :k] = pb.T
-    else:
-        neg_y = -st.dense(k, clu.size)[:, :k] @ g_prev  # -Y = -V G_{n-1}
-        np.matmul(pb, neg_y, out=gn[:k, :k])
-        np.matmul(b, neg_y, out=gn[k:, :k])
+    np.matmul(pb, p[:k].T, out=gn[:k, :k])  # the rank-|L_n| update (-X B_n)(-X)^T
+    linalg.symmetrize(gn[:k, :k])
     gn[:k, :k] += g_prev
     gn[:k, k:] = pb
+    gn[k:, :k] = pb.T
     gn[k:, k:] = b
     pi = np.array([g.pi[v] for v in clu.vertices])
     return GreenKernel(cluster=clu, normalized=gn, pi=pi)

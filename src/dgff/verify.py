@@ -224,13 +224,11 @@ def _scale(m: np.ndarray) -> float:
 
 def _inverse_residual(st: Stencil, gn: np.ndarray) -> float:
     """max |A G - I| for A given by its stencil, and max |G A - I|, read off
-    its transpose A^T G^T - I, unless A and G are both exactly symmetric;
-    one chunk of the stencil product at a time."""
+    its transpose A G^T - I (A = A^T) unless G is exactly symmetric; one
+    chunk of the stencil product at a time."""
     worst = []
-    for transpose in (False, True):
-        if transpose and st.symmetric and linalg.exactly_symmetric(gn):
-            break
-        for r, prod in st.products(gn.T if transpose else gn, transpose=transpose):
+    for m in (gn,) if linalg.exactly_symmetric(gn) else (gn, gn.T):
+        for r, prod in st.products(m):
             diag = np.arange(len(prod))
             prod[diag, r + diag] -= 1.0
             worst.append(_absmax(prod))

@@ -69,7 +69,7 @@ def poisson_from_green(clu: GrowthCluster, st: Stencil,
     p = np.zeros((clu.size, top.stop - k))
     p[top] = np.eye(top.stop - k)
     if k:
-        u = st.dense(k, clu.size, transpose=True)[:, :k].T
+        u = st.dense(k, clu.size)[:, :k].T
         rows = np.flatnonzero(u.any(axis=1))
         p[:k] = green_prev.normalized[:, rows] @ -u[rows]
     return p
@@ -119,24 +119,18 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
 def block_green(g: Graph, clu: GrowthCluster, st: Stencil,
                 prev: GreenKernel | None = None) -> np.ndarray:
     """The one-layer step of `operators.green`, with G_n assembled by
-    `np.block` from freshly allocated blocks: G_{n-1} + X B_n Y with the
-    update symmetrized as (m + m^T) / 2, -X B_n, -B_n Y and B_n. The
+    `np.block` from freshly allocated blocks: G_{n-1} + X B_n X^T with the
+    update symmetrized as (m + m^T) / 2, -X B_n, -B_n X^T and B_n. The
     package writes the same blocks into one array, and must give the same
     bits."""
     k = 0 if prev is None else prev.cluster.size
     g_prev = np.zeros((0, 0)) if prev is None else prev.normalized
     layer = st.dense(k, clu.size)
-    v, d = layer[:, :k], layer[:, k:]
-    u = st.dense(k, clu.size, transpose=True)[:, :k].T
+    u, d = layer[:, :k].T, layer[:, k:]
     rows = np.flatnonzero(u.any(axis=1))
     x = g_prev[:, rows] @ u[rows]
-    if st.symmetric:
-        s = d - u.T @ x
-        b = linalg.spd_inverse((s + s.T) / 2.0)
-        xb = x @ b
-        update = xb @ x.T
-        return np.block([[g_prev + (update + update.T) / 2.0, -xb], [-xb.T, b]])
-    y = v @ g_prev
-    b = np.linalg.inv(d - v @ x)
+    s = d - u.T @ x
+    b = linalg.spd_inverse((s + s.T) / 2.0)
     xb = x @ b
-    return np.block([[g_prev + xb @ y, -xb], [-b @ y, b]])
+    update = xb @ x.T
+    return np.block([[g_prev + (update + update.T) / 2.0, -xb], [-xb.T, b]])

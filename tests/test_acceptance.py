@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, at the stated tolerance, with a
 printed pass/fail line each (run with -s to see them)."""
 
+import dataclasses
 import time
 
 import numpy as np
@@ -279,16 +280,14 @@ def test_criterion_10_sweep(mc, stack_set):
 
 
 def test_criterion_11_negative_controls(stack_set):
-    # (a) direction-dependent conductance: the inverse rung still passes,
-    #     the reversibility rung is the first failure
+    # (a) direction-dependent conductance, past the parsers' validation: the
+    #     build refuses it, so every rung records NotSymmetric (or that a
+    #     rung it reads from did not run) and the ladder still ends
     g, fol = standard_fixture("p4")
-    bad = tamper_directed(g, "v2", "v1", 2.0)
-    rep = run_ladder(bad, fol, seed=1, trials=2000)
-    names = [r["name"] for r in rep["checks"]]
-    i_sym = names.index("green_symmetry")
-    asym_ok = (rep["checks"][names.index("green_inverse")]["passed"]
-               and not rep["checks"][i_sym]["passed"]
-               and all(r["passed"] for r in rep["checks"][:i_sym]))
+    rep = run_ladder(tamper_directed(g, "v2", "v1", 2.0), fol, seed=1, trials=2000)
+    errors = {r["name"]: r.get("error") for r in rep["checks"]}
+    asym_ok = (not rep["pass"] and errors["green_inverse"] == "NotSymmetric"
+               and set(errors.values()) == {"NotSymmetric", "PrerequisiteFailed"})
 
     # (b) wrong layer assignment is stopped by validation before any check
     try:
@@ -308,6 +307,18 @@ def test_criterion_11_negative_controls(stack_set):
     first_fail = next(r["name"] for r in rep["checks"] if not r["passed"])
     kernel_ok = first_fail == "hadamard_identity"
 
-    _line(11, asym_ok and layer_ok and kernel_ok,
-          "tampered inputs fail exactly the intended rung: asymmetric conductance -> "
-          "reversibility, wrong layers -> validation, corrupted kernel -> identity")
+    # (d) a cached G_1 with one entry raised by 1e-6 trips reversibility; no
+    #     asymmetric G inverts the symmetric A, so green_inverse trips too
+    stack = OperatorStack(g5, fol5)
+    kern = stack.green(1)
+    bad = kern.normalized.copy()
+    bad[0, 1] += 1e-6
+    stack._cache[("green", 1)] = dataclasses.replace(kern, normalized=bad)
+    rep = run_ladder(g5, fol5, seed=1, trials=2000, stack=stack)
+    sym = next(r for r in rep["checks"] if r["name"] == "green_symmetry")
+    green_ok = not sym["passed"] and sym["statistic"] > 1e-6
+
+    _line(11, asym_ok and layer_ok and kernel_ok and green_ok,
+          "tampered inputs fail where intended: asymmetric conductance -> NotSymmetric "
+          "at the build, wrong layers -> validation, corrupted kernel -> identity, "
+          f"asymmetric G_1 -> reversibility ({sym['statistic']:.1e})")

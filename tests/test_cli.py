@@ -53,6 +53,19 @@ def test_validate_ok(fixture_dir, capsys):
     assert doc["foliation"]["layers"] == [1, 1]
 
 
+@pytest.mark.parametrize("layering", [("--roots", "v1"), ("--foliation", "p4_foliation.json")],
+                         ids=("roots", "foliation"))
+def test_validate_parses_the_graph_once(fixture_dir, monkeypatch, capsys, layering):
+    calls = []
+    load = cli.load_graph
+    monkeypatch.setattr(cli, "load_graph", lambda path: calls.append(path) or load(path))
+    flag, value = layering
+    value = fixture_dir / value if flag == "--foliation" else value
+    assert run_cli("validate", "--graph", fixture_dir / "p4.json", flag, value) == 0
+    assert json.loads(capsys.readouterr().out)["foliation"]["layers"] == [1, 1]
+    assert len(calls) == 1
+
+
 def test_validate_edgelist_format(fixture_dir, capsys):
     assert run_cli("validate", "--graph", fixture_dir / "p4.edgelist") == 0
 
