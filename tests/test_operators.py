@@ -279,8 +279,8 @@ class TestOneLayerBuild:
             gn = stack.green(n).normalized
             assert np.array_equal(gn, gn.T), n
 
-    @pytest.mark.parametrize("c", (2.0, -2.0))
-    def test_direction_dependent_conductance_is_refused_at_the_stencil(self, c):
+    @staticmethod
+    def assert_refused_at_the_stencil(c):
         # past the parsers' ConflictingConductance: c(v2, v1) = c, c(v1, v2) = 1
         g, fol = standard_fixture("p4")
         tampered = tamper_directed(g, "v2", "v1", c)
@@ -288,6 +288,14 @@ class TestOneLayerBuild:
             stencil(tampered, cluster(fol, 1))
         with pytest.raises(NotSymmetricError, match=r"edge \(v1, v2\)"):
             OperatorStack(tampered, fol).green(1)
+
+    def test_direction_dependent_conductance_is_refused_at_the_stencil(self):
+        self.assert_refused_at_the_stencil(2.0)
+
+    def test_negative_reverse_conductance_is_refused_at_the_stencil(self):
+        # c = -2 once made the level-1 Schur complement singular; it now
+        # fails the symmetry check before any factorisation
+        self.assert_refused_at_the_stencil(-2.0)
 
     @pytest.mark.parametrize("name", FIXTURES + ("grid13", "grid21"))
     def test_in_place_build_equals_the_block_assembly(self, name):
