@@ -20,27 +20,21 @@ that f_n^T G_n f_n = ||Q_n^* f||^2 at every level. A column supported on
 cluster m has the same Dirichlet energy at every level n >= m, so the
 Dirichlet Gram of Q_n is the leading block of the top level's.
 
-`OperatorStack` memoizes the per-level operators for a foliated graph and
-is the single entry point the commands, the sampling and the checks build
-on; it holds no check code. It stores Q only as its kernel list K_0..K_n,
-sum_m k_m |L_m| numbers: samples grow from the kernels a layer at a time
-(`dgff.sampling`), and `growth_adjoint_apply` returns Q_top^* f, whose
-leading k_n entries are Q_n^* f. `dirichlet_blocks` reads the Dirichlet
-Gram of Q_n from the kernels a pair of layers at a time, for the
-`isometry` rung and `dgff hadamard`. `growth(n)` assembles a dense Q_n
-afresh on each call, for `dgff hadamard` alone, which prints it.
-It builds the operators as the paper grows the cluster, one layer at a
-time: level n's Poisson kernel P_n and boundary Green B_n come from one
-Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
-layer's rows of the Laplacian, factorizing only a layer-sized matrix (see
-`dgff.operators`). So the kernels, and the samples grown from them, cost
-sum_n k_n |L_n| memory; the dense Green kernel G_n is assembled from
-G_{n-1} and that step only when a check reads it. The Laplacian is held
-once, as the top cluster's padded neighbour stencil read from the graph's
-edges; level n's is its leading block. The build gathers its layer rows
-from it and the checks multiply by it, while `dirichlet_blocks` and
-`dirichlet_matrix` read the edge list directly, so the `isometry` check and
-the Cholesky oracle (`oracle_kernels`) stay independent of the stencil.
+`OperatorStack` memoizes the per-level operators for a foliated graph; the
+commands, the sampling and the checks build on it, and it holds no check
+code. It grows the cluster as the paper does, one layer at a time: level
+n's Poisson kernel P_n and boundary Green B_n come from one Schur step on
+level n-1's layer columns P_{n-1} B_{n-1} and the new layer's rows of the
+Laplacian, held once as the top cluster's padded neighbour stencil (see
+`dgff.operators`). Q is kept as its kernels K_0..K_n, sum_m k_m |L_m|
+numbers, from which samples grow (`dgff.sampling`) and
+`growth_adjoint_apply` returns Q_top^* f; `growth(n)` assembles a dense
+Q_n for `dgff hadamard` alone. G_n is assembled only when a check reads it.
+The independent side reads the edge list, not the stencil, also a layer at
+a time: `dirichlet_blocks` gives Q_n's Dirichlet Gram in layer blocks, and
+`oracle_kernels` the Cholesky oracle W = L^{-T}, A_top = L L^T. A_top is
+block tridiagonal in layer order, so L is block lower bidiagonal and each
+level factors one layer-sized pivot. No k_top x k_top Laplacian is formed.
 """
 
 from __future__ import annotations
@@ -51,6 +45,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from . import linalg
+from .errors import NotPositiveDefiniteError
 from .foliation import Foliation, GrowthCluster, cluster as make_cluster
 from .graph import Graph
 from .operators import GreenKernel, Stencil, green, layer_step, stencil
@@ -94,30 +89,35 @@ def dirichlet_blocks(stack: OperatorStack, n: int) -> Iterator[tuple[int, int, n
             yield p, m, rows[p].T @ d[: len(rows[p])]
 
 
-def dirichlet_matrix(g: Graph, clu: GrowthCluster) -> np.ndarray:
-    """The cluster's Laplacian A read from the edge list: the Dirichlet Gram
-    of its coordinate basis, scattered in O(E + k^2) instead of multiplied
-    through edge rows in E k^2.
-
-    An edge xy of conductance c adds c to A[x, x] and A[y, y] and -c to
-    A[x, y] and A[y, x]; the entries of a vertex outside the cluster land in
-    a padding row and column that is dropped.
-    """
-    k = clu.size
-    (x, y), w, c = _edge_ends(g, clu), k + 1, g.conductances
-    flat = np.concatenate([x * w + x, y * w + y, x * w + y, y * w + x])
-    a = np.bincount(flat, np.concatenate([c, c, -c, -c]), minlength=w * w)
-    return a.reshape(w, w)[:k, :k].copy()
-
-
-def oracle_kernels(graph: Graph, top: GrowthCluster) -> list[np.ndarray]:
-    """Layer columns W[:k_n, L_n] of the oracle W = L^{-T}, A_top = L L^T the
-    top Laplacian read from the edge list (`dirichlet_matrix`), not from
-    anything the stack built. W is upper triangular and W_n = W[:k_n, :k_n]
-    has W_n W_n^T = G_n (Rue & Held 2005, sec. 2.4)."""
-    low = linalg.cholesky(dirichlet_matrix(graph, top))
-    w = np.linalg.inv(low.T)  # no row swaps: W stays exactly triangular
-    return [w[: top.layer_slice(n).stop, top.layer_slice(n)] for n in range(top.n + 1)]
+def oracle_kernels(graph: Graph, top: GrowthCluster) -> Iterator[np.ndarray]:
+    """Yield the layer columns W[:k_n, L_n], n = 0..N, of the oracle
+    W = L^{-T}, A_top = L L^T, read from the edge list: W_n = W[:k_n, :k_n]
+    has W_n W_n^T = G_n (Rue & Held 2005, sec. 2.4). Level n scatters
+    A[L_n, L_{n-1} u L_n] in edge order; C_n = A_{n,n-1} W_{n-1,n-1},
+    L_nn L_nn^T = A_nn - C_n C_n^T and W_nn = L_nn^{-T} give the column
+    [-(W[:k_{n-1}, L_{n-1}] C_n^T) W_nn; W_nn]. NotPD names the layer whose
+    pivot fails or has L_nn[i, i]^2 <= eps A_nn[i, i]: numerically singular."""
+    (x, y), c = _edge_ends(graph, top), graph.conductances
+    i, j, v = (np.concatenate(t) for t in ((x, y, x, y), (x, y, y, x), (c, c, -c, -c)))
+    order = np.argsort(i, kind="stable")  # by row; an entry's summands keep their order
+    i, j, v, cuts = i[order], j[order], v[order], np.searchsorted(i[order], top.layer_start)
+    w = np.zeros((0, 0))
+    for n in range(top.n + 1):
+        lo, s, hi = top.layer_start[max(n - 1, 0)], top.layer_start[n], top.layer_start[n + 1]
+        row, col, val = (t[cuts[n]: cuts[n + 1]] for t in (i, j, v))
+        keep = (lo <= col) & (col < hi)  # A[L_n, L_{n-1} u L_n]
+        a = np.bincount((row[keep] - s) * (hi - lo) + col[keep] - lo, val[keep],
+                        minlength=(hi - s) * (hi - lo)).reshape(hi - s, hi - lo)
+        a_nn, c_n = a[:, s - lo:], a[:, : s - lo] @ w[len(w) - (s - lo):]
+        try:
+            low = linalg.cholesky(linalg.symmetrize(a_nn - c_n @ c_n.T))
+        except NotPositiveDefiniteError:
+            low = np.zeros_like(a_nn)  # a pivot that fails to factor is no pivot
+        if (np.diag(low) ** 2 <= np.finfo(float).eps * np.diag(a_nn)).any():
+            raise NotPositiveDefiniteError(f"oracle pivot on layer {n} is numerically singular")
+        w_nn = np.linalg.inv(low.T)  # triangular: no row swaps, W_nn stays exactly triangular
+        w = np.vstack((-(w @ c_n.T) @ w_nn, w_nn))
+        yield w
 
 
 class OperatorStack:

@@ -7,7 +7,7 @@ from dgff import OperatorStack, bfs_foliate
 from dgff import linalg
 from dgff.errors import FoliationError
 from dgff.fixtures import binary_tree, grid_graph, standard_fixture, weighted
-from dgff.hadamard import dirichlet_blocks, dirichlet_matrix
+from dgff.hadamard import dirichlet_blocks, oracle_kernels
 from dgff.sampling import brownian_check
 from dgff.verify import increment_residual, isometry_residual
 
@@ -203,7 +203,7 @@ class TestIsometry:
             q = dense_reference.growth(clu, [stack.kernel(m) for m in range(fol.depth + 1)])
             gram = gram_from_blocks(clu, dirichlet_blocks(stack, fol.depth))
             np.testing.assert_array_equal(gram, gram.T)
-            a = dirichlet_matrix(g, clu)
+            a = dense_reference.laplacian(g, clu)
             eps = np.finfo(float).eps
             bound = (2 * (len(g.edge_list) + clu.size) * eps
                      * (np.abs(q).T @ np.abs(a) @ np.abs(q)))
@@ -281,15 +281,18 @@ def test_adjoint_from_kernels_matches_dense_growth(name):
 
 @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13-weighted"))
 def test_scattered_laplacian_is_the_dirichlet_gram_of_the_identity(name):
-    # the oracle's A_top, scattered from the edge list, at every level
+    # the oracle's A_top, scattered from the edge list a layer at a time,
+    # is factored at every level: W_n^T A_n W_n = I with A_n the Dirichlet
+    # Gram of the identity, formed edge by edge, which is the Laplacian
     g, fol = standard_fixture(name.split("-")[0])
     if name.endswith("weighted"):
         g = weighted(g, seed=4, lo=0.1, hi=10.0)
     stack = OperatorStack(g, fol)
+    kerns = list(oracle_kernels(g, stack.cluster(stack.depth)))
     for n in range(stack.depth + 1):
         clu = stack.cluster(n)
-        a, ref = dirichlet_matrix(g, clu), dense_reference.dirichlet_gram(g, clu, np.eye(clu.size))
-        np.testing.assert_array_equal(a, a.T)
+        ref = dense_reference.dirichlet_gram(g, clu, np.eye(clu.size))
         tol = 1e-14 * np.abs(ref).max()
-        assert np.abs(a - ref).max() <= tol
-        assert np.abs(a - dense_reference.laplacian(g, clu)).max() <= tol
+        assert np.abs(ref - dense_reference.laplacian(g, clu)).max() <= tol
+        w = dense_reference.growth(clu, kerns[: n + 1])
+        assert np.abs(w.T @ ref @ w - np.eye(clu.size)).max() <= 1e-13

@@ -14,8 +14,9 @@ from dgff.errors import (
 )
 from dgff.fixtures import grid_graph
 from dgff.foliation import bfs_foliate, cluster
-from dgff.hadamard import dirichlet_matrix
 from dgff.linalg import cholesky, exactly_symmetric, psd_sqrt, spd_inverse
+
+import dense_reference
 
 
 def random_psd(n, seed):
@@ -199,7 +200,7 @@ def test_cholesky_memory_is_the_factor():
     # is the k x k factor
     g = grid_graph(31)
     fol = bfs_foliate(g, ("r15c15",))
-    a = dirichlet_matrix(g, cluster(fol, fol.depth))
+    a = dense_reference.laplacian(g, cluster(fol, fol.depth))
     k = a.shape[0]
     tracemalloc.start()
     try:

@@ -1,10 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dgff import GaussianStream, OperatorStack, SupportViolationError, kernels
-from dgff.fixtures import standard_fixture
+from dgff.errors import NotPositiveDefiniteError
+from dgff.fixtures import grid_graph, standard_fixture, weighted
+from dgff.foliation import bfs_foliate, cluster
+from dgff.graph import parse_graph
 from dgff.hadamard import oracle_kernels
 from dgff.sampling import (
     NoiseGram,
@@ -198,16 +202,51 @@ class TestIncrement:
 
 
 class TestOracle:
-    def test_factor_property(self, grid_stack):
-        # W_n, assembled from the oracle's layer columns like Q_n, is a
-        # triangular factor of G_n at every level
-        g, stack = grid_stack
-        kerns = oracle_kernels(g, stack.cluster(stack.depth))
-        for n in range(stack.depth + 1):
-            w = dense_reference.growth(stack.cluster(n), kerns[: n + 1])
-            gn = stack.green(n).normalized
-            np.testing.assert_array_equal(w, np.triu(w))
-            assert np.abs(w @ w.T - gn).max() <= 1e-12 * np.abs(gn).max()
+    def test_factor_property(self):
+        # W_n, assembled from the oracle's layer columns like Q_n, is an upper
+        # triangular factor of G_n with a positive diagonal at every level;
+        # that factor is unique, so W_n is L_n^{-T} with no dense reference
+        grid = weighted(grid_graph(21), seed=5, lo=0.1, hi=10.0)
+        graphs = [standard_fixture(name) for name in ("p4", "p5", "grid5", "tree3", "grid13")]
+        for g, fol in graphs + [(grid, bfs_foliate(grid, ["r10c10"]))]:
+            stack = OperatorStack(g, fol)
+            kerns = []
+            for n, kern in enumerate(oracle_kernels(g, stack.cluster(stack.depth))):
+                kerns.append(kern)
+                w = dense_reference.growth(stack.cluster(n), kerns)
+                gn = stack.green(n).normalized
+                np.testing.assert_array_equal(w, np.triu(w))
+                assert (np.diag(w) > 0).all()
+                assert np.abs(w @ w.T - gn).max() <= 1e-12 * np.abs(gn).max()
+            assert len(kerns) == stack.depth + 1
+
+    @pytest.mark.parametrize("c", ("1e300", "4"))
+    def test_singular_pivot_names_its_layer(self, c):
+        # pi(b) rounds to c(a, b), so cluster 1 is singular to working
+        # precision: the pivot of layer 1, A_11 - C_1^2, is one rounding of
+        # A_11 = 1e300, or exactly zero for c(a, b) = 4, whose root is exact
+        g = parse_graph(f"!exterior e\na b {c}\nb c 1e-300\nc e 1\n", "edgelist")
+        top = cluster(bfs_foliate(g, ["a"]), 2)
+        levels = oracle_kernels(g, top)
+        assert next(levels).shape == (1, 1)
+        with pytest.raises(NotPositiveDefiniteError, match="layer 1 is numerically singular"):
+            next(levels)
+
+    def test_oracle_memory_is_layer_columns(self):
+        # consumed level by level, the oracle holds a layer's blocks and two
+        # levels' layer columns, never a k_top x k_top Laplacian or factor
+        g = grid_graph(31)
+        fol = bfs_foliate(g, ["r15c15"])
+        top = cluster(fol, fol.depth)
+        tracemalloc.start()
+        try:
+            for _ in oracle_kernels(g, top):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert top.size == 841
+        assert peak <= 0.25 * 8 * top.size ** 2
 
     def test_oracle_covariance(self, grid_stack):
         g, stack = grid_stack
@@ -232,7 +271,7 @@ class TestOracle:
         # leading noise coordinate of a top-cluster Gram
         g, stack = p4_stack
         gram = GaussianStream(1).gram(stack.cluster(1).vertices, 10)
-        w0 = oracle_kernels(g, stack.cluster(1))[0]
+        w0 = next(oracle_kernels(g, stack.cluster(1)))
         (moment,) = grown_covariances([w0], gram)
         assert moment.shape == (1, 1) == w0.shape
         np.testing.assert_allclose(moment, w0 @ gram.total[:1, :1] @ w0.T / 10, rtol=1e-15)

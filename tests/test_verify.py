@@ -187,7 +187,7 @@ def _guard_ladder(monkeypatch, **ladder_args):
     viewed as `_SquareMatmuls`; return the report, the call counts, the
     widths gathered from the stencil and the sizes of the matrices given to
     `linalg.cholesky`."""
-    counts = {"stencil": 0, "dirichlet_blocks": 0, "dirichlet_matrix": 0, "growth": 0}
+    counts = {"stencil": 0, "dirichlet_blocks": 0, "growth": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -205,8 +205,6 @@ def _guard_ladder(monkeypatch, **ladder_args):
     blocks = counted("dirichlet_blocks", hadamard.dirichlet_blocks)
     for mod in (hadamard, verify):
         monkeypatch.setattr(mod, "dirichlet_blocks", blocks)
-    monkeypatch.setattr(hadamard, "dirichlet_matrix",
-                        counted("dirichlet_matrix", hadamard.dirichlet_matrix))
     factored = []
     cholesky = linalg.cholesky
     monkeypatch.setattr(linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
@@ -249,7 +247,7 @@ def test_exact_ladder_cost_guard(monkeypatch):
     assert not hasattr(operators, "laplacian")
     rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "dirichlet_matrix": 0, "growth": 0}
+    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0}
     assert gathered and max(gathered) <= widest
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
@@ -259,13 +257,12 @@ def test_monte_carlo_ladder_cost_guard(monkeypatch):
     """Both covariance rungs grow their covariances a layer at a time: with
     2000 trials on grid13 the ladder still assembles no dense Q and
     multiplies no two k_n x k_n matrices, not even against a noise Gram,
-    and the one Cholesky factor wider than a layer is the oracle's, of the
-    top Laplacian scattered from the edge list (`dirichlet_matrix`), not
-    multiplied through as a second Dirichlet Gram."""
+    and factors nothing wider than a layer: the oracle factors its pivots
+    one layer at a time, not the top Laplacian."""
     rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
     assert rep["pass"] and len(rep["checks"]) == 17
-    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "dirichlet_matrix": 1, "growth": 0}
-    assert [k for k in factored if k > widest] == [121]
+    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0}
+    assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
 
 
