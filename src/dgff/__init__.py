@@ -20,7 +20,6 @@ from .errors import (
     FoliationError,
     GraphError,
     NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
     NotSymmetricError,
     SupportViolationError,
 )

@@ -39,10 +39,6 @@ class NotPositiveDefiniteError(DGFFError):
     default_code = "NotPD"
 
 
-class NotPositiveSemidefiniteError(DGFFError):
-    default_code = "NotPSD"
-
-
 class ConvergenceError(DGFFError):
     default_code = "NoConvergence"
 

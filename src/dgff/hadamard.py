@@ -1,10 +1,10 @@
 """The layer-by-layer growth operator and the variational identities behind it.
 
-Per layer n the boundary Green matrix gets a canonical symmetric PSD square
-root R_n. Extending R_n harmonically into the cluster gives the kernel
-K_n = P_n R_n (rows over the cluster, columns over the layer); stacking the
-kernels column-by-column yields the growth operator Q_n, whose column for a
-vertex y of layer m is K_m(., y) zero-extended. In layer-major vertex order
+Per layer n the boundary Green matrix gets a canonical symmetric positive
+definite square root R_n. Extending R_n harmonically into the cluster gives
+the kernel K_n = P_n R_n (rows over the cluster, columns over the layer);
+stacking the kernels column-by-column yields the growth operator Q_n, whose
+column for a vertex y of layer m is K_m(., y) zero-extended. In layer-major vertex order
 Q_n is block upper triangular with the R_m blocks on the diagonal.
 
 Two matrix identities make Q_n useful:
@@ -23,18 +23,20 @@ Dirichlet Gram of Q_n is the leading block of the top level's.
 `OperatorStack` memoizes the per-level operators for a foliated graph; the
 commands, the sampling and the checks build on it, and it holds no check
 code. It grows the cluster as the paper does, one layer at a time: level
-n's Poisson kernel P_n and boundary Green B_n come from one Schur step on
-level n-1's layer columns P_{n-1} B_{n-1} and the new layer's rows of the
-Laplacian, held once as the top cluster's padded neighbour stencil (see
-`dgff.operators`). Q is kept as its kernels K_0..K_n, sum_m k_m |L_m|
-numbers, from which samples grow (`dgff.sampling`) and
-`growth_adjoint_apply` returns Q_top^* f; `growth(n)` assembles a dense
-Q_n for `dgff hadamard` alone. G_n is assembled only when a check reads it.
+n's Poisson kernel P_n, boundary Green B_n and its square root R_n come from
+one Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
+layer's rows of the Laplacian, held once as the top cluster's padded
+neighbour stencil (see `dgff.operators`). Q is kept as its kernels
+K_0..K_n, sum_m k_m |L_m| numbers, from which samples grow
+(`dgff.sampling`) and `growth_adjoint_apply` returns Q_top^* f; `growth(n)`
+assembles a dense Q_n for `dgff hadamard` alone. G_n is assembled only when a check reads it.
 The independent side reads the edge list, not the stencil, also a layer at
 a time: `dirichlet_blocks` gives Q_n's Dirichlet Gram in layer blocks, and
 `oracle_kernels` the Cholesky oracle W = L^{-T}, A_top = L L^T. A_top is
 block tridiagonal in layer order, so L is block lower bidiagonal and each
-level factors one layer-sized pivot. No k_top x k_top Laplacian is formed.
+level factors one layer-sized pivot. That pivot is the layer step's S_n
+formed another way, and both are factored by `linalg.cholesky` with the same
+singularity test. No k_top x k_top Laplacian is formed.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ def oracle_kernels(graph: Graph, top: GrowthCluster) -> Iterator[np.ndarray]:
     A[L_n, L_{n-1} u L_n] in edge order; C_n = A_{n,n-1} W_{n-1,n-1},
     L_nn L_nn^T = A_nn - C_n C_n^T and W_nn = L_nn^{-T} give the column
     [-(W[:k_{n-1}, L_{n-1}] C_n^T) W_nn; W_nn]. NotPD names the layer whose
-    pivot fails or has L_nn[i, i]^2 <= eps A_nn[i, i]: numerically singular."""
+    pivot fails to factor or is numerically singular, L_nn[i, i]^2 <=
+    eps A_nn[i, i] (`linalg.cholesky`'s test)."""
     (x, y), c = _edge_ends(graph, top), graph.conductances
     i, j, v = (np.concatenate(t) for t in ((x, y, x, y), (x, y, y, x), (c, c, -c, -c)))
     order = np.argsort(i, kind="stable")  # by row; an entry's summands keep their order
@@ -110,11 +113,10 @@ def oracle_kernels(graph: Graph, top: GrowthCluster) -> Iterator[np.ndarray]:
                         minlength=(hi - s) * (hi - lo)).reshape(hi - s, hi - lo)
         a_nn, c_n = a[:, s - lo:], a[:, : s - lo] @ w[len(w) - (s - lo):]
         try:
-            low = linalg.cholesky(linalg.symmetrize(a_nn - c_n @ c_n.T))
+            low = linalg.cholesky(linalg.symmetrize(a_nn - c_n @ c_n.T), np.diag(a_nn))
         except NotPositiveDefiniteError:
-            low = np.zeros_like(a_nn)  # a pivot that fails to factor is no pivot
-        if (np.diag(low) ** 2 <= np.finfo(float).eps * np.diag(a_nn)).any():
-            raise NotPositiveDefiniteError(f"oracle pivot on layer {n} is numerically singular")
+            raise NotPositiveDefiniteError(
+                f"oracle pivot on layer {n} is numerically singular") from None
         w_nn = np.linalg.inv(low.T)  # triangular: no row swaps, W_nn stays exactly triangular
         w = np.vstack((-(w @ c_n.T) @ w_nn, w_nn))
         yield w
@@ -133,10 +135,10 @@ class OperatorStack:
     operators.
 
     Every operator but the dense Green matrix is at most k_n x |L_n|, and
-    none of them reads a Green kernel: the layer steps (P_n, B_n) are
-    cached under ("step", n), and `poisson` and `boundary_green` return
-    their parts. Q_n is kept as its kernels only; `growth` assembles it
-    whole, uncached, for `dgff hadamard`. A checker that walks the levels
+    none of them reads a Green kernel: the layer steps (P_n, B_n, R_n) are
+    cached under ("step", n), and `poisson`, `boundary_green` and
+    `layer_sqrt` return their parts. Q_n is kept as its kernels only;
+    `growth` assembles it whole, uncached, for `dgff hadamard`. A checker that walks the levels
     upward keeps a window of two Green levels, G_{n-1} and G_n, all that
     level n's checks read, by releasing each level it is done with
     (`release_green`): the memory is then O(k_top^2) instead of
@@ -191,11 +193,13 @@ class OperatorStack:
                          lambda: stencil(self.graph, self.cluster(self.depth)))
         return top if n == self.depth else top.leading(self.cluster(n).size)
 
-    def _step(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Level n's layer step (P_n, B_n), from level n-1's layer columns
-        G_{n-1}[:, L_{n-1}] = P_{n-1} B_{n-1}, formed afresh and not kept."""
+    def _step(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Level n's layer step (P_n, B_n, R_n), from level n-1's layer
+        columns G_{n-1}[:, L_{n-1}] = P_{n-1} B_{n-1}, formed afresh and not
+        kept."""
         return self._memo_upward("step", n, lambda m: layer_step(
-            self.cluster(m), self.stencil(m), np.matmul(*self._step(m - 1)) if m else None))
+            self.cluster(m), self.stencil(m),
+            self.poisson(m - 1) @ self.boundary_green(m - 1) if m else None))
 
     def green(self, n: int) -> GreenKernel:
         """Green kernel of cluster n, assembled from G_{n-1} and the layer
@@ -216,7 +220,7 @@ class OperatorStack:
         return self._step(n)[1]
 
     def layer_sqrt(self, n: int) -> np.ndarray:
-        return self._memo("sqrt", n, lambda: linalg.psd_sqrt(self.boundary_green(n)))
+        return self._step(n)[2]
 
     def kernel(self, n: int) -> np.ndarray:
         return self._memo("kernel", n, lambda: self.poisson(n) @ self.layer_sqrt(n))

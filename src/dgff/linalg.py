@@ -1,14 +1,17 @@
-"""Dense symmetric linear algebra on LAPACK through ``numpy.linalg`` (PSD
-square root, Cholesky factorization, SPD inverse), and the block traversals
-that read or symmetrize a k x k matrix without a k x k temporary.
+"""Dense symmetric positive definite factorizations on LAPACK through
+``numpy.linalg`` (the square root by eigendecomposition, the Cholesky
+factor), and the block traversals that read or symmetrize a k x k matrix
+without a k x k temporary.
 
 Matrices are plain float ndarrays. Symmetry is a contract, not a wrapper
 class: every matrix the package factorizes is built exactly symmetric, so
 each entry point rejects a non-finite entry, then any inexact symmetry
 (``exactly_symmetric``, with ``NotSymmetricError``), and hands its input to
-LAPACK unchanged, neither copied nor mirrored. LAPACK failures surface as
-the package's own errors (``ConvergenceError``,
-``NotPositiveDefiniteError``), never as ``numpy.linalg.LinAlgError``.
+LAPACK unchanged, neither copied nor mirrored. Each factorization is also
+the test of positive definiteness: a matrix that fails it, or that the
+Cholesky pivot test finds singular to working precision, raises
+``NotPositiveDefiniteError``; a solver failure raises ``ConvergenceError``.
+Neither surfaces as ``numpy.linalg.LinAlgError``.
 Results repeat bit for bit on a fixed machine and BLAS build; across builds
 they agree to rounding only.
 """
@@ -17,14 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    NotSymmetricError,
-)
+from .errors import ConvergenceError, NotPositiveDefiniteError, NotSymmetricError
 
-PSD_CLAMP_REL = 1e-8
 BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k pass
 _TILE = 128  # side of a square tile; a tile pair's temporaries stay in cache
 
@@ -65,13 +62,13 @@ def exactly_symmetric(m: np.ndarray) -> bool:
             and all(np.array_equal(m[r, c], m[c, r].T) for r, c in tile_pairs(m.shape[0])))
 
 
-def _symmetric_input(a, not_finite: type[Exception]) -> np.ndarray:
-    """a as a float array, neither copied nor mirrored. Raises `not_finite`
-    on a non-finite entry (checked first: NaN != NaN), then
-    NotSymmetricError unless a is exactly symmetric."""
+def _symmetric_input(a) -> np.ndarray:
+    """a as a float array, neither copied nor mirrored. Raises
+    NotPositiveDefiniteError on a non-finite entry (checked first:
+    NaN != NaN), then NotSymmetricError unless a is exactly symmetric."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
-        raise not_finite("matrix has a non-finite entry")
+        raise NotPositiveDefiniteError("matrix has a non-finite entry")
     if not exactly_symmetric(a):
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise NotSymmetricError("matrix must be square")
@@ -80,55 +77,36 @@ def _symmetric_input(a, not_finite: type[Exception]) -> np.ndarray:
     return a
 
 
-def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric PSD square root via ``numpy.linalg.eigh`` (LAPACK ``syevd``)
-    of an exactly symmetric, finite a (NotPositiveSemidefiniteError on a
-    non-finite entry).
-
-    Eigenvalues in [-PSD_CLAMP_REL * ||a||, 0) are clamped to zero; anything
-    more negative raises NotPositiveSemidefiniteError.
-    """
-    a = _symmetric_input(a, NotPositiveSemidefiniteError)
+def spd_sqrt(a: np.ndarray) -> np.ndarray:
+    """Symmetric positive definite square root via ``numpy.linalg.eigh``
+    (LAPACK ``syevd``) of an exactly symmetric a. The eigenvalues certify a:
+    NotPositiveDefiniteError unless every one is > 0, or when a has a
+    non-finite entry."""
+    a = _symmetric_input(a)
     try:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as e:
         raise ConvergenceError(f"symmetric eigensolver failed: {e}") from None
-    scale = max(np.abs(w).max(), np.finfo(float).tiny)
-    if w[0] < -PSD_CLAMP_REL * scale:
-        raise NotPositiveSemidefiniteError(f"eigenvalue {w[0]:.3e} below -{PSD_CLAMP_REL:.0e} * scale")
-    root = np.sqrt(np.clip(w, 0.0, None))
-    return symmetrize((v * root) @ v.T)
+    if (w <= 0).any():
+        raise NotPositiveDefiniteError(f"smallest eigenvalue {w[0]:.3e} is not positive")
+    return symmetrize((v * np.sqrt(w)) @ v.T)
 
 
-def cholesky(a: np.ndarray) -> np.ndarray:
+def cholesky(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L with L L^T = a (LAPACK ``potrf``), of an
     exactly symmetric a. Raises NotPositiveDefiniteError when a is not
-    positive definite or has a non-finite entry."""
-    a = _symmetric_input(a, NotPositiveDefiniteError)
+    positive definite, has a non-finite entry, or is singular to working
+    precision: some L_ii^2 <= eps scale_i. For a Schur complement
+    a = D - (...), scale is diag(D): the size of what rounding cancelled
+    down to L_ii^2."""
+    a = _symmetric_input(a)
     try:
-        return np.linalg.cholesky(a)
+        low = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
-
-
-def spd_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of an exactly symmetric positive definite matrix, exactly
-    symmetric.
-
-    The Cholesky factorization (`cholesky`) certifies positive definiteness.
-    The inverse itself comes from one LU inverse of a: numpy exposes no
-    triangular solver, and at n = 841 that is faster and more accurate than
-    two general solves against the factor. A matrix that passes the
-    factorization but is singular to working precision is not positive
-    definite either.
-    """
-    a = np.asarray(a, dtype=float)
-    cholesky(a)  # the factor is dropped before the inverse is formed
-    try:
-        x = np.linalg.inv(a)
-    except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError("matrix is singular to working precision") from None
-    return symmetrize(x)
+    if (np.diag(low) ** 2 <= np.finfo(float).eps * scale).any():
+        raise NotPositiveDefiniteError("matrix is singular to working precision")
+    return low
 
 
 def write_matrix_csv(fh, row_ids, col_ids, m: np.ndarray) -> None:

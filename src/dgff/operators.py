@@ -25,8 +25,11 @@ This is the recursive Green's function method (Lake, Klimeck, Bowen &
 Jovanovic 1997). U is nonzero only on the rows of L_{n-1}, so `layer_step`
 makes (P_n, B_n) from level n-1's layer columns
 G_{n-1}[:, L_{n-1}] = P_{n-1} B_{n-1} alone: the kernels, and the samples,
-need no dense G_n. Only a layer-sized matrix is factorized per level, and a
-Cholesky factor of the Schur complement certifies A_n positive definite.
+need no dense G_n. Only layer-sized matrices are factorized, each once per
+level: the Schur pivot S_n = D - U^T X by a Cholesky factor whose pivot test
+(`linalg.cholesky`, shared with the oracle) certifies A_n positive definite
+and not singular to working precision, and B_n by the eigendecomposition
+that gives its square root R_n and certifies it in turn.
 `green` assembles G_n, which only the checks and `dgff green` read, from
 G_{n-1} and the step in one array: the update (-X B_n)(-X)^T is multiplied
 straight into its leading block and symmetrized there one tile pair at a
@@ -157,16 +160,19 @@ class GreenKernel:
 
 
 def layer_step(clu: GrowthCluster, st: Stencil,
-               cols_prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """One Schur step: the Poisson kernel P_n = [-X; I] and the boundary
-    Green B_n = (D - V X)^-1 of the cluster's top layer, with X = G_{n-1} U
-    read from `cols_prev`, the layer columns G_{n-1}[:, L_{n-1}] of the
-    cluster minus its top layer. `st` is the cluster's Laplacian stencil.
-    With `cols_prev` None it is the base step: P = I and B = A^-1.
+               cols_prev: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Schur step: the Poisson kernel P_n = [-X; I], the boundary Green
+    B_n = S_n^-1 with S_n = D - U^T X, and B_n's square root R_n, of the
+    cluster's top layer, with X = G_{n-1} U read from `cols_prev`, the layer
+    columns G_{n-1}[:, L_{n-1}] of the cluster minus its top layer. `st` is
+    the cluster's Laplacian stencil. With `cols_prev` None it is the base
+    step: P = I and B = A^-1.
 
-    Raises NotPD when some cluster component is sealed off from the
-    exterior, which makes the Laplacian singular, and when B_n fails its
-    Cholesky certificate.
+    Each matrix is factored once, and its factorization is its test. The
+    Cholesky factor of S_n, with the pivot test against diag(D), raises
+    NotPD when some cluster component is sealed off from the exterior or the
+    Laplacian is singular to working precision; the eigendecomposition that
+    gives R_n raises NotPD unless B_n is positive definite.
     """
     if st.size != clu.size:
         raise ValueError("st must be the stencil of the cluster")
@@ -178,32 +184,36 @@ def layer_step(clu: GrowthCluster, st: Stencil,
     u, d = layer[:, :k].T, layer[:, k:]
     rows = np.flatnonzero(u.any(axis=1))  # within L_{n-1}, which starts at k - |L_{n-1}|
     x = cols[:, rows - (k - cols.shape[1])] @ u[rows]
+    s = linalg.symmetrize(d - u.T @ x)
     try:
-        b = linalg.spd_inverse(linalg.symmetrize(d - u.T @ x))
-    except NotPositiveDefiniteError:
+        linalg.cholesky(s, np.diag(d))  # the factor certifies S_n and is dropped
+        # one LU inverse: numpy exposes no triangular solver, and at n = 841
+        # that is faster and more accurate than two general solves
+        b = linalg.symmetrize(np.linalg.inv(s))
+    except (NotPositiveDefiniteError, np.linalg.LinAlgError):
         raise NotPositiveDefiniteError(
             f"cluster {clu.n} Laplacian is not positive definite; a component "
-            "has no path to the exterior") from None
-    try:  # positive definite by theory: certify it
-        linalg.cholesky(b)
+            "has no path to the exterior or it is singular to working precision") from None
+    try:
+        r = linalg.spd_sqrt(b)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
             f"boundary Green on layer of cluster {clu.n} is not positive definite") from None
     p = np.empty((clu.size, clu.size - k))
     np.negative(x, out=p[:k])
     p[k:] = np.eye(clu.size - k)
-    return p, b
+    return p, b, r
 
 
 def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None,
-          step: tuple[np.ndarray, np.ndarray]) -> GreenKernel:
+          step: tuple[np.ndarray, np.ndarray, np.ndarray]) -> GreenKernel:
     """Normalized Green matrix of the cluster (Laplacian inverse), assembled
     in one array from `prev`, the Green kernel of the cluster minus its top
-    layer (None for the base step), and `step`, the layer's (P_n, B_n) from
-    `layer_step`.
+    layer (None for the base step), and `step`, the layer's (P_n, B_n, R_n)
+    from `layer_step`.
     """
     k = 0 if prev is None else prev.cluster.size
-    p, b = step
+    p, b, _ = step
     if prev is not None and prev.cluster.vertices != clu.vertices[:k]:
         raise ValueError("prev must be the Green kernel of a prefix of the cluster")
     if p.shape != (clu.size, clu.size - k):

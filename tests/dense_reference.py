@@ -13,7 +13,6 @@ them directly."""
 
 import numpy as np
 
-from dgff import linalg
 from dgff.foliation import GrowthCluster
 from dgff.graph import Graph
 from dgff.operators import GreenKernel, Stencil
@@ -77,12 +76,12 @@ def poisson_from_green(clu: GrowthCluster, st: Stencil,
 
 def boundary_green(kern: GreenKernel) -> np.ndarray:
     """G_n restricted to the cluster's top layer, as a copy; an exactly
-    symmetric restriction is certified positive definite by a Cholesky
-    factor."""
+    symmetric restriction is certified positive definite by numpy's Cholesky
+    factor (LinAlgError otherwise)."""
     top = kern.cluster.layer_slice(kern.cluster.n)
     bg = kern.normalized[top, top].copy()
     if np.array_equal(bg, bg.T):
-        linalg.cholesky(bg)
+        np.linalg.cholesky(bg)
     return bg
 
 
@@ -119,8 +118,9 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
 def block_green(g: Graph, clu: GrowthCluster, st: Stencil,
                 prev: GreenKernel | None = None) -> np.ndarray:
     """The one-layer step of `operators.green`, with G_n assembled by
-    `np.block` from freshly allocated blocks: G_{n-1} + X B_n X^T with the
-    update symmetrized as (m + m^T) / 2, -X B_n, -B_n X^T and B_n. The
+    `np.block` from freshly allocated blocks: G_{n-1} + X B_n X^T, -X B_n,
+    -B_n X^T and B_n, with B_n numpy's inverse of the Schur complement, and
+    it, its input and the update each symmetrized as (m + m^T) / 2. The
     package writes the same blocks into one array, and must give the same
     bits."""
     k = 0 if prev is None else prev.cluster.size
@@ -130,7 +130,8 @@ def block_green(g: Graph, clu: GrowthCluster, st: Stencil,
     rows = np.flatnonzero(u.any(axis=1))
     x = g_prev[:, rows] @ u[rows]
     s = d - u.T @ x
-    b = linalg.spd_inverse((s + s.T) / 2.0)
+    b = np.linalg.inv((s + s.T) / 2.0)
+    b = (b + b.T) / 2.0
     xb = x @ b
     update = xb @ x.T
     return np.block([[g_prev + (update + update.T) / 2.0, -xb], [-xb.T, b]])

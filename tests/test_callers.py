@@ -17,6 +17,10 @@ of that name.
 
 The package namespace exports the library API and nothing else: the tests
 import everything else from its module.
+
+Every exception class that `dgff.errors` defines is raised somewhere in the
+package, by a `raise` or passed to a call as the error type to raise: a
+class with no raiser is an error code no input can produce.
 """
 
 import ast
@@ -24,6 +28,7 @@ import inspect
 from pathlib import Path
 
 import dgff
+from dgff import errors
 
 SRC = Path(dgff.__file__).resolve().parent
 
@@ -138,7 +143,7 @@ def test_no_stale_exception():
 
 LIBRARY_API = {
     "ConvergenceError", "DGFFError", "FoliationError", "GraphError",
-    "NotPositiveDefiniteError", "NotPositiveSemidefiniteError", "NotSymmetricError",
+    "NotPositiveDefiniteError", "NotSymmetricError",
     "SupportViolationError",
     "Graph", "from_edges", "load_graph", "parse_graph",
     "Foliation", "GrowthCluster", "bfs_foliate", "cluster", "load_foliation",
@@ -151,6 +156,29 @@ LIBRARY_API = {
 def test_namespace_exports_only_the_library_api():
     exported = {name for name in dgff.__all__ if not inspect.ismodule(getattr(dgff, name))}
     assert exported == LIBRARY_API
+
+
+def _raised(trees) -> set[str]:
+    """Names the package raises, `raise X(...)` or `raise X`, or passes
+    to a call by name, `f(a, X)`, where X may be an error type to raise."""
+    found = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    found.add(exc.id)
+            elif isinstance(node, ast.Call):
+                found |= {arg.id for arg in node.args if isinstance(arg, ast.Name)}
+    return found
+
+
+def test_every_error_class_has_a_raiser_in_the_package():
+    classes = {name for name, obj in vars(errors).items()
+               if inspect.isclass(obj) and issubclass(obj, Exception)
+               and obj.__module__ == errors.__name__}
+    assert {"DGFFError", "NotPositiveDefiniteError"} <= classes
+    assert sorted(classes - _raised(_modules())) == []
 
 
 def _defaulted(fn: ast.FunctionDef) -> list[str]:

@@ -195,16 +195,20 @@ def test_green_and_poisson_print_the_stacks_operators(fixture_dir, tmp_path):
             assert (tmp_path / f"{command}_{n}.csv").read_text() == buf.getvalue(), (command, n)
 
 
-@pytest.mark.parametrize("command,n", [("green", 1), ("poisson", 2)])
+@pytest.mark.parametrize("command,n", [("green", 1), ("poisson", 2), ("hadamard", 2),
+                                       ("sample", None)])
 def test_singular_cluster_is_not_pd_without_a_traceback(tmp_path, capsys, command, n):
-    # pi(b) rounds to c(a, b), so cluster 1 = {a, b} is singular, and the
-    # Poisson kernel of cluster 2 is built from its Green kernel
-    path = tmp_path / "singular.edgelist"
-    path.write_text("!exterior e\na b 1e300\nb c 1e-300\nc e 1\n")
-    assert run_cli(command, "--graph", path, "--roots", "a", "--cluster", n) == 2
-    err = capsys.readouterr().err
-    assert json.loads(err)["error"]["code"] == "NotPD"
-    assert "Traceback" not in err
+    # pi(b) rounds to c(a, b), so cluster 1 = {a, b} is singular, and every
+    # level above it is built from its layer step. With c(a, b) = 5e300 the
+    # Schur pivot rounds to a small positive number, not to zero
+    for c in ("1e300", "5e300"):
+        path = tmp_path / "singular.edgelist"
+        path.write_text(f"!exterior e\na b {c}\nb c 1e-300\nc e 1\n")
+        flags = ("--out", tmp_path / "out") if n is None else ("--cluster", n)
+        assert run_cli(command, "--graph", path, "--roots", "a", *flags) == 2, c
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"]["code"] == "NotPD", c
+        assert "Traceback" not in err
 
 
 def test_hadamard_summary(fixture_dir, tmp_path, capsys):

@@ -317,7 +317,7 @@ class TestSweepIdentity:
             stack.green(n)
         bad = stack.poisson(1).copy()
         bad[:, 0] *= 0.5
-        stack._cache[("step", 1)] = (bad, stack.boundary_green(1))
+        stack._cache[("step", 1)] = (bad, stack.boundary_green(1), stack.layer_sqrt(1))
         rep = run_ladder(g, fol, seed=1, trials=2000, stack=stack)
         row = next(r for r in rep["checks"] if r["name"] == "sweep_moments")
         assert not row["passed"] and row["statistic"] is None

@@ -32,15 +32,15 @@ class TestLayerSqrt:
         assert stack.layer_sqrt(1)[0, 0] == pytest.approx(SQ23, abs=1e-12)
 
     def test_diagonal_boundary_green(self):
-        s = linalg.psd_sqrt(np.diag([4.0, 0.25]))
+        s = linalg.spd_sqrt(np.diag([4.0, 0.25]))
         np.testing.assert_allclose(s, np.diag([2.0, 0.5]), atol=1e-12)
 
     def test_square_reproduces_boundary_green(self):
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
         for n in range(fol.depth + 1):
-            bg = np.asarray(stack.boundary_green(n))
-            r = linalg.psd_sqrt(bg)
+            bg = stack.boundary_green(n)
+            r = stack.layer_sqrt(n)
             assert np.abs(r @ r - bg).max() <= 1e-10 * np.abs(bg).max()
             np.testing.assert_array_equal(r, r.T)
 

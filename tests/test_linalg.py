@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 
 import numpy as np
@@ -6,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgff.errors import (
-    ConvergenceError,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    NotSymmetricError,
-)
+from dgff.errors import ConvergenceError, NotPositiveDefiniteError, NotSymmetricError
 from dgff.fixtures import grid_graph
 from dgff.foliation import bfs_foliate, cluster
-from dgff.linalg import cholesky, exactly_symmetric, psd_sqrt, spd_inverse
+from dgff.linalg import cholesky, exactly_symmetric, spd_sqrt
 
 import dense_reference
 
@@ -25,39 +19,42 @@ def random_psd(n, seed):
     return b @ b.T
 
 
-class TestPsdSqrt:
+def cholesky_on_diagonal(a):
+    """`cholesky` with the pivot test against a's own diagonal."""
+    return cholesky(a, np.diag(np.asarray(a)))
+
+
+class TestSpdSqrt:
     def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+        np.testing.assert_allclose(spd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_scalar_two_thirds(self):
-        s = psd_sqrt(np.array([[2.0 / 3.0]]))
+        s = spd_sqrt(np.array([[2.0 / 3.0]]))
         assert s[0, 0] == pytest.approx(0.816496580927726, abs=1e-12)
-
-    def test_rank_one(self):
-        v = np.array([1.0, 1.0])
-        s = psd_sqrt(np.outer(v, v))
-        np.testing.assert_allclose(s, np.outer(v, v) / math.sqrt(2), atol=1e-12)
 
     @pytest.mark.parametrize("n,seed", [(5, 0), (25, 1), (50, 2)])
     def test_square_reproduces(self, n, seed):
         a = random_psd(n, seed)
-        s = psd_sqrt(a)
+        s = spd_sqrt(a)
         np.testing.assert_array_equal(s, s.T)
         assert np.linalg.norm(s @ s - a) <= 1e-10 * np.linalg.norm(a)
         assert np.linalg.eigvalsh(s)[0] >= -1e-12 * np.linalg.norm(s)
 
     def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            psd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
+        with pytest.raises(NotPositiveDefiniteError, match=r"eigenvalue -1\.000e\+00 is not"):
+            spd_sqrt(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
-    def test_clamps_tiny_negative(self):
-        a = np.array([[1.0, 0.0], [0.0, -1e-15]])
-        s = psd_sqrt(a)
-        assert s[1, 1] == 0.0
+    @pytest.mark.parametrize("a", [np.outer([1.0, 1.0], [1.0, 1.0]), np.diag([1.0, 0.0]),
+                                   np.diag([1.0, -1e-15])])
+    def test_clamps_no_eigenvalue(self, a):
+        # rank one (an exact zero eigenvalue), a zero and a tiny negative
+        # eigenvalue: each is refused, none is rounded up to zero
+        with pytest.raises(NotPositiveDefiniteError, match="not positive"):
+            spd_sqrt(a)
 
     def test_deterministic_bit_identical(self):
         a = random_psd(17, 9)
-        np.testing.assert_array_equal(psd_sqrt(a), psd_sqrt(a))
+        np.testing.assert_array_equal(spd_sqrt(a), spd_sqrt(a))
 
     def test_solver_failure_is_convergence_error(self, monkeypatch):
         def fail(a):
@@ -65,31 +62,46 @@ class TestPsdSqrt:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(ConvergenceError):
-            psd_sqrt(random_psd(4, 5))
+            spd_sqrt(random_psd(4, 5))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetricError):
-            psd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
+            spd_sqrt(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_array_equal(cholesky(np.eye(4)), np.eye(4))
+        np.testing.assert_array_equal(cholesky_on_diagonal(np.eye(4)), np.eye(4))
 
     def test_hand_factor(self):
-        low = cholesky(np.array([[4.0, 2.0], [2.0, 5.0]]))
+        low = cholesky_on_diagonal(np.array([[4.0, 2.0], [2.0, 5.0]]))
         np.testing.assert_allclose(low, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky_on_diagonal(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     @pytest.mark.parametrize("n,seed", [(10, 0), (40, 1)])
     def test_factor_reproduces(self, n, seed):
         a = random_psd(n, seed) + n * np.eye(n)
-        low = cholesky(a)
+        low = cholesky_on_diagonal(a)
         assert np.abs(low @ low.T - a).max() <= 1e-12 * np.abs(a).max()
         assert np.diag(low).min() > 0
+
+    def test_singular_past_the_factor_is_not_pd(self):
+        # rounding lets LAPACK's factor through, with L_22^2 = 1.5e284; the
+        # pivot test refuses it, since 1.5e284 <= eps * 1e300
+        a = np.array([[1e300, -1e300], [-1e300, 1e300]])
+        assert np.linalg.cholesky(a)[1, 1] > 0
+        with pytest.raises(NotPositiveDefiniteError, match="singular to working precision"):
+            cholesky_on_diagonal(a)
+
+    def test_pivot_test_reads_the_scale(self):
+        # a pivot is singular relative to the matrix it was cancelled from
+        a = np.diag([1.0, 1e-20])
+        np.testing.assert_array_equal(cholesky_on_diagonal(a), np.diag([1.0, 1e-10]))
+        with pytest.raises(NotPositiveDefiniteError, match="singular to working precision"):
+            cholesky(a, np.ones(2))
 
 
 class TestNotPositiveDefinite:
@@ -105,8 +117,8 @@ class TestNotPositiveDefinite:
         "inf_offdiagonal": np.array([[2.0, np.inf], [np.inf, 2.0]]),
     }
     ENTRY_POINTS = {
-        "cholesky": cholesky,
-        "spd_inverse": spd_inverse,
+        "cholesky": cholesky_on_diagonal,
+        "spd_sqrt": spd_sqrt,
     }
 
     @pytest.mark.parametrize("matrix", sorted(BAD))
@@ -116,43 +128,11 @@ class TestNotPositiveDefinite:
             self.ENTRY_POINTS[entry](self.BAD[matrix])
 
 
-class TestSpdInverse:
-    @pytest.mark.parametrize("n,seed", [(1, 0), (12, 1), (60, 2)])
-    def test_exactly_symmetric_inverse(self, n, seed):
-        a = random_psd(n, seed) + n * np.eye(n)
-        x = spd_inverse(a)
-        np.testing.assert_array_equal(x, x.T)
-        assert np.abs(a @ x - np.eye(n)).max() <= 1e-12
-
-    def test_singular_past_the_factor_is_not_pd(self):
-        # rounding lets the Cholesky factor through; the LU inverse then
-        # meets an exact zero pivot
-        a = np.array([[1e300, -1e300], [-1e300, 1e300]])
-        cholesky(a)
-        with pytest.raises(NotPositiveDefiniteError):
-            spd_inverse(a)
-
-    def test_hands_its_input_to_lapack_unchanged(self, monkeypatch):
-        seen = []
-        for name in ("cholesky", "inv"):
-            solver = getattr(np.linalg, name)
-            monkeypatch.setattr(np.linalg, name,
-                                lambda m, solver=solver: seen.append(m) or solver(m))
-        a = random_psd(5, 3) + 5 * np.eye(5)
-        spd_inverse(a)
-        assert len(seen) == 2 and all(m is a for m in seen)
-
-    def test_hand_inverse(self):
-        x = spd_inverse(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-        np.testing.assert_allclose(x, [[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]],
-                                   atol=1e-15)
-
-
 class TestExactSymmetry:
     """Every entry point takes an exactly symmetric matrix as it is and
     refuses any other, however small its asymmetry."""
 
-    ENTRY_POINTS = {"psd_sqrt": psd_sqrt, "cholesky": cholesky, "spd_inverse": spd_inverse}
+    ENTRY_POINTS = {"spd_sqrt": spd_sqrt, "cholesky": cholesky_on_diagonal}
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     @pytest.mark.parametrize("n", [2, 300])
@@ -176,6 +156,15 @@ class TestExactSymmetry:
         with pytest.raises(NotSymmetricError, match="square"):
             self.ENTRY_POINTS[entry](np.ones((2, 3)))
 
+    @pytest.mark.parametrize("entry,solver", [("cholesky", "cholesky"), ("spd_sqrt", "eigh")])
+    def test_hands_its_input_to_lapack_unchanged(self, monkeypatch, entry, solver):
+        seen = []
+        lapack = getattr(np.linalg, solver)
+        monkeypatch.setattr(np.linalg, solver, lambda m: seen.append(m) or lapack(m))
+        a = random_psd(5, 3) + 5 * np.eye(5)
+        self.ENTRY_POINTS[entry](a)
+        assert len(seen) == 1 and seen[0] is a
+
     @pytest.mark.parametrize("n", [0, 1, 127, 128, 129, 300])
     def test_exactly_symmetric_across_tiles(self, n):
         a = random_psd(n, 6)
@@ -190,9 +179,9 @@ class TestExactSymmetry:
 @pytest.mark.parametrize("matrix", [np.array([[1.0, np.nan], [np.nan, 1.0]]),
                                     np.array([[np.inf]]),
                                     np.array([[2.0, -np.inf], [-np.inf, 2.0]])])
-def test_psd_sqrt_refuses_a_non_finite_entry(matrix):
-    with pytest.raises(NotPositiveSemidefiniteError, match="non-finite"):
-        psd_sqrt(matrix)
+def test_spd_sqrt_refuses_a_non_finite_entry(matrix):
+    with pytest.raises(NotPositiveDefiniteError, match="non-finite"):
+        spd_sqrt(matrix)
 
 
 def test_cholesky_memory_is_the_factor():
@@ -204,7 +193,7 @@ def test_cholesky_memory_is_the_factor():
     k = a.shape[0]
     tracemalloc.start()
     try:
-        low = cholesky(a)
+        low = cholesky(a, np.diag(a))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -215,7 +204,7 @@ def test_cholesky_memory_is_the_factor():
 
 @settings(deadline=None, max_examples=40)
 @given(st.integers(1, 8), st.integers(0, 2 ** 31))
-def test_psd_sqrt_property(n, seed):
+def test_spd_sqrt_property(n, seed):
     a = random_psd(n, seed)
-    s = psd_sqrt(a)
+    s = spd_sqrt(a)
     assert np.linalg.norm(s @ s - a) <= 1e-10 * max(np.linalg.norm(a), 1e-30)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from dgff import (FoliationError, NotPositiveDefiniteError, NotSymmetricError, OperatorStack,
-                  bfs_foliate, cluster)
+                  bfs_foliate, cluster, parse_graph)
 from dgff import linalg
 from dgff.cli import main
 from dgff.fixtures import grid_graph, path_graph, standard_fixture
@@ -68,6 +68,16 @@ class TestLaplacian:
         clu = GrowthCluster(n=0, vertices=tuple(range(5)), layer_start=(0, 5))
         with pytest.raises(NotPositiveDefiniteError):
             base_green(g, clu)
+
+    @pytest.mark.parametrize("c", ["5e300", "1e300", "3e299", "7e299", "4"])
+    def test_numerically_singular_cluster_is_not_pd(self, c):
+        # pi(b) rounds to c(a, b), so A_1 = [[c, -c], [-c, c]] as stored is
+        # exactly singular. With c = 5e300 the Schur pivot rounds to a small
+        # positive number instead of zero, which only the pivot test refuses
+        g = parse_graph(f"!exterior e\na b {c}\nb c 1e-300\nc e 1\n", "edgelist")
+        stack = OperatorStack(g, bfs_foliate(g, ["a"]))
+        with pytest.raises(NotPositiveDefiniteError, match="cluster 1 Laplacian"):
+            stack.green(1)
 
 
 @pytest.fixture(scope="module", params=FIXTURES + ("grid13",))
@@ -226,23 +236,40 @@ class TestBoundaryGreen:
             assert np.array_equal(bg, bg.T), n
 
     def test_indefinite_restriction_rejected(self, monkeypatch):
-        # the layer's inverse comes back symmetric with a unit diagonal, but
-        # holds the indefinite corner [[1, 2], [2, 1]]
+        # the Schur pivot passes its Cholesky test, but its inverse comes
+        # back symmetric with a unit diagonal and the indefinite corner
+        # [[1, 2], [2, 1]]: the square root's eigenvalues refuse it
         g, fol = standard_fixture("grid5")
-        width = len(fol.layers[1])
-        bad = np.eye(width)
+        inner, clu = cluster(fol, 0), cluster(fol, 1)
+        cols = base_green(g, inner).normalized[:, inner.layer_slice(0)]
+        bad = np.eye(len(fol.layers[1]))
         bad[0, 1] = bad[1, 0] = 2.0
-        monkeypatch.setattr(linalg, "spd_inverse", lambda a: bad.copy())
+        monkeypatch.setattr(np.linalg, "inv", lambda a: bad.copy())
         with pytest.raises(NotPositiveDefiniteError, match="boundary Green"):
-            top_step(g, fol, 1)
+            layer_step(clu, stencil(g, clu), cols)
 
     def test_one_eigendecomposition_per_level(self, monkeypatch):
-        calls = []
-        sqrt = linalg.psd_sqrt
-        monkeypatch.setattr(linalg, "psd_sqrt", lambda a: calls.append(1) or sqrt(a))
+        # and one Cholesky factor: each matrix of the layer step, the Schur
+        # pivot S_n and B_n, is factored once, and the ladder reuses them
+        calls = {"spd_sqrt": 0, "cholesky": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "spd_sqrt", counted("spd_sqrt", linalg.spd_sqrt))
         g, fol = standard_fixture("grid5")
         assert run_ladder(g, fol, trials=0)["pass"]
-        assert len(calls) == fol.depth + 1
+        assert calls["spd_sqrt"] == fol.depth + 1
+        for name in ("cholesky", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+        stack = OperatorStack(g, fol)
+        for n in range(fol.depth + 1):
+            stack.kernel(n)
+            stack.green(n)
+        assert calls["cholesky"] == calls["eigh"] == fol.depth + 1
 
 
 def assert_stack_matches_dense(g, fol):
@@ -310,7 +337,7 @@ class TestOneLayerBuild:
         for n in range(fol.depth + 1):
             clu = cluster(fol, n)
             st = stencil(g, clu)
-            p, b = step = layer_step(clu, st, cols)
+            p, b, _ = step = layer_step(clu, st, cols)
             kern = green(g, clu, prev, step)
             ref = dense_reference.block_green(g, clu, st, prev)
             assert kern.normalized.tobytes() == ref.tobytes(), n
@@ -356,7 +383,7 @@ class TestOneLayerBuild:
             return wrapper
 
         monkeypatch.setattr(linalg, "cholesky", recording(linalg.cholesky))
-        monkeypatch.setattr(linalg, "spd_inverse", recording(linalg.spd_inverse))
+        monkeypatch.setattr(linalg, "spd_sqrt", recording(linalg.spd_sqrt))
         g, fol = standard_fixture("grid13")
         stack = OperatorStack(g, fol)
         for n in range(fol.depth + 1):
@@ -399,7 +426,7 @@ class TestOneLayerBuild:
         with pytest.raises(ValueError):
             layer_step(c0, st0, np.ones((1, 1)))  # cluster 0 has no level below
         # without layer columns the whole cluster is the layer: the base step
-        p, b = layer_step(c1, st1, None)
+        p, b, _ = layer_step(c1, st1, None)
         np.testing.assert_array_equal(p, np.eye(2))
         assert b.tobytes() == base_green(g, c1).normalized.tobytes()
 

@@ -207,7 +207,8 @@ def _guard_ladder(monkeypatch, **ladder_args):
         monkeypatch.setattr(mod, "dirichlet_blocks", blocks)
     factored = []
     cholesky = linalg.cholesky
-    monkeypatch.setattr(linalg, "cholesky", lambda a: factored.append(len(a)) or cholesky(a))
+    monkeypatch.setattr(linalg, "cholesky",
+                        lambda a, scale: factored.append(len(a)) or cholesky(a, scale))
     noise_gram = sampling.noise_gram
 
     def viewed_gram(*args):
@@ -225,7 +226,7 @@ def _guard_ladder(monkeypatch, **ladder_args):
                 return out.view(_SquareMatmuls)
             if isinstance(out, GreenKernel):
                 return dataclasses.replace(out, normalized=out.normalized.view(_SquareMatmuls))
-            if isinstance(out, tuple):  # a layer step (P_n, B_n)
+            if isinstance(out, tuple):  # a layer step (P_n, B_n, R_n)
                 return tuple(m.view(_SquareMatmuls) for m in out)
             return out
         return memo(stack, kind, n, wrapped)
@@ -554,7 +555,8 @@ class TestRungProtocol:
         stack.green(stack.depth)
         bad = stack.poisson(stack.depth).copy()
         bad[0, 0] = np.nan
-        stack._cache[("step", stack.depth)] = (bad, stack.boundary_green(stack.depth))
+        stack._cache[("step", stack.depth)] = (bad, stack.boundary_green(stack.depth),
+                                               stack.layer_sqrt(stack.depth))
         rep = run_ladder(g, fol, trials=0, stack=stack)
         for name in ("poisson_bounds", "poisson_harmonic"):
             row = _row(rep, name)
