@@ -126,19 +126,19 @@ def _pick_cluster(args, fol) -> GrowthCluster:
     return make_cluster(fol, args.cluster if args.cluster is not None else fol.depth)
 
 
-def _green(g, fol, n: int):
-    """G_n, walked up from level 0 with two Green levels cached at a time;
-    the stack and its layer steps are dropped on return."""
+def _walk(g, fol, n: int, read):
+    """read(stack, n) on a stack walked up by read(stack, m), m = 0..n, each
+    followed by the release of level m-1: two levels are cached at a time."""
     stack = OperatorStack(g, fol)
     for m in range(n + 1):
-        stack.green(m)
-        stack.release_green(m - 1)
-    return stack.green(n)
+        out = read(stack, m)
+        stack.release(m - 1)
+    return out
 
 
 def cmd_green(args) -> int:
     g, fol = _resolve(args)
-    kern = _green(g, fol, _pick_cluster(args, fol).n)
+    kern = _walk(g, fol, _pick_cluster(args, fol).n, OperatorStack.green)
     ids = g.ids(kern.cluster.vertices)
     _emit_matrix(args, f"green_{kern.cluster.n}", ids, ids, kern.normalized)
     return 0
@@ -148,7 +148,7 @@ def cmd_poisson(args) -> int:
     g, fol = _resolve(args)
     clu = _pick_cluster(args, fol)
     _emit_matrix(args, f"poisson_{clu.n}", g.ids(clu.vertices), g.ids(clu.top_layer),
-                 OperatorStack(g, fol).poisson(clu.n))
+                 _walk(g, fol, clu.n, OperatorStack.poisson))
     return 0
 
 
@@ -159,11 +159,11 @@ def cmd_hadamard(args) -> int:
     clu = stack.cluster(n)
     ids = g.ids(clu.vertices)
     variation = []
-    for m in range(n + 1):  # up to level n, holding G_{m-1} and G_m only
+    for m in range(n + 1):  # up to level n, holding levels m - 1 and m only
         stack.kernel(m)
         if m:
             variation.append(variation_residual(stack, m))
-        stack.release_green(m - 1)
+        stack.release(m - 1)
     q = stack.growth(n)
     blocks = list(dirichlet_blocks(stack, n))
     if args.out:
@@ -197,9 +197,11 @@ def cmd_sample(args) -> int:
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     ids = g.ids(top.vertices)
-    files = []
-    phi = wnf_block(top.vertices, stream, args.n_samples)
-    fields = dgff_block(stack, phi)
+    files, fields = [], []
+    for n, psi in enumerate(dgff_block(stack, wnf_block(top.vertices, stream, args.n_samples))):
+        fields.append(psi)
+        stack.release(n - 1)  # two layer steps are cached at a time
+    del stack  # and its kernels: the writing below reads the fields alone
     cols = [f"psi_{n}" for n in range(depth + 1)] + [f"inc_{n}" for n in range(1, depth + 1)]
     for s in range(args.n_samples):
         rows = np.zeros((top.size, len(cols)))

@@ -138,12 +138,12 @@ class OperatorStack:
     none of them reads a Green kernel: the layer steps (P_n, B_n, R_n) are
     cached under ("step", n), and `poisson`, `boundary_green` and
     `layer_sqrt` return their parts. Q_n is kept as its kernels only;
-    `growth` assembles it whole, uncached, for `dgff hadamard`. A checker that walks the levels
-    upward keeps a window of two Green levels, G_{n-1} and G_n, all that
-    level n's checks read, by releasing each level it is done with
-    (`release_green`): the memory is then O(k_top^2) instead of
-    sum_n k_n^2. A released level that is asked for again is rebuilt, bit
-    for bit, from the lowest level still cached.
+    `growth` assembles it whole, uncached, for `dgff hadamard`. A caller
+    that walks the levels upward keeps two levels, all that level n reads,
+    by releasing each level it is done with (`release`: G_n and the step
+    go, K_n stays), so the memory is O(k_top^2) and the kernels instead of
+    sum_n k_n^2. A released level asked for again is rebuilt, bit for bit,
+    from the lowest level still cached.
     """
 
     def __init__(self, graph: Graph, fol: Foliation):
@@ -207,10 +207,11 @@ class OperatorStack:
         return self._memo_upward("green", n, lambda m: green(
             self.graph, self.cluster(m), self.green(m - 1) if m else None, self._step(m)))
 
-    def release_green(self, n: int) -> None:
-        """Drop level n's cached Green kernel, if any; the other operators
-        stay cached."""
+    def release(self, n: int) -> None:
+        """Drop level n's cached Green kernel and layer step, if any; the
+        clusters, the stencil and the kernels stay cached."""
         self._cache.pop(("green", n), None)
+        self._cache.pop(("step", n), None)
 
     def poisson(self, n: int) -> np.ndarray:
         """Poisson kernel of cluster n and its top layer."""

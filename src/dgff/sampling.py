@@ -29,14 +29,15 @@ draw order, so S has the same bits on one thread or two; two draw ranges
 merge by adding their sums, to rounding. `brownian_check` and
 `sweep_average_check` draw nothing: they return the coefficient rows of
 the pairings and of the boundary averages, all read off one adjoint
-Q_top^* (Q_n^* f is the leading k_n entries of Q_top^* f), with their
-exact covariance, and the caller scores them on its S.
+Q_top^* (Q_n^* f is the leading k_n entries of Q_top^* f) and the sweeps
+P_n^* f, with their exact covariance, and the caller scores them on its S.
 `grown_covariances` grows every level's T_n S T_n^T from the layer columns
 of T, yielding one level at a time: the kernels K_n for the DGFF, and for
 the oracle, whose noise Gram has its own disjoint draw range, those of W.
 Explicit samples exist only as blocks of trials, one trial per row:
 `wnf_block` draws the noise and `dgff_block` grows every level from it one
-layer at a time, for `dgff sample` and the exact per-sample rungs.
+layer at a time (`grow_field`), for `dgff sample`; the exact per-sample
+rungs grow theirs a level per round (`GaussianStream.reserve`).
 
 The empirical covariance of a zero-mean Gaussian sample has per-entry
 standard error sqrt((s_xx s_yy + s_xy^2) / N), and every check asserts |z|
@@ -49,8 +50,9 @@ from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -77,6 +79,13 @@ class GaussianStream:
     def draw(self, streams) -> np.ndarray:
         return self.block(streams, 1)[0]
 
+    def reserve(self, ndraws: int) -> Callable[..., np.ndarray]:
+        """Skip the next `ndraws` draws and return `draws(streams)`, which
+        makes them later, bit for bit: a draw is a pure function of (seed,
+        stream, counter), so they are the columns `block` would make now."""
+        self.counter += ndraws
+        return partial(kernels.normal_block, self.seed, draw0=self.counter - ndraws, ndraws=ndraws)
+
     def gram(self, streams, ndraws: int) -> NoiseGram:
         """`noise_gram` of the next `ndraws` draws; advances the draw counter."""
         out = noise_gram(self.seed, streams, self.counter, ndraws)
@@ -89,21 +98,27 @@ def wnf_block(domain, stream: GaussianStream, trials: int) -> np.ndarray:
     return stream.block(np.asarray(list(domain), dtype=int), trials)
 
 
-def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> list[np.ndarray]:
-    """DGFF samples Psi_0..Psi_N, one (trials, k_n) block per level, grown
-    from the kernels as Psi_n = (Psi_{n-1} + 0) + K_n z_{L_n}, with no dense
-    Q_n. `phi_block` holds WNF rows over the top cluster, in its vertex
-    order, whose prefix is the order of every smaller cluster. The kernels
-    come from the layer steps alone: no dense Green level is built.
-    """
+def grow_field(kernel: np.ndarray, z: np.ndarray, prev: np.ndarray | None) -> np.ndarray:
+    """Psi_n = (Psi_{n-1} + 0) + K_n z_{L_n} for a block of trials, one per
+    row, from K_n, the layer noise z_{L_n} and Psi_{n-1} (None at level 0)."""
+    psi = z @ kernel.T
+    if prev is not None:
+        psi[:, : prev.shape[1]] += prev
+    return psi
+
+
+def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield DGFF samples Psi_0..Psi_N, one (trials, k_n) block per level,
+    each grown by `grow_field` from the one before, with no dense Q_n.
+    `phi_block` holds WNF rows over the top cluster, in its vertex order,
+    whose prefix is the order of every smaller cluster. The kernels come
+    from the layer steps alone, and no Green level is built: a caller that
+    releases level n-1 once it has Psi_n keeps two layer steps."""
     top = stack.cluster(stack.depth)
-    fields = []
+    psi = None
     for n in range(stack.depth + 1):
-        psi = phi_block[:, top.layer_slice(n)] @ stack.kernel(n).T
-        if n:
-            psi[:, : fields[-1].shape[1]] += fields[-1]
-        fields.append(psi)
-    return fields
+        psi = grow_field(stack.kernel(n), phi_block[:, top.layer_slice(n)], psi)
+        yield psi
 
 
 # ---------------------------------------------------------------------------
@@ -447,9 +462,11 @@ class SweepReport:
         }
 
 
-def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
+def sweep_average_check(stack: OperatorStack, f: np.ndarray,
+                        sweeps: Sequence[np.ndarray]) -> SweepReport:
     """Sweep f, supported on cluster 1, onto each layer n = 1..N and pair
-    with Psi_N; the foliation needs N >= 1.
+    with Psi_N; the foliation needs N >= 1. `sweeps` holds the sweeps
+    P_n^* f = P_n^T f[cluster n], n = 1..N, which the caller takes.
 
     The pairing telescopes: A_n(f) = F_N(f) - F_{n-1}(f), because
     Psi_N - Psi_{n-1} is the harmonic extension of Psi_N's layer-n values.
@@ -473,9 +490,8 @@ def sweep_average_check(stack: OperatorStack, f: np.ndarray) -> SweepReport:
     a = np.empty((depth, c.shape[0]))
     resid = [0.0]
     for n in range(1, depth + 1):
-        clu = stack.cluster(n)
         placed = np.zeros(stack.graph.n_vertices)
-        placed[np.array(clu.top_layer)] = stack.poisson(n).T @ f[np.array(clu.vertices)]
+        placed[np.array(stack.cluster(n).top_layer)] = sweeps[n - 1]
         a[n - 1] = stack.growth_adjoint_apply(placed)
         telescoped = c.copy()
         telescoped[: sizes[n - 1]] = 0.0  # c[:k_{n-1}] is F_{n-1}'s coefficients

@@ -36,26 +36,27 @@ check at every level:
 One reader, `increment_residual`, checks each formula for the increment
 G_n - (G_{n-1} + 0): K_n K_n^T here, P_n G_n[L_n, :] in `green_variation`
 (and Q_n Q_n^T against G_n in `dgff hadamard`). In the ladder the left
-factor has |L_n| columns, so no level forms Q_n Q_n^T.
-
-The increment rungs grow their fields with one `dgff_block` call, and no
-rung assembles a dense Q_n: every one reads the kernels.
+factor has |L_n| columns, so no level forms Q_n Q_n^T. No rung assembles
+a dense Q_n: every one reads the kernels.
 
 The ladder is one level-major pass, as the paper grows the cluster. Every
 rung is a generator that yields once per level n = 0..N: what it reads at
 level n, or None where it reads nothing. Round n advances every rung by one
-level (`_Ladder.run`, once per rung and level) and then releases G_{n-1}:
-level n reads at most G_n and G_{n-1}, so no more than two dense Green
-levels are ever live and the memory is O(k_top^2), not sum_n k_n^2. After
-the top level G_top is released too, and one last round runs every rung to
-its end: `isometry`, the increment rungs and the pairing rungs read only
-kernels, Poisson kernels and noise Grams there. A rung holds no k_n x k_n
-array across a yield but its own running state (a covariance rung's C_n).
+level (`_Ladder.run`, once per rung and level) and then releases level n-1,
+its Green kernel and its layer step: level n reads at most levels n and
+n-1, so each level is built once, and the memory is O(k_top^2) and the
+kernels, not sum_n k_n^2. Level N goes after the top, and a last round
+runs every rung to its end on kernels and noise Grams: each rung reads P_n
+and R_n in round n, where the sweep collects P_n^* f as `brownian_moments`
+collects its Green energies. A rung holds no k_n x k_n array across a
+yield but its own running state (a covariance rung's C_n).
 
-Every rung makes all its draws before its first yield. The draws come from
-one counter-based stream, and round 0 advances the rungs in the ladder's
-order, so every draw gets the counter it would get if the rungs ran one
-after another.
+Every rung makes or reserves all its draws before its first yield. The
+draws come from one counter-based stream, and round 0 advances the rungs
+in the ladder's order, so every draw gets the counter it would get if the
+rungs ran one after another. The increment rungs draw layer n's columns
+of their reserved range in round n (`GaussianStream.reserve`) and grow
+Psi_n there by `grow_field`, as `dgff_block` does for `dgff sample`.
 
 An exact rung yields one statistic per level it reads; `isometry` yields
 once, after the top level. A statistical rung yields a (largest |z|,
@@ -94,14 +95,13 @@ from .operators import GreenKernel, Stencil
 from .sampling import (
     GaussianStream,
     brownian_check,
-    dgff_block,
     green_energy,
+    grow_field,
     grown_covariances,
     increment_cross_zmax,
     moment_report,
     sweep_average_check,
     two_sample_zmax,
-    wnf_block,
 )
 
 TOL_EXACT = 1e-10
@@ -332,10 +332,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     A prebuilt (possibly deliberately corrupted) `stack` may be supplied;
     negative-control tests use this to pin down which rung a defect trips.
-    The ladder releases its Green levels as it goes, so a supplied stack
-    ends with none cached. With `collect_reports` the result carries the
-    detailed statistical reports (empirical and target moments) under a
-    "reports" key.
+    The ladder releases each level as it goes, so a supplied stack ends
+    with its kernels and no Green level or layer step cached. With
+    `collect_reports` the result carries the detailed statistical reports
+    (empirical and target moments) under a "reports" key.
     """
     if trials < 0:
         raise DGFFError("trials must be nonnegative", code="BadFormat")
@@ -345,7 +345,6 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         stack = OperatorStack(graph, fol)
     depth = stack.depth
     stream = GaussianStream(seed)
-    after_top = (None,) * (depth + 1)  # a rung that reads no level waits these out
 
     def green_inverse():
         for n in range(depth + 1):
@@ -393,29 +392,31 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def isometry():
         # level n's Gram is the top Gram's leading k_n block, so the top's
         # residual is the largest over the levels
-        yield from after_top
+        yield from (None,) * (depth + 1)  # it waits the levels out
         yield isometry_residual(dirichlet_blocks(stack, depth))
 
     def increments(check):
-        """An increment rung: one fresh block of top-cluster noise, drawn at
-        once; after the top level, check(n, block, Psi_n - Psi_{n-1}) for
-        n = 1..N, the fields grown from the block."""
+        """An increment rung on noise reserved in round 0: round n draws z_{L_n},
+        grows Psi_n and yields check(n, z_{L_n}, Psi_n - (Psi_{n-1} + 0))."""
         if depth == 0:
             return  # no increment, so draw no noise
-        block = wnf_block(stack.cluster(depth).vertices, stream, INCREMENT_SAMPLES)
-        yield from after_top
-        fields = dgff_block(stack, block)
+        noise = stream.reserve(INCREMENT_SAMPLES)
+        psi = grow_field(stack.kernel(0), noise(stack.cluster(0).top_layer), None)
+        yield None  # Psi_0 has no increment
         for n in range(1, depth + 1):
-            diff = fields[n].copy()
-            diff[:, : fields[n - 1].shape[1]] -= fields[n - 1]
-            yield check(n, block, diff)
+            z, prev = noise(stack.cluster(n).top_layer), psi
+            psi = grow_field(stack.kernel(n), z, prev)
+            diff = psi.copy()
+            diff[:, : prev.shape[1]] -= prev
+            stat = check(n, z, diff)
+            del z, prev, diff  # only Psi_n is held across the yield
+            yield stat
 
-    def increment_identity(n, block, diff):
-        other = (block[:, stack.cluster(depth).layer_slice(n)] @ stack.layer_sqrt(n).T
-                 @ stack.poisson(n).T)
+    def increment_identity(n, z, diff):
+        other = z @ stack.layer_sqrt(n).T @ stack.poisson(n).T
         return _absmax(diff - other) / _scale(diff)
 
-    def increment_harmonic(n, block, diff):
+    def increment_harmonic(n, z, diff):
         st = stack.stencil(n)
         resid = st.apply(diff.T, rows=stack.cluster(n - 1).size)
         return _absmax(resid) / (_scale(diff) * _scale(st.val))
@@ -501,9 +502,12 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def sweep():
         if depth == 0:
             return  # no cluster 1 to sweep from
-        f = draw_on(stack.cluster(1))
-        yield from after_top
-        rep = sweep_average_check(stack, f)
+        f, sweeps = draw_on(stack.cluster(1)), []
+        yield None  # level 0 has no sweep
+        for n in range(1, depth + 1):
+            sweeps.append(stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)])
+            yield None
+        rep = sweep_average_check(stack, f, sweeps)
         yield pairing(rep, "sweep")
         if rep.identity_residual > tol_exact * rep.identity_scale:
             raise _Refuted(f"boundary-average identity residual {rep.identity_residual:.3g} "
@@ -535,8 +539,8 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     for n in range(depth + 1):
         for rung in rungs:
             ladder.run(*rung)
-        stack.release_green(n - 1)  # level n + 1 reads G_n and G_{n+1} only
-    stack.release_green(depth)  # the rungs' ends read no Green level
+        stack.release(n - 1)  # level n + 1 reads levels n and n + 1 only
+    stack.release(depth)  # the rungs' ends read only kernels
     for rung in rungs:
         ladder.run(*rung)
 

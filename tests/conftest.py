@@ -43,6 +43,13 @@ def green_energies(stack, f):
     return [green_energy(stack.green(n), f) for n in range(stack.depth + 1)]
 
 
+def layer_sweeps(stack, f):
+    """P_n^* f = P_n^T f[cluster n] at every level n >= 1, the sweeps
+    `sweep_average_check` reads."""
+    return [stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)]
+            for n in range(1, stack.depth + 1)]
+
+
 def green_diagonals(stack):
     """The diagonal of G_n at every level, read by `increment_cross_zmax`."""
     return [np.diag(stack.green(n).normalized) for n in range(stack.depth + 1)]

@@ -25,7 +25,7 @@ from dgff.verify import increment_residual, isometry_residual, run_ladder, varia
 
 import dense_reference
 from block_reference import covariance_report, cross_covariance_zmax, pairing_block
-from conftest import tamper_directed
+from conftest import layer_sweeps, tamper_directed
 
 TOL_EXACT = 1e-10
 TOL_STRICT = 1e-12
@@ -161,7 +161,7 @@ def test_criterion_6_increment_identity(stack_set):
             continue
         top = stack.cluster(stack.depth)
         block = wnf_block(top.vertices, GaussianStream(SEED + 6), 100)
-        fields = dgff_block(stack, block)
+        fields = list(dgff_block(stack, block))
         for n in range(1, stack.depth + 1):
             hi, lo = fields[n], fields[n - 1]
             diff = hi.copy()
@@ -205,7 +205,7 @@ def test_criterion_8_increment_independence(mc):
         stack = mc[name]["stack"]
         phi = mc[name]["phi"]
         blocks, variances = [], []
-        fields = dgff_block(stack, phi)
+        fields = list(dgff_block(stack, phi))
         prev = fields[0]
         blocks.append(prev)
         variances.append(np.diag(stack.green(0).normalized))
@@ -269,7 +269,7 @@ def test_criterion_10_sweep(mc, stack_set):
         f = np.zeros(stack.graph.n_vertices)
         f[np.array(base.vertices)] = fstream.draw(base.vertices)
         phi = mc[name]["phi"]
-        rep = sweep_average_check(stack, f)
+        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
         cov = moment_report(NoiseGram(phi.T @ phi, TRIALS).cross(rep.coef), rep.target,
                             TRIALS, SEED)
         worst_ident = max(worst_ident, rep.identity_residual / rep.identity_scale)

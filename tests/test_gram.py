@@ -31,7 +31,7 @@ from block_reference import (
     pairing_block,
     serial_noise_gram,
 )
-from conftest import green_diagonals, green_energies
+from conftest import green_diagonals, green_energies, layer_sweeps
 
 RTOL = 1e-9
 
@@ -237,7 +237,7 @@ class TestEquivalence:
     def test_increment_independence(self, routes):
         g, stack, phi, gram = routes
         blocks, variances = [], []
-        fields = dgff_block(stack, phi)
+        fields = list(dgff_block(stack, phi))
         prev = fields[0]
         blocks.append(prev)
         variances.append(np.diag(stack.green(0).normalized))
@@ -278,9 +278,9 @@ class TestEquivalence:
         f = np.zeros(g.n_vertices)
         base = stack.cluster(1)
         f[np.array(base.vertices)] = GaussianStream(4).draw(base.vertices)
-        rep = sweep_average_check(stack, f)
+        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
         streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)
-        big = dgff_block(stack, phi)[n2]
+        big = list(dgff_block(stack, phi))[n2]
         clu2 = stack.cluster(n2)
         a = np.column_stack([
             big[:, clu2.layer_slice(n)]
@@ -301,7 +301,7 @@ class TestSweepIdentity:
         f = np.zeros(g.n_vertices)
         base = stack.cluster(1)
         f[np.array(base.vertices)] = GaussianStream(8).draw(base.vertices)
-        rep = sweep_average_check(stack, f)
+        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
         assert rep.coef.shape == (stack.depth, stack.cluster(stack.depth).size)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
         coef = stack.growth_adjoint_apply(f)

@@ -361,7 +361,7 @@ class TestOneLayerBuild:
         for n in range(1, fol.depth + 1):
             prev, clu, st = stack.green(n - 1), stack.cluster(n), stack.stencil(n)
             cols = prev.normalized[:, prev.cluster.layer_slice(n - 1)]
-            stack.release_green(n - 2)
+            stack.release(n - 2)
             width = len(fol.layers[n])
             if width < 32:
                 continue

@@ -22,7 +22,7 @@ from dgff.sampling import (
 )
 
 import dense_reference
-from conftest import green_energies
+from conftest import green_energies, layer_sweeps
 from block_reference import (
     covariance_report,
     cross_covariance_zmax,
@@ -62,6 +62,24 @@ class TestStream:
         assert s.counter == 2
         second = s.block(np.arange(3), 2)
         assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("counter", [0, 3])
+    def test_reserved_layer_draws_are_the_block_columns(self, counter):
+        # a draw is a pure function of (seed, stream, counter): each layer's
+        # columns drawn later from a reserved range, an odd start included,
+        # are bit for bit those of one block over the top cluster
+        stack = OperatorStack(*standard_fixture("grid13"))
+        top = stack.cluster(stack.depth)
+        block = wnf_block(top.vertices, GaussianStream(9, counter), 100)
+        s = GaussianStream(9, counter)
+        draws = s.reserve(100)
+        assert s.counter == counter + 100
+        after = s.block(top.vertices, 1)
+        for n in reversed(range(stack.depth + 1)):
+            np.testing.assert_array_equal(draws(stack.cluster(n).top_layer),
+                                          block[:, top.layer_slice(n)])
+        np.testing.assert_array_equal(after, GaussianStream(9, counter + 100).block(
+            top.vertices, 1))
 
     def test_wnf_moments(self):
         z = wnf_block(range(6), GaussianStream(99), TRIALS)
@@ -103,16 +121,16 @@ class TestGrow:
         g, stack = grid_stack
         k1 = stack.cluster(1).size
         phi = wnf_block(stack.cluster(2).vertices, GaussianStream(3), 1)
-        psi = dgff_block(stack, phi)[1]
+        psi = list(dgff_block(stack, phi))[1]
         assert psi.shape == (1, k1)
         other = phi.copy()
         other[:, k1:] = 7.0
-        np.testing.assert_array_equal(dgff_block(stack, other)[1], psi)
+        np.testing.assert_array_equal(list(dgff_block(stack, other))[1], psi)
 
     def test_p4_variance_matches_green(self, p4_stack):
         g, stack = p4_stack
         phi = wnf_block(stack.cluster(1).vertices, GaussianStream(21), TRIALS)
-        psi = dgff_block(stack, phi)[1]
+        psi = list(dgff_block(stack, phi))[1]
         rep = covariance_report(psi, stack.green(1).normalized, 21)
         assert rep.max_abs_z <= ZMAX
         v11 = psi[:, 0] @ psi[:, 0] / TRIALS
@@ -124,7 +142,7 @@ class TestGrow:
         block = wnf_block(stack.cluster(1).vertices, stream, 3)
         single = GaussianStream(4).draw(stack.cluster(1).vertices)
         np.testing.assert_array_equal(block[0], single)
-        np.testing.assert_allclose(dgff_block(stack, block)[1][0],
+        np.testing.assert_allclose(list(dgff_block(stack, block))[1][0],
                                    stack.growth(1) @ single, atol=1e-14)
 
     @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
@@ -133,7 +151,7 @@ class TestGrow:
         stack = OperatorStack(*standard_fixture(name))
         top = stack.cluster(stack.depth)
         phi = wnf_block(top.vertices, GaussianStream(17), 50)
-        fields = dgff_block(stack, phi)
+        fields = list(dgff_block(stack, phi))
         assert len(fields) == stack.depth + 1
         for n, psi in enumerate(fields):
             k = stack.cluster(n).size
@@ -144,7 +162,7 @@ class TestGrow:
 
 def _increment(stack, phi, n):
     """Psi_n - Psi_{n-1} on cluster n, one row per row of `phi`."""
-    fields = dgff_block(stack, phi)
+    fields = list(dgff_block(stack, phi))
     inc = fields[n].copy()
     inc[:, : fields[n - 1].shape[1]] -= fields[n - 1]
     return inc
@@ -259,8 +277,8 @@ class TestOracle:
     def test_oracle_agrees_with_grown_field(self, p4_stack):
         g, stack = p4_stack
         target = stack.green(1).normalized
-        grown = dgff_block(stack, wnf_block(stack.cluster(1).vertices,
-                                            GaussianStream(41), TRIALS))[1]
+        grown = list(dgff_block(stack, wnf_block(stack.cluster(1).vertices,
+                                                 GaussianStream(41), TRIALS)))[1]
         gram = GaussianStream(42).gram(stack.cluster(1).vertices, TRIALS)
         direct = list(grown_covariances(oracle_kernels(g, stack.cluster(1)), gram))[1]
         z, entries = two_sample_zmax(known_mean_covariance(grown), direct, TRIALS, target)
@@ -365,7 +383,7 @@ class TestSweep:
         g, stack = p4_stack
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = sweep_average_check(stack, f)
+        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
         np.testing.assert_allclose(rep.variance_targets, [2.0 / 3.0 - 0.5], atol=1e-12)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
         gram = GaussianStream(61).gram(stack.cluster(1).vertices, TRIALS)
@@ -376,7 +394,7 @@ class TestSweep:
         rng = np.random.default_rng(1)
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(1).vertices)] = rng.normal(size=5)
-        rep = sweep_average_check(stack, f)
+        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
         gram = GaussianStream(67).gram(stack.cluster(2).vertices, TRIALS)
         assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 67).max_abs_z <= ZMAX
@@ -391,7 +409,7 @@ class TestSweep:
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(2).vertices)] = 1.0  # wider than cluster 1
         with pytest.raises(SupportViolationError):
-            sweep_average_check(stack, f)
+            sweep_average_check(stack, f, layer_sweeps(stack, f))
 
 
 def test_covariance_stderr_formula():

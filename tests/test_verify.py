@@ -108,6 +108,23 @@ class TestBrownianPythagoras:
         assert row["entries"] == (stack.depth + 1) ** 2
 
 
+def test_tampered_poisson_kernel_fails_the_increment_identity():
+    # the kernels, and so the grown increments K_n z_{L_n}, come from the
+    # true P_1; the rung's other route z R_1^T P_1^T must read the P_1 cached
+    # when level 1 is checked, the corrupted one, and not one rebuilt after
+    # the ladder released level 1
+    g, fol = standard_fixture("grid5")
+    stack = OperatorStack(g, fol)
+    for n in range(stack.depth + 1):
+        stack.kernel(n)
+    bad = stack.poisson(1).copy()
+    bad[:, 0] *= 0.5
+    stack._cache[("step", 1)] = (bad, stack.boundary_green(1), stack.layer_sqrt(1))
+    rep = run_ladder(g, fol, trials=0, stack=stack)
+    assert not _row(rep, "increment_identity")["passed"]
+    assert _row(rep, "increment_harmonic")["passed"]
+
+
 class TestIsometry:
     def test_top_gram_blocks_equal_the_per_level_grams(self):
         # level n's blocks are the top level's blocks (p, m) with m <= n, bit
@@ -282,18 +299,19 @@ def test_stack_keeps_no_dense_growth_operator(monkeypatch):
     assert not [key for key in stack._cache if key[0] == "growth"]
 
 
-def _spy_green_levels(monkeypatch):
-    """Count the builds of each Green level, and record after every memoized
-    call how many Green levels the stack holds."""
+def _spy_memo(monkeypatch, kind):
+    """Count the builds of each level of one memo kind ("green", "step"),
+    and record after every memoized call how many of its levels the stack
+    holds."""
     builds, held = Counter(), []
     memo = OperatorStack._memo
 
-    def spied(stack, kind, n, build):
+    def spied(stack, memo_kind, n, build):
         def counted():
-            builds[n] += kind == "green"
+            builds[n] += memo_kind == kind
             return build()
-        out = memo(stack, kind, n, counted)
-        held.append(sum(key[0] == "green" for key in stack._cache))
+        out = memo(stack, memo_kind, n, counted)
+        held.append(sum(key[0] == kind for key in stack._cache))
         return out
 
     monkeypatch.setattr(OperatorStack, "_memo", spied)
@@ -309,7 +327,7 @@ def _grid21():
 def test_ladder_builds_each_green_level_once_and_holds_two(monkeypatch, graph, trials):
     """The ladder walks the levels once: every Green level is built exactly
     once, and the stack never holds more than G_{n-1} and G_n."""
-    builds, held = _spy_green_levels(monkeypatch)
+    builds, held = _spy_memo(monkeypatch, "green")
     g, fol = _grid21() if graph == "grid21" else standard_fixture(graph)
     stack = OperatorStack(g, fol)
     rep = run_ladder(g, fol, seed=1, trials=trials, stack=stack)
@@ -317,6 +335,22 @@ def test_ladder_builds_each_green_level_once_and_holds_two(monkeypatch, graph, t
     assert dict(builds) == {n: 1 for n in range(stack.depth + 1)}
     assert max(held) == 2
     assert not [key for key in stack._cache if key[0] == "green"]
+
+
+@pytest.mark.parametrize("graph, trials", [("grid21", 0), ("grid13", 2000)])
+def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, trials):
+    """Each round reads P_n and R_n while level n is live: every layer step
+    (P_n, B_n, R_n) is built exactly once, the stack never holds more than
+    steps n-1 and n, and it ends holding none, only the kernels."""
+    builds, held = _spy_memo(monkeypatch, "step")
+    g, fol = _grid21() if graph == "grid21" else standard_fixture(graph)
+    stack = OperatorStack(g, fol)
+    rep = run_ladder(g, fol, seed=1, trials=trials, stack=stack)
+    assert rep["pass"] and len(rep["checks"]) == (17 if trials else 11)
+    assert dict(builds) == {n: 1 for n in range(stack.depth + 1)}
+    assert max(held) == 2
+    assert not [key for key in stack._cache if key[0] == "step"]
+    assert all(("kernel", n) in stack._cache for n in range(stack.depth + 1))
 
 
 def test_exact_ladder_memory_is_a_few_top_levels():
@@ -336,9 +370,11 @@ def test_exact_ladder_memory_is_a_few_top_levels():
 
 def test_exact_ladder_memory_is_two_levels_and_the_kernels():
     """Every exact reading goes a block of rows or a tile pair at a time,
-    and G_n is built in place: the traced peak of the 31x31 exact ladder
-    stays under 4.5 k_top^2 doubles, near its floor of two Green levels and
-    the cached kernels (about 3.6 k_top^2); k_top^2 temporaries made it 5.7."""
+    G_n is built in place and the stack keeps two layer steps: the traced
+    peak of the 31x31 exact ladder, 3.32 k_top^2 doubles, stays under 3.5,
+    a margin of 0.18 over it. Its floor is two Green levels (1.99 k_top^2)
+    and the cached kernels (0.52); keeping every layer step put it at 3.72,
+    and k_top^2 temporaries made it 5.7."""
     g = grid_graph(31)
     fol = bfs_foliate(g, ("r15c15",))
     k_top = 29 * 29
@@ -348,12 +384,12 @@ def test_exact_ladder_memory_is_two_levels_and_the_kernels():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * k_top * k_top * 8
+    assert peak <= 3.5 * k_top * k_top * 8
 
 
 def test_sample_builds_no_green_level(monkeypatch, tmp_path):
     """`dgff sample` grows its fields from the layer steps alone."""
-    builds, held = _spy_green_levels(monkeypatch)
+    builds, held = _spy_memo(monkeypatch, "green")
     g, _ = _grid21()
     path = tmp_path / "grid21.json"
     path.write_text(json.dumps(graph_to_json(g)))
@@ -362,11 +398,25 @@ def test_sample_builds_no_green_level(monkeypatch, tmp_path):
     assert sum(builds.values()) == 0 and held and max(held) == 0
 
 
+def test_sample_builds_each_layer_step_once_and_holds_two(monkeypatch, tmp_path):
+    """`dgff sample` releases each level once the next is grown."""
+    builds, held = _spy_memo(monkeypatch, "step")
+    g, fol = _grid21()
+    path = tmp_path / "grid21.json"
+    path.write_text(json.dumps(graph_to_json(g)))
+    assert main(["sample", "--graph", str(path), "--roots", "r10c10", "--n-samples", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert dict(builds) == {n: 1 for n in range(fol.depth + 1)}
+    assert max(held) == 2
+
+
 def test_sample_memory_is_the_layer_operators_and_the_blocks():
-    """`dgff_block` holds the per-level operators, each at most k_n x |L_n|
-    (P_n and K_n, sum_n k_n |L_n| numbers each), the noise block and the
-    field blocks: on the 31x31 grid its traced peak, 2.0 times their sum,
-    stays under 2.5 times. Building each dense G_n put it at 5.1 times."""
+    """`dgff_block`, walked as `dgff sample` walks it, releasing level n-1
+    once it has Psi_n, holds the kernels K_n (sum_n k_n |L_n| numbers), two
+    layer steps, the noise block and the field blocks: on the 31x31 grid
+    its traced peak, 1.10 times the kernels and the blocks, stays under 1.2
+    times. Keeping every P_n as well put it at 1.99 times, and building each
+    dense G_n at 5.1 times."""
     g = grid_graph(31)
     fol = bfs_foliate(g, ("r15c15",))
     stack = OperatorStack(g, fol)
@@ -378,11 +428,15 @@ def test_sample_memory_is_the_layer_operators_and_the_blocks():
     blocks = trials * (sizes[-1] + sum(sizes))
     tracemalloc.start()
     try:
-        sampling.dgff_block(stack, phi)
+        fields = []
+        for n, psi in enumerate(sampling.dgff_block(stack, phi)):
+            fields.append(psi)
+            stack.release(n - 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * (columns + blocks) * 8
+    assert len(fields) == stack.depth + 1
+    assert peak <= 1.2 * (columns + blocks) * 8
 
 
 def test_guard_sees_a_square_product(monkeypatch):
