@@ -27,8 +27,8 @@ from .hadamard import OperatorStack, dirichlet_blocks
 from .kernels import STREAM_VERSION
 from .linalg import write_matrix_csv
 from .sampling import GaussianStream, dgff_block, wnf_block
-from .verify import (TOL_EXACT, Z_MAX, increment_residual, isometry_residual, provenance,
-                     run_ladder, variation_residual)
+from .verify import (TOL_EXACT, Z_MAX, isometry_residual, layer_identity, layer_variation,
+                     provenance, run_ladder)
 
 
 def _flags(p: argparse.ArgumentParser, foliation=True, out=True, matrix=False) -> None:
@@ -158,12 +158,11 @@ def cmd_hadamard(args) -> int:
     n = _pick_cluster(args, fol).n
     clu = stack.cluster(n)
     ids = g.ids(clu.vertices)
-    variation = []
-    for m in range(n + 1):  # up to level n, holding levels m - 1 and m only
-        stack.kernel(m)
-        if m:
-            variation.append(variation_residual(stack, m))
+    readings = []
+    for m in range(n + 1):  # the ladder's readings, holding layer steps m - 1 and m only
+        readings.append((layer_identity(stack, m), layer_variation(stack, m) if m else 0.0))
         stack.release(m - 1)
+    identity, variation = np.max(readings, axis=0)  # np.max keeps a NaN; max drops it
     q = stack.growth(n)
     blocks = list(dirichlet_blocks(stack, n))
     if args.out:
@@ -174,14 +173,9 @@ def cmd_hadamard(args) -> int:
         _emit_matrix(args, f"growth_{n}", ids, ids, q)
         _emit_matrix(args, f"growth_{n}_square", ids, ids, q @ q.T)
         _emit_matrix(args, f"growth_{n}_gram", ids, ids, gram)
-    gn = stack.green(n).normalized
-    residuals = {
-        "identity_residual": increment_residual(q, q.T, gn.__getitem__)
-                             / float(np.max((gn.max(), -gn.min(), 1.0))),
-        "isometry_residual": isometry_residual(blocks),
-        # np.max keeps a NaN, which Python's max drops
-        "variation_residual": float(np.max(variation, initial=0.0)),
-    }
+    residuals = {"identity_residual": float(identity),
+                 "isometry_residual": isometry_residual(blocks),
+                 "variation_residual": float(variation)}
     print(json.dumps(_finite({"schema": 1, "cluster": n, **residuals}), allow_nan=False))
     return 0
 

@@ -14,8 +14,9 @@ Two matrix identities make Q_n useful:
   so Q_n maps white noise to a field with Green covariance.
 
 Both hold one layer at a time. The discrete Hadamard variational formula
-G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment, which
-`dgff.verify.increment_residual` checks; read on a test function f it says
+G_n - (G_{n-1} + 0) = K_n K_n^T is the first identity's increment; given
+the layer step it is R_n R_n = B_n and K_n = P_n R_n, which
+`dgff.verify.layer_identity` checks. Read on a test function f it says
 that f_n^T G_n f_n = ||Q_n^* f||^2 at every level. A column supported on
 cluster m has the same Dirichlet energy at every level n >= m, so the
 Dirichlet Gram of Q_n is the leading block of the top level's.
@@ -29,7 +30,8 @@ layer's rows of the Laplacian, held once as the top cluster's padded
 neighbour stencil (see `dgff.operators`). Q is kept as its kernels
 K_0..K_n, sum_m k_m |L_m| numbers, from which samples grow
 (`dgff.sampling`) and `growth_adjoint_apply` returns Q_top^* f; `growth(n)`
-assembles a dense Q_n for `dgff hadamard` alone. G_n is assembled only when a check reads it.
+assembles a dense Q_n for `dgff hadamard` alone. G_n is assembled only
+for the Monte Carlo checks and `dgff green`.
 The independent side reads the edge list, not the stencil, also a layer at
 a time: `dirichlet_blocks` gives Q_n's Dirichlet Gram in layer blocks, and
 `oracle_kernels` the Cholesky oracle W = L^{-T}, A_top = L L^T. A_top is

@@ -22,15 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, NotSymmetricError
 
-BLOCK_ENTRIES = 1 << 16  # entries per row block of a k x k pass
 _TILE = 128  # side of a square tile; a tile pair's temporaries stay in cache
-
-
-def row_blocks(k: int, width: int | None = None):
-    """Slices of at most BLOCK_ENTRIES // width rows (width k by default)
-    that cover 0..k."""
-    step = max(1, BLOCK_ENTRIES // max(k if width is None else width, 1))
-    return (slice(r, r + step) for r in range(0, k, step))
 
 
 def tiles(k: int):
@@ -111,6 +103,8 @@ def cholesky(a: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 def write_matrix_csv(fh, row_ids, col_ids, m: np.ndarray) -> None:
     """Matrix CSV: first row/column carry ids, entries at 17 significant digits."""
+    m = np.atleast_2d(m)
     fh.write("," + ",".join(col_ids) + "\n")
-    for rid, row in zip(row_ids, np.atleast_2d(m)):
-        fh.write(rid + "," + ",".join("%.17g" % x for x in row) + "\n")
+    fmt = ",".join(["%.17g"] * m.shape[1])
+    for rid, row in zip(row_ids, m):
+        fh.write(rid + "," + fmt % tuple(row) + "\n")

@@ -30,14 +30,14 @@ level: the Schur pivot S_n = D - U^T X by a Cholesky factor whose pivot test
 (`linalg.cholesky`, shared with the oracle) certifies A_n positive definite
 and not singular to working precision, and B_n by the eigendecomposition
 that gives its square root R_n and certifies it in turn.
-`green` assembles G_n, which only the checks and `dgff green` read, from
-G_{n-1} and the step in one array: the update (-X B_n)(-X)^T is multiplied
-straight into its leading block and symmetrized there one tile pair at a
-time, G_{n-1} is added and the layer blocks are copied in, holding only
-k_n x |L_n| blocks and one tile beyond G_{n-1} and G_n; its bits are those
-of the block assembly. Without layer columns the whole cluster is the
-layer: the base step (P = I, B = A^-1), which the recursion takes at
-level 0 only.
+`green` assembles G_n, the target of the Monte Carlo checks and the
+output of `dgff green`, from G_{n-1} and the step in one array: the update
+(-X B_n)(-X)^T is multiplied straight into its leading block and
+symmetrized there one tile pair at a time, G_{n-1} is added and the layer
+blocks are copied in, holding only k_n x |L_n| blocks and one tile beyond
+G_{n-1} and G_n; its bits are those of the block assembly. Without layer
+columns the whole cluster is the layer: the base step (P = I, B = A^-1),
+which the recursion takes at level 0 only.
 
 Conductances are symmetric, c(x, y) = c(y, x), so every A_n is exactly
 symmetric and is built one way. Both graph parsers refuse a
@@ -58,6 +58,8 @@ from . import linalg
 from .errors import NotPositiveDefiniteError, NotSymmetricError
 from .foliation import GrowthCluster
 from .graph import Graph
+
+_CHUNK_ENTRIES = 1 << 16  # gathered entries per row chunk of a stencil product
 
 
 @dataclass(frozen=True)
@@ -86,20 +88,16 @@ class Stencil:
         return Stencil(idx=np.where(outside, np.arange(k)[:, None], idx),
                        val=np.where(outside, 0.0, self.val[:k]))
 
-    def products(self, x: np.ndarray, rows: int | None = None):
-        """Yield the rows of A X, up to `rows`, as (start, chunk) pairs: row
-        i is sum_j val[i, j] X[idx[i, j]], taken over row chunks as a batched
-        (1 x w)(w x m) product so that each chunk's gather stays in cache."""
+    def apply(self, x: np.ndarray, rows: int | None = None) -> np.ndarray:
+        """A X for the first `rows` rows: row i is sum_j val[i, j] X[idx[i, j]],
+        taken over row chunks as a batched (1 x w)(w x m) product so that
+        each chunk's gather stays in cache."""
         idx = self.idx[:rows]
         val = self.val[:rows, None, :]
-        for r in linalg.row_blocks(idx.shape[0], idx.shape[1] * x.shape[1]):
-            yield r.start, (val[r] @ x[idx[r]])[:, 0]
-
-    def apply(self, x: np.ndarray, rows: int | None = None) -> np.ndarray:
-        """A X for the first `rows` rows, gathered from `products`."""
-        out = np.empty((self.idx[:rows].shape[0], x.shape[1]))
-        for r, chunk in self.products(x, rows):
-            out[r:r + len(chunk)] = chunk
+        out = np.empty((idx.shape[0], x.shape[1]))
+        step = max(1, _CHUNK_ENTRIES // max(idx.shape[1] * x.shape[1], 1))
+        for r in range(0, len(idx), step):
+            out[r:r + step] = (val[r:r + step] @ x[idx[r:r + step]])[:, 0]
         return out
 
     def dense(self, lo: int, hi: int) -> np.ndarray:
@@ -143,20 +141,6 @@ class GreenKernel:
     cluster: GrowthCluster
     normalized: np.ndarray  # inverse Laplacian
     pi: np.ndarray          # stationary weights on the cluster
-
-    def unnormalized_rows(self, r: slice) -> np.ndarray:
-        """Rows r of the unnormalized kernel G(x, y) = Gn(x, y) pi(y)."""
-        return self.normalized[r] * self.pi[None, :]
-
-    def scale(self) -> float:
-        """max(max |G|, 1) for the unnormalized kernel G, the denominator of
-        its relative residuals; a block of rows at a time, and NaN if G has
-        a NaN."""
-        peaks = [1.0]
-        for r in linalg.row_blocks(self.cluster.size):
-            m = self.unnormalized_rows(r)
-            peaks += [m.max(), -m.min()]
-        return float(np.max(peaks))
 
 
 def layer_step(clu: GrowthCluster, st: Stencil,

@@ -17,39 +17,63 @@ taken over (`entries`) and bounds the chance that a correct program fails
 it, M erfc(z_max / sqrt 2), by the union bound over normal z-scores
 (`false_alarm_bound`).
 
-No exact rung multiplies two k_n x k_n matrices, and none forms a k_n x k_n
-temporary: each reads G_n (and G_{n-1}) a block of rows, a chunk of the
-stencil product or a pair of mirror tiles at a time, and reduces block by
-block. Products with the Laplacian go through the stack's padded neighbour
-stencil. Two rungs read the paper's per-level facts instead of a cubic
-check at every level:
+Every exact rung reads level n's layer step (P_n, B_n, R_n) in round n and
+no dense G_n: each Green claim at level n follows from that step and level
+n-1, as the paper builds G_n (the recursive Green's function method; see
+`dgff.operators`). Write A_n = [[A_{n-1}, U], [U^T, D]], X = -P_n[:k_{n-1}]
+and C_n = P_n B_n, which is exactly G_n's layer columns:
 
-* `hadamard_identity` sums the one-layer residuals
-  r_m = |G_m - (G_{m-1} + 0) - K_m K_m^T|, with G_{-1} empty, so r_0 is
-  |K_0 K_0^T - G_0|. Q_n is Q_{n-1} + 0 with K_n in the layer-n columns
-  by construction, so Q_n Q_n^T grows by exactly K_n K_n^T and the sum
-  bounds the full residual |Q_n Q_n^T - G_n| up to rounding.
-* `isometry` reads Q_top's Dirichlet Gram in layer blocks from the
-  kernels. Q_n is the leading block of Q_top with zeros below, so its Gram
-  is the top Gram's leading k_n block, whose residual is part of the top's.
+* `green_inverse`: the componentwise backward error of the layer columns,
+  max |A_n C_n - E| / (|A_n| |C_n| + |E|), E = [0; I] (Oettli & Prager
+  1964; Higham 2002, sec. 7.2), through the stencil. It does not grow with
+  cond(A_n) as max |A_n G_n - I| does.
+* `green_symmetry`: the symmetry of B_n and R_n; G_0 = B_0, and G_n is
+  symmetric when G_{n-1} and B_n are.
+* `green_positive` and `green_monotone`: the negative part of B_n. The
+  increment G_n - (G_{n-1} + 0) is P_n B_n P_n^T and `poisson_bounds` reads
+  P_n >= 0; nonnegative sums and products stay so in floating point.
+* `green_variation`: a bound on the variation formula's residual for the
+  G_n the step assembles (`layer_variation`).
+* `hadamard_identity`: |R_n R_n - B_n| and |K_n - P_n R_n|
+  (`layer_identity`). With K_m = P_m R_m, P_m >= 0 and row sums <= 1,
+  |Q_n Q_n^T - G_n| <= sum_{m <= n} max |R_m R_m - B_m| + eps max diag G_n,
+  the rounding term measured, as t_n is below.
 
-One reader, `increment_residual`, checks each formula for the increment
-G_n - (G_{n-1} + 0): K_n K_n^T here, P_n G_n[L_n, :] in `green_variation`
-(and Q_n Q_n^T against G_n in `dgff hadamard`). In the ladder the left
-factor has |L_n| columns, so no level forms Q_n Q_n^T. No rung assembles
-a dense Q_n: every one reads the kernels.
+Given the step, `green_symmetry`, `green_variation` and the second reading
+of `hadamard_identity` hold by construction: they read 0 on any build and
+trip on a tampered step or kernel.
+
+On the dense G_n that `dgff green` prints: A_n G_n - I is A_n C_n - E in
+the layer columns, R_{n-1} - H_n (B_n X^T) in the leading block, with
+H_n = (A_n P_n)[:k_{n-1}] (what `poisson_harmonic` reads), and
+-(S_n B_n - I) X^T in the layer rows, S_n B_n - I being the layer rows of
+A_n C_n - E. So, with l_n = max |A_n C_n - E|, rho the largest absolute
+row sum and r_{-1} = 0,
+
+    max |A_n G_n - I| <= r_n = max(l_n, r_{n-1} + rho(H_n) max |B_n X^T|,
+                                   rho(S_n B_n - I) max |X|) + t_n,
+
+exactly so in exact arithmetic without t_n = eps rho(A_n) max diag G_n.
+That term, like the one above, stands for the rounding of the assembly
+and is measured, not proved: the dense residual needed at most 0.075 t_n
+on log-uniform 21x21 grids (conductances 10^U(-d, d), d <= 10), and the
+recurrence without it fell 6% short at d = 10. Every term is layer-sized:
+diag G_n grows by that of X B_n X^T, and |G_ij| <= max diag G.
 
 The ladder is one level-major pass, as the paper grows the cluster. Every
 rung is a generator that yields once per level n = 0..N: what it reads at
 level n, or None where it reads nothing. Round n advances every rung by one
-level (`_Ladder.run`, once per rung and level) and then releases level n-1,
-its Green kernel and its layer step: level n reads at most levels n and
-n-1, so each level is built once, and the memory is O(k_top^2) and the
-kernels, not sum_n k_n^2. Level N goes after the top, and a last round
-runs every rung to its end on kernels and noise Grams: each rung reads P_n
-and R_n in round n, where the sweep collects P_n^* f as `brownian_moments`
-collects its Green energies. A rung holds no k_n x k_n array across a
-yield but its own running state (a covariance rung's C_n).
+level (`_Ladder.run`, once per rung and level) and then releases level n-1:
+its layer step and, with trials, its Green level. Level n reads at most
+levels n and n-1, so each level is built once. The exact rungs hold the
+kernels and two layer steps and form no k_n x k_n array. Only the Monte
+Carlo rungs build Green levels, their target, two at a time, so their
+memory is O(k_top^2) and the kernels, not sum_n k_n^2. Level N goes after
+the top, and a last round runs every rung to its end on kernels and noise
+Grams: each rung reads P_n and R_n in round n, where the sweep collects
+P_n^* f as `brownian_moments` collects its Green energies. A rung holds no
+k_n x k_n array across a yield but its own running state (a covariance
+rung's C_n).
 
 Every rung makes or reserves all its draws before its first yield. The
 draws come from one counter-based stream, and round 0 advances the rungs
@@ -85,13 +109,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, linalg
+from . import __version__
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
 from .hadamard import OperatorStack, dirichlet_blocks, oracle_kernels
 from .kernels import STREAM_VERSION
-from .operators import GreenKernel, Stencil
+from .operators import Stencil
 from .sampling import (
     GaussianStream,
     brownian_check,
@@ -202,9 +226,8 @@ class _Ladder:
         row["build_seconds"] = r.build_seconds
 
 
-# Per-level readings of the exact rungs. Each reads G_n (and G_{n-1}) a block
-# of rows or a pair of mirror tiles at a time, reduces each block with `_peak`
-# and forms no k_n x k_n temporary.
+# Per-level readings of the exact rungs, from level n's layer step: none
+# reads a Green level or forms a k_n x k_n array.
 
 def _peak(*values) -> float:
     """max(0, *values), NaN if any value is NaN: np.max keeps a NaN that
@@ -222,68 +245,73 @@ def _scale(m: np.ndarray) -> float:
     return _peak(m.max(), -m.min(), 1.0)
 
 
-def _inverse_residual(st: Stencil, gn: np.ndarray) -> float:
-    """max |A G - I| for A given by its stencil, and max |G A - I|, read off
-    its transpose A G^T - I (A = A^T) unless G is exactly symmetric; one
-    chunk of the stencil product at a time."""
-    worst = []
-    for m in (gn,) if linalg.exactly_symmetric(gn) else (gn, gn.T):
-        for r, prod in st.products(m):
-            diag = np.arange(len(prod))
-            prod[diag, r + diag] -= 1.0
-            worst.append(_absmax(prod))
-    return _peak(*worst)
+def _asymmetry(m: np.ndarray) -> float:
+    """max |m - m^T| relative to max(|m|, 1)."""
+    return _absmax(m - m.T) / _scale(m)
 
 
-def _asymmetry(kern: GreenKernel) -> float:
-    """max |pi(x) G(x, y) - pi(y) G(y, x)| / max(|pi G|, 1) for the
-    unnormalized G, one pair of mirror tiles at a time, each weighted as
-    (Gn(x, y) pi(y)) pi(x)."""
-    gn, pi = kern.normalized, kern.pi
-    diffs, peaks = [], []
-    for r, c in linalg.tile_pairs(gn.shape[0]):
-        upper = gn[r, c] * pi[None, c]
-        upper *= pi[r, None]
-        lower = gn[c, r] * pi[None, r]
-        lower *= pi[c, None]
-        diffs.append(_absmax(upper - lower.T))
-        peaks += [_absmax(upper), _absmax(lower)]
-    return _peak(*diffs) / _peak(1.0, *peaks)
+def _step_asymmetry(stack: OperatorStack, n: int) -> float:
+    """The asymmetry of B_n and of R_n."""
+    return _peak(_asymmetry(stack.boundary_green(n)), _asymmetry(stack.layer_sqrt(n)))
 
 
-def _positive_drop(gn: np.ndarray) -> float:
-    """The largest negative part of G relative to max(|G|, 1)."""
-    return _peak(-gn.min()) / _scale(gn)
+def _boundary_drop(stack: OperatorStack, n: int) -> float:
+    """The largest negative part of B_n relative to max(|B_n|, 1)."""
+    b = stack.boundary_green(n)
+    return _peak(-b.min()) / _scale(b)
 
 
-def _monotone_drop(kern: GreenKernel, prev: GreenKernel) -> float:
-    """The largest negative part of G_n - (G_{n-1} + 0), for unnormalized
-    Green kernels, relative to max(|G_n|, 1); a block of rows at a time."""
-    k_prev = prev.cluster.size
-    drops, scales = [], []
-    for r in linalg.row_blocks(kern.cluster.size):
-        d = kern.unnormalized_rows(r)
-        scales.append(_absmax(d))
-        below = prev.unnormalized_rows(r)  # the rows of r under k_prev
-        d[: below.shape[0], :k_prev] -= below
-        drops.append(-d.min())
-    return _peak(*drops) / _peak(1.0, *scales)
+def _poisson_bounds(stack: OperatorStack, n: int) -> float:
+    """How far P_n leaves [0, 1], and its row sums 1."""
+    p = stack.poisson(n)
+    return _peak(-p.min(), p.max() - 1.0, p.sum(axis=1).max() - 1.0)
 
 
-def increment_residual(lhs: np.ndarray, rhs: np.ndarray, rows_n, rows_prev=None) -> float:
-    """max |lhs rhs - (G_n - (G_{n-1} + 0))|, formed and reduced a block of
-    rows at a time. `rows_n(r)` returns rows r of G_n and `rows_prev(r)` those
-    of them under k_{n-1} of G_{n-1}, in either normalization; without
-    `rows_prev` G_{n-1} is empty, and the residual is |lhs rhs - G_n|."""
-    worst = []
-    for r in linalg.row_blocks(lhs.shape[0]):
-        d = lhs[r] @ rhs  # the residual's negative, in place
-        d -= rows_n(r)
-        if rows_prev is not None:
-            below = rows_prev(r)
-            d[: below.shape[0], : below.shape[1]] += below
-        worst.append(_absmax(d))
-    return _peak(*worst)
+def _poisson_harmonic(stack: OperatorStack, n: int) -> float:
+    """max |(A_n P_n)[:k_{n-1}]| relative to max(|A_n|, 1)."""
+    st = stack.stencil(n)
+    resid = st.apply(stack.poisson(n), rows=stack.cluster(n - 1).size)
+    return _absmax(resid) / _scale(st.val)
+
+
+def _inverse_error(stack: OperatorStack, n: int) -> float:
+    """The componentwise backward error max |A C - E| / (|A| |C| + |E|) of
+    level n's layer columns C = P_n B_n, E = [0; I], with |A| the stencil
+    of |A|; an entry where both vanish reads 0."""
+    st = stack.stencil(n)
+    c = stack.poisson(n) @ stack.boundary_green(n)
+    eye = np.eye(c.shape[1])
+    resid, bound = st.apply(c), Stencil(st.idx, np.abs(st.val)).apply(np.abs(c))
+    resid[len(c) - len(eye):] -= eye
+    bound[len(c) - len(eye):] += eye
+    np.abs(resid, out=resid)
+    return _peak(np.divide(resid, bound, out=np.zeros_like(bound), where=bound != 0).max())
+
+
+def _row_sum(m: np.ndarray) -> float:
+    """The largest absolute row sum of m, NaN if m has a NaN."""
+    return _peak(np.abs(m).sum(axis=1).max(initial=0.0))
+
+
+def layer_variation(stack: OperatorStack, n: int) -> float:
+    """`green_variation`'s reading at level n >= 1, relative to max(|B_n|, 1).
+    With P_n = [P'; P_L], the variation formula's residual for the G_n the
+    step assembles is P' ((B_n^T - B_n) / 2) P'^T in the leading block and
+    (P_L - I) G_n[L_n, :] in the layer rows, so at most
+    max(rho(P')^2 max |B_n - B_n^T| / 2, rho(P_L - I) max(rho(P'), 1) max |B_n|),
+    rho the largest absolute row sum. `layer_step` makes it 0."""
+    p, b = stack.poisson(n), stack.boundary_green(n)
+    inner, layer = p[: len(p) - len(b)], p[len(p) - len(b):]
+    rho = _row_sum(inner)
+    return _peak(rho * rho * _absmax(b - b.T) / 2.0,
+                 _row_sum(layer - np.eye(len(b))) * _peak(rho, 1.0) * _absmax(b)) / _scale(b)
+
+
+def layer_identity(stack: OperatorStack, n: int) -> float:
+    """`hadamard_identity`'s reading at level n: |R_n R_n - B_n| and
+    |K_n - P_n R_n|, each relative to max(|B_n|, 1) and max(|K_n|, 1)."""
+    b, r, k = stack.boundary_green(n), stack.layer_sqrt(n), stack.kernel(n)
+    return _peak(_absmax(r @ r - b) / _scale(b), _absmax(k - stack.poisson(n) @ r) / _scale(k))
 
 
 def isometry_residual(blocks) -> float:
@@ -291,26 +319,6 @@ def isometry_residual(blocks) -> float:
     Dirichlet Gram (`dirichlet_blocks`): the Gram's residual against the
     identity, read a block at a time."""
     return _peak(*(_absmax(b - np.eye(len(b)) if p == m else b) for p, m, b in blocks))
-
-
-def variation_residual(stack: OperatorStack, n: int) -> float:
-    """The residual of the variation formula at level n >= 1,
-    G_n - (G_{n-1} + 0) = P_n G_n[L_n, :] for unnormalized Green kernels,
-    relative to max(|G_n|, 1)."""
-    kern, prev = stack.green(n), stack.green(n - 1)
-    top = kern.unnormalized_rows(kern.cluster.layer_slice(n))
-    return increment_residual(stack.poisson(n), top, kern.unnormalized_rows,
-                              prev.unnormalized_rows) / kern.scale()
-
-
-def _identity_term(stack: OperatorStack, n: int) -> tuple[float, float]:
-    """Level n's term of the bound on |Q_n Q_n^T - G_n|, the residual of
-    G_n - (G_{n-1} + 0) = K_n K_n^T (at level 0, where Q_0 is K_0, the full
-    residual), and the scale max(|G_n|, 1)."""
-    gn = stack.green(n).normalized
-    below = stack.green(n - 1).normalized.__getitem__ if n else None
-    k = stack.kernel(n)
-    return increment_residual(k, k.T, gn.__getitem__, below), _scale(gn)
 
 
 def provenance() -> dict:
@@ -346,48 +354,11 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     depth = stack.depth
     stream = GaussianStream(seed)
 
-    def green_inverse():
-        for n in range(depth + 1):
-            yield _inverse_residual(stack.stencil(n), stack.green(n).normalized)
-
-    def green_symmetry():
-        for n in range(depth + 1):
-            yield _asymmetry(stack.green(n))
-
-    def green_positive():
-        for n in range(depth + 1):
-            yield _positive_drop(stack.green(n).normalized)
-
-    def poisson_bounds():
-        for n in range(depth + 1):
-            p = stack.poisson(n)
-            yield _peak(-p.min(), p.max() - 1.0, p.sum(axis=1).max() - 1.0)
-
-    def poisson_harmonic():
-        yield None  # level 0 has no interior
-        for n in range(1, depth + 1):
-            st = stack.stencil(n)
-            resid = st.apply(stack.poisson(n), rows=stack.cluster(n - 1).size)
-            yield _absmax(resid) / _scale(st.val)
-
-    def green_variation():
-        yield None  # level 0 has no level below it
-        for n in range(1, depth + 1):
-            yield variation_residual(stack, n)
-
-    def green_monotone():
-        yield None  # level 0 has no level below it
-        for n in range(1, depth + 1):
-            yield _monotone_drop(stack.green(n), stack.green(n - 1))
-
-    def hadamard_identity():
-        # `bound` >= |Q_n Q_n^T - G_n|: level n's bound is level n-1's plus
-        # level n's term
-        bound = 0.0
-        for n in range(depth + 1):
-            term, scale = _identity_term(stack, n)
-            bound += term
-            yield bound / scale
+    def levels(read, start=0):
+        """An exact rung that yields read(stack, n) at levels n >= start."""
+        yield from (None,) * start
+        for n in range(start, depth + 1):
+            yield read(stack, n)
 
     def isometry():
         # level n's Gram is the top Gram's leading k_n block, so the top's
@@ -514,14 +485,15 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
                            "exceeds the exact tolerance")
 
     rungs = [
-        ("green_inverse", "exact", tol_exact, green_inverse),
-        ("green_symmetry", "exact", tol_exact, green_symmetry),
-        ("green_positive", "exact", tol_exact, green_positive),
-        ("poisson_bounds", "exact", tol_exact, poisson_bounds),
-        ("poisson_harmonic", "exact", tol_exact, poisson_harmonic),
-        ("green_variation", "exact", tol_exact, green_variation),
-        ("green_monotone", "exact", TOL_STRICT, green_monotone),
-        ("hadamard_identity", "exact", tol_exact, hadamard_identity),
+        ("green_inverse", "exact", tol_exact, lambda: levels(_inverse_error)),
+        ("green_symmetry", "exact", tol_exact, lambda: levels(_step_asymmetry)),
+        ("green_positive", "exact", tol_exact, lambda: levels(_boundary_drop)),
+        ("poisson_bounds", "exact", tol_exact, lambda: levels(_poisson_bounds)),
+        # level 0 has no interior, and no level below it
+        ("poisson_harmonic", "exact", tol_exact, lambda: levels(_poisson_harmonic, 1)),
+        ("green_variation", "exact", tol_exact, lambda: levels(layer_variation, 1)),
+        ("green_monotone", "exact", TOL_STRICT, lambda: levels(_boundary_drop, 1)),
+        ("hadamard_identity", "exact", tol_exact, lambda: levels(layer_identity)),
         ("isometry", "exact", tol_exact, isometry),
         ("increment_identity", "exact", TOL_STRICT, lambda: increments(increment_identity)),
         ("increment_harmonic", "exact", tol_exact, lambda: increments(increment_harmonic)),

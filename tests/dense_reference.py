@@ -9,10 +9,14 @@ operator Q_n assembled from its kernels, and its Dirichlet Gram as the
 product of its edge rows, formed one edge at a time. `poisson_from_green`
 and `boundary_green` read a layer's Poisson kernel and boundary Green out
 of the dense Green matrices, as the library did before its layer step made
-them directly."""
+them directly. The last group is the dense route of the six Green rungs,
+which read whole Green levels before the ladder read the layer steps:
+`green_statistics` gives their statistics for the negative controls that
+run through both routes."""
 
 import numpy as np
 
+from dgff.errors import DGFFError
 from dgff.foliation import GrowthCluster
 from dgff.graph import Graph
 from dgff.operators import GreenKernel, Stencil
@@ -135,3 +139,98 @@ def block_green(g: Graph, clu: GrowthCluster, st: Stencil,
     xb = x @ b
     update = xb @ x.T
     return np.block([[g_prev + (update + update.T) / 2.0, -xb], [-xb.T, b]])
+
+
+# The dense route of the six Green rungs, as the ladder read them before it
+# read the layer steps: each reads the whole G_n (and G_{n-1}) of a stack,
+# and the statistics are relative max-norm residuals, as the rungs' are.
+
+def increment_residual(lhs: np.ndarray, rhs: np.ndarray, gn: np.ndarray,
+                       prev: np.ndarray | None = None) -> float:
+    """max |lhs rhs - (gn - (prev + 0))|, with prev empty by default; np.max
+    keeps a NaN."""
+    d = lhs @ rhs - gn
+    if prev is not None:
+        d[: prev.shape[0], : prev.shape[1]] += prev
+    return float(np.max(np.abs(d)))
+
+
+def _scale(m: np.ndarray) -> float:
+    return float(np.max(np.abs(m), initial=1.0))
+
+
+def inverse_residual(stack, n: int) -> float:
+    """max |A G_n - I| and max |G_n A - I|, with A the stack's stencil."""
+    gn = stack.green(n).normalized
+    a = stack.stencil(n).dense(0, len(gn))
+    eye = np.eye(len(gn))
+    return float(np.max([np.abs(a @ gn - eye).max(), np.abs(gn @ a - eye).max()]))
+
+
+def asymmetry(stack, n: int) -> float:
+    """max |pi(x) G(x, y) - pi(y) G(y, x)| / max(|pi G|, 1), G unnormalized."""
+    kern = stack.green(n)
+    w = kern.pi[:, None] * unnormalized(kern)
+    return float(np.max(np.abs(w - w.T))) / _scale(w)
+
+
+def positive_drop(stack, n: int) -> float:
+    """The largest negative part of G_n relative to max(|G_n|, 1)."""
+    gn = stack.green(n).normalized
+    return float(np.max(-gn, initial=0.0)) / _scale(gn)
+
+
+def monotone_drop(stack, n: int) -> float:
+    """The largest negative part of G_n - (G_{n-1} + 0), unnormalized,
+    relative to max(|G_n|, 1)."""
+    gn, prev = unnormalized(stack.green(n)), unnormalized(stack.green(n - 1))
+    d = gn.copy()
+    d[: len(prev), : len(prev)] -= prev
+    return float(np.max(-d, initial=0.0)) / _scale(gn)
+
+
+def variation_residual(stack, n: int) -> float:
+    """The residual of G_n - (G_{n-1} + 0) = P_n G_n[L_n, :] for the
+    unnormalized G, relative to max(|G_n|, 1)."""
+    kern = stack.green(n)
+    gn, prev = unnormalized(kern), unnormalized(stack.green(n - 1))
+    top = gn[kern.cluster.layer_slice(n)]
+    return increment_residual(stack.poisson(n), top, gn, prev) / _scale(gn)
+
+
+def identity_bounds(stack) -> list[float]:
+    """Per level n, sum_{m <= n} |G_m - (G_{m-1} + 0) - K_m K_m^T| relative to
+    max(|G_n|, 1): a bound on |Q_n Q_n^T - G_n| up to rounding."""
+    total, out = 0.0, []
+    for n in range(stack.depth + 1):
+        gn = stack.green(n).normalized
+        prev = stack.green(n - 1).normalized if n else None
+        k = stack.kernel(n)
+        total += increment_residual(k, k.T, gn, prev)
+        out.append(total / _scale(gn))
+    return out
+
+
+def green_statistics(stack) -> dict[str, float]:
+    """The six Green rungs' statistics by the dense route, each the largest
+    over the levels it reads; NaN where a level is NaN, and a rung whose
+    levels cannot be built reads inf."""
+    levels = range(stack.depth + 1)
+    readers = {
+        "green_inverse": (inverse_residual, levels),
+        "green_symmetry": (asymmetry, levels),
+        "green_positive": (positive_drop, levels),
+        "green_variation": (variation_residual, levels[1:]),
+        "green_monotone": (monotone_drop, levels[1:]),
+    }
+    out = {}
+    for name, (read, at) in readers.items():
+        try:
+            out[name] = float(np.max([read(stack, n) for n in at], initial=0.0))
+        except DGFFError:
+            out[name] = np.inf
+    try:
+        out["hadamard_identity"] = float(np.max(identity_bounds(stack)))
+    except DGFFError:
+        out["hadamard_identity"] = np.inf
+    return out

@@ -242,8 +242,8 @@ def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch
 
 def test_hadamard_variation_keeps_a_nan(fixture_dir, capsys, monkeypatch):
     # a NaN at the second of two levels: Python's max dropped it
-    reading = cli.variation_residual
-    monkeypatch.setattr(cli, "variation_residual",
+    reading = cli.layer_variation
+    monkeypatch.setattr(cli, "layer_variation",
                         lambda stack, m: np.nan if m == 2 else reading(stack, m))
     assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2") == 0
     out = capsys.readouterr().out

@@ -1,3 +1,4 @@
+import io
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from dgff.errors import ConvergenceError, NotPositiveDefiniteError, NotSymmetricError
 from dgff.fixtures import grid_graph
 from dgff.foliation import bfs_foliate, cluster
-from dgff.linalg import cholesky, exactly_symmetric, spd_sqrt
+from dgff.linalg import cholesky, exactly_symmetric, spd_sqrt, write_matrix_csv
 
 import dense_reference
 
@@ -208,3 +209,20 @@ def test_spd_sqrt_property(n, seed):
     a = random_psd(n, seed)
     s = spd_sqrt(a)
     assert np.linalg.norm(s @ s - a) <= 1e-10 * max(np.linalg.norm(a), 1e-30)
+
+
+def test_csv_rows_keep_their_bytes():
+    # one format string per row writes what "%.17g" wrote entry by entry:
+    # the non-finite values, a negative zero, the smallest subnormal and the
+    # largest double, and 17 significant digits
+    m = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1.7976931348623157e308],
+                  [0.1, -2.5, 1.0 / 3.0]])
+    buf = io.StringIO()
+    write_matrix_csv(buf, ["a", "b", "c"], ["x", "y", "z"], m)
+    assert buf.getvalue() == (",x,y,z\n"
+                              "a,nan,inf,-inf\n"
+                              "b,-0,4.9406564584124654e-324,1.7976931348623157e+308\n"
+                              "c,0.10000000000000001,-2.5,0.33333333333333331\n")
+    buf = io.StringIO()
+    write_matrix_csv(buf, ["a"], [], np.zeros((1, 0)))
+    assert buf.getvalue() == ",\na,\n"

@@ -1,6 +1,8 @@
-"""The ladder's exact rungs read per-level facts instead of Σ k_n³ checks;
-these tests pin the readings to the full checks they replace, keep the
-negative controls live, and guard the cost and the report's contract."""
+"""The ladder's exact rungs read per-level facts from the layer steps
+instead of Σ k_n³ checks on the dense Green levels; these tests pin the
+readings to the dense checks they replace (`dense_reference`), keep the
+negative controls live through both routes, and guard the cost and the
+report's contract."""
 
 import dataclasses
 import json
@@ -16,53 +18,48 @@ from dgff import OperatorStack
 from dgff import hadamard, linalg, operators, sampling, verify
 from dgff.cli import main
 from dgff.errors import DGFFError
-from dgff.fixtures import grid_graph, path_graph, standard_fixture, write_fixture_files
+from dgff.fixtures import (grid_graph, path_graph, standard_fixture, weighted,
+                           write_fixture_files)
 from dgff.foliation import bfs_foliate
-from dgff.graph import graph_to_json
+from dgff.graph import from_edges, graph_to_json
 from dgff.hadamard import dirichlet_blocks
 from dgff.operators import GreenKernel
-from dgff.verify import increment_residual, isometry_residual, run_ladder
+from dgff.verify import isometry_residual, layer_identity, run_ladder
 
-from conftest import FIXTURES
+import dense_reference
+from conftest import FIXTURES, tamper_directed
 
 
 def _row(rep, name):
     return next(r for r in rep["checks"] if r["name"] == name)
 
 
-def _old_hadamard_statistic(stack):
-    """The full residual max_n |Q_n Q_n^T - G_n| / max(|G_n|, 1)."""
-    worst = 0.0
-    for n in range(stack.depth + 1):
-        gn = stack.green(n).normalized
-        q = stack.growth(n)
-        worst = max(worst, increment_residual(q, q.T, gn.__getitem__)
-                    / max(float(np.abs(gn).max()), 1.0))
-    return worst
-
-
 class TestHadamardIdentity:
     @pytest.mark.parametrize("name", FIXTURES + ("grid13",))
     def test_bounds_the_full_residual(self, name):
+        """The bound `verify`'s docstring states: with K_m = P_m R_m,
+        |Q_n Q_n^T - G_n| <= sum_{m <= n} |R_m R_m - B_m| + eps max diag G_n,
+        at every level, the rounding term measured rather than proved."""
         g, fol = standard_fixture(name)
         stack = OperatorStack(g, fol)
-        row = _row(run_ladder(g, fol, trials=0, stack=stack), "hadamard_identity")
-        assert row["passed"]
-        assert row["statistic"] >= _old_hadamard_statistic(stack) - 1e-15
-
-    def test_reads_the_full_residual_at_level_zero_only(self, monkeypatch):
-        # every product the ladder's reader forms has |L_n| columns on its
-        # left, k_0 at level 0, where K_0 is Q_0: no level forms Q_n Q_n^T
-        calls = []
-        reader = verify.increment_residual
-        monkeypatch.setattr(verify, "increment_residual",
-                            lambda lhs, *rest: calls.append(lhs.shape) or reader(lhs, *rest))
-        g, fol = standard_fixture("grid13")
+        eps, total = np.finfo(float).eps, 0.0
+        for n in range(fol.depth + 1):
+            b, r = stack.boundary_green(n), stack.layer_sqrt(n)
+            np.testing.assert_array_equal(stack.kernel(n), stack.poisson(n) @ r)
+            total += np.abs(r @ r - b).max()
+            gn, q = stack.green(n).normalized, stack.growth(n)
+            full = dense_reference.increment_residual(q, q.T, gn)
+            assert full <= total + eps * np.diag(gn).max(), n
         assert _row(run_ladder(g, fol, trials=0), "hadamard_identity")["passed"]
+
+    def test_reads_the_full_residual_at_level_zero_only(self):
+        # at level 0 Q_0 = K_0 = R_0, so the reading |R_0 R_0 - B_0| is the
+        # full residual |Q_0 Q_0^T - G_0|; above it each reading is layer-sized
+        g, fol = standard_fixture("grid13")
         stack = OperatorStack(g, fol)
-        layers = [(stack.cluster(n).size, len(fol.layers[n])) for n in range(fol.depth + 1)]
-        # hadamard_identity at every level, green_variation above level 0
-        assert Counter(calls) == Counter(layers + layers[1:])
+        g0, q0 = stack.green(0).normalized, stack.growth(0)
+        full = dense_reference.increment_residual(q0, q0.T, g0) / max(np.abs(g0).max(), 1.0)
+        assert layer_identity(stack, 0) == pytest.approx(full, abs=4 * np.finfo(float).eps)
 
     def test_corrupted_top_kernel_fails(self):
         g, fol = standard_fixture("grid5")
@@ -182,9 +179,12 @@ class TestIsometry:
 
 
 class _SquareMatmuls(np.ndarray):
-    """An array that records every matmul of two k x k operands, k > 50."""
+    """An array that records every matmul of two k x k operands, k > side,
+    and every square array wider than that which a ufunc returns."""
 
     seen: list = []
+    formed: list = []
+    side = 50
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         plain = [x.view(np.ndarray) if isinstance(x, _SquareMatmuls) else x for x in inputs]
@@ -193,18 +193,22 @@ class _SquareMatmuls(np.ndarray):
                                   for o in kwargs["out"])
         shapes = [np.shape(x) for x in plain]
         if (ufunc is np.matmul and len(shapes) == 2 and shapes[0] == shapes[1]
-                and len(shapes[0]) == 2 and shapes[0][0] == shapes[0][1] > 50):
+                and len(shapes[0]) == 2 and shapes[0][0] == shapes[0][1] > self.side):
             _SquareMatmuls.seen.append(shapes[0])
         out = getattr(ufunc, method)(*plain, **kwargs)
+        shape = np.shape(out)
+        if len(shape) == 2 and shape[0] == shape[1] > self.side:
+            _SquareMatmuls.formed.append(shape)
         return out.view(_SquareMatmuls) if isinstance(out, np.ndarray) else out
 
 
-def _guard_ladder(monkeypatch, **ladder_args):
-    """Run the grid13 ladder with the cached operators and every noise Gram
-    viewed as `_SquareMatmuls`; return the report, the call counts, the
-    widths gathered from the stencil and the sizes of the matrices given to
-    `linalg.cholesky`."""
-    counts = {"stencil": 0, "dirichlet_blocks": 0, "growth": 0}
+def _guard_ladder(monkeypatch, graph="grid13", **ladder_args):
+    """Run a graph's ladder with the cached operators and every noise Gram
+    viewed as `_SquareMatmuls`, which records squares wider than the widest
+    layer; return the report, the call counts, the widths gathered from the
+    stencil and the sizes of the matrices given to `linalg.cholesky`.
+    `operators.green` counts as "green"."""
+    counts = {"stencil": 0, "dirichlet_blocks": 0, "growth": 0, "green": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -250,10 +254,13 @@ def _guard_ladder(monkeypatch, **ladder_args):
 
     monkeypatch.setattr(OperatorStack, "_memo", spied)
     monkeypatch.setattr(OperatorStack, "growth", counted("growth", OperatorStack.growth))
-    monkeypatch.setattr(_SquareMatmuls, "seen", [])
-    g, fol = standard_fixture("grid13")
-    rep = run_ladder(g, fol, **ladder_args)
+    monkeypatch.setattr(hadamard, "green", counted("green", hadamard.green))
+    g, fol = _graph(graph)
     widest = max(len(layer) for layer in fol.layers)
+    monkeypatch.setattr(_SquareMatmuls, "seen", [])
+    monkeypatch.setattr(_SquareMatmuls, "formed", [])
+    monkeypatch.setattr(_SquareMatmuls, "side", max(widest, 50))
+    rep = run_ladder(g, fol, **ladder_args)
     return rep, counts, gathered, factored, widest
 
 
@@ -261,14 +268,26 @@ def test_exact_ladder_cost_guard(monkeypatch):
     """On grid13 the exact ladder builds one Laplacian stencil and no dense
     Laplacian (it gathers no block wider than a layer from the stencil),
     reads the Dirichlet Gram's layer blocks once, assembles no dense Q and
-    multiplies no two k_n x k_n matrices for k_n > 50."""
+    no Green level, and multiplies no two k_n x k_n matrices for k_n > 50."""
     assert not hasattr(operators, "laplacian")
     rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0}
+    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0, "green": 0}
     assert gathered and max(gathered) <= widest
     assert max(factored) <= widest
-    assert _SquareMatmuls.seen == []
+    assert _SquareMatmuls.seen == [] and _SquareMatmuls.formed == []
+
+
+@pytest.mark.parametrize("graph", FIXTURES + ("grid13", "grid21", "grid31"))
+def test_exact_ladder_builds_no_green_level(monkeypatch, graph):
+    """Every exact rung reads the layer steps: the exact ladder never calls
+    `operators.green`, memoizes no ("green", n) entry, and multiplies or
+    forms no square array wider than the widest layer (or 50)."""
+    builds, held = _spy_memo(monkeypatch, "green")
+    rep, counts, _, _, _ = _guard_ladder(monkeypatch, graph, trials=0)
+    assert rep["pass"] and len(rep["checks"]) == 11
+    assert counts["green"] == 0 and sum(builds.values()) == 0 and max(held) == 0
+    assert _SquareMatmuls.seen == [] and _SquareMatmuls.formed == []
 
 
 def test_monte_carlo_ladder_cost_guard(monkeypatch):
@@ -279,7 +298,8 @@ def test_monte_carlo_ladder_cost_guard(monkeypatch):
     one layer at a time, not the top Laplacian."""
     rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
     assert rep["pass"] and len(rep["checks"]) == 17
-    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0}
+    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0,
+                      "green": standard_fixture("grid13")[1].depth + 1}
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
 
@@ -318,20 +338,28 @@ def _spy_memo(monkeypatch, kind):
     return builds, held
 
 
-def _grid21():
-    g = grid_graph(21)
-    return g, bfs_foliate(g, ("r10c10",))
+def _graph(name):
+    """A shipped fixture, or a grid foliated from its centre: the 21x21 or
+    31x31 grid, or the 21x21 grid with `weighted(g, 5, 0.1, 10.0)`."""
+    side = {"grid21": 21, "grid31": 31, "weighted21": 21}.get(name)
+    if side is None:
+        return standard_fixture(name)
+    g = grid_graph(side)
+    if name == "weighted21":
+        g = weighted(g, 5, 0.1, 10.0)
+    return g, bfs_foliate(g, (f"r{side // 2}c{side // 2}",))
 
 
-@pytest.mark.parametrize("graph, trials", [("grid21", 0), ("grid13", 2000)])
+@pytest.mark.parametrize("graph, trials", [("grid13", 2000)])
 def test_ladder_builds_each_green_level_once_and_holds_two(monkeypatch, graph, trials):
-    """The ladder walks the levels once: every Green level is built exactly
-    once, and the stack never holds more than G_{n-1} and G_n."""
+    """With trials the Monte Carlo rungs read G_n, their target: the ladder
+    walks the levels once, every Green level is built exactly once, and the
+    stack never holds more than G_{n-1} and G_n."""
     builds, held = _spy_memo(monkeypatch, "green")
-    g, fol = _grid21() if graph == "grid21" else standard_fixture(graph)
+    g, fol = standard_fixture(graph)
     stack = OperatorStack(g, fol)
     rep = run_ladder(g, fol, seed=1, trials=trials, stack=stack)
-    assert rep["pass"] and len(rep["checks"]) == (17 if trials else 11)
+    assert rep["pass"] and len(rep["checks"]) == 17
     assert dict(builds) == {n: 1 for n in range(stack.depth + 1)}
     assert max(held) == 2
     assert not [key for key in stack._cache if key[0] == "green"]
@@ -343,7 +371,7 @@ def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, tr
     (P_n, B_n, R_n) is built exactly once, the stack never holds more than
     steps n-1 and n, and it ends holding none, only the kernels."""
     builds, held = _spy_memo(monkeypatch, "step")
-    g, fol = _grid21() if graph == "grid21" else standard_fixture(graph)
+    g, fol = _graph(graph)
     stack = OperatorStack(g, fol)
     rep = run_ladder(g, fol, seed=1, trials=trials, stack=stack)
     assert rep["pass"] and len(rep["checks"]) == (17 if trials else 11)
@@ -354,10 +382,11 @@ def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, tr
 
 
 def test_exact_ladder_memory_is_a_few_top_levels():
-    """Two Green levels and a few k_top x k_top temporaries: the traced peak
-    of the 21x21 exact ladder stays under 8 k_top^2 doubles (the whole Green
-    family, sum_n k_n^2, is 7.3 k_top^2 on this grid)."""
-    g, fol = _grid21()
+    """No Green level and no k_n x k_n temporary: the traced peak of the
+    21x21 exact ladder, 2.87 k_top^2 doubles, stays under 3.0, a margin of
+    0.13 over it. Reading two dense Green levels put it at 4.86; the whole
+    Green family, sum_n k_n^2, is 7.3 k_top^2 on this grid."""
+    g, fol = _graph("grid21")
     k_top = 19 * 19
     tracemalloc.start()
     try:
@@ -365,16 +394,16 @@ def test_exact_ladder_memory_is_a_few_top_levels():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * k_top * k_top * 8
+    assert peak <= 3.0 * k_top * k_top * 8
 
 
 def test_exact_ladder_memory_is_two_levels_and_the_kernels():
-    """Every exact reading goes a block of rows or a tile pair at a time,
-    G_n is built in place and the stack keeps two layer steps: the traced
-    peak of the 31x31 exact ladder, 3.32 k_top^2 doubles, stays under 3.5,
-    a margin of 0.18 over it. Its floor is two Green levels (1.99 k_top^2)
-    and the cached kernels (0.52); keeping every layer step put it at 3.72,
-    and k_top^2 temporaries made it 5.7."""
+    """Every exact reading is layer-sized and the stack keeps two layer
+    steps: the traced peak of the 31x31 exact ladder, 1.98 k_top^2 doubles,
+    stays under 2.1, a margin of 0.12 over it. It is the cached kernels
+    (0.52 k_top^2) and `isometry`'s edge rows at the end (1.16). Reading
+    two dense Green levels as well put it at 3.32, keeping every layer step
+    at 3.72, and k_top^2 temporaries made it 5.7."""
     g = grid_graph(31)
     fol = bfs_foliate(g, ("r15c15",))
     k_top = 29 * 29
@@ -384,13 +413,13 @@ def test_exact_ladder_memory_is_two_levels_and_the_kernels():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * k_top * k_top * 8
+    assert peak <= 2.1 * k_top * k_top * 8
 
 
 def test_sample_builds_no_green_level(monkeypatch, tmp_path):
     """`dgff sample` grows its fields from the layer steps alone."""
     builds, held = _spy_memo(monkeypatch, "green")
-    g, _ = _grid21()
+    g, _ = _graph("grid21")
     path = tmp_path / "grid21.json"
     path.write_text(json.dumps(graph_to_json(g)))
     assert main(["sample", "--graph", str(path), "--roots", "r10c10", "--n-samples", "2",
@@ -401,7 +430,7 @@ def test_sample_builds_no_green_level(monkeypatch, tmp_path):
 def test_sample_builds_each_layer_step_once_and_holds_two(monkeypatch, tmp_path):
     """`dgff sample` releases each level once the next is grown."""
     builds, held = _spy_memo(monkeypatch, "step")
-    g, fol = _grid21()
+    g, fol = _graph("grid21")
     path = tmp_path / "grid21.json"
     path.write_text(json.dumps(graph_to_json(g)))
     assert main(["sample", "--graph", str(path), "--roots", "r10c10", "--n-samples", "2",
@@ -467,7 +496,7 @@ class TestReport:
         for row in rep["checks"]:
             assert math.isfinite(row["seconds"]) and row["seconds"] >= 0
             assert 0 <= row["build_seconds"] <= row["seconds"]
-        # the first rung builds every level's Green kernel
+        # the first rung builds every level's layer step
         assert rep["checks"][0]["build_seconds"] > 0
 
     def test_failed_exact_part_is_null_with_a_reason_in_strict_json(
@@ -586,14 +615,14 @@ class TestRungProtocol:
         assert row["reason"] == f"statistic is {bad}"
 
     def test_nan_in_one_level_fails_the_rungs_that_read_it(self):
-        # a NaN in G_top alone: each rung's other levels are finite, and a
+        # a NaN in B_top alone: each rung's other levels are finite, and a
         # running max(worst, nan) would keep the finite worst and pass
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
-        kern = stack.green(stack.depth)
-        bad = kern.normalized.copy()
+        p, b, r = stack._step(stack.depth)
+        bad = b.copy()
         bad[0, 0] = np.nan
-        stack._cache[("green", stack.depth)] = dataclasses.replace(kern, normalized=bad)
+        stack._cache[("step", stack.depth)] = (p, bad, r)
         rep = run_ladder(g, fol, trials=0, stack=stack)
         assert not rep["pass"]
         for name in ("green_inverse", "green_symmetry", "green_positive",
@@ -602,20 +631,22 @@ class TestRungProtocol:
             assert row["statistic"] is None and row["reason"] == "statistic is nan"
 
     def test_nan_in_the_top_poisson_kernel_fails_poisson_bounds(self):
-        # max(0.0, -p.min(), ...) in Python's max drops the NaN and reads 0.0
-        # (G_top is built first, from the true step: the NaN is in P alone)
+        # max(0.0, -p.min(), ...) in Python's max drops the NaN and reads 0.0.
+        # The Green rungs that read P_n see the NaN too; those that read B_n
+        # and R_n alone do not
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
-        stack.green(stack.depth)
         bad = stack.poisson(stack.depth).copy()
         bad[0, 0] = np.nan
         stack._cache[("step", stack.depth)] = (bad, stack.boundary_green(stack.depth),
                                                stack.layer_sqrt(stack.depth))
         rep = run_ladder(g, fol, trials=0, stack=stack)
-        for name in ("poisson_bounds", "poisson_harmonic"):
+        for name in ("poisson_bounds", "poisson_harmonic", "green_inverse", "green_variation",
+                     "hadamard_identity"):
             row = _row(rep, name)
             assert row["statistic"] is None and row["reason"] == "statistic is nan"
-        assert _row(rep, "green_inverse")["passed"]
+        for name in ("green_symmetry", "green_positive", "green_monotone"):
+            assert _row(rep, name)["passed"], name
 
     def test_nan_in_a_kernel_fails_the_statistical_rungs_that_read_it(self):
         # a NaN at K_5[0, 0] on grid13: a running max(worst, z) from 0.0 kept
@@ -660,3 +691,193 @@ def test_depth_zero_ladder_skips_every_rung_past_level_zero():
                        "increment_independence", "sweep_moments"]
     for row in rep["checks"]:
         assert (row["statistic"] is None) == (row["name"] in skipped)
+
+
+def _log_uniform(d):
+    """The 21x21 grid with conductances 10^U(-d, d), one per edge in edge
+    order from `np.random.default_rng(3)`, foliated from its centre."""
+    g = grid_graph(21)
+    rng = np.random.default_rng(3)
+    edges = [(g.vertices[i], g.vertices[j], float(10.0 ** rng.uniform(-d, d)))
+             for i, j in g.edge_list]
+    g = from_edges(g.vertices, sorted(g.exterior, key=g.index.__getitem__), edges)
+    return g, bfs_foliate(g, ("r10c10",))
+
+
+def _raise_b5(stack):
+    """Raise B_5[0, 0] by a relative 1e-6 in the stack's step cache."""
+    p, b, r = stack._step(5)
+    bad = b.copy()
+    bad[0, 0] *= 1.0 + 1e-6
+    stack._cache[("step", 5)] = (p, bad, r)
+
+
+GREEN_RUNGS = ("green_inverse", "green_symmetry", "green_positive", "green_variation",
+               "green_monotone")
+
+
+class TestHighContrast:
+    """Log-uniform conductances over up to 20 decades: cond(A_n) grows with
+    the contrast, and the fixed 1e-10 gate on max |A G - I| failed correct
+    builds from d = 6 (5.06e-10 there). The componentwise backward error of
+    the layer columns reads about 1e-15 at every d."""
+
+    @pytest.mark.parametrize("d", [0, 4, 6, 8, 10])
+    def test_green_rungs_pass_correct_builds(self, d):
+        rep = run_ladder(*_log_uniform(d), seed=3, trials=0)
+        for name in GREEN_RUNGS:
+            row = _row(rep, name)
+            assert row["passed"] and row["statistic"] <= 1e-14, (name, row["statistic"])
+
+    @pytest.mark.parametrize("d", [0, 4, 6, 8, 10])
+    def test_raised_boundary_green_entry_trips_green_inverse(self, d):
+        # B_5[0, 0] raised by a relative 1e-6 in the step cache: S_5 B_5 - I
+        # reads about 5e-7 componentwise, however ill-conditioned A_5 is
+        g, fol = _log_uniform(d)
+        stack = OperatorStack(g, fol)
+        _raise_b5(stack)
+        assert verify._inverse_error(stack, 5) > 1e-7
+        # from d = 8 a level above 5, built from the raised B_5, is refused
+        # (NotPD), and the rung records that error instead of its statistic
+        row = _row(run_ladder(g, fol, seed=3, trials=0, stack=stack), "green_inverse")
+        assert not row["passed"]
+        assert row["statistic"] is None or row["statistic"] > 1e-7
+
+
+def _inverse_bounds(stack):
+    """The bound on max |A_n G_n - I| that `verify`'s docstring states, per
+    level, from the layer steps alone:
+    r_n = max(l_n, r_{n-1} + rho(H_n) max |B_n X^T|, rho(S_n B_n - I) max |X|)
+    + eps rho(A_n) max diag G_n, with diag G_n grown a layer at a time."""
+    eps, bound, diag, out = np.finfo(float).eps, 0.0, np.zeros(0), []
+    for n in range(stack.depth + 1):
+        st, p, b = stack.stencil(n), stack.poisson(n), stack.boundary_green(n)
+        k = st.size - len(b)
+        resid = st.apply(p @ b)
+        resid[k:] -= np.eye(len(b))
+        x = -p[:k]
+        terms = [np.abs(resid).max()]
+        if k:
+            h = st.apply(p, rows=k)
+            terms += [bound + np.abs(h).sum(axis=1).max() * np.abs(b @ x.T).max(),
+                      np.abs(resid[k:]).sum(axis=1).max() * np.abs(x).max()]
+        diag = np.concatenate((diag + np.einsum("ij,ij->i", x @ b, x), np.diag(b)))
+        bound = max(terms) + eps * np.abs(st.val).sum(axis=1).max() * diag.max()
+        out.append(bound)
+    return out
+
+
+@pytest.mark.parametrize("graph", FIXTURES + ("grid13", "grid31", "weighted21"))
+def test_dense_inverse_residual_is_within_the_layer_bound(graph):
+    stack = OperatorStack(*_graph(graph))
+    for n, bound in enumerate(_inverse_bounds(stack)):
+        assert dense_reference.inverse_residual(stack, n) <= bound, n
+        stack.release(n - 1)
+
+
+def _tamper_kernel(stack, n, edit):
+    bad = stack.kernel(n).copy()
+    edit(bad)
+    stack._cache[("kernel", n)] = bad
+
+
+def _tamper_step(stack, n, part, edit):
+    step = list(stack._step(n))
+    step[part] = step[part].copy()
+    edit(step[part])
+    stack._cache[("step", n)] = tuple(step)
+
+
+def _every_kernel(stack):
+    for n in range(stack.depth + 1):
+        stack.kernel(n)
+
+
+def _scaled(col, factor):
+    def edit(m):
+        m[:, col] *= factor
+    return edit
+
+
+def _raised(i, j, by):
+    def edit(m):
+        m[i, j] += by
+    return edit
+
+
+def _criterion_11c(stack):
+    k1 = stack.kernel(1).copy()
+    k1[:, 0] = 0.0
+    k1[stack.cluster(1).layer_start[1], 0] = stack.layer_sqrt(1)[0, 0]
+    stack._cache[("kernel", 1)] = k1
+
+
+def _nan_poisson_after_green(stack):
+    stack.green(stack.depth)
+    _tamper_step(stack, stack.depth, 0, _raised(0, 0, np.nan))
+
+
+def _wrong_stencil_entry(stack):
+    st = stack.stencil(stack.depth)
+    i, j = 0, int(st.idx[0, 1])
+    for a, b in ((i, j), (j, i)):
+        st.val[a, int(np.flatnonzero(st.idx[a] == b)[0])] *= 1.5
+
+
+def _tampered_poisson_after_kernels(stack):
+    _every_kernel(stack)
+    _tamper_step(stack, 1, 0, _scaled(0, 0.5))
+
+
+def _tampered_poisson_after_green(stack):
+    for n in range(stack.depth + 1):
+        stack.growth(n)
+        stack.green(n)
+    _tamper_step(stack, 1, 0, _scaled(0, 0.5))
+
+
+def _directed_p4():
+    g, fol = standard_fixture("p4")
+    return tamper_directed(g, "v2", "v1", 2.0), fol
+
+
+# Every exact negative control of the suite: (graph, the tamper of a stack).
+NEGATIVE_CONTROLS = {
+    "criterion 11(a)": ("directed p4", lambda s: None),
+    "top kernel": ("grid5", lambda s: _tamper_kernel(s, s.depth, _scaled(0, 0.5))),
+    "kernel 0": ("grid5", lambda s: _tamper_kernel(s, 0, _raised(0, -1, 0.25))),
+    "kernel 1": ("grid5", lambda s: _tamper_kernel(s, 1, _raised(0, -1, 0.25))),
+    "criterion 11(c)": ("grid5", _criterion_11c),
+    "criterion 11(d)": ("grid5", lambda s: _tamper_step(s, 1, 1, _raised(0, 1, 1e-6))),
+    "poisson 1 after the kernels": ("grid5", _tampered_poisson_after_kernels),
+    "poisson 1 after the green levels": ("grid5", _tampered_poisson_after_green),
+    "nan in the top boundary green": ("grid5", lambda s: _tamper_step(
+        s, s.depth, 1, _raised(0, 0, np.nan))),
+    "nan in the top poisson kernel": ("grid5", _nan_poisson_after_green),
+    "nan in the top kernel": ("grid5", lambda s: _tamper_kernel(
+        s, s.depth, _raised(0, 0, np.nan))),
+    "wrong stencil entry, grid5": ("grid5", _wrong_stencil_entry),
+    "wrong stencil entry, grid13": ("grid13", _wrong_stencil_entry),
+    "raised B_5, d = 4": ("log-uniform 4", _raise_b5),
+}
+
+
+@pytest.mark.parametrize("control", NEGATIVE_CONTROLS)
+def test_layer_rungs_trip_wherever_the_dense_route_does(control):
+    """Each exact negative control, tampered into two stacks alike: one
+    read by the ladder's layer rungs, one by the dense readers the rungs
+    replaced (`dense_reference.green_statistics`). A Green rung whose dense
+    reading fails (past its gate, NaN, or unbuildable) fails in the ladder
+    too."""
+    graph, tamper = NEGATIVE_CONTROLS[control]
+    g, fol = {"log-uniform 4": lambda: _log_uniform(4), "directed p4": _directed_p4}.get(
+        graph, lambda: _graph(graph))()
+    layer, dense = OperatorStack(g, fol), OperatorStack(g, fol)
+    tamper(layer)
+    tamper(dense)
+    rep = run_ladder(g, fol, trials=0, stack=layer)
+    tripped = {row["name"] for row in rep["checks"] if not row["passed"]}
+    gates = {row["name"]: row["threshold"] for row in rep["checks"]}
+    dense_tripped = {rung for rung, stat in dense_reference.green_statistics(dense).items()
+                     if not stat <= gates[rung]}
+    assert dense_tripped <= tripped, dense_tripped - tripped
