@@ -12,7 +12,6 @@ randomness derives from --seed; nothing reads ambient entropy.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -23,11 +22,11 @@ import numpy as np
 from .errors import DGFFError, GraphError
 from .foliation import GrowthCluster, bfs_foliate, cluster as make_cluster, load_foliation
 from .graph import load_graph
-from .hadamard import OperatorStack, dirichlet_blocks
+from .hadamard import OperatorStack, dirichlet_rows
 from .kernels import STREAM_VERSION
 from .linalg import write_matrix_csv
 from .sampling import GaussianStream, dgff_block, wnf_block
-from .verify import (TOL_EXACT, Z_MAX, isometry_residual, layer_identity, layer_variation,
+from .verify import (TOL_EXACT, Z_MAX, isometry_readings, layer_identity, layer_variation,
                      provenance, run_ladder)
 
 
@@ -156,25 +155,27 @@ def cmd_hadamard(args) -> int:
     g, fol = _resolve(args)
     stack = OperatorStack(g, fol)
     n = _pick_cluster(args, fol).n
-    clu = stack.cluster(n)
-    ids = g.ids(clu.vertices)
-    readings = []
+    levels, readings = isometry_readings(stack, n), []
     for m in range(n + 1):  # the ladder's readings, holding layer steps m - 1 and m only
-        readings.append((layer_identity(stack, m), layer_variation(stack, m) if m else 0.0))
+        readings.append((layer_identity(stack, m), layer_variation(stack, m) if m else 0.0,
+                         next(levels)))
         stack.release(m - 1)
-    identity, variation = np.max(readings, axis=0)  # np.max keeps a NaN; max drops it
-    q = stack.growth(n)
-    blocks = list(dirichlet_blocks(stack, n))
+        if not args.out:  # --out writes Q_n, every kernel
+            stack.release_kernel(m)
+    identity, variation, isometry = np.max(readings, axis=0)  # np.max keeps a NaN; max drops it
     if args.out:
-        gram = np.empty_like(q)
-        for p, m, b in blocks:
-            gram[clu.layer_slice(p), clu.layer_slice(m)] = b
-            gram[clu.layer_slice(m), clu.layer_slice(p)] = b.T
+        clu = stack.cluster(n)
+        ids, q = g.ids(clu.vertices), stack.growth(n)
+        rows, gram = [d for d, _ in dirichlet_rows(stack, n)], np.empty_like(q)
+        for m, d in enumerate(rows):
+            for p in range(m + 1):  # the Gram's layer block (p, m)
+                b = rows[p].T @ d[: len(rows[p])]
+                gram[clu.layer_slice(p), clu.layer_slice(m)] = b
+                gram[clu.layer_slice(m), clu.layer_slice(p)] = b.T
         _emit_matrix(args, f"growth_{n}", ids, ids, q)
         _emit_matrix(args, f"growth_{n}_square", ids, ids, q @ q.T)
         _emit_matrix(args, f"growth_{n}_gram", ids, ids, gram)
-    residuals = {"identity_residual": float(identity),
-                 "isometry_residual": isometry_residual(blocks),
+    residuals = {"identity_residual": float(identity), "isometry_residual": float(isometry),
                  "variation_residual": float(variation)}
     print(json.dumps(_finite({"schema": 1, "cluster": n, **residuals}), allow_nan=False))
     return 0
@@ -194,8 +195,9 @@ def cmd_sample(args) -> int:
     files, fields = [], []
     for n, psi in enumerate(dgff_block(stack, wnf_block(top.vertices, stream, args.n_samples))):
         fields.append(psi)
-        stack.release(n - 1)  # two layer steps are cached at a time
-    del stack  # and its kernels: the writing below reads the fields alone
+        stack.release(n - 1)  # two layer steps and one kernel are cached at a time
+        stack.release_kernel(n)
+    del stack  # the writing below reads the fields alone
     cols = [f"psi_{n}" for n in range(depth + 1)] + [f"inc_{n}" for n in range(1, depth + 1)]
     for s in range(args.n_samples):
         rows = np.zeros((top.size, len(cols)))
@@ -204,9 +206,8 @@ def cmd_sample(args) -> int:
         # the psi columns are zero-padded, so inc_n is a column difference
         rows[:, depth + 1:] = rows[:, 1:depth + 1] - rows[:, :depth]
         name = f"sample_{s:03d}.csv"
-        buf = io.StringIO()
-        write_matrix_csv(buf, ids, cols, rows)
-        (outdir / name).write_text(buf.getvalue())
+        with open(outdir / name, "w") as fh:
+            write_matrix_csv(fh, ids, cols, rows)
         files.append(name)
     manifest = {"schema": 1, "stream_version": STREAM_VERSION, "provenance": provenance(),
                 "seed": args.seed, "n_samples": args.n_samples, "levels": depth + 1, "files": files}

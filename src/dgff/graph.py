@@ -15,7 +15,7 @@ Two input formats are supported:
 
 The Dirichlet energy of a vertex function f is the sum over unordered
 edges of c (f(x) - f(y))^2; the package reads it from the edge list
-(`dgff.hadamard.dirichlet_blocks`).
+(`dgff.hadamard.dirichlet_rows`).
 """
 
 from __future__ import annotations

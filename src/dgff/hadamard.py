@@ -27,13 +27,13 @@ code. It grows the cluster as the paper does, one layer at a time: level
 n's Poisson kernel P_n, boundary Green B_n and its square root R_n come from
 one Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
 layer's rows of the Laplacian, held once as the top cluster's padded
-neighbour stencil (see `dgff.operators`). Q is kept as its kernels
-K_0..K_n, sum_m k_m |L_m| numbers, from which samples grow
+neighbour stencil (see `dgff.operators`). Q is held as its kernels K_m,
+which a caller drops once read (`release_kernel`): samples grow from them
 (`dgff.sampling`) and `growth_adjoint_apply` returns Q_top^* f; `growth(n)`
 assembles a dense Q_n for `dgff hadamard` alone. G_n is assembled only
 for the Monte Carlo checks and `dgff green`.
 The independent side reads the edge list, not the stencil, also a layer at
-a time: `dirichlet_blocks` gives Q_n's Dirichlet Gram in layer blocks, and
+a time: `dirichlet_rows` gives Q_n's edge rows and A K_m from K_m alone, and
 `oracle_kernels` the Cholesky oracle W = L^{-T}, A_top = L L^T. A_top is
 block tridiagonal in layer order, so L is block lower bidiagonal and each
 level factors one layer-sized pivot. That pivot is the layer step's S_n
@@ -64,33 +64,37 @@ def _edge_ends(g: Graph, clu: GrowthCluster) -> tuple[np.ndarray, np.ndarray]:
     return ends[:, 0], ends[:, 1]
 
 
-def dirichlet_blocks(stack: OperatorStack, n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Gram matrix of Q_n's columns in the Dirichlet inner product, as its
-    layer blocks (p, m, Q_n[:, L_p]^T A Q_n[:, L_m]) for p <= m <= n.
-
-    Read from the edge list and the kernels, independent of the stencil. In
-    the columns of layer m the edge rows are D_m = sqrt(c) (K_m[x] - K_m[y]),
-    with a zero row for a vertex outside cluster m. Sorted stably by the
-    lower layer of their two ends (outside cluster n counting as n + 1), the
-    edges that touch cluster m are a prefix, E_m long, so block (p, m) is
-    D_p^T D_m[:E_p]. The D_m read so far are kept, about Q_n's nonzeros on a
-    grid; no dense Q_n and no k_n x k_n Gram is formed.
-    """
+def dirichlet_rows(stack: OperatorStack, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield, for m = 0..n, the edge rows D_m = sqrt(c) (K_m[x] - K_m[y]) of
+    Q_n's layer-m columns, K_m zero outside cluster m, and (A K_m)[:k_{m-1}],
+    from the edge list and K_m alone. Sorted stably by the lower layer of
+    their two ends (outside cluster n counting as n + 1), the edges that
+    touch cluster m are a prefix, E_m long: block (p, m) of the Dirichlet
+    Gram is D_p^T D_m[:E_p], and the first E_{m-1} rows, scattered back to
+    their ends through sqrt(c), give A K_m on cluster m-1."""
     clu = stack.cluster(n)
     x, y = _edge_ends(stack.graph, clu)
     low = np.searchsorted(clu.layer_start, np.minimum(x, y), side="right") - 1
     order = np.argsort(low, kind="stable")
     x, y, root = x[order], y[order], np.sqrt(stack.graph.conductances[order])
-    stops = np.searchsorted(low[order], np.arange(n + 1), side="right")
-    rows = []
-    for m, e in enumerate(stops):
-        k_m = stack.kernel(m)
-        pad = np.vstack((k_m, np.zeros_like(k_m[:1])))  # its last row: outside cluster m
-        d = pad[np.minimum(x[:e], len(k_m))] - pad[np.minimum(y[:e], len(k_m))]
-        d *= root[:e, None]
-        rows.append(d)
-        for p in range(m + 1):
-            yield p, m, rows[p].T @ d[: len(rows[p])]
+    stops = np.searchsorted(low[order], np.arange(-1, n + 1), side="right")
+    for m in range(n + 1):
+        e = stops[m + 1]
+        yield _edge_rows(stack.kernel(m), x[:e], y[:e], root[:e], stops[m], clu.layer_start[m])
+
+
+def _edge_rows(k: np.ndarray, x: np.ndarray, y: np.ndarray, root: np.ndarray,
+               inner: int, below: int) -> tuple[np.ndarray, np.ndarray]:
+    """D = sqrt(c) (k[x] - k[y]), and its first `inner` rows scattered."""
+    pad = np.vstack((k, np.zeros_like(k[:1])))  # its last row: outside the cluster
+    d = pad[np.minimum(x, len(k))]
+    d -= pad[np.minimum(y, len(k))]
+    d *= root[:, None]
+    w = d[:inner] * root[:inner, None]
+    ak = np.zeros((below + 1, k.shape[1]))  # its last row: outside cluster m-1
+    np.add.at(ak, np.minimum(x[:inner], below), w)
+    np.subtract.at(ak, np.minimum(y[:inner], below), w)
+    return d, ak[:below]
 
 
 def oracle_kernels(graph: Graph, top: GrowthCluster) -> Iterator[np.ndarray]:
@@ -143,7 +147,8 @@ class OperatorStack:
     `growth` assembles it whole, uncached, for `dgff hadamard`. A caller
     that walks the levels upward keeps two levels, all that level n reads,
     by releasing each level it is done with (`release`: G_n and the step
-    go, K_n stays), so the memory is O(k_top^2) and the kernels instead of
+    go), and each kernel once it has read it (`release_kernel`), so the
+    memory is O(k_top |L_top|), or O(k_top^2) with Green levels, not
     sum_n k_n^2. A released level asked for again is rebuilt, bit for bit,
     from the lowest level still cached.
     """
@@ -214,6 +219,10 @@ class OperatorStack:
         clusters, the stencil and the kernels stay cached."""
         self._cache.pop(("green", n), None)
         self._cache.pop(("step", n), None)
+
+    def release_kernel(self, n: int) -> None:
+        """Drop level n's cached kernel K_n, for a caller done reading it."""
+        self._cache.pop(("kernel", n), None)
 
     def poisson(self, n: int) -> np.ndarray:
         """Poisson kernel of cluster n and its top layer."""

@@ -45,7 +45,7 @@ direction-dependent conductance; `stencil` refuses one that reached a graph
 past them (NotSymmetric), so nothing is built from it. Because the build
 and the checks that multiply by A read the same stencil, a wrong stencil
 entry is seen by the checks that read the graph's edge list instead
-(`isometry`), not by `green_inverse`.
+(`isometry`, a level at a time, and the oracle), not by `green_inverse`.
 """
 
 from __future__ import annotations

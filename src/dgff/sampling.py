@@ -113,7 +113,7 @@ def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> Iterator[np.ndarr
     `phi_block` holds WNF rows over the top cluster, in its vertex order,
     whose prefix is the order of every smaller cluster. The kernels come
     from the layer steps alone, and no Green level is built: a caller that
-    releases level n-1 once it has Psi_n keeps two layer steps."""
+    releases level n-1 and K_n once it has Psi_n keeps two layer steps."""
     top = stack.cluster(stack.depth)
     psi = None
     for n in range(stack.depth + 1):

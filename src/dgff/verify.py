@@ -38,6 +38,12 @@ and C_n = P_n B_n, which is exactly G_n's layer columns:
   (`layer_identity`). With K_m = P_m R_m, P_m >= 0 and row sums <= 1,
   |Q_n Q_n^T - G_n| <= sum_{m <= n} max |R_m R_m - B_m| + eps max diag G_n,
   the rounding term measured, as t_n is below.
+* `isometry`: from the edge list and K_n, not the stencil
+  (`isometry_readings`): max |D_n^T D_n - I|, D_n the edge rows of K_n,
+  and kappa_m max_j ||(A K_n)[:k_m, j]||_2, m < n, which bounds block
+  (m, n) = K_m^T (A K_n)[:k_m] by Cauchy-Schwarz, kappa_m the largest
+  column 2-norm of K_m. Over levels 0..n they bound max |Q_n^T A Q_n - I|
+  in exact arithmetic, and measured, not proved, in floating point.
 
 Given the step, `green_symmetry`, `green_variation` and the second reading
 of `hadamard_identity` hold by construction: they read 0 on any build and
@@ -63,17 +69,18 @@ diag G_n grows by that of X B_n X^T, and |G_ij| <= max diag G.
 The ladder is one level-major pass, as the paper grows the cluster. Every
 rung is a generator that yields once per level n = 0..N: what it reads at
 level n, or None where it reads nothing. Round n advances every rung by one
-level (`_Ladder.run`, once per rung and level) and then releases level n-1:
-its layer step and, with trials, its Green level. Level n reads at most
-levels n and n-1, so each level is built once. The exact rungs hold the
-kernels and two layer steps and form no k_n x k_n array. Only the Monte
-Carlo rungs build Green levels, their target, two at a time, so their
-memory is O(k_top^2) and the kernels, not sum_n k_n^2. Level N goes after
-the top, and a last round runs every rung to its end on kernels and noise
-Grams: each rung reads P_n and R_n in round n, where the sweep collects
-P_n^* f as `brownian_moments` collects its Green energies. A rung holds no
-k_n x k_n array across a yield but its own running state (a covariance
-rung's C_n).
+level (`_Ladder.run`, once per rung and level) and then releases level
+n-1's layer step and, with trials, its Green level, and without trials K_n,
+which no exact rung reads after round n. Level n reads at most levels n and
+n-1, so each level is built once. The exact rungs hold two layer steps and
+a kernel, O(k_top |L_top|), and form no k_n x k_n array. Only the Monte
+Carlo rungs build Green levels, their target, two at a time, and read every
+kernel at their end: O(k_top^2) and the kernels, not sum_n k_n^2. Level N
+goes after the top, and a last round runs every rung to its end on kernels
+and noise Grams: each rung reads P_n and R_n in round n, where the sweep
+collects P_n^* f as `brownian_moments` collects its Green energies. A rung
+holds no k_n x k_n array across a yield but its own running state (a
+covariance rung's C_n).
 
 Every rung makes or reserves all its draws before its first yield. The
 draws come from one counter-based stream, and round 0 advances the rungs
@@ -82,16 +89,16 @@ rungs ran one after another. The increment rungs draw layer n's columns
 of their reserved range in round n (`GaussianStream.reserve`) and grow
 Psi_n there by `grow_field`, as `dgff_block` does for `dgff sample`.
 
-An exact rung yields one statistic per level it reads; `isometry` yields
-once, after the top level. A statistical rung yields a (largest |z|,
-entries) pair per group of z-scores: one per level for the covariance rungs
-and for `oracle_agreement`, which scores level n while both covariances of
-level n are live, one for the increment cross-covariances, whose variances
-it collects from the diagonals of G_n level by level, and one for each
-pairing rung (`brownian_moments` collects its Green energies
-f_n^T G_n f_n the same way). `_Ladder.run` alone reduces them: the row's statistic is the largest
-yield, its `entries` the sum, and a rung that yields no statistic, such as
-the rungs that read levels n >= 1 on a one-layer foliation, is skipped.
+An exact rung yields one statistic per level it reads. A statistical rung
+yields a (largest |z|, entries) pair per group of z-scores: one per level
+for the covariance rungs and for `oracle_agreement`, which scores level n
+while both covariances of level n are live, one for the increment
+cross-covariances, whose variances it collects from the diagonals of G_n
+level by level, and one for each pairing rung (`brownian_moments` collects
+its Green energies f_n^T G_n f_n the same way). `_Ladder.run` alone reduces
+them: the row's statistic is the largest yield, its `entries` the sum, and
+a rung that yields no statistic, such as the rungs that read levels n >= 1
+on a one-layer foliation, is skipped.
 
 A failure does not stop the ladder: each rung records its own statistic,
 or the error code that prevented it, a numeric error included. This is
@@ -113,7 +120,7 @@ from . import __version__
 from .errors import DGFFError
 from .foliation import Foliation
 from .graph import Graph
-from .hadamard import OperatorStack, dirichlet_blocks, oracle_kernels
+from .hadamard import OperatorStack, dirichlet_rows, oracle_kernels
 from .kernels import STREAM_VERSION
 from .operators import Stencil
 from .sampling import (
@@ -314,11 +321,18 @@ def layer_identity(stack: OperatorStack, n: int) -> float:
     return _peak(_absmax(r @ r - b) / _scale(b), _absmax(k - stack.poisson(n) @ r) / _scale(k))
 
 
-def isometry_residual(blocks) -> float:
-    """max |block - delta_pm I| over the layer blocks (p, m, block) of a
-    Dirichlet Gram (`dirichlet_blocks`): the Gram's residual against the
-    identity, read a block at a time."""
-    return _peak(*(_absmax(b - np.eye(len(b)) if p == m else b) for p, m, b in blocks))
+def isometry_readings(stack: OperatorStack, n: int) -> Iterator[float]:
+    """`isometry`'s readings at levels 0..n, as the module docstring states
+    them, from `dirichlet_rows`; only kappa_p is kept from level to level."""
+    norms, starts = [], stack.cluster(n).layer_start
+    for m, (d, ak) in enumerate(dirichlet_rows(stack, n)):
+        gram = d.T @ d
+        np.square(ak, out=ak)  # row p of `below`: ||(A K_m)[:k_p, j]||^2
+        below = np.add.reduceat(ak, starts[:m], axis=0).cumsum(axis=0) if m else ak
+        cross = np.sqrt(below.max(axis=1, initial=0.0)) * norms
+        del d, ak, below  # no edge row is held across the yield
+        norms.append(float(np.linalg.norm(stack.kernel(m), axis=0).max(initial=0.0)))
+        yield _peak(_absmax(gram - np.eye(len(gram))), *cross)
 
 
 def provenance() -> dict:
@@ -340,8 +354,8 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     A prebuilt (possibly deliberately corrupted) `stack` may be supplied;
     negative-control tests use this to pin down which rung a defect trips.
-    The ladder releases each level as it goes, so a supplied stack ends
-    with its kernels and no Green level or layer step cached. With
+    The ladder releases each level as it goes: a supplied stack ends with
+    no Green level or layer step, and no kernel unless `trials`. With
     `collect_reports` the result carries the detailed statistical reports
     (empirical and target moments) under a "reports" key.
     """
@@ -359,12 +373,6 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         yield from (None,) * start
         for n in range(start, depth + 1):
             yield read(stack, n)
-
-    def isometry():
-        # level n's Gram is the top Gram's leading k_n block, so the top's
-        # residual is the largest over the levels
-        yield from (None,) * (depth + 1)  # it waits the levels out
-        yield isometry_residual(dirichlet_blocks(stack, depth))
 
     def increments(check):
         """An increment rung on noise reserved in round 0: round n draws z_{L_n},
@@ -494,7 +502,7 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         ("green_variation", "exact", tol_exact, lambda: levels(layer_variation, 1)),
         ("green_monotone", "exact", TOL_STRICT, lambda: levels(_boundary_drop, 1)),
         ("hadamard_identity", "exact", tol_exact, lambda: levels(layer_identity)),
-        ("isometry", "exact", tol_exact, isometry),
+        ("isometry", "exact", tol_exact, lambda: isometry_readings(stack, depth)),
         ("increment_identity", "exact", TOL_STRICT, lambda: increments(increment_identity)),
         ("increment_harmonic", "exact", tol_exact, lambda: increments(increment_harmonic)),
     ]
@@ -512,6 +520,8 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         for rung in rungs:
             ladder.run(*rung)
         stack.release(n - 1)  # level n + 1 reads levels n and n + 1 only
+        if not trials:  # no exact rung reads K_n after round n; the Monte Carlo ends read all
+            stack.release_kernel(n)
     stack.release(depth)  # the rungs' ends read only kernels
     for rung in rungs:
         ladder.run(*rung)

@@ -5,8 +5,8 @@ The coboundary operator d maps vertex functions to antisymmetric edge
 fields, d f(x,y) = sqrt(c(x,y)) (f(x) - f(y)); its adjoint d* maps edge
 fields back to vertex functions. The Dirichlet energy is the quadratic form
 of d*d: sum over unordered edges of c (f(x) - f(y))^2. The library reads the
-same form from the edge list, a pair of layers at a time
-(`dgff.hadamard.dirichlet_blocks`); these functions share none of that code.
+same form from the edge list, a layer at a time
+(`dgff.hadamard.dirichlet_rows`); these functions share none of that code.
 """
 
 from dataclasses import dataclass

@@ -69,11 +69,14 @@ def tamper_directed(g, u: str, v: str, c: float):
     return dataclasses.replace(g, cond=cond, pi=pi)
 
 
-def gram_from_blocks(clu, blocks):
-    """The whole Dirichlet Gram of cluster `clu`'s growth operator from its
-    layer blocks (p, m, block), p <= m, as `dirichlet_blocks` yields them."""
+def gram_from_rows(clu, rows):
+    """The whole Dirichlet Gram of cluster `clu`'s growth operator from the
+    edge rows D_m of its layers, as `dirichlet_rows` yields them: block
+    (p, m), p <= m, is D_p^T D_m[:E_p], as `dgff hadamard --out` writes it."""
     gram = np.full((clu.size, clu.size), np.nan)
-    for p, m, b in blocks:
-        gram[clu.layer_slice(p), clu.layer_slice(m)] = b
-        gram[clu.layer_slice(m), clu.layer_slice(p)] = b.T
+    for m, d in enumerate(rows):
+        for p in range(m + 1):
+            b = rows[p].T @ d[: len(rows[p])]
+            gram[clu.layer_slice(p), clu.layer_slice(m)] = b
+            gram[clu.layer_slice(m), clu.layer_slice(p)] = b.T
     return gram

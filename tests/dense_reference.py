@@ -6,7 +6,10 @@ are the reference it is tested against. Four more are whole-matrix forms
 of what the library reads or writes a block at a time: the unnormalized
 Green matrix, the one-layer Green step assembled by `np.block`, the growth
 operator Q_n assembled from its kernels, and its Dirichlet Gram as the
-product of its edge rows, formed one edge at a time. `poisson_from_green`
+product of its edge rows, formed one edge at a time. `dirichlet_blocks`
+reads that Gram a pair of layers at a time, as the `isometry` rung did
+before it read one level at a time (`verify.isometry_readings`), and
+`isometry_residual` reads its blocks against the identity. `poisson_from_green`
 and `boundary_green` read a layer's Poisson kernel and boundary Green out
 of the dense Green matrices, as the library did before its layer step made
 them directly. The last group is the dense route of the six Green rungs,
@@ -19,6 +22,7 @@ import numpy as np
 from dgff.errors import DGFFError
 from dgff.foliation import GrowthCluster
 from dgff.graph import Graph
+from dgff.hadamard import _edge_ends
 from dgff.operators import GreenKernel, Stencil
 
 
@@ -117,6 +121,41 @@ def dirichlet_gram(g: Graph, clu: GrowthCluster, q: np.ndarray) -> np.ndarray:
                                       - (zero if lj is None else q[lj])))
     dq = np.array(rows)
     return dq.T @ dq
+
+
+def dirichlet_blocks(stack, n: int):
+    """Gram matrix of Q_n's columns in the Dirichlet inner product, as its
+    layer blocks (p, m, Q_n[:, L_p]^T A Q_n[:, L_m]) for p <= m <= n.
+
+    Read from the edge list and the kernels. In the columns of layer m the
+    edge rows are D_m = sqrt(c) (K_m[x] - K_m[y]), with a zero row for a
+    vertex outside cluster m. Sorted stably by the lower layer of their two
+    ends (outside cluster n counting as n + 1), the edges that touch
+    cluster m are a prefix, E_m long, so block (p, m) is D_p^T D_m[:E_p].
+    Every D_m read so far is kept.
+    """
+    clu = stack.cluster(n)
+    x, y = _edge_ends(stack.graph, clu)
+    low = np.searchsorted(clu.layer_start, np.minimum(x, y), side="right") - 1
+    order = np.argsort(low, kind="stable")
+    x, y, root = x[order], y[order], np.sqrt(stack.graph.conductances[order])
+    stops = np.searchsorted(low[order], np.arange(n + 1), side="right")
+    rows = []
+    for m, e in enumerate(stops):
+        k_m = stack.kernel(m)
+        pad = np.vstack((k_m, np.zeros_like(k_m[:1])))  # its last row: outside cluster m
+        d = pad[np.minimum(x[:e], len(k_m))] - pad[np.minimum(y[:e], len(k_m))]
+        d *= root[:e, None]
+        rows.append(d)
+        for p in range(m + 1):
+            yield p, m, rows[p].T @ d[: len(rows[p])]
+
+
+def isometry_residual(blocks) -> float:
+    """max |block - delta_pm I| over the layer blocks (p, m, block) of a
+    Dirichlet Gram (`dirichlet_blocks`); np.max keeps a NaN."""
+    return float(np.max([0.0] + [np.abs(b - np.eye(len(b)) if p == m else b).max()
+                                 for p, m, b in blocks]))
 
 
 def block_green(g: Graph, clu: GrowthCluster, st: Stencil,

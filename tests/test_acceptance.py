@@ -9,7 +9,7 @@ import pytest
 import dgff
 from dgff import OperatorStack, validate_foliation
 from dgff.fixtures import standard_fixture, weighted
-from dgff.hadamard import dirichlet_blocks, oracle_kernels
+from dgff.hadamard import oracle_kernels
 from dgff.sampling import (
     GaussianStream,
     NoiseGram,
@@ -20,7 +20,7 @@ from dgff.sampling import (
     two_sample_zmax,
     wnf_block,
 )
-from dgff.verify import isometry_residual, run_ladder
+from dgff.verify import run_ladder
 
 import dense_reference
 from block_reference import covariance_report, cross_covariance_zmax, pairing_block
@@ -145,7 +145,8 @@ def test_criterion_5_isometry(stack_set):
     stacks.append(OperatorStack(*standard_fixture("grid13")))  # 121-vertex interior
     for stack in stacks:
         for n in range(stack.depth + 1):
-            worst = max(worst, isometry_residual(dirichlet_blocks(stack, n)))
+            worst = max(worst, dense_reference.isometry_residual(
+                dense_reference.dirichlet_blocks(stack, n)))
     elapsed = time.perf_counter() - t0
     _line(5, worst <= TOL_EXACT and elapsed < 10.0,
           f"Dirichlet Gram residual {worst:.2e} <= {TOL_EXACT:g} up to 121 interior "

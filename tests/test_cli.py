@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dgff
-from dgff import OperatorStack, cli, hadamard
+from dgff import OperatorStack, cli, hadamard, verify
 from dgff.cli import main
 from dgff.fixtures import standard_fixture, write_fixture_files
 from dgff.foliation import cluster
@@ -222,22 +222,37 @@ def test_hadamard_summary(fixture_dir, tmp_path, capsys):
 
 
 def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch):
-    calls = []
-    blocks = hadamard.dirichlet_blocks
+    # one pass over the edge rows gives the per-level readings; --out takes
+    # one more for the Gram it writes and assembles Q_n once. Without --out
+    # neither Q_n nor a Gram is formed
+    calls, growths = [], []
+    rows, growth = hadamard.dirichlet_rows, OperatorStack.growth
 
     def counted(stack, n):
         calls.append(n)
-        return blocks(stack, n)
+        return rows(stack, n)
 
-    monkeypatch.setattr(cli, "dirichlet_blocks", counted)
-    monkeypatch.setattr(hadamard, "dirichlet_blocks", counted)
-    assert run_cli("hadamard", "--graph", fixture_dir / "grid5.json", "--roots", "r2c2",
-                   "--out", tmp_path) == 0
-    assert calls == [2]
-    # the summary reads the blocks of the Gram matrix that was written
+    for mod in (cli, hadamard, verify):
+        monkeypatch.setattr(mod, "dirichlet_rows", counted)
+    monkeypatch.setattr(OperatorStack, "growth",
+                        lambda stack, n: growths.append(n) or growth(stack, n))
+    graph = fixture_dir / "grid5.json"
+    assert run_cli("hadamard", "--graph", graph, "--roots", "r2c2", "--out", tmp_path) == 0
+    assert calls == [2, 2] and growths == [2]
+    # the summary's reading bounds the residual of the Gram that was
+    # written, which has the bits of the Gram route's layer blocks
     doc = json.loads(capsys.readouterr().out)
     _, _, written = read_matrix_csv(tmp_path / "growth_2_gram.csv")
-    assert doc["isometry_residual"] == np.abs(written - np.eye(len(written))).max()
+    assert doc["isometry_residual"] >= np.abs(written - np.eye(len(written))).max()
+    stack = OperatorStack(*standard_fixture("grid5"))
+    for p, m, block in dense_reference.dirichlet_blocks(stack, 2):
+        clu = stack.cluster(2)
+        np.testing.assert_array_equal(written[clu.layer_slice(p), clu.layer_slice(m)], block)
+    calls.clear()
+    growths.clear()
+    assert run_cli("hadamard", "--graph", graph, "--roots", "r2c2") == 0
+    assert calls == [2] and growths == []
+    assert json.loads(capsys.readouterr().out) == doc
 
 
 def test_hadamard_variation_keeps_a_nan(fixture_dir, capsys, monkeypatch):

@@ -7,13 +7,14 @@ from dgff import OperatorStack, bfs_foliate
 from dgff import linalg
 from dgff.errors import FoliationError
 from dgff.fixtures import binary_tree, grid_graph, standard_fixture, weighted
-from dgff.hadamard import dirichlet_blocks, oracle_kernels
+from dgff.hadamard import dirichlet_rows, oracle_kernels
 from dgff.sampling import brownian_check
-from dgff.verify import isometry_residual
+from dgff.verify import isometry_readings
 
 import dense_reference
+from dense_reference import dirichlet_blocks, isometry_residual
 from calculus_reference import dirichlet_inner
-from conftest import gram_from_blocks, green_energies
+from conftest import gram_from_rows, green_energies
 
 SQ12 = math.sqrt(0.5)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -97,7 +98,7 @@ class TestGrowthMatrix:
         with pytest.raises(FoliationError):
             stack.growth(2)
         with pytest.raises(FoliationError):
-            next(dirichlet_blocks(stack, 2))
+            next(dirichlet_rows(stack, 2))
 
     def test_block_triangular(self):
         g, fol = standard_fixture("tree3")
@@ -156,12 +157,14 @@ class TestIsometry:
             stack = OperatorStack(g, fol)
             for n in range(fol.depth + 1):
                 assert isometry_residual(dirichlet_blocks(stack, n)) <= 1e-10
+                assert max(isometry_readings(stack, n)) <= 1e-10
 
     def test_gram_matches_edge_by_edge_reference(self):
         # reference: Q_n assembled whole, and one row sqrt(c) (Q[x] - Q[y])
         # per edge touching the cluster, in edge_list order, with Q zero
-        # outside the cluster; the layer blocks, assembled, differ from its
-        # dq^T dq by rounding only
+        # outside the cluster; the layer blocks of the edge rows, assembled,
+        # differ from its dq^T dq by rounding only, and are the bits of the
+        # pairs of layers that the Gram route (`dense_reference`) reads
         graphs = [standard_fixture(name) for name in ("p4", "p5", "grid5", "tree3", "grid13")]
         for g, fol in graphs + _weighted_graphs():
             stack = OperatorStack(g, fol)
@@ -169,8 +172,24 @@ class TestIsometry:
                 clu = stack.cluster(n)
                 ref = dense_reference.dirichlet_gram(
                     g, clu, dense_reference.growth(clu, [stack.kernel(m) for m in range(n + 1)]))
-                gram = gram_from_blocks(clu, dirichlet_blocks(stack, n))
+                gram = gram_from_rows(clu, [d for d, _ in dirichlet_rows(stack, n)])
                 assert np.abs(gram - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+                for p, m, block in dirichlet_blocks(stack, n):
+                    np.testing.assert_array_equal(
+                        gram[clu.layer_slice(p), clu.layer_slice(m)], block)
+
+    def test_rows_scatter_to_the_laplacian_of_each_kernel(self):
+        # the second part of each level: (A K_m)[:k_{m-1}], A assembled
+        # entry by entry, K_m zero outside cluster m, up to rounding
+        graphs = [standard_fixture(name) for name in ("p5", "grid5", "tree3", "grid13")]
+        for g, fol in graphs + _weighted_graphs():
+            stack = OperatorStack(g, fol)
+            for m, (_, ak) in enumerate(dirichlet_rows(stack, fol.depth)):
+                clu, k = stack.cluster(m), stack.kernel(m)
+                ref = (dense_reference.laplacian(g, clu) @ k)[: clu.layer_start[m]]
+                assert ak.shape == ref.shape
+                scale = np.abs(dense_reference.laplacian(g, clu)).max() * np.abs(k).max()
+                assert np.abs(ak - ref).max(initial=0.0) <= 1e-14 * scale, m
 
     def test_gram_summed_over_edge_and_column_blocks(self):
         # random kernels in the stack, so no block is near 0 or I: each
@@ -186,7 +205,7 @@ class TestIsometry:
                 stack._cache[("kernel", m)] = rng.normal(size=stack.kernel(m).shape)
             clu = stack.cluster(fol.depth)
             q = dense_reference.growth(clu, [stack.kernel(m) for m in range(fol.depth + 1)])
-            gram = gram_from_blocks(clu, dirichlet_blocks(stack, fol.depth))
+            gram = gram_from_rows(clu, [d for d, _ in dirichlet_rows(stack, fol.depth)])
             np.testing.assert_array_equal(gram, gram.T)
             a = dense_reference.laplacian(g, clu)
             eps = np.finfo(float).eps

@@ -22,11 +22,11 @@ from dgff.fixtures import (grid_graph, path_graph, standard_fixture, weighted,
                            write_fixture_files)
 from dgff.foliation import bfs_foliate
 from dgff.graph import from_edges, graph_to_json
-from dgff.hadamard import dirichlet_blocks
 from dgff.operators import GreenKernel
-from dgff.verify import isometry_residual, layer_identity, run_ladder
+from dgff.verify import isometry_readings, layer_identity, run_ladder
 
 import dense_reference
+from dense_reference import dirichlet_blocks, isometry_residual
 from conftest import FIXTURES, tamper_directed
 
 
@@ -126,10 +126,11 @@ class TestIsometry:
     def test_top_gram_blocks_equal_the_per_level_grams(self):
         # level n's blocks are the top level's blocks (p, m) with m <= n, bit
         # for bit: the edges touching cluster m are the same prefix at every
-        # level n >= m
+        # level n >= m. So are the per-level readings, from the same rows
         g, fol = standard_fixture("grid13")
         stack = OperatorStack(g, fol)
         top = list(dirichlet_blocks(stack, stack.depth))
+        readings = list(isometry_readings(stack, stack.depth))
         for n in range(stack.depth + 1):
             own = list(dirichlet_blocks(stack, n))
             leading = [(p, m, b) for p, m, b in top if m <= n]
@@ -137,14 +138,16 @@ class TestIsometry:
             for (_, _, mine), (_, _, theirs) in zip(own, leading):
                 np.testing.assert_array_equal(mine, theirs)
             assert isometry_residual(own) == isometry_residual(leading)
+            assert list(isometry_readings(stack, n)) == readings[: n + 1]
         assert isometry_residual(top) == max(isometry_residual(dirichlet_blocks(stack, n))
                                              for n in range(stack.depth + 1))
 
     def test_reading_memory_is_the_edge_rows(self):
-        """With the kernels cached, the reading holds its edge rows D_m
-        (about Q_top's nonzeros) and one block at a time: on the 31x31 grid
-        its traced peak stays under 1.3 k_top^2 doubles. A dense Q_top and
-        its k_top x k_top Gram put it at 2.3."""
+        """With the kernels cached, the reading holds one level's edge rows
+        D_m and A K_m at a time: on the 31x31 grid its traced peak, 0.37
+        k_top^2 doubles, stays under 0.4. Keeping every D_m, as the Gram
+        route does, put it at 1.16, and a dense Q_top and its k_top x k_top
+        Gram at 2.3."""
         g = grid_graph(31)
         stack = OperatorStack(g, bfs_foliate(g, ("r15c15",)))
         k_top = 29 * 29
@@ -152,12 +155,11 @@ class TestIsometry:
             stack.kernel(m)
         tracemalloc.start()
         try:
-            assert isometry_residual(dirichlet_blocks(stack, stack.depth)) <= 1e-12
+            assert max(isometry_readings(stack, stack.depth)) <= 1e-12
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * k_top * k_top * 8
-
+        assert peak <= 0.4 * k_top * k_top * 8
 
     @pytest.mark.parametrize("name", ("grid5", "grid13"))
     def test_wrong_stencil_entry_fails_here_not_in_green_inverse(self, name):
@@ -207,8 +209,10 @@ def _guard_ladder(monkeypatch, graph="grid13", **ladder_args):
     viewed as `_SquareMatmuls`, which records squares wider than the widest
     layer; return the report, the call counts, the widths gathered from the
     stencil and the sizes of the matrices given to `linalg.cholesky`.
-    `operators.green` counts as "green"."""
-    counts = {"stencil": 0, "dirichlet_blocks": 0, "growth": 0, "green": 0}
+    `operators.green` counts as "green", and the dense route's
+    `dirichlet_blocks`, which no package code may call, as well."""
+    counts = {"stencil": 0, "dirichlet_rows": 0, "dirichlet_blocks": 0, "growth": 0,
+              "green": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -223,9 +227,11 @@ def _guard_ladder(monkeypatch, graph="grid13", **ladder_args):
     dense = operators.Stencil.dense
     monkeypatch.setattr(operators.Stencil, "dense", lambda st, lo, hi: (
         gathered.append(hi - lo) or dense(st, lo, hi)))
-    blocks = counted("dirichlet_blocks", hadamard.dirichlet_blocks)
+    rows = counted("dirichlet_rows", hadamard.dirichlet_rows)
     for mod in (hadamard, verify):
-        monkeypatch.setattr(mod, "dirichlet_blocks", blocks)
+        monkeypatch.setattr(mod, "dirichlet_rows", rows)
+    monkeypatch.setattr(dense_reference, "dirichlet_blocks",
+                        counted("dirichlet_blocks", dense_reference.dirichlet_blocks))
     factored = []
     cholesky = linalg.cholesky
     monkeypatch.setattr(linalg, "cholesky",
@@ -267,12 +273,14 @@ def _guard_ladder(monkeypatch, graph="grid13", **ladder_args):
 def test_exact_ladder_cost_guard(monkeypatch):
     """On grid13 the exact ladder builds one Laplacian stencil and no dense
     Laplacian (it gathers no block wider than a layer from the stencil),
-    reads the Dirichlet Gram's layer blocks once, assembles no dense Q and
-    no Green level, and multiplies no two k_n x k_n matrices for k_n > 50."""
-    assert not hasattr(operators, "laplacian")
+    reads the edge rows of the levels in one pass and no Dirichlet Gram,
+    assembles no dense Q and no Green level, and multiplies no two
+    k_n x k_n matrices for k_n > 50."""
+    assert not hasattr(operators, "laplacian") and not hasattr(hadamard, "dirichlet_blocks")
     rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0, "green": 0}
+    assert counts == {"stencil": 1, "dirichlet_rows": 1, "dirichlet_blocks": 0, "growth": 0,
+                      "green": 0}
     assert gathered and max(gathered) <= widest
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == [] and _SquareMatmuls.formed == []
@@ -298,7 +306,7 @@ def test_monte_carlo_ladder_cost_guard(monkeypatch):
     one layer at a time, not the top Laplacian."""
     rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
     assert rep["pass"] and len(rep["checks"]) == 17
-    assert counts == {"stencil": 1, "dirichlet_blocks": 1, "growth": 0,
+    assert counts == {"stencil": 1, "dirichlet_rows": 1, "dirichlet_blocks": 0, "growth": 0,
                       "green": standard_fixture("grid13")[1].depth + 1}
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
@@ -339,9 +347,9 @@ def _spy_memo(monkeypatch, kind):
 
 
 def _graph(name):
-    """A shipped fixture, or a grid foliated from its centre: the 21x21 or
-    31x31 grid, or the 21x21 grid with `weighted(g, 5, 0.1, 10.0)`."""
-    side = {"grid21": 21, "grid31": 31, "weighted21": 21}.get(name)
+    """A shipped fixture, or a grid foliated from its centre: the 21x21,
+    31x31 or 41x41 grid, or the 21x21 grid with `weighted(g, 5, 0.1, 10.0)`."""
+    side = {"grid21": 21, "grid31": 31, "grid41": 41, "weighted21": 21}.get(name)
     if side is None:
         return standard_fixture(name)
     g = grid_graph(side)
@@ -369,7 +377,9 @@ def test_ladder_builds_each_green_level_once_and_holds_two(monkeypatch, graph, t
 def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, trials):
     """Each round reads P_n and R_n while level n is live: every layer step
     (P_n, B_n, R_n) is built exactly once, the stack never holds more than
-    steps n-1 and n, and it ends holding none, only the kernels."""
+    steps n-1 and n, and it ends holding none. Without trials it drops each
+    kernel with its step; with them the Monte Carlo rungs read every kernel
+    at their end, and the stack keeps them."""
     builds, held = _spy_memo(monkeypatch, "step")
     g, fol = _graph(graph)
     stack = OperatorStack(g, fol)
@@ -378,42 +388,54 @@ def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, tr
     assert dict(builds) == {n: 1 for n in range(stack.depth + 1)}
     assert max(held) == 2
     assert not [key for key in stack._cache if key[0] == "step"]
-    assert all(("kernel", n) in stack._cache for n in range(stack.depth + 1))
+    kernels = sorted(n for kind, n in stack._cache if kind == "kernel")
+    assert kernels == (list(range(stack.depth + 1)) if trials else [])
 
 
 def test_exact_ladder_memory_is_a_few_top_levels():
-    """No Green level and no k_n x k_n temporary: the traced peak of the
-    21x21 exact ladder, 2.87 k_top^2 doubles, stays under 3.0, a margin of
-    0.13 over it. Reading two dense Green levels put it at 4.86; the whole
-    Green family, sum_n k_n^2, is 7.3 k_top^2 on this grid."""
-    g, fol = _graph("grid21")
+    """No Green level, no k_n x k_n temporary and no kernel past its round:
+    the traced peak of the 21x21 exact ladder, 2.40 k_top^2 doubles, stays
+    under 2.55, a margin of 0.15 over it. Keeping every kernel and reading
+    the Dirichlet Gram at the top put it at 2.77, reading two dense Green
+    levels at 4.86; the whole Green family, sum_n k_n^2, is 7.3 k_top^2 on
+    this grid."""
     k_top = 19 * 19
+    assert _exact_ladder_peak(21) <= 2.55 * k_top * k_top * 8
+
+
+def _exact_ladder_peak(side):
+    """The traced peak of the exact ladder on a grid foliated from its
+    centre, in bytes."""
+    g, fol = _graph(f"grid{side}")
     tracemalloc.start()
     try:
         assert run_ladder(g, fol, trials=0)["pass"]
-        _, peak = tracemalloc.get_traced_memory()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.0 * k_top * k_top * 8
 
 
-def test_exact_ladder_memory_is_two_levels_and_the_kernels():
-    """Every exact reading is layer-sized and the stack keeps two layer
-    steps: the traced peak of the 31x31 exact ladder, 1.98 k_top^2 doubles,
-    stays under 2.1, a margin of 0.12 over it. It is the cached kernels
-    (0.52 k_top^2) and `isometry`'s edge rows at the end (1.16). Reading
-    two dense Green levels as well put it at 3.32, keeping every layer step
-    at 3.72, and k_top^2 temporaries made it 5.7."""
-    g = grid_graph(31)
-    fol = bfs_foliate(g, ("r15c15",))
+def test_exact_ladder_memory_is_two_layer_steps():
+    """Every exact reading is layer-sized, and the stack keeps two layer
+    steps and drops each kernel after its round: the traced peak of the
+    31x31 exact ladder, 0.91 k_top^2 doubles, stays under 1.0, a margin of
+    0.09 over it. Keeping every kernel and `isometry`'s edge rows at the
+    end put it at 1.98, reading two dense Green levels as well at 3.32,
+    keeping every layer step at 3.72, and k_top^2 temporaries made it 5.7."""
     k_top = 29 * 29
-    tracemalloc.start()
-    try:
-        assert run_ladder(g, fol, trials=0)["pass"]
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * k_top * k_top * 8
+    assert _exact_ladder_peak(31) <= 1.0 * k_top * k_top * 8
+
+
+def test_exact_ladder_memory_grows_like_the_widest_layer_columns():
+    """From 21x21 to 41x41 the exact ladder's traced peak grows 3.9 times,
+    less than k_top max_n |L_n|, which grows 8.9 times (361 * 36 to
+    1521 * 76), and far less than k_top^2, which grows 17.7 times. Keeping
+    every kernel made it grow 11.4 times."""
+    def columns(side):
+        _, fol = _graph(f"grid{side}")
+        return sum(len(layer) for layer in fol.layers) * max(len(layer) for layer in fol.layers)
+
+    assert _exact_ladder_peak(41) / _exact_ladder_peak(21) <= columns(41) / columns(21)
 
 
 def test_sample_builds_no_green_level(monkeypatch, tmp_path):
@@ -441,11 +463,12 @@ def test_sample_builds_each_layer_step_once_and_holds_two(monkeypatch, tmp_path)
 
 def test_sample_memory_is_the_layer_operators_and_the_blocks():
     """`dgff_block`, walked as `dgff sample` walks it, releasing level n-1
-    once it has Psi_n, holds the kernels K_n (sum_n k_n |L_n| numbers), two
-    layer steps, the noise block and the field blocks: on the 31x31 grid
-    its traced peak, 1.10 times the kernels and the blocks, stays under 1.2
-    times. Keeping every P_n as well put it at 1.99 times, and building each
-    dense G_n at 5.1 times."""
+    and K_n once it has Psi_n, holds two layer steps, a kernel, the noise
+    block and the field blocks: on the 31x31 grid its traced peak, 0.44
+    times every kernel K_n (sum_n k_n |L_n| numbers) and the blocks, stays
+    under 0.5 times, a margin of 0.06. Keeping every kernel put it at 1.10
+    times, keeping every P_n as well at 1.99 times, and building each dense
+    G_n at 5.1 times."""
     g = grid_graph(31)
     fol = bfs_foliate(g, ("r15c15",))
     stack = OperatorStack(g, fol)
@@ -461,11 +484,12 @@ def test_sample_memory_is_the_layer_operators_and_the_blocks():
         for n, psi in enumerate(sampling.dgff_block(stack, phi)):
             fields.append(psi)
             stack.release(n - 1)
+            stack.release_kernel(n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(fields) == stack.depth + 1
-    assert peak <= 1.2 * (columns + blocks) * 8
+    assert peak <= 0.5 * (columns + blocks) * 8
 
 
 def test_guard_sees_a_square_product(monkeypatch):
@@ -481,8 +505,9 @@ class TestReport:
     def test_numeric_error_stays_in_its_rung(self, monkeypatch, exc):
         def fail(*args, **kwargs):
             raise exc("injected")
+            yield  # a generator, as the reader is: it raises when the ladder reads it
 
-        monkeypatch.setattr(verify, "isometry_residual", fail)
+        monkeypatch.setattr(verify, "isometry_readings", fail)
         rep = run_ladder(*standard_fixture("p4"), seed=1, trials=2000)
         assert len(rep["checks"]) == 17
         row = _row(rep, "isometry")
@@ -881,3 +906,49 @@ def test_layer_rungs_trip_wherever_the_dense_route_does(control):
     dense_tripped = {rung for rung, stat in dense_reference.green_statistics(dense).items()
                      if not stat <= gates[rung]}
     assert dense_tripped <= tripped, dense_tripped - tripped
+
+
+def _isometry_graph(name):
+    """`_graph`'s graphs, and the log-uniform 21x21 grids by their d."""
+    if name.startswith("log-uniform"):
+        return _log_uniform(int(name.split()[-1]))
+    return _graph(name)
+
+
+@pytest.mark.parametrize("graph", FIXTURES + ("grid13", "grid31", "weighted21", "log-uniform 0",
+                                              "log-uniform 4", "log-uniform 6"))
+def test_dense_gram_residual_is_within_the_per_level_reading(graph):
+    """The bound `verify`'s docstring states: at every level n the dense
+    Gram residual max |Q_n^T A Q_n - I|, read through
+    `dense_reference.dirichlet_blocks`, is at most the largest of
+    `isometry`'s readings at levels 0..n, as `dgff hadamard` prints it. A
+    single block need not be: on p4 the dense block (0, 1) rounds to
+    1.8e-17, where A K_1 and so level 1's reading are exactly 0."""
+    stack = OperatorStack(*_isometry_graph(graph))
+    readings = list(isometry_readings(stack, stack.depth))
+    for n in range(stack.depth + 1):
+        assert isometry_residual(dirichlet_blocks(stack, n)) <= max(readings[: n + 1]), n
+
+
+ISOMETRY_CONTROLS = {
+    "wrong stencil entry, grid5": ("grid5", _wrong_stencil_entry),
+    "wrong stencil entry, grid13": ("grid13", _wrong_stencil_entry),
+    "criterion 11(c)": ("grid5", _criterion_11c),
+    "kernel entry at mid-depth": ("grid13", lambda s: _tamper_kernel(
+        s, s.depth // 2, _raised(0, 0, 1e-6))),
+}
+
+
+@pytest.mark.parametrize("control", ISOMETRY_CONTROLS)
+def test_isometry_trips_wherever_the_dense_gram_does(control):
+    """Each control tampered into two stacks alike: the dense Gram of one
+    fails the gate, and the ladder's per-level `isometry` on the other
+    fails too."""
+    graph, tamper = ISOMETRY_CONTROLS[control]
+    g, fol = _graph(graph)
+    layer, dense = OperatorStack(g, fol), OperatorStack(g, fol)
+    tamper(layer)
+    tamper(dense)
+    row = _row(run_ladder(g, fol, trials=0, stack=layer), "isometry")
+    assert isometry_residual(dirichlet_blocks(dense, dense.depth)) > row["threshold"]
+    assert not row["passed"]
