@@ -126,12 +126,11 @@ def _pick_cluster(args, fol) -> GrowthCluster:
 
 
 def _walk(g, fol, n: int, read):
-    """read(stack, n) on a stack walked up by read(stack, m), m = 0..n, each
-    followed by the release of level m-1: two levels are cached at a time."""
+    """read(stack, n) on a stack walked up by read(stack, m) in its rounds
+    m = 0..n (`OperatorStack.walk`): two levels are cached at a time."""
     stack = OperatorStack(g, fol)
-    for m in range(n + 1):
+    for m in stack.walk(n):
         out = read(stack, m)
-        stack.release(m - 1)
     return out
 
 
@@ -155,23 +154,25 @@ def cmd_hadamard(args) -> int:
     g, fol = _resolve(args)
     stack = OperatorStack(g, fol)
     n = _pick_cluster(args, fol).n
+    clu = stack.cluster(n)
     levels, readings = isometry_readings(stack, n), []
-    for m in range(n + 1):  # the ladder's readings, holding layer steps m - 1 and m only
+    if args.out:  # Q_n and its Dirichlet Gram, written a layer block per round
+        q, gram, rows = np.zeros((clu.size, clu.size)), np.empty((clu.size, clu.size)), []
+        edge_rows = dirichlet_rows(stack, n)
+    for m in stack.walk(n):  # the ladder's readings, holding layer steps m - 1 and m only
         readings.append((layer_identity(stack, m), layer_variation(stack, m) if m else 0.0,
                          next(levels)))
-        stack.release(m - 1)
-        if not args.out:  # --out writes Q_n, every kernel
-            stack.release_kernel(m)
-    identity, variation, isometry = np.max(readings, axis=0)  # np.max keeps a NaN; max drops it
-    if args.out:
-        clu = stack.cluster(n)
-        ids, q = g.ids(clu.vertices), stack.growth(n)
-        rows, gram = [d for d, _ in dirichlet_rows(stack, n)], np.empty_like(q)
-        for m, d in enumerate(rows):
+        if args.out:
+            k_m = stack.kernel(m)
+            q[: len(k_m), clu.layer_slice(m)] = k_m
+            rows.append(next(edge_rows)[0])
             for p in range(m + 1):  # the Gram's layer block (p, m)
-                b = rows[p].T @ d[: len(rows[p])]
+                b = rows[p].T @ rows[m][: len(rows[p])]
                 gram[clu.layer_slice(p), clu.layer_slice(m)] = b
                 gram[clu.layer_slice(m), clu.layer_slice(p)] = b.T
+    identity, variation, isometry = np.max(readings, axis=0)  # np.max keeps a NaN; max drops it
+    if args.out:
+        ids = g.ids(clu.vertices)
         _emit_matrix(args, f"growth_{n}", ids, ids, q)
         _emit_matrix(args, f"growth_{n}_square", ids, ids, q @ q.T)
         _emit_matrix(args, f"growth_{n}_gram", ids, ids, gram)
@@ -192,12 +193,11 @@ def cmd_sample(args) -> int:
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     ids = g.ids(top.vertices)
-    files, fields = [], []
-    for n, psi in enumerate(dgff_block(stack, wnf_block(top.vertices, stream, args.n_samples))):
-        fields.append(psi)
-        stack.release(n - 1)  # two layer steps and one kernel are cached at a time
-        stack.release_kernel(n)
+    # zip advances the walk first: Psi_n is grown in round n
+    fields = [psi for _, psi in zip(stack.walk(depth), dgff_block(
+        stack, wnf_block(top.vertices, stream, args.n_samples)))]
     del stack  # the writing below reads the fields alone
+    files = []
     cols = [f"psi_{n}" for n in range(depth + 1)] + [f"inc_{n}" for n in range(1, depth + 1)]
     for s in range(args.n_samples):
         rows = np.zeros((top.size, len(cols)))

@@ -28,10 +28,11 @@ n's Poisson kernel P_n, boundary Green B_n and its square root R_n come from
 one Schur step on level n-1's layer columns P_{n-1} B_{n-1} and the new
 layer's rows of the Laplacian, held once as the top cluster's padded
 neighbour stencil (see `dgff.operators`). Q is held as its kernels K_m,
-which a caller drops once read (`release_kernel`): samples grow from them
-(`dgff.sampling`) and `growth_adjoint_apply` returns Q_top^* f; `growth(n)`
-assembles a dense Q_n for `dgff hadamard` alone. G_n is assembled only
-for the Monte Carlo checks and `dgff green`.
+each read in round m of `walk`, which drops it after that round: samples
+grow from them (`dgff.sampling`), the pairing checks collect Q_top^* f a
+layer piece K_m^T f[:k_m] at a time, and `dgff hadamard --out` writes Q_n a
+layer block at a time. G_n is assembled only for the Monte Carlo checks and
+`dgff green`.
 The independent side reads the edge list, not the stencil, also a layer at
 a time: `dirichlet_rows` gives Q_n's edge rows and A K_m from K_m alone, and
 `oracle_kernels` the Cholesky oracle W = L^{-T}, A_top = L L^T. A_top is
@@ -143,14 +144,12 @@ class OperatorStack:
     Every operator but the dense Green matrix is at most k_n x |L_n|, and
     none of them reads a Green kernel: the layer steps (P_n, B_n, R_n) are
     cached under ("step", n), and `poisson`, `boundary_green` and
-    `layer_sqrt` return their parts. Q_n is kept as its kernels only;
-    `growth` assembles it whole, uncached, for `dgff hadamard`. A caller
-    that walks the levels upward keeps two levels, all that level n reads,
-    by releasing each level it is done with (`release`: G_n and the step
-    go), and each kernel once it has read it (`release_kernel`), so the
-    memory is O(k_top |L_top|), or O(k_top^2) with Green levels, not
-    sum_n k_n^2. A released level asked for again is rebuilt, bit for bit,
-    from the lowest level still cached.
+    `layer_sqrt` return their parts. Q_n is kept as its kernels only.
+    `walk` alone drops cached levels: a caller that reads level m in its
+    round m holds two layer steps (and Green levels), all that level m
+    reads, and one kernel, so the memory is O(k_top |L_top|), or O(k_top^2)
+    with Green levels, not sum_n k_n^2. A dropped level asked for again is
+    rebuilt, bit for bit, from the lowest level still cached.
     """
 
     def __init__(self, graph: Graph, fol: Foliation):
@@ -212,17 +211,19 @@ class OperatorStack:
         """Green kernel of cluster n, assembled from G_{n-1} and the layer
         step."""
         return self._memo_upward("green", n, lambda m: green(
-            self.graph, self.cluster(m), self.green(m - 1) if m else None, self._step(m)))
+            self.cluster(m), self.green(m - 1) if m else None, self._step(m)))
 
-    def release(self, n: int) -> None:
-        """Drop level n's cached Green kernel and layer step, if any; the
-        clusters, the stencil and the kernels stay cached."""
-        self._cache.pop(("green", n), None)
-        self._cache.pop(("step", n), None)
-
-    def release_kernel(self, n: int) -> None:
-        """Drop level n's cached kernel K_n, for a caller done reading it."""
-        self._cache.pop(("kernel", n), None)
+    def walk(self, n: int) -> Iterator[int]:
+        """Yield the rounds m = 0..n of a caller that reads level m in round
+        m. After round m, level m-1's layer step and Green level and K_m are
+        dropped, and after the last round level n's step and Green level:
+        the clusters and the stencil stay cached."""
+        for m in range(n + 1):
+            yield m
+            for key in (("step", m - 1), ("green", m - 1), ("kernel", m)):
+                self._cache.pop(key, None)
+        for key in (("step", n), ("green", n)):
+            self._cache.pop(key, None)
 
     def poisson(self, n: int) -> np.ndarray:
         """Poisson kernel of cluster n and its top layer."""
@@ -236,25 +237,3 @@ class OperatorStack:
 
     def kernel(self, n: int) -> np.ndarray:
         return self._memo("kernel", n, lambda: self.poisson(n) @ self.layer_sqrt(n))
-
-    def growth(self, n: int) -> np.ndarray:
-        """The growth operator Q_n, assembled from the cached kernels: column
-        y of layer m is K_m(., y) zero-extended, which the layer-major order
-        makes a zero pad. The dense matrix itself is not kept."""
-        clu = self.cluster(n)
-        q = np.zeros((clu.size, clu.size))
-        for m in range(n + 1):
-            k_m = self.kernel(m)
-            q[: len(k_m), clu.layer_slice(m)] = k_m
-        return q
-
-    def growth_adjoint_apply(self, f: np.ndarray) -> np.ndarray:
-        """Q_top^* f on the top cluster, for ambient f (restriction built in).
-
-        Q's layer-m columns are K_m zero-extended, so the layer-m piece is
-        K_m^T f[:k_m]. The pieces of level n are the first n+1 of the top
-        level's: Q_n^* f is the leading k_n entries of the result.
-        """
-        loc = np.asarray(f, dtype=float)[np.array(self.cluster(self.depth).vertices)]
-        return np.concatenate([self.kernel(m).T @ loc[: self.cluster(m).size]
-                               for m in range(self.depth + 1)])

@@ -140,7 +140,6 @@ def stencil(g: Graph, clu: GrowthCluster) -> Stencil:
 class GreenKernel:
     cluster: GrowthCluster
     normalized: np.ndarray  # inverse Laplacian
-    pi: np.ndarray          # stationary weights on the cluster
 
 
 def layer_step(clu: GrowthCluster, st: Stencil,
@@ -189,7 +188,7 @@ def layer_step(clu: GrowthCluster, st: Stencil,
     return p, b, r
 
 
-def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None,
+def green(clu: GrowthCluster, prev: GreenKernel | None,
           step: tuple[np.ndarray, np.ndarray, np.ndarray]) -> GreenKernel:
     """Normalized Green matrix of the cluster (Laplacian inverse), assembled
     in one array from `prev`, the Green kernel of the cluster minus its top
@@ -211,5 +210,4 @@ def green(g: Graph, clu: GrowthCluster, prev: GreenKernel | None,
     gn[:k, k:] = pb
     gn[k:, :k] = pb.T
     gn[k:, k:] = b
-    pi = np.array([g.pi[v] for v in clu.vertices])
-    return GreenKernel(cluster=clu, normalized=gn, pi=pi)
+    return GreenKernel(cluster=clu, normalized=gn)

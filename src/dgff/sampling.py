@@ -28,9 +28,10 @@ are drawn on two threads when the process may use two CPUs, and added in
 draw order, so S has the same bits on one thread or two; two draw ranges
 merge by adding their sums, to rounding. `brownian_check` and
 `sweep_average_check` draw nothing: they return the coefficient rows of
-the pairings and of the boundary averages, all read off one adjoint
-Q_top^* (Q_n^* f is the leading k_n entries of Q_top^* f) and the sweeps
-P_n^* f, with their exact covariance, and the caller scores them on its S.
+the pairings and of the boundary averages, all read off Q_top^* f and
+Q_top^* of the sweeps P_n^* f (Q_n^* f is the leading k_n entries of
+Q_top^* f), with their exact covariance, and the caller scores them on its
+S. The caller collects each Q_top^* v a layer piece K_n^T v[:k_n] per level.
 `grown_covariances` grows every level's T_n S T_n^T from the layer columns
 of T, yielding one level at a time: the kernels K_n for the DGFF, and for
 the oracle, whose noise Gram has its own disjoint draw range, those of W.
@@ -113,7 +114,7 @@ def dgff_block(stack: OperatorStack, phi_block: np.ndarray) -> Iterator[np.ndarr
     `phi_block` holds WNF rows over the top cluster, in its vertex order,
     whose prefix is the order of every smaller cluster. The kernels come
     from the layer steps alone, and no Green level is built: a caller that
-    releases level n-1 and K_n once it has Psi_n keeps two layer steps."""
+    takes Psi_n in round n of `OperatorStack.walk` keeps two layer steps."""
     top = stack.cluster(stack.depth)
     psi = None
     for n in range(stack.depth + 1):
@@ -347,31 +348,25 @@ def two_sample_zmax(emp_a: np.ndarray, emp_b: np.ndarray, trials: int,
     return _zmax(emp_a - emp_b, np.sqrt(2.0 * covariance_stderr(target, trials) ** 2))
 
 
-def increment_cross_zmax(stack: OperatorStack, gram: NoiseGram,
-                         green_diagonals: Sequence[np.ndarray]) -> tuple[float, int]:
-    """Largest |z| over the empirical cross-covariances (i < j) of Psi_0 and
-    the increments, whose true values are zero; with the number of entries.
+def increment_cross_zmax(gram: NoiseGram, kernels: Sequence[np.ndarray],
+                         variances: Sequence[np.ndarray]) -> tuple[float, int]:
+    """Largest |z| over the empirical cross-covariances of the increment of
+    level n = len(kernels) - 1 with Psi_0 and each increment i < n, whose
+    true values are zero; with the number of entries.
 
-    The increment Psi_n - Psi_{n-1} is K_n z_{L_n} (Psi_0 is K_0 z_{L_0}),
-    so the cross-covariance of levels i and j is K_i S[L_i, L_j] K_j^T. The
-    variances are exact, read off `green_diagonals`, the diagonals of
-    G_0..G_N: G_0, then G_n - G_{n-1}. The Green matrices themselves are
-    not read.
+    The increment Psi_i - Psi_{i-1} is K_i z_{L_i} (Psi_0 is K_0 z_{L_0}),
+    L_i the last |L_i| of K_i's k_i rows, so the cross-covariance of levels
+    i and n is K_i S[L_i, L_n] K_n^T. `variances` holds the exact variances
+    of levels 0..n: diag G_0, then diag G_i - (diag G_{i-1} + 0).
     """
-    top = stack.cluster(stack.depth)
-    variances = [green_diagonals[0]]
-    for n in range(1, stack.depth + 1):
-        var = green_diagonals[n].copy()
-        var[: green_diagonals[n - 1].shape[0]] -= green_diagonals[n - 1]
-        variances.append(var)
-    zs, entries = [0.0], 0
-    for i in range(stack.depth + 1):
-        for j in range(i + 1, stack.depth + 1):
-            s_ij = gram.total[top.layer_slice(i), top.layer_slice(j)]
-            emp = stack.kernel(i) @ s_ij @ stack.kernel(j).T / gram.trials
-            z, m = cross_moment_zmax(emp, variances[i], variances[j], gram.trials)
-            zs.append(z)
-            entries += m
+    k_n, zs, entries = kernels[-1], [0.0], 0
+    layer = slice(len(k_n) - k_n.shape[1], len(k_n))
+    for k_i, var_i in zip(kernels[:-1], variances):
+        s_in = gram.total[len(k_i) - k_i.shape[1]: len(k_i), layer]
+        z, m = cross_moment_zmax(k_i @ s_in @ k_n.T / gram.trials, var_i, variances[-1],
+                                 gram.trials)
+        zs.append(z)
+        entries += m
     return float(np.max(zs)), entries  # np.max keeps a NaN, which Python's max drops
 
 
@@ -409,28 +404,25 @@ def green_energy(kern: GreenKernel, f: np.ndarray) -> float:
     return float(f_n @ kern.normalized @ f_n)
 
 
-def brownian_check(stack: OperatorStack, f: np.ndarray,
-                   energies: Sequence[float]) -> BrownianReport:
+def brownian_check(pieces: Sequence[np.ndarray], energies: Sequence[float]) -> BrownianReport:
     """Coefficients of the pairings of f with Psi_0..Psi_N, their exact
     covariance, and two exact checks on the Green route.
 
+    `pieces` holds the layer pieces K_n^T f[:k_n] of c = Q_top^* f, n = 0..N.
     F_n is the pairing of the noise with Q_n^* f, the leading k_n entries
-    of c = Q_top^* f, so T_n = |c[:k_n]|^2 and cov(F_n, F_m) = min(T_n, T_m).
+    of c, so T_n = |c[:k_n]|^2 and cov(F_n, F_m) = min(T_n, T_m).
     The checks read the Green matrices, not the kernels, through
     `energies`, the Green energies E_n = f_n^T G_n f_n (`green_energy`) of
     levels 0..N: the Hadamard formula summed over the layers is
     Q_n Q_n^T = G_n, so the Pythagoras residual compares E_n with T_n; and
     E_n grows with n, as G_n - (G_{n-1} + 0) is PSD.
     """
-    f = np.asarray(f, dtype=float)
-    c = stack.growth_adjoint_apply(f)
-    levels = stack.depth + 1
-    coef = np.zeros((levels, c.shape[0]))
-    targets, energies = np.empty(levels), np.array(energies, dtype=float)
-    for n in range(levels):
-        clu = stack.cluster(n)
-        coef[n, : clu.size] = c[: clu.size]
-        targets[n] = float(c[: clu.size] @ c[: clu.size])
+    c, sizes = np.concatenate(pieces), np.cumsum([len(p) for p in pieces])
+    coef = np.zeros((len(sizes), c.shape[0]))
+    targets, energies = np.empty(len(sizes)), np.array(energies, dtype=float)
+    for n, k in enumerate(sizes):
+        coef[n, :k] = c[:k]
+        targets[n] = float(c[:k] @ c[:k])
     return BrownianReport(
         coef=coef, target=np.minimum.outer(targets, targets), variance_targets=targets,
         pythagoras_residual=float(np.abs(energies - targets).max()),
@@ -463,36 +455,33 @@ class SweepReport:
 
 
 def sweep_average_check(stack: OperatorStack, f: np.ndarray,
-                        sweeps: Sequence[np.ndarray]) -> SweepReport:
+                        pieces: Sequence[Sequence[np.ndarray]]) -> SweepReport:
     """Sweep f, supported on cluster 1, onto each layer n = 1..N and pair
-    with Psi_N; the foliation needs N >= 1. `sweeps` holds the sweeps
-    P_n^* f = P_n^T f[cluster n], n = 1..N, which the caller takes.
+    with Psi_N; the foliation needs N >= 1. `pieces[m]` holds level m's
+    layer pieces K_m^T v[:k_m] of Q_top^* v, m = 0..N, for v = f and then
+    for each sweep s_n = P_n^* f = P_n^T f[cluster n] placed on layer n,
+    n = 1..N, which the caller takes.
 
     The pairing telescopes: A_n(f) = F_N(f) - F_{n-1}(f), because
     Psi_N - Psi_{n-1} is the harmonic extension of Psi_N's layer-n values.
     All three are linear in the noise, so the identity is checked on their
     coefficient vectors over the top cluster's noise, which makes it hold
     for every noise vector. With c = Q_top^* f, F_{n-1} has coefficients
-    c[:k_{n-1}], and A_n has a_n = Q_top^* s_n, s_n the sweep P_n^* f
-    placed on layer n. The residual is the largest entry of
-    a_n - (c - c[:k_{n-1}] + 0), the scale max(1, max |c|). Variances
-    follow: for n <= m, cov(A_n, A_m) = T_N - T_{m-1}.
+    c[:k_{n-1}], and A_n has a_n = Q_top^* s_n. The residual is the largest
+    entry of a_n - (c - c[:k_{n-1}] + 0), the scale max(1, max |c|).
+    Variances follow: for n <= m, cov(A_n, A_m) = T_N - T_{m-1}.
     """
-    f = np.asarray(f, dtype=float)
     allowed = set(stack.cluster(1).vertices)
     if any(int(v) not in allowed for v in np.flatnonzero(f)):
         raise SupportViolationError("test vector must be supported on cluster 1")
 
-    depth = stack.depth
-    c = stack.growth_adjoint_apply(f)
-    sizes = [stack.cluster(n).size for n in range(depth + 1)]
+    c, sizes = np.concatenate([p[0] for p in pieces]), np.cumsum([len(p[0]) for p in pieces])
+    depth = len(sizes) - 1
     t = np.array([float(c[:k] @ c[:k]) for k in sizes])
     a = np.empty((depth, c.shape[0]))
     resid = [0.0]
     for n in range(1, depth + 1):
-        placed = np.zeros(stack.graph.n_vertices)
-        placed[np.array(stack.cluster(n).top_layer)] = sweeps[n - 1]
-        a[n - 1] = stack.growth_adjoint_apply(placed)
+        a[n - 1] = np.concatenate([p[n] for p in pieces])
         telescoped = c.copy()
         telescoped[: sizes[n - 1]] = 0.0  # c[:k_{n-1}] is F_{n-1}'s coefficients
         resid.append(np.abs(a[n - 1] - telescoped).max())

@@ -69,18 +69,18 @@ diag G_n grows by that of X B_n X^T, and |G_ij| <= max diag G.
 The ladder is one level-major pass, as the paper grows the cluster. Every
 rung is a generator that yields once per level n = 0..N: what it reads at
 level n, or None where it reads nothing. Round n advances every rung by one
-level (`_Ladder.run`, once per rung and level) and then releases level
-n-1's layer step and, with trials, its Green level, and without trials K_n,
-which no exact rung reads after round n. Level n reads at most levels n and
-n-1, so each level is built once. The exact rungs hold two layer steps and
-a kernel, O(k_top |L_top|), and form no k_n x k_n array. Only the Monte
-Carlo rungs build Green levels, their target, two at a time, and read every
-kernel at their end: O(k_top^2) and the kernels, not sum_n k_n^2. Level N
-goes after the top, and a last round runs every rung to its end on kernels
-and noise Grams: each rung reads P_n and R_n in round n, where the sweep
-collects P_n^* f as `brownian_moments` collects its Green energies. A rung
-holds no k_n x k_n array across a yield but its own running state (a
-covariance rung's C_n).
+level (`_Ladder.run`, once per rung and level). Every rung reads level n in
+round n, so `OperatorStack.walk` drops level n-1's layer step and Green
+level, and K_n, after it. Level n reads at most levels n and n-1, so each
+level is built once. The exact rungs hold two layer steps and a kernel,
+O(k_top |L_top|), and form no k_n x k_n array. Only the Monte Carlo rungs
+build Green levels, their target, two at a time: O(k_top^2), not
+sum_n k_n^2. The pairing rungs collect the layer pieces K_n^T f[:k_n] of
+Q_top^* f in round n, and `increment_independence` scores the pairs
+(i, n), i < n, in round n, keeping the kernels K_i itself. A last round,
+after level N is dropped, runs every rung to its end on what it collected
+and the noise Grams. A rung holds no k_n x k_n array across a yield but its
+own running state (a covariance rung's C_n).
 
 Every rung makes or reserves all its draws before its first yield. The
 draws come from one counter-based stream, and round 0 advances the rungs
@@ -92,13 +92,13 @@ Psi_n there by `grow_field`, as `dgff_block` does for `dgff sample`.
 An exact rung yields one statistic per level it reads. A statistical rung
 yields a (largest |z|, entries) pair per group of z-scores: one per level
 for the covariance rungs and for `oracle_agreement`, which scores level n
-while both covariances of level n are live, one for the increment
-cross-covariances, whose variances it collects from the diagonals of G_n
-level by level, and one for each pairing rung (`brownian_moments` collects
-its Green energies f_n^T G_n f_n the same way). `_Ladder.run` alone reduces
-them: the row's statistic is the largest yield, its `entries` the sum, and
-a rung that yields no statistic, such as the rungs that read levels n >= 1
-on a one-layer foliation, is skipped.
+while both covariances of level n are live, one per level n >= 1 for the
+increment cross-covariances of the pairs (i, n), whose variances it reads
+off the diagonals of G_n level by level, and one for each pairing rung
+(`brownian_moments` collects its Green energies f_n^T G_n f_n the same
+way). `_Ladder.run` alone reduces them: the row's statistic is the largest
+yield, its `entries` the sum, and a rung that yields no statistic, such as
+the rungs that read levels n >= 1 on a one-layer foliation, is skipped.
 
 A failure does not stop the ladder: each rung records its own statistic,
 or the error code that prevented it, a numeric error included. This is
@@ -354,8 +354,8 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
 
     A prebuilt (possibly deliberately corrupted) `stack` may be supplied;
     negative-control tests use this to pin down which rung a defect trips.
-    The ladder releases each level as it goes: a supplied stack ends with
-    no Green level or layer step, and no kernel unless `trials`. With
+    The ladder walks the stack (`OperatorStack.walk`): a supplied stack
+    ends with no Green level, layer step or kernel. With
     `collect_reports` the result carries the detailed statistical reports
     (empirical and target moments) under a "reports" key.
     """
@@ -445,11 +445,15 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def increment_independence():
         if not depth:
             return  # Psi_0 alone has no increment to be independent of
-        gram, diagonals = _need("phi"), []
+        gram, kernels, variances, prev = _need("phi"), [], [], np.zeros(0)
         for n in range(depth + 1):
-            diagonals.append(np.diag(stack.green(n).normalized).copy())
-            yield None
-        yield increment_cross_zmax(stack, gram, diagonals)
+            diag = np.diag(stack.green(n).normalized).copy()
+            var = diag.copy()
+            var[: len(prev)] -= prev
+            kernels.append(stack.kernel(n))
+            variances.append(var)
+            prev = diag
+            yield increment_cross_zmax(gram, kernels, variances) if n else None
 
     def draw_on(clu):
         """A fresh noise vector on `clu`, zero elsewhere."""
@@ -466,11 +470,14 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
         return cov.max_abs_z, cov.entries
 
     def brownian():
-        f, energies = draw_on(stack.cluster(depth)), []
+        f, energies, adjoint = draw_on(stack.cluster(depth)), [], []
+        loc = f[np.array(stack.cluster(depth).vertices)]
         for n in range(depth + 1):
+            k = stack.kernel(n)
+            adjoint.append(k.T @ loc[: len(k)])  # level n's piece of Q_top^* f
             energies.append(green_energy(stack.green(n), f))
             yield None
-        rep = brownian_check(stack, f, energies)
+        rep = brownian_check(adjoint, energies)
         yield pairing(rep, "brownian")
         if rep.pythagoras_residual > TOL_STRICT * max(rep.variance_targets.max(), 1.0):
             raise _Refuted("Pythagoras residual |f_n^T G_n f_n - T_n| "
@@ -481,12 +488,17 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
     def sweep():
         if depth == 0:
             return  # no cluster 1 to sweep from
-        f, sweeps = draw_on(stack.cluster(1)), []
-        yield None  # level 0 has no sweep
-        for n in range(1, depth + 1):
-            sweeps.append(stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)])
+        top, f, rounds = stack.cluster(depth), draw_on(stack.cluster(1)), []
+        # f on the top cluster, then each sweep P_n^* f on layer n, placed in round n
+        vectors = [f[np.array(top.vertices)]] + [np.zeros(top.size) for _ in range(depth)]
+        for n in range(depth + 1):
+            if n:
+                vectors[n][top.layer_slice(n)] = \
+                    stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)]
+            k = stack.kernel(n)
+            rounds.append([k.T @ v[: len(k)] for v in vectors])  # level n's pieces of Q_top^* v
             yield None
-        rep = sweep_average_check(stack, f, sweeps)
+        rep = sweep_average_check(stack, f, rounds)
         yield pairing(rep, "sweep")
         if rep.identity_residual > tol_exact * rep.identity_scale:
             raise _Refuted(f"boundary-average identity residual {rep.identity_residual:.3g} "
@@ -516,14 +528,10 @@ def run_ladder(graph: Graph, fol: Foliation, seed: int = 42, trials: int = 100_0
             ("sweep_moments", "statistical", z_max, sweep),
         ]
     ladder = _Ladder(stack)
-    for n in range(depth + 1):
+    for _ in stack.walk(depth):
         for rung in rungs:
             ladder.run(*rung)
-        stack.release(n - 1)  # level n + 1 reads levels n and n + 1 only
-        if not trials:  # no exact rung reads K_n after round n; the Monte Carlo ends read all
-            stack.release_kernel(n)
-    stack.release(depth)  # the rungs' ends read only kernels
-    for rung in rungs:
+    for rung in rungs:  # the last round reads no level
         ladder.run(*rung)
 
     out = {

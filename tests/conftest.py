@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from dgff import OperatorStack
 from dgff.fixtures import standard_fixture
 from dgff.graph import from_edges
-from dgff.sampling import green_energy
+from dgff.sampling import green_energy, increment_cross_zmax
+
+import dense_reference
 
 FIXTURES = ("p4", "p5", "grid5", "tree3")
 
@@ -43,16 +45,46 @@ def green_energies(stack, f):
     return [green_energy(stack.green(n), f) for n in range(stack.depth + 1)]
 
 
-def layer_sweeps(stack, f):
-    """P_n^* f = P_n^T f[cluster n] at every level n >= 1, the sweeps
-    `sweep_average_check` reads."""
-    return [stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)]
-            for n in range(1, stack.depth + 1)]
+def dense_growth(stack, n):
+    """The growth operator Q_n, assembled whole from the stack's kernels."""
+    return dense_reference.growth(stack.cluster(n), [stack.kernel(m) for m in range(n + 1)])
 
 
-def green_diagonals(stack):
-    """The diagonal of G_n at every level, read by `increment_cross_zmax`."""
-    return [np.diag(stack.green(n).normalized) for n in range(stack.depth + 1)]
+def adjoint_pieces(stack, f):
+    """The layer pieces K_n^T f[:k_n] of Q_top^* f at every level, which
+    `brownian_check` reads."""
+    loc = np.asarray(f, dtype=float)[np.array(stack.cluster(stack.depth).vertices)]
+    return [stack.kernel(n).T @ loc[: stack.cluster(n).size] for n in range(stack.depth + 1)]
+
+
+def sweep_pieces(stack, f):
+    """The pieces `sweep_average_check` reads, level by level: those of
+    Q_top^* f, then those of Q_top^* s_n, s_n the sweep P_n^* f =
+    P_n^T f[cluster n] placed on layer n, n >= 1."""
+    vectors = [f]
+    for n in range(1, stack.depth + 1):
+        placed = np.zeros(stack.graph.n_vertices)
+        placed[np.array(stack.cluster(n).top_layer)] = \
+            stack.poisson(n).T @ f[np.array(stack.cluster(n).vertices)]
+        vectors.append(placed)
+    return [list(level) for level in zip(*(adjoint_pieces(stack, v) for v in vectors))]
+
+
+def increment_zmax(stack, gram):
+    """`increment_cross_zmax` at every level n >= 1, reduced as the ladder
+    reduces the rung's yields: the largest |z| and the entries' sum."""
+    kernels, variances, zs, entries = [], [], [0.0], 0
+    for n in range(stack.depth + 1):
+        var = np.diag(stack.green(n).normalized).copy()
+        if n:
+            var[: stack.cluster(n - 1).size] -= np.diag(stack.green(n - 1).normalized)
+        kernels.append(stack.kernel(n))
+        variances.append(var)
+        if n:
+            z, m = increment_cross_zmax(gram, kernels, variances)
+            zs.append(z)
+            entries += m
+    return float(np.max(zs)), entries
 
 
 def tamper_directed(g, u: str, v: str, c: float):

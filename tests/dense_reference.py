@@ -47,8 +47,7 @@ def laplacian(g: Graph, clu: GrowthCluster) -> np.ndarray:
 
 def green(g: Graph, clu: GrowthCluster) -> GreenKernel:
     """Green kernel of the cluster as the inverse of its whole Laplacian."""
-    return GreenKernel(cluster=clu, normalized=np.linalg.inv(laplacian(g, clu)),
-                       pi=np.array([g.pi[v] for v in clu.vertices]))
+    return GreenKernel(cluster=clu, normalized=np.linalg.inv(laplacian(g, clu)))
 
 
 def poisson(g: Graph, clu: GrowthCluster) -> np.ndarray:
@@ -93,9 +92,14 @@ def boundary_green(kern: GreenKernel) -> np.ndarray:
     return bg
 
 
-def unnormalized(kern: GreenKernel) -> np.ndarray:
+def weights(g: Graph, clu: GrowthCluster) -> np.ndarray:
+    """The stationary weights pi on the cluster, in its order."""
+    return g.pi[np.array(clu.vertices)]
+
+
+def unnormalized(g: Graph, kern: GreenKernel) -> np.ndarray:
     """The unnormalized Green matrix G(x, y) = Gn(x, y) pi(y), whole."""
-    return kern.normalized * kern.pi[None, :]
+    return kern.normalized * weights(g, kern.cluster)[None, :]
 
 
 def growth(clu: GrowthCluster, kernels: list[np.ndarray]) -> np.ndarray:
@@ -209,7 +213,7 @@ def inverse_residual(stack, n: int) -> float:
 def asymmetry(stack, n: int) -> float:
     """max |pi(x) G(x, y) - pi(y) G(y, x)| / max(|pi G|, 1), G unnormalized."""
     kern = stack.green(n)
-    w = kern.pi[:, None] * unnormalized(kern)
+    w = weights(stack.graph, kern.cluster)[:, None] * unnormalized(stack.graph, kern)
     return float(np.max(np.abs(w - w.T))) / _scale(w)
 
 
@@ -222,7 +226,8 @@ def positive_drop(stack, n: int) -> float:
 def monotone_drop(stack, n: int) -> float:
     """The largest negative part of G_n - (G_{n-1} + 0), unnormalized,
     relative to max(|G_n|, 1)."""
-    gn, prev = unnormalized(stack.green(n)), unnormalized(stack.green(n - 1))
+    g = stack.graph
+    gn, prev = unnormalized(g, stack.green(n)), unnormalized(g, stack.green(n - 1))
     d = gn.copy()
     d[: len(prev), : len(prev)] -= prev
     return float(np.max(-d, initial=0.0)) / _scale(gn)
@@ -232,7 +237,8 @@ def variation_residual(stack, n: int) -> float:
     """The residual of G_n - (G_{n-1} + 0) = P_n G_n[L_n, :] for the
     unnormalized G, relative to max(|G_n|, 1)."""
     kern = stack.green(n)
-    gn, prev = unnormalized(kern), unnormalized(stack.green(n - 1))
+    g = stack.graph
+    gn, prev = unnormalized(g, kern), unnormalized(g, stack.green(n - 1))
     top = gn[kern.cluster.layer_slice(n)]
     return increment_residual(stack.poisson(n), top, gn, prev) / _scale(gn)
 

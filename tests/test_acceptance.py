@@ -24,7 +24,7 @@ from dgff.verify import run_ladder
 
 import dense_reference
 from block_reference import covariance_report, cross_covariance_zmax, pairing_block
-from conftest import layer_sweeps, tamper_directed
+from conftest import adjoint_pieces, dense_growth, sweep_pieces, tamper_directed
 
 TOL_EXACT = 1e-10
 TOL_STRICT = 1e-12
@@ -79,7 +79,8 @@ def test_criterion_2_green_symmetry(stack_set):
     for stack in cases:
         for n in range(stack.depth + 1):
             k = stack.green(n)
-            w = k.pi[:, None] * dense_reference.unnormalized(k)
+            pi = dense_reference.weights(stack.graph, k.cluster)
+            w = pi[:, None] * dense_reference.unnormalized(stack.graph, k)
             worst = max(worst, np.abs(w - w.T).max() / max(np.abs(w).max(), 1.0))
     _line(2, worst <= TOL_EXACT,
           f"weighted-symmetry residual {worst:.2e} <= {TOL_EXACT:g} incl. non-unit conductances")
@@ -100,11 +101,11 @@ def test_criterion_3_variation_and_monotone(stack_set):
     for name in FIXTURES:
         stack = stack_set[name]
         for n in range(1, stack.depth + 1):
-            g_n = dense_reference.unnormalized(stack.green(n))
+            g_n = dense_reference.unnormalized(stack.graph, stack.green(n))
             scale = max(np.abs(g_n).max(), 1.0)
             worst_var = max(worst_var, dense_reference.variation_residual(stack, n))
             diff = g_n.copy()
-            prev = dense_reference.unnormalized(stack.green(n - 1))
+            prev = dense_reference.unnormalized(stack.graph, stack.green(n - 1))
             diff[: prev.shape[0], : prev.shape[1]] -= prev
             worst_mono = max(worst_mono, max(0.0, -diff.min()) / scale)
     _line(3, worst_var <= TOL_EXACT and worst_mono <= TOL_STRICT,
@@ -118,7 +119,7 @@ def test_criterion_4_hadamard_identity(stack_set):
         stack = stack_set[name]
         for n in range(stack.depth + 1):
             gn = stack.green(n).normalized
-            q = stack.growth(n)
+            q = dense_growth(stack, n)
             resid = dense_reference.increment_residual(q, q.T, gn)
             worst = max(worst, resid / max(np.abs(gn).max(), 1.0))
     # hand-checked values on the four-vertex path against a 2x2 inversion oracle
@@ -126,7 +127,7 @@ def test_criterion_4_hadamard_identity(stack_set):
     a = dense_reference.laplacian(stack.graph, stack.cluster(1))
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     oracle = np.array([[a[1, 1], -a[0, 1]], [-a[1, 0], a[0, 0]]]) / det
-    qqt = stack.growth(1) @ stack.growth(1).T
+    qqt = dense_growth(stack, 1) @ dense_growth(stack, 1).T
     hand_ok = (
         abs(oracle[0, 0] - 2.0 / 3.0) <= TOL_STRICT
         and abs(qqt[0, 0] - (0.5 + 1.0 / 6.0)) <= TOL_STRICT
@@ -239,7 +240,7 @@ def test_criterion_9_brownian(mc, stack_set):
             f[np.array(top.vertices)] = fstream.draw(top.vertices)
             targets = np.zeros(stack.depth + 1)
             energies = np.zeros(stack.depth + 1)
-            coef = stack.growth_adjoint_apply(f)  # Q_n^* f is its leading k_n entries
+            coef = np.concatenate(adjoint_pieces(stack, f))  # Q_n^* f: its leading k_n entries
             for n in range(stack.depth + 1):
                 qf = coef[: stack.cluster(n).size]
                 targets[n] = qf @ qf
@@ -269,7 +270,7 @@ def test_criterion_10_sweep(mc, stack_set):
         f = np.zeros(stack.graph.n_vertices)
         f[np.array(base.vertices)] = fstream.draw(base.vertices)
         phi = mc[name]["phi"]
-        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
+        rep = sweep_average_check(stack, f, sweep_pieces(stack, f))
         cov = moment_report(NoiseGram(phi.T @ phi, TRIALS).cross(rep.coef), rep.target,
                             TRIALS, SEED)
         worst_ident = max(worst_ident, rep.identity_residual / rep.identity_scale)

@@ -18,6 +18,7 @@ from dgff.linalg import write_matrix_csv
 from dgff.verify import provenance, run_ladder
 
 import dense_reference
+from conftest import dense_growth
 
 pytestmark = pytest.mark.usefixtures("fixture_dir")
 
@@ -223,10 +224,9 @@ def test_hadamard_summary(fixture_dir, tmp_path, capsys):
 
 def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch):
     # one pass over the edge rows gives the per-level readings; --out takes
-    # one more for the Gram it writes and assembles Q_n once. Without --out
-    # neither Q_n nor a Gram is formed
-    calls, growths = [], []
-    rows, growth = hadamard.dirichlet_rows, OperatorStack.growth
+    # one more for the Gram it writes, and writes Q_n from the kernels.
+    # Without --out no Gram is formed
+    calls, rows = [], hadamard.dirichlet_rows
 
     def counted(stack, n):
         calls.append(n)
@@ -234,11 +234,9 @@ def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch
 
     for mod in (cli, hadamard, verify):
         monkeypatch.setattr(mod, "dirichlet_rows", counted)
-    monkeypatch.setattr(OperatorStack, "growth",
-                        lambda stack, n: growths.append(n) or growth(stack, n))
     graph = fixture_dir / "grid5.json"
     assert run_cli("hadamard", "--graph", graph, "--roots", "r2c2", "--out", tmp_path) == 0
-    assert calls == [2, 2] and growths == [2]
+    assert calls == [2, 2]
     # the summary's reading bounds the residual of the Gram that was
     # written, which has the bits of the Gram route's layer blocks
     doc = json.loads(capsys.readouterr().out)
@@ -248,10 +246,11 @@ def test_hadamard_forms_the_gram_once(fixture_dir, tmp_path, capsys, monkeypatch
     for p, m, block in dense_reference.dirichlet_blocks(stack, 2):
         clu = stack.cluster(2)
         np.testing.assert_array_equal(written[clu.layer_slice(p), clu.layer_slice(m)], block)
+    _, _, q = read_matrix_csv(tmp_path / "growth_2.csv")
+    np.testing.assert_array_equal(q, dense_growth(stack, 2))
     calls.clear()
-    growths.clear()
     assert run_cli("hadamard", "--graph", graph, "--roots", "r2c2") == 0
-    assert calls == [2] and growths == []
+    assert calls == [2]
     assert json.loads(capsys.readouterr().out) == doc
 
 

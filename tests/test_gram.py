@@ -17,7 +17,6 @@ from dgff.sampling import (
     NoiseGram,
     brownian_check,
     dgff_block,
-    increment_cross_zmax,
     moment_report,
     noise_gram,
     sweep_average_check,
@@ -31,7 +30,8 @@ from block_reference import (
     pairing_block,
     serial_noise_gram,
 )
-from conftest import green_diagonals, green_energies, layer_sweeps
+from conftest import (adjoint_pieces, dense_growth, green_energies, increment_zmax,
+                      sweep_pieces)
 
 RTOL = 1e-9
 
@@ -229,7 +229,7 @@ class TestEquivalence:
         for n, grown in enumerate(dgff_block(stack, phi)):
             target = stack.green(n).normalized
             block = covariance_report(grown, target, 11)
-            streamed = moment_report(gram.cross(stack.growth(n)), target, gram.trials, 11)
+            streamed = moment_report(gram.cross(dense_growth(stack, n)), target, gram.trials, 11)
             np.testing.assert_allclose(streamed.empirical, block.empirical, rtol=RTOL)
             assert streamed.max_abs_z == pytest.approx(block.max_abs_z, rel=RTOL)
             assert streamed.entries == block.entries == target.size
@@ -255,15 +255,14 @@ class TestEquivalence:
             for j in range(i + 1, len(blocks)):
                 worst = max(worst, cross_covariance_zmax(blocks[i], blocks[j],
                                                          variances[i], variances[j]))
-        assert (increment_cross_zmax(stack, gram, green_diagonals(stack))[0]
-                == pytest.approx(worst, rel=RTOL))
+        assert increment_zmax(stack, gram)[0] == pytest.approx(worst, rel=RTOL)
 
     def test_brownian_moments(self, routes):
         g, stack, phi, gram = routes
         f = np.zeros(g.n_vertices)
         top = stack.cluster(stack.depth)
         f[np.array(top.vertices)] = GaussianStream(3).draw(top.vertices)
-        rep = brownian_check(stack, f, green_energies(stack, f))
+        rep = brownian_check(adjoint_pieces(stack, f), green_energies(stack, f))
         target = np.minimum.outer(rep.variance_targets, rep.variance_targets)
         np.testing.assert_array_equal(rep.target, target)
         streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)
@@ -278,7 +277,7 @@ class TestEquivalence:
         f = np.zeros(g.n_vertices)
         base = stack.cluster(1)
         f[np.array(base.vertices)] = GaussianStream(4).draw(base.vertices)
-        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
+        rep = sweep_average_check(stack, f, sweep_pieces(stack, f))
         streamed = moment_report(gram.cross(rep.coef), rep.target, gram.trials, 11)
         big = list(dgff_block(stack, phi))[n2]
         clu2 = stack.cluster(n2)
@@ -301,10 +300,10 @@ class TestSweepIdentity:
         f = np.zeros(g.n_vertices)
         base = stack.cluster(1)
         f[np.array(base.vertices)] = GaussianStream(8).draw(base.vertices)
-        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
+        rep = sweep_average_check(stack, f, sweep_pieces(stack, f))
         assert rep.coef.shape == (stack.depth, stack.cluster(stack.depth).size)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
-        coef = stack.growth_adjoint_apply(f)
+        coef = np.concatenate(adjoint_pieces(stack, f))
         assert rep.identity_scale == max(1.0, float(np.abs(coef).max()))
 
     def test_tampered_poisson_kernel_fails_the_sweep_rung(self):
@@ -313,7 +312,7 @@ class TestSweepIdentity:
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
         for n in range(stack.depth + 1):
-            stack.growth(n)
+            stack.kernel(n)
             stack.green(n)
         bad = stack.poisson(1).copy()
         bad[:, 0] *= 0.5

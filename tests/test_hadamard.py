@@ -14,7 +14,7 @@ from dgff.verify import isometry_readings
 import dense_reference
 from dense_reference import dirichlet_blocks, isometry_residual
 from calculus_reference import dirichlet_inner
-from conftest import gram_from_rows, green_energies
+from conftest import adjoint_pieces, dense_growth, gram_from_rows, green_energies
 
 SQ12 = math.sqrt(0.5)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -68,7 +68,7 @@ class TestKernel:
 
     def test_zero_extension_rows_exact(self, p4_stack):
         _, stack = p4_stack
-        q = stack.growth(1)
+        q = dense_growth(stack, 1)
         # column of the level-0 vertex has exact zeros below its cluster
         assert q[1, 0] == 0.0
 
@@ -77,16 +77,16 @@ class TestGrowthMatrix:
     def test_p4_matrix(self, p4_stack):
         _, stack = p4_stack
         expect = np.array([[SQ12, 0.5 * SQ23], [0.0, SQ23]])
-        np.testing.assert_allclose(stack.growth(1), expect, atol=1e-12)
+        np.testing.assert_allclose(dense_growth(stack, 1), expect, atol=1e-12)
 
     def test_level_zero_equals_sqrt(self, p4_stack):
         _, stack = p4_stack
-        np.testing.assert_array_equal(stack.growth(0), stack.layer_sqrt(0))
+        np.testing.assert_array_equal(dense_growth(stack, 0), stack.layer_sqrt(0))
 
     def test_stability_columns_identical(self):
         g, fol = standard_fixture("grid5")
         stack = OperatorStack(g, fol)
-        q1, q2 = stack.growth(1), stack.growth(2)
+        q1, q2 = dense_growth(stack, 1), dense_growth(stack, 2)
         k1 = stack.cluster(1).size
         # the shared kernels make old columns bit-identical, zero-padded
         np.testing.assert_array_equal(q2[:k1, :k1], q1)
@@ -96,14 +96,14 @@ class TestGrowthMatrix:
         # p4 has levels 0 and 1: level 2 has no kernels to read
         _, stack = p4_stack
         with pytest.raises(FoliationError):
-            stack.growth(2)
+            dense_growth(stack, 2)
         with pytest.raises(FoliationError):
             next(dirichlet_rows(stack, 2))
 
     def test_block_triangular(self):
         g, fol = standard_fixture("tree3")
         stack = OperatorStack(g, fol)
-        q = stack.growth(fol.depth)
+        q = dense_growth(stack, fol.depth)
         clu = stack.cluster(fol.depth)
         for m in range(fol.depth + 1):
             rows_below = clu.layer_start[m + 1]
@@ -113,7 +113,7 @@ class TestGrowthMatrix:
 class TestIdentity:
     def test_p4_hand_arithmetic(self, p4_stack):
         _, stack = p4_stack
-        q = stack.growth(1)
+        q = dense_growth(stack, 1)
         qqt = q @ q.T
         assert qqt[0, 0] == pytest.approx(0.5 + 1.0 / 6.0, abs=1e-12)
         assert qqt[0, 1] == pytest.approx(1.0 / 3.0, abs=1e-12)
@@ -125,7 +125,7 @@ class TestIdentity:
             stack = OperatorStack(g, fol)
             for n in range(fol.depth + 1):
                 gn = stack.green(n).normalized
-                q = stack.growth(n)
+                q = dense_growth(stack, n)
                 resid = dense_reference.increment_residual(q, q.T, gn)
                 assert resid <= 1e-10 * np.abs(gn).max()
 
@@ -133,7 +133,7 @@ class TestIdentity:
 class TestIsometry:
     def test_p4_energies(self, p4_stack):
         g, stack = p4_stack
-        q = stack.growth(1)
+        q = dense_growth(stack, 1)
         clu = stack.cluster(1)
         cols = []
         for k in range(2):
@@ -148,7 +148,7 @@ class TestIsometry:
         g, stack = p4_stack
         # the one-vertex field sqrt(1/2) * delta has energy pi * 1/2 = 1
         f = np.zeros(g.n_vertices)
-        f[stack.cluster(0).vertices[0]] = stack.growth(0)[0, 0]
+        f[stack.cluster(0).vertices[0]] = dense_growth(stack, 0)[0, 0]
         assert dirichlet_inner(g, f, f) == pytest.approx(1.0, abs=1e-12)
 
     def test_fixtures_gram_identity(self):
@@ -233,13 +233,14 @@ class TestInjectivity:
         rng = np.random.default_rng(17)
         for n in range(fol.depth + 1):
             b = rng.normal(size=stack.cluster(n).size)
-            f = np.linalg.solve(stack.growth(n), b)
-            assert np.abs(stack.growth(n) @ f - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
+            f = np.linalg.solve(dense_growth(stack, n), b)
+            assert np.abs(dense_growth(stack, n) @ f - b).max() <= 1e-8 * max(1.0, np.abs(b).max())
 
     def test_zero_maps_to_zero_only(self):
         g, fol = standard_fixture("p5")
         stack = OperatorStack(g, fol)
-        f = np.linalg.solve(stack.growth(fol.depth), np.zeros(stack.cluster(fol.depth).size))
+        q = dense_growth(stack, fol.depth)
+        f = np.linalg.solve(q, np.zeros(len(q)))
         np.testing.assert_array_equal(f, 0.0)
 
 
@@ -253,6 +254,24 @@ def test_kernel_columns_harmonic_below_their_layer():
         assert np.abs((a @ k)[:interior]).max() <= 1e-10 * np.abs(a).max()
 
 
+def test_walk_drops_each_level_after_its_round():
+    # round m may read levels m and m-1; after it, level m-1 and K_m go,
+    # and after the last round level n. A walk below the top builds and
+    # keeps nothing above it
+    g, fol = standard_fixture("grid5")
+    stack = OperatorStack(g, fol)
+
+    def levels():
+        return sorted(key for key in stack._cache if key[0] in ("kernel", "step", "green"))
+
+    for m in stack.walk(1):
+        stack.kernel(m)
+        stack.green(m)
+        below = [("green", m - 1), ("step", m - 1)] if m else []
+        assert levels() == sorted(below + [("green", m), ("kernel", m), ("step", m)])
+    assert fol.depth > 1 and levels() == []
+
+
 def test_kernel_is_poisson_times_sqrt(p4_stack):
     _, stack = p4_stack
     np.testing.assert_array_equal(stack.kernel(1), stack.poisson(1) @ stack.layer_sqrt(1))
@@ -260,7 +279,7 @@ def test_kernel_is_poisson_times_sqrt(p4_stack):
 
 @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
 def test_adjoint_from_kernels_matches_dense_growth(name):
-    # the stack applies Q_top^* through its kernels; reference: the
+    # the layer pieces K_m^T f[:k_m] give Q_top^* f; reference: the
     # assembled Q_n. The bases expand with n, so every level's coefficients,
     # and the Brownian check's pairing rows, are prefixes of the top level's.
     g, fol = standard_fixture(name)
@@ -269,8 +288,8 @@ def test_adjoint_from_kernels_matches_dense_growth(name):
     top = stack.cluster(fol.depth)
     top_ref = dense_reference.growth(top, [stack.kernel(m) for m in range(fol.depth + 1)]).T \
         @ f[np.array(top.vertices)]
-    rows = brownian_check(stack, f, green_energies(stack, f)).coef
-    coef = stack.growth_adjoint_apply(f)
+    rows = brownian_check(adjoint_pieces(stack, f), green_energies(stack, f)).coef
+    coef = np.concatenate(adjoint_pieces(stack, f))
     assert coef.shape == (top.size,)
     for n in range(fol.depth + 1):
         clu = stack.cluster(n)

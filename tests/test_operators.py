@@ -24,13 +24,13 @@ from conftest import FIXTURES, small_graphs, tamper_directed
 def base_green(g, clu):
     """The recursion's base step: the whole cluster inverted at once."""
     st = stencil(g, clu)
-    return green(g, clu, None, layer_step(clu, st, None))
+    return green(clu, None, layer_step(clu, st, None))
 
 
-def variation(kern, prev, p):
+def variation(g, kern, prev, p):
     """The variation formula's residual |P_n G_n[L_n, :] - (G_n - (G_{n-1} + 0))|
     for unnormalized kernels."""
-    gn, g_prev = dense_reference.unnormalized(kern), dense_reference.unnormalized(prev)
+    gn, g_prev = dense_reference.unnormalized(g, kern), dense_reference.unnormalized(g, prev)
     top = gn[kern.cluster.layer_slice(kern.cluster.n)]
     return dense_reference.increment_residual(p, top, gn, g_prev)
 
@@ -124,14 +124,14 @@ class TestGreen:
     def test_singleton_unnormalized_is_one(self, p4_parts):
         g, _, c0, _ = p4_parts
         k = base_green(g, c0)
-        assert dense_reference.unnormalized(k)[0, 0] == pytest.approx(1.0, abs=1e-14)
+        assert dense_reference.unnormalized(g, k)[0, 0] == pytest.approx(1.0, abs=1e-14)
 
     def test_p4_normalized_matrix(self, p4_parts):
         g, _, _, c1 = p4_parts
         k = base_green(g, c1)
         np.testing.assert_allclose(k.normalized, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3,
                                    atol=1e-12)
-        assert dense_reference.unnormalized(k)[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert dense_reference.unnormalized(g, k)[0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_inverse_identities(self, p4_parts):
         g, fol, _, _ = p4_parts
@@ -146,7 +146,8 @@ class TestGreen:
         g = path_graph(4, conductances=[3.0, 1.0, 1.0])
         fol = bfs_foliate(g, ["v1"])
         k = base_green(g, cluster(fol, 1))
-        weighted = k.pi[:, None] * dense_reference.unnormalized(k)
+        pi = dense_reference.weights(g, k.cluster)
+        weighted = pi[:, None] * dense_reference.unnormalized(g, k)
         assert np.abs(weighted - weighted.T).max() <= 1e-12 * np.abs(weighted).max()
 
     def test_entries_nonnegative_diagonal_positive(self):
@@ -338,7 +339,7 @@ class TestOneLayerBuild:
             clu = cluster(fol, n)
             st = stencil(g, clu)
             p, b, _ = step = layer_step(clu, st, cols)
-            kern = green(g, clu, prev, step)
+            kern = green(clu, prev, step)
             ref = dense_reference.block_green(g, clu, st, prev)
             assert kern.normalized.tobytes() == ref.tobytes(), n
             # the step's P_n and B_n are those read out of G_{n-1} and G_n
@@ -358,16 +359,16 @@ class TestOneLayerBuild:
         g = grid_graph(31)
         fol = bfs_foliate(g, ["r15c15"])
         stack = OperatorStack(g, fol)
-        for n in range(1, fol.depth + 1):
-            prev, clu, st = stack.green(n - 1), stack.cluster(n), stack.stencil(n)
-            cols = prev.normalized[:, prev.cluster.layer_slice(n - 1)]
-            stack.release(n - 2)
+        for m in stack.walk(fol.depth - 1):  # round m reads G_m, for level n = m + 1
+            n = m + 1
+            prev, clu, st = stack.green(m), stack.cluster(n), stack.stencil(n)
+            cols = prev.normalized[:, prev.cluster.layer_slice(m)]
             width = len(fol.layers[n])
             if width < 32:
                 continue
             tracemalloc.start()
             try:
-                green(g, clu, prev, layer_step(clu, st, cols))
+                green(clu, prev, layer_step(clu, st, cols))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -387,7 +388,7 @@ class TestOneLayerBuild:
         g, fol = standard_fixture("grid13")
         stack = OperatorStack(g, fol)
         for n in range(fol.depth + 1):
-            stack.growth(n)
+            stack.kernel(n)
             stack.green(n)
         # and neither does a command that prints one level's operator
         path = tmp_path / "grid13.json"
@@ -416,9 +417,9 @@ class TestOneLayerBuild:
         g, _, c0, c1 = p4_parts
         st0, st1 = stencil(g, c0), stencil(g, c1)
         with pytest.raises(ValueError):
-            green(g, c0, base_green(g, c1), layer_step(c0, st0, None))
+            green(c0, base_green(g, c1), layer_step(c0, st0, None))
         with pytest.raises(ValueError):
-            green(g, c1, base_green(g, c0), layer_step(c1, st1, None))  # not the step over prev
+            green(c1, base_green(g, c0), layer_step(c1, st1, None))  # not the step over prev
         with pytest.raises(ValueError):
             layer_step(c1, st0, None)  # not the cluster's stencil
         with pytest.raises(ValueError):
@@ -434,13 +435,13 @@ class TestOneLayerBuild:
 class TestVariation:
     def test_p4_hand_identity(self, p4_parts):
         g, fol, c0, c1 = p4_parts
-        g1 = dense_reference.unnormalized(base_green(g, c1))
-        g0 = dense_reference.unnormalized(base_green(g, c0))
+        g1 = dense_reference.unnormalized(g, base_green(g, c1))
+        g0 = dense_reference.unnormalized(g, base_green(g, c0))
         # new minus old at (v1, v1) equals 1/3, and so does the harmonic route
         assert g1[0, 0] - g0[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
         p = layer_step(c1, stencil(g, c1), base_green(g, c0).normalized)[0]
         assert p[0, 0] * g1[1, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert variation(base_green(g, c1), base_green(g, c0), p) <= 1e-12
+        assert variation(g, base_green(g, c1), base_green(g, c0), p) <= 1e-12
 
     def test_residual_small_on_fixtures(self):
         for name in ("p5", "grid5", "tree3"):
@@ -448,16 +449,16 @@ class TestVariation:
             for n in range(1, fol.depth + 1):
                 clu = cluster(fol, n)
                 green_n = dense_reference.green(g, clu)
-                scale = np.abs(dense_reference.unnormalized(green_n)).max()
-                resid = variation(green_n, dense_reference.green(g, cluster(fol, n - 1)),
+                scale = np.abs(dense_reference.unnormalized(g, green_n)).max()
+                resid = variation(g, green_n, dense_reference.green(g, cluster(fol, n - 1)),
                                   dense_reference.poisson(g, clu))
                 assert resid <= 1e-10 * scale
 
     def test_monotone_growth(self):
         g, fol = standard_fixture("grid5")
         for n in range(1, fol.depth + 1):
-            gn = dense_reference.unnormalized(base_green(g, cluster(fol, n)))
-            prev = dense_reference.unnormalized(base_green(g, cluster(fol, n - 1)))
+            gn = dense_reference.unnormalized(g, base_green(g, cluster(fol, n)))
+            prev = dense_reference.unnormalized(g, base_green(g, cluster(fol, n - 1)))
             diff = gn.copy()
             diff[: prev.shape[0], : prev.shape[1]] -= prev
             assert diff.min() >= -1e-12 * np.abs(gn).max()

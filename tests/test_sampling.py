@@ -22,7 +22,7 @@ from dgff.sampling import (
 )
 
 import dense_reference
-from conftest import green_energies, layer_sweeps
+from conftest import adjoint_pieces, dense_growth, green_energies, sweep_pieces
 from block_reference import (
     covariance_report,
     cross_covariance_zmax,
@@ -143,7 +143,7 @@ class TestGrow:
         single = GaussianStream(4).draw(stack.cluster(1).vertices)
         np.testing.assert_array_equal(block[0], single)
         np.testing.assert_allclose(list(dgff_block(stack, block))[1][0],
-                                   stack.growth(1) @ single, atol=1e-14)
+                                   dense_growth(stack, 1) @ single, atol=1e-14)
 
     @pytest.mark.parametrize("name", ("p4", "p5", "grid5", "tree3", "grid13"))
     def test_recursion_matches_the_dense_growth_operator(self, name):
@@ -155,7 +155,7 @@ class TestGrow:
         assert len(fields) == stack.depth + 1
         for n, psi in enumerate(fields):
             k = stack.cluster(n).size
-            ref = phi[:, :k] @ stack.growth(n).T
+            ref = phi[:, :k] @ dense_growth(stack, n).T
             assert psi.shape == ref.shape
             assert np.abs(psi - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
@@ -308,7 +308,7 @@ class TestGrownCovariances:
         covs = list(grown_covariances([stack.kernel(n) for n in range(stack.depth + 1)], gram))
         assert len(covs) == stack.depth + 1
         for n, cov in enumerate(covs):
-            ref = gram.cross(stack.growth(n))
+            ref = gram.cross(dense_growth(stack, n))
             assert cov.shape == ref.shape
             assert np.abs(cov - ref).max() <= 1e-12 * max(1.0, float(np.abs(ref).max()))
 
@@ -330,7 +330,7 @@ class TestBrownian:
         g, stack = p4_stack
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = brownian_check(stack, f, green_energies(stack, f))
+        rep = brownian_check(adjoint_pieces(stack, f), green_energies(stack, f))
         np.testing.assert_allclose(rep.variance_targets, [0.5, 2.0 / 3.0], atol=1e-12)
         # level 1's layer pieces: K_0^T f on layer 0, K_1^T f on layer 1
         np.testing.assert_allclose(rep.coef[1] ** 2, [0.5, 1.0 / 6.0], atol=1e-12)
@@ -349,7 +349,7 @@ class TestBrownian:
         stack._cache[("green", 1)] = dataclasses.replace(kern, normalized=kern.normalized / 2)
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = brownian_check(stack, f, green_energies(stack, f))
+        rep = brownian_check(adjoint_pieces(stack, f), green_energies(stack, f))
         np.testing.assert_allclose(rep.variance_targets, [0.5, 2.0 / 3.0], atol=1e-12)
         assert not rep.targets_monotone
         assert rep.pythagoras_residual == pytest.approx(1.0 / 3.0)
@@ -357,7 +357,7 @@ class TestBrownian:
     def test_zero_vector(self, p4_stack):
         g, stack = p4_stack
         f = np.zeros(g.n_vertices)
-        rep = brownian_check(stack, f, green_energies(stack, f))
+        rep = brownian_check(adjoint_pieces(stack, f), green_energies(stack, f))
         np.testing.assert_array_equal(rep.variance_targets, 0.0)
 
     def test_pairing_covariance(self, grid_stack):
@@ -365,7 +365,7 @@ class TestBrownian:
         rng = np.random.default_rng(0)
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(2).vertices)] = rng.normal(size=9)
-        rep = brownian_check(stack, f, green_energies(stack, f))
+        rep = brownian_check(adjoint_pieces(stack, f), green_energies(stack, f))
         gram = GaussianStream(53).gram(stack.cluster(2).vertices, TRIALS)
         # stationarity in the later index: cov(F_n, F_m) targets min(T_n, T_m)
         assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 53).max_abs_z <= ZMAX
@@ -383,7 +383,7 @@ class TestSweep:
         g, stack = p4_stack
         f = np.zeros(g.n_vertices)
         f[g.index["v1"]] = 1.0
-        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
+        rep = sweep_average_check(stack, f, sweep_pieces(stack, f))
         np.testing.assert_allclose(rep.variance_targets, [2.0 / 3.0 - 0.5], atol=1e-12)
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
         gram = GaussianStream(61).gram(stack.cluster(1).vertices, TRIALS)
@@ -394,12 +394,12 @@ class TestSweep:
         rng = np.random.default_rng(1)
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(1).vertices)] = rng.normal(size=5)
-        rep = sweep_average_check(stack, f, layer_sweeps(stack, f))
+        rep = sweep_average_check(stack, f, sweep_pieces(stack, f))
         assert rep.identity_residual <= 1e-10 * rep.identity_scale
         gram = GaussianStream(67).gram(stack.cluster(2).vertices, TRIALS)
         assert moment_report(gram.cross(rep.coef), rep.target, TRIALS, 67).max_abs_z <= ZMAX
         # endpoint n = n2 is the plain last increment
-        c = stack.growth_adjoint_apply(f)
+        c = np.concatenate(adjoint_pieces(stack, f))
         t = [float(c[:k] @ c[:k]) for k in (stack.cluster(n).size for n in range(3))]
         np.testing.assert_allclose(rep.variance_targets, [t[2] - t[0], t[2] - t[1]],
                                    atol=1e-12)
@@ -409,7 +409,7 @@ class TestSweep:
         f = np.zeros(g.n_vertices)
         f[np.array(stack.cluster(2).vertices)] = 1.0  # wider than cluster 1
         with pytest.raises(SupportViolationError):
-            sweep_average_check(stack, f, layer_sweeps(stack, f))
+            sweep_average_check(stack, f, sweep_pieces(stack, f))
 
 
 def test_covariance_stderr_formula():

@@ -27,7 +27,7 @@ from dgff.verify import isometry_readings, layer_identity, run_ladder
 
 import dense_reference
 from dense_reference import dirichlet_blocks, isometry_residual
-from conftest import FIXTURES, tamper_directed
+from conftest import FIXTURES, dense_growth, tamper_directed
 
 
 def _row(rep, name):
@@ -47,7 +47,7 @@ class TestHadamardIdentity:
             b, r = stack.boundary_green(n), stack.layer_sqrt(n)
             np.testing.assert_array_equal(stack.kernel(n), stack.poisson(n) @ r)
             total += np.abs(r @ r - b).max()
-            gn, q = stack.green(n).normalized, stack.growth(n)
+            gn, q = stack.green(n).normalized, dense_growth(stack, n)
             full = dense_reference.increment_residual(q, q.T, gn)
             assert full <= total + eps * np.diag(gn).max(), n
         assert _row(run_ladder(g, fol, trials=0), "hadamard_identity")["passed"]
@@ -57,7 +57,7 @@ class TestHadamardIdentity:
         # full residual |Q_0 Q_0^T - G_0|; above it each reading is layer-sized
         g, fol = standard_fixture("grid13")
         stack = OperatorStack(g, fol)
-        g0, q0 = stack.green(0).normalized, stack.growth(0)
+        g0, q0 = stack.green(0).normalized, dense_growth(stack, 0)
         full = dense_reference.increment_residual(q0, q0.T, g0) / max(np.abs(g0).max(), 1.0)
         assert layer_identity(stack, 0) == pytest.approx(full, abs=4 * np.finfo(float).eps)
 
@@ -211,8 +211,7 @@ def _guard_ladder(monkeypatch, graph="grid13", **ladder_args):
     stencil and the sizes of the matrices given to `linalg.cholesky`.
     `operators.green` counts as "green", and the dense route's
     `dirichlet_blocks`, which no package code may call, as well."""
-    counts = {"stencil": 0, "dirichlet_rows": 0, "dirichlet_blocks": 0, "growth": 0,
-              "green": 0}
+    counts = {"stencil": 0, "dirichlet_rows": 0, "dirichlet_blocks": 0, "green": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -259,7 +258,6 @@ def _guard_ladder(monkeypatch, graph="grid13", **ladder_args):
         return memo(stack, kind, n, wrapped)
 
     monkeypatch.setattr(OperatorStack, "_memo", spied)
-    monkeypatch.setattr(OperatorStack, "growth", counted("growth", OperatorStack.growth))
     monkeypatch.setattr(hadamard, "green", counted("green", hadamard.green))
     g, fol = _graph(graph)
     widest = max(len(layer) for layer in fol.layers)
@@ -277,10 +275,10 @@ def test_exact_ladder_cost_guard(monkeypatch):
     assembles no dense Q and no Green level, and multiplies no two
     k_n x k_n matrices for k_n > 50."""
     assert not hasattr(operators, "laplacian") and not hasattr(hadamard, "dirichlet_blocks")
+    assert not hasattr(OperatorStack, "growth")
     rep, counts, gathered, factored, widest = _guard_ladder(monkeypatch, trials=0)
     assert rep["pass"] and len(rep["checks"]) == 11
-    assert counts == {"stencil": 1, "dirichlet_rows": 1, "dirichlet_blocks": 0, "growth": 0,
-                      "green": 0}
+    assert counts == {"stencil": 1, "dirichlet_rows": 1, "dirichlet_blocks": 0, "green": 0}
     assert gathered and max(gathered) <= widest
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == [] and _SquareMatmuls.formed == []
@@ -304,26 +302,22 @@ def test_monte_carlo_ladder_cost_guard(monkeypatch):
     multiplies no two k_n x k_n matrices, not even against a noise Gram,
     and factors nothing wider than a layer: the oracle factors its pivots
     one layer at a time, not the top Laplacian."""
+    assert not hasattr(OperatorStack, "growth")
     rep, counts, _, factored, widest = _guard_ladder(monkeypatch, seed=1, trials=2000)
     assert rep["pass"] and len(rep["checks"]) == 17
-    assert counts == {"stencil": 1, "dirichlet_rows": 1, "dirichlet_blocks": 0, "growth": 0,
+    assert counts == {"stencil": 1, "dirichlet_rows": 1, "dirichlet_blocks": 0,
                       "green": standard_fixture("grid13")[1].depth + 1}
     assert max(factored) <= widest
     assert _SquareMatmuls.seen == []
 
 
-def test_stack_keeps_no_dense_growth_operator(monkeypatch):
+def test_stack_keeps_no_dense_growth_operator():
     # the samples, both covariance rungs and the isometry's Dirichlet Gram
-    # read the kernels; no dense Q is assembled
-    sizes = []
-    assemble = OperatorStack.growth
-    monkeypatch.setattr(OperatorStack, "growth",
-                        lambda stack, n: sizes.append(n) or assemble(stack, n))
+    # read the kernels; the stack has no dense Q to assemble
+    assert not hasattr(OperatorStack, "growth")
     g, fol = standard_fixture("grid5")
     stack = OperatorStack(g, fol)
     assert run_ladder(g, fol, seed=1, trials=2000, stack=stack)["pass"]
-    assert sizes == []
-    assert ("kernel", stack.depth) in stack._cache
     assert not [key for key in stack._cache if key[0] == "growth"]
 
 
@@ -377,9 +371,8 @@ def test_ladder_builds_each_green_level_once_and_holds_two(monkeypatch, graph, t
 def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, trials):
     """Each round reads P_n and R_n while level n is live: every layer step
     (P_n, B_n, R_n) is built exactly once, the stack never holds more than
-    steps n-1 and n, and it ends holding none. Without trials it drops each
-    kernel with its step; with them the Monte Carlo rungs read every kernel
-    at their end, and the stack keeps them."""
+    steps n-1 and n, and it ends holding none, and no kernel either: with
+    or without trials every rung reads K_n in round n."""
     builds, held = _spy_memo(monkeypatch, "step")
     g, fol = _graph(graph)
     stack = OperatorStack(g, fol)
@@ -388,8 +381,76 @@ def test_ladder_builds_each_layer_step_once_and_holds_two(monkeypatch, graph, tr
     assert dict(builds) == {n: 1 for n in range(stack.depth + 1)}
     assert max(held) == 2
     assert not [key for key in stack._cache if key[0] == "step"]
-    kernels = sorted(n for kind, n in stack._cache if kind == "kernel")
-    assert kernels == (list(range(stack.depth + 1)) if trials else [])
+    assert not [key for key in stack._cache if key[0] == "kernel"]
+
+
+@pytest.mark.parametrize("trials", [0, 2000])
+def test_every_reader_reads_level_n_in_round_n(monkeypatch, trials):
+    """Every read of a level from outside the stack, `kernel(n)`,
+    `poisson(n)`, `boundary_green(n)`, `layer_sqrt(n)` or `green(n)`, comes
+    in round n of `OperatorStack.walk`, and none in the last round, after
+    the walk: so the walk may drop each level after its round, with or
+    without trials. A read inside another (a layer step reading level n-1)
+    is the stack's own."""
+    now, reads, inside = {"round": None}, [], [0]
+    walk = OperatorStack.walk
+
+    def spied_walk(stack, n):
+        for m in walk(stack, n):
+            now["round"] = m
+            yield m
+        now["round"] = "last"
+
+    def spied(name, read):
+        def wrapper(stack, n):
+            if not inside[0]:
+                reads.append((name, n, now["round"]))
+            inside[0] += 1
+            try:
+                return read(stack, n)
+            finally:
+                inside[0] -= 1
+        return wrapper
+
+    monkeypatch.setattr(OperatorStack, "walk", spied_walk)
+    names = ("kernel", "poisson", "boundary_green", "layer_sqrt", "green")
+    for name in names:
+        monkeypatch.setattr(OperatorStack, name, spied(name, getattr(OperatorStack, name)))
+    g, fol = standard_fixture("grid13")
+    assert run_ladder(g, fol, seed=1, trials=trials)["pass"]
+    assert now["round"] == "last"
+    assert [(name, n, m) for name, n, m in reads if n != m] == []
+    read = {name: {n for kind, n, _ in reads if kind == name} for name in names}
+    levels = set(range(fol.depth + 1))
+    assert read == {name: levels if trials or name != "green" else set() for name in names}
+
+
+@pytest.mark.parametrize("trials", [0, 2000])
+def test_ladder_leaves_no_level_in_the_stack(trials):
+    """After the ladder, with or without trials, a supplied stack caches no
+    kernel, layer step or Green level: the walk dropped every one."""
+    g, fol = standard_fixture("grid13")
+    stack = OperatorStack(g, fol)
+    run_ladder(g, fol, seed=1, trials=trials, stack=stack)
+    assert not [key for key in stack._cache if key[0] in ("kernel", "step", "green")]
+
+
+def test_monte_carlo_ladder_memory_is_two_green_levels_and_the_grams():
+    """With trials the Monte Carlo rungs hold two Green levels, two noise
+    Grams and their covariances, and `increment_independence` every kernel:
+    the traced peak of the 21x21 ladder at 2000 trials, 19.76 k_top^2
+    doubles, stays under 19.8. Reading every kernel at the rungs' end, it
+    was 19.61; the rungs now hold the pieces of Q_top^* f and the placed
+    sweeps, O(N k_top), across the rounds."""
+    k_top = 19 * 19
+    g, fol = _graph("grid21")
+    tracemalloc.start()
+    try:
+        run_ladder(g, fol, seed=1, trials=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.8 * k_top * k_top * 8
 
 
 def test_exact_ladder_memory_is_a_few_top_levels():
@@ -462,8 +523,8 @@ def test_sample_builds_each_layer_step_once_and_holds_two(monkeypatch, tmp_path)
 
 
 def test_sample_memory_is_the_layer_operators_and_the_blocks():
-    """`dgff_block`, walked as `dgff sample` walks it, releasing level n-1
-    and K_n once it has Psi_n, holds two layer steps, a kernel, the noise
+    """`dgff_block`, walked as `dgff sample` walks it, taking Psi_n in round
+    n of `OperatorStack.walk`, holds two layer steps, a kernel, the noise
     block and the field blocks: on the 31x31 grid its traced peak, 0.44
     times every kernel K_n (sum_n k_n |L_n| numbers) and the blocks, stays
     under 0.5 times, a margin of 0.06. Keeping every kernel put it at 1.10
@@ -480,11 +541,8 @@ def test_sample_memory_is_the_layer_operators_and_the_blocks():
     blocks = trials * (sizes[-1] + sum(sizes))
     tracemalloc.start()
     try:
-        fields = []
-        for n, psi in enumerate(sampling.dgff_block(stack, phi)):
-            fields.append(psi)
-            stack.release(n - 1)
-            stack.release_kernel(n)
+        fields = [psi for _, psi in zip(stack.walk(stack.depth),
+                                        sampling.dgff_block(stack, phi))]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -795,9 +853,9 @@ def _inverse_bounds(stack):
 @pytest.mark.parametrize("graph", FIXTURES + ("grid13", "grid31", "weighted21"))
 def test_dense_inverse_residual_is_within_the_layer_bound(graph):
     stack = OperatorStack(*_graph(graph))
-    for n, bound in enumerate(_inverse_bounds(stack)):
-        assert dense_reference.inverse_residual(stack, n) <= bound, n
-        stack.release(n - 1)
+    bounds = _inverse_bounds(stack)
+    for n in stack.walk(stack.depth):
+        assert dense_reference.inverse_residual(stack, n) <= bounds[n], n
 
 
 def _tamper_kernel(stack, n, edit):
@@ -856,7 +914,7 @@ def _tampered_poisson_after_kernels(stack):
 
 def _tampered_poisson_after_green(stack):
     for n in range(stack.depth + 1):
-        stack.growth(n)
+        stack.kernel(n)
         stack.green(n)
     _tamper_step(stack, 1, 0, _scaled(0, 0.5))
 
